@@ -4,7 +4,7 @@
 // per assignment, then the run burns open-loop. Registering a governor
 // under a string name (ECDRA_REGISTER_GOVERNOR) makes it reachable from
 // every stock harness — RunTrials, the figure benches, the CLI --governor
-// flag, and the ScenarioSpec "run.governor" key.
+// flag, and the ScenarioSpec `run.governor` key.
 //
 // Here we write StepDownGovernor, a deliberately simple two-mode
 // controller:

@@ -20,7 +20,7 @@
 // Every flag value is validated up front: a bad spelling or number produces
 // a one-line diagnostic naming the flag and the valid choices and exits
 // with status 2 (trial failures exit with status 1).
-#include <charconv>
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -33,7 +33,6 @@
 #include "batch/batch_heuristics.hpp"
 #include "core/factory.hpp"
 #include "core/gang_placement.hpp"
-#include "econ/econ_model.hpp"
 #include "experiment/paper_config.hpp"
 #include "fault/recovery.hpp"
 #include "governor/governor.hpp"
@@ -44,126 +43,8 @@
 #include "stream/admission.hpp"
 #include "stats/table_writer.hpp"
 #include "validate/validation.hpp"
-#include "workload/workload_generator.hpp"
 
 namespace {
-
-void PrintUsage(std::ostream& os, const char* argv0) {
-  using ecdra::core::FilterRegistry;
-  using ecdra::core::HeuristicRegistry;
-  os << "usage: " << argv0 << " [options]  (--flag value or --flag=value)\n"
-     << "scenario (defaults = the paper's §VI study):\n"
-     << "  --spec FILE        load a canonical ScenarioSpec as the baseline\n"
-     << "                     (later flags override individual fields)\n"
-     << "  --print-spec       print the effective spec and exit (the output\n"
-     << "                     is exactly what --spec accepts back)\n"
-     << "  --heuristic NAME   registered: " << HeuristicRegistry().JoinedNames()
-     << "\n"
-     << "                     (default LL)\n"
-     << "  --variant NAME     none, or '+'-joined registered filters\n"
-     << "                     (registered: " << FilterRegistry().JoinedNames()
-     << "; default en+rob)\n"
-     << "  --trials N         Monte-Carlo trials        (default 50)\n"
-     << "  --seed S           master seed               (default paper's)\n"
-     << "  --budget-scale X   scale zeta_max by X       (default 1.0)\n"
-     << "  --idle POLICY      deepest | stay | gated    (default deepest)\n"
-     << "  --cancel POLICY    never | hopeless          (default never)\n"
-     << "  --rho-thresh P     robustness threshold      (default 0.5)\n"
-     << "  --fault-mtbf T     mean time to permanent core failure\n"
-     << "                     (simulated seconds; 0 = fault-free, default)\n"
-     << "  --fault-duration T mean outage before a failed core is repaired\n"
-     << "                     (0 = failures are permanent, default)\n"
-     << "  --throttle-interval T / --throttle-duration T / --throttle-floor S\n"
-     << "                     transient P-state throttling (0 = off)\n"
-     << "  --domain-mtbf T    mean time to whole-domain outage (simulated\n"
-     << "                     seconds; 0 = no domain faults, default)\n"
-     << "  --domain-repair T  mean outage before a downed domain repairs\n"
-     << "                     (0 = outages are permanent, default)\n"
-     << "  --cascade-throttle propagate per-core throttles to every core in\n"
-     << "                     the same fault domain\n"
-     << "  --fault-domains S  correlated fault-domain layout, comma-separated\n"
-     << "                     'name:lo-hi' flat-core ranges covering every\n"
-     << "                     core (default: one domain per cluster node)\n"
-     << "  --recovery POLICY  " << ecdra::fault::RecoveryPolicyNames()
-     << "  (default drop)\n"
-     << "  --governor NAME    online energy governor (registered: "
-     << ecdra::governor::GovernorRegistry().JoinedNames() << ";\n"
-     << "                     default static = the paper's open-loop run)\n"
-     << "streaming service mode (rolling energy-rate budget; src/stream):\n"
-     << "  --stream           run in streaming mode (requires --energy-rate\n"
-     << "                     or a spec with stream.energy_rate > 0)\n"
-     << "  --energy-rate R    joules per second accruing into the account\n"
-     << "  --stream-window T  rolling metrics window, simulated seconds\n"
-     << "                     (0 = derived from the environment, default)\n"
-     << "  --accrual-cap J    account ceiling in joules (0 = derived)\n"
-     << "  --admission NAME   admission policy (registered: "
-     << ecdra::stream::AdmissionRegistry().JoinedNames() << ";\n"
-     << "                     default none = admit everything)\n"
-     << "  --degraded-enter F / --degraded-exit F\n"
-     << "                     degraded-mode hysteresis on the fraction of\n"
-     << "                     cores lost to faults, 0 <= exit < enter <= 1\n"
-     << "                     (default 0.25 / 0.1)\n"
-     << "  --degraded-rho-scale X\n"
-     << "                     multiply rho admission thresholds by X while\n"
-     << "                     degraded (>= 1; default 1.5)\n"
-     << "gang jobs and precedence chains (src/workload/job.hpp):\n"
-     << "  --jobs             generate map->reduce jobs instead of\n"
-     << "                     independent tasks (stage widths/depths drawn\n"
-     << "                     from the --job-widths / --job-depths mixes)\n"
-     << "  --job-widths LIST  comma-separated width@probability classes,\n"
-     << "                     e.g. 1@0.5,4@0.5 (default 1@1)\n"
-     << "  --job-depths LIST  comma-separated depth@probability classes\n"
-     << "                     (stages per job; default 1@1)\n"
-     << "  --job-deadline-scale X\n"
-     << "                     stretch job deadlines by X relative to the\n"
-     << "                     equivalent independent-task deadline (>= 1;\n"
-     << "                     default 1)\n"
-     << "  --gang-policy NAME gang placement heuristic (registered: "
-     << ecdra::core::GangPlacementRegistry().JoinedNames() << ";\n"
-     << "                     default pack)\n"
-     << "economics and SLA tiers (src/econ):\n"
-     << "  --econ             attach the econ model: tasks carry value and\n"
-     << "                     an SLA tier, trials meter revenue against the\n"
-     << "                     energy bill (try heuristic econ-greedy,\n"
-     << "                     filter ...+sla, admission value-density,\n"
-     << "                     governor profit-guard)\n"
-     << "  --econ-values LIST comma-separated per-type revenue values,\n"
-     << "                     cycled over task types (e.g. 1,5,20;\n"
-     << "                     default 1)\n"
-     << "  --sla-tiers LIST   comma-separated name@vmult@smult@rhofloor@prob\n"
-     << "                     tiers, e.g. gold@3@2@0.9@0.2,be@1@1@0@0.8\n"
-     << "                     (default: one neutral tier)\n"
-     << "  --energy-price X   price charged per joule drawn (default 0 =\n"
-     << "                     free energy)\n"
-     << "  --value-decay W    late finishes earn linearly decaying revenue\n"
-     << "                     over W simulated seconds past the deadline\n"
-     << "                     (default 0 = late earns nothing)\n"
-     << "  --list-policies    print every registered heuristic, filter,\n"
-     << "                     batch heuristic, governor, admission, gang\n"
-     << "                     placement, and recovery policy, then exit\n"
-     << "  --validate MODE    off | cheap | deep runtime invariant checks\n"
-     << "                     (default off; violations are recorded, not\n"
-     << "                     fatal)\n"
-     << "output / crash-safe harness (not part of the spec):\n"
-     << "  --csv              per-trial CSV instead of the summary table\n"
-     << "  --counters         collect per-trial scheduler counters and\n"
-     << "                     print the cross-trial aggregate\n"
-     << "  --trace-out PATH   write a JSONL decision/energy trace (one\n"
-     << "                     record per arrival; implies --counters)\n"
-     << "  --checkpoint PATH  append each completed trial to a JSONL\n"
-     << "                     checkpoint (header pins seed + config)\n"
-     << "  --resume           skip trials already in the --checkpoint file;\n"
-     << "                     the merged run is bit-identical to an\n"
-     << "                     uninterrupted one (physical damage beyond a\n"
-     << "                     torn tail line is refused)\n"
-     << "  --resume-salvage   like --resume, but truncate the checkpoint to\n"
-     << "                     its longest valid prefix first (CRC-verified),\n"
-     << "                     reporting how many damaged records re-run\n"
-     << "  --trial-timeout T  wall-clock watchdog per trial attempt, real\n"
-     << "                     seconds (0 = off, default)\n"
-     << "  --max-retries N    extra attempts after a failed/timed-out trial\n"
-     << "                     (same substreams; default 0)\n";
-}
 
 /// One-line usage diagnostic -> stderr, exit 2 (trial failures use exit 1).
 [[noreturn]] void Fail(const std::string& message) {
@@ -171,140 +52,121 @@ void PrintUsage(std::ostream& os, const char* argv0) {
   std::exit(2);
 }
 
-/// Strict numeric parsing: the whole value must be consumed, no locale, no
-/// silent truncation — "10x", "", and "1e999" all fail with a diagnostic.
-std::uint64_t ParseUint64(std::string_view flag, const std::string& value) {
-  std::uint64_t parsed = 0;
-  const auto [ptr, ec] =
-      std::from_chars(value.data(), value.data() + value.size(), parsed);
-  if (ec != std::errc() || ptr != value.data() + value.size() ||
-      value.empty()) {
-    Fail(std::string(flag) + ": '" + value +
-         "' is not a non-negative integer");
+/// Runs `parse(value)`, turning its std::invalid_argument into a one-line
+/// diagnostic naming the flag. Numbers go through the spec codecs, so a
+/// flag and a --spec line accept and refuse exactly the same text.
+template <typename Parse>
+auto ParseFlag(std::string_view flag, const std::string& value, Parse parse) {
+  try {
+    return parse(value);
+  } catch (const std::invalid_argument& error) {
+    Fail(std::string(flag) + ": " + error.what());
   }
-  return parsed;
 }
 
-double ParseDouble(std::string_view flag, const std::string& value) {
-  double parsed = 0.0;
-  const auto [ptr, ec] =
-      std::from_chars(value.data(), value.data() + value.size(), parsed);
-  if (ec != std::errc() || ptr != value.data() + value.size() ||
-      value.empty()) {
-    Fail(std::string(flag) + ": '" + value + "' is not a number");
+/// The registered names a name-valued spec flag is checked against. The
+/// spec layer accepts any name (trial setup rejects unknown ones); the CLI
+/// diagnoses a typo up front and lists the names in --help.
+struct FlagRegistry {
+  std::string_view noun;
+  std::vector<std::string> names;
+  std::string joined;
+};
+
+std::optional<FlagRegistry> RegistryFor(std::string_view flag) {
+  using namespace ecdra;
+  const auto of = [](std::string_view noun, const auto& registry) {
+    return FlagRegistry{noun, registry.Names(), registry.JoinedNames()};
+  };
+  if (flag == "--governor") return of("governor", governor::GovernorRegistry());
+  if (flag == "--admission") return of("policy", stream::AdmissionRegistry());
+  if (flag == "--gang-policy") {
+    return of("placement", core::GangPlacementRegistry());
   }
-  return parsed;
+  return std::nullopt;
 }
 
-double ParseNonNegative(std::string_view flag, const std::string& value) {
-  const double parsed = ParseDouble(flag, value);
-  if (parsed < 0.0) {
-    Fail(std::string(flag) + ": '" + value + "' must be >= 0");
+/// The spec row a flag edits (policy::SpecField::flag), or nullptr.
+const ecdra::policy::SpecField* FindFlag(std::string_view flag) {
+  for (const ecdra::policy::SpecField& field : ecdra::policy::SpecFields()) {
+    if (!field.flag.empty() && field.flag == flag) return &field;
   }
-  return parsed;
+  return nullptr;
 }
 
-/// "value@probability,value@probability" -> shape classes, the CLI-side
-/// mirror of the spec's env.workload.jobs.widths/.depths syntax. Values must
-/// be >= 1 (a width-0 gang or depth-0 chain is meaningless); probabilities
-/// must be > 0 — the generator normalizes them, so 1@3,4@1 reads "3:1 odds".
-std::vector<ecdra::workload::ShapeClass> ParseShapeClasses(
-    std::string_view flag, const std::string& value) {
-  std::vector<ecdra::workload::ShapeClass> classes;
-  std::size_t start = 0;
-  while (start <= value.size()) {
-    const std::size_t comma = value.find(',', start);
-    const std::string token =
-        value.substr(start, comma == std::string::npos ? std::string::npos
-                                                       : comma - start);
-    const std::size_t at = token.find('@');
-    if (at == std::string::npos) {
-      Fail(std::string(flag) + ": '" + token +
-           "' is not a value@probability class (e.g. 4@0.5)");
-    }
-    const std::uint64_t shape = ParseUint64(flag, token.substr(0, at));
-    const double probability = ParseDouble(flag, token.substr(at + 1));
-    if (shape == 0) Fail(std::string(flag) + ": shape values must be >= 1");
-    if (probability <= 0.0) {
-      Fail(std::string(flag) + ": class probabilities must be > 0");
-    }
-    classes.push_back(ecdra::workload::ShapeClass{
-        static_cast<std::size_t>(shape), probability});
-    if (comma == std::string::npos) break;
-    start = comma + 1;
+/// "  --flag ARG" padded to the help column (or alone on its line when it
+/// is too wide), then the help text with continuation lines aligned.
+void PrintFlag(std::ostream& os, std::string_view flag, std::string_view arg,
+               std::string_view help) {
+  constexpr std::size_t kHelpColumn = 21;
+  std::string head(2, ' ');
+  head.append(flag).append(arg.empty() ? "" : " ").append(arg);
+  os << head;
+  if (head.size() < kHelpColumn) {
+    os << std::string(kHelpColumn - head.size(), ' ');
+  } else {
+    os << '\n' << std::string(kHelpColumn, ' ');
   }
-  if (classes.empty()) Fail(std::string(flag) + ": empty class list");
-  return classes;
+  for (const char c : help) {
+    os << c;
+    if (c == '\n') os << std::string(kHelpColumn, ' ');
+  }
+  os << '\n';
 }
 
-/// "1,5,20" -> per-type value table (env.econ.values syntax). Values must
-/// be >= 0; the model cycles the list over task types.
-std::vector<double> ParseEconValues(std::string_view flag,
-                                    const std::string& value) {
-  std::vector<double> values;
-  std::size_t start = 0;
-  while (start <= value.size()) {
-    const std::size_t comma = value.find(',', start);
-    const std::string token =
-        value.substr(start, comma == std::string::npos ? std::string::npos
-                                                       : comma - start);
-    const double v = ParseDouble(flag, token);
-    if (v < 0.0) Fail(std::string(flag) + ": values must be >= 0");
-    values.push_back(v);
-    if (comma == std::string::npos) break;
-    start = comma + 1;
+void PrintUsage(std::ostream& os, const char* argv0) {
+  using namespace ecdra;
+  os << "usage: " << argv0 << " [options]  (--flag value or --flag=value)\n"
+     << "scenario (defaults = the paper's §VI study):\n";
+  PrintFlag(os, "--spec", "FILE",
+            "load a canonical ScenarioSpec as the baseline\n"
+            "(later flags override individual fields)");
+  PrintFlag(os, "--print-spec", "",
+            "print the effective spec and exit (the output\n"
+            "is exactly what --spec accepts back)");
+  PrintFlag(os, "--heuristic", "NAME",
+            "registered: " + core::HeuristicRegistry().JoinedNames() +
+                "\n(default LL)");
+  PrintFlag(os, "--variant", "NAME",
+            "none, or '+'-joined registered filters\n(registered: " +
+                core::FilterRegistry().JoinedNames() + "; default en+rob)");
+  PrintFlag(os, "--budget-scale", "X",
+            "scale zeta_max by X       (default 1.0)");
+  for (const policy::SpecField& field : policy::SpecFields()) {
+    if (field.flag.empty()) continue;
+    std::string help(field.help);
+    if (const auto registry = RegistryFor(field.flag)) {
+      help += "\n(registered: " + registry->joined + ")";
+    }
+    PrintFlag(os, field.flag, field.arg, help);
   }
-  if (values.empty()) Fail(std::string(flag) + ": empty value list");
-  return values;
-}
-
-/// "gold@3@2@0.9@0.2,be@1@1@0@0.8" -> SLA tiers (env.econ.tiers syntax):
-/// name @ value multiplier @ fair-share multiplier @ rho floor @ mix
-/// probability. The generator normalizes probabilities.
-std::vector<ecdra::econ::SlaTier> ParseSlaTiers(std::string_view flag,
-                                                const std::string& value) {
-  std::vector<ecdra::econ::SlaTier> tiers;
-  std::size_t start = 0;
-  while (start <= value.size()) {
-    const std::size_t comma = value.find(',', start);
-    std::string token =
-        value.substr(start, comma == std::string::npos ? std::string::npos
-                                                       : comma - start);
-    std::vector<std::string> parts;
-    std::size_t part_start = 0;
-    while (part_start <= token.size()) {
-      const std::size_t at = token.find('@', part_start);
-      parts.push_back(token.substr(
-          part_start,
-          at == std::string::npos ? std::string::npos : at - part_start));
-      if (at == std::string::npos) break;
-      part_start = at + 1;
-    }
-    if (parts.size() != 5 || parts[0].empty()) {
-      Fail(std::string(flag) + ": '" + token +
-           "' is not a name@vmult@smult@rhofloor@prob tier");
-    }
-    ecdra::econ::SlaTier tier;
-    tier.name = parts[0];
-    tier.value_multiplier = ParseDouble(flag, parts[1]);
-    tier.share_multiplier = ParseDouble(flag, parts[2]);
-    tier.rho_floor = ParseDouble(flag, parts[3]);
-    tier.probability = ParseDouble(flag, parts[4]);
-    if (tier.value_multiplier < 0.0 || tier.share_multiplier < 0.0) {
-      Fail(std::string(flag) + ": tier multipliers must be >= 0");
-    }
-    if (tier.rho_floor < 0.0 || tier.rho_floor > 1.0) {
-      Fail(std::string(flag) + ": rho floors must be in [0, 1]");
-    }
-    if (tier.probability <= 0.0) {
-      Fail(std::string(flag) + ": tier probabilities must be > 0");
-    }
-    tiers.push_back(std::move(tier));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  if (tiers.empty()) Fail(std::string(flag) + ": empty tier list");
-  return tiers;
+  PrintFlag(os, "--list-policies", "",
+            "print every registered heuristic, filter,\n"
+            "batch heuristic, governor, admission, gang\n"
+            "placement, and recovery policy, then exit");
+  os << "output / crash-safe harness (not part of the spec):\n";
+  PrintFlag(os, "--csv", "", "per-trial CSV instead of the summary table");
+  PrintFlag(os, "--counters", "",
+            "collect per-trial scheduler counters and\n"
+            "print the cross-trial aggregate");
+  PrintFlag(os, "--trace-out", "PATH",
+            "write a JSONL decision/energy trace (one\n"
+            "record per arrival; implies --counters)");
+  PrintFlag(os, "--checkpoint", "PATH",
+            "append each completed trial to a JSONL\n"
+            "checkpoint (header pins seed + config)");
+  PrintFlag(os, "--resume", "",
+            "skip trials already in the --checkpoint file\n"
+            "(only a torn tail line is tolerated)");
+  PrintFlag(os, "--resume-salvage", "",
+            "like --resume, after truncating the file to\n"
+            "its longest CRC-valid prefix");
+  PrintFlag(os, "--trial-timeout", "T",
+            "wall-clock watchdog per trial attempt, real\n"
+            "seconds (0 = off, default)");
+  PrintFlag(os, "--max-retries", "N",
+            "extra attempts after a failed/timed-out trial\n"
+            "(same substreams; default 0)");
 }
 
 }  // namespace
@@ -395,33 +257,9 @@ int main(int argc, char** argv) {
         Fail("--variant: " + std::string(error.what()) +
              "; compose filters with '+', e.g. en+rob");
       }
-    } else if (flag == "--trials") {
-      spec.num_trials = static_cast<std::size_t>(ParseUint64(flag, next()));
-      if (spec.num_trials == 0) Fail("--trials: must be >= 1");
-    } else if (flag == "--seed") {
-      spec.master_seed = ParseUint64(flag, next());
     } else if (flag == "--budget-scale") {
-      budget_scale = ParseDouble(flag, next());
+      budget_scale = ParseFlag(flag, next(), policy::ParseSpecNumber);
       if (budget_scale <= 0.0) Fail("--budget-scale: must be > 0");
-    } else if (flag == "--idle") {
-      const std::string value = next();
-      const auto parsed = policy::ParseIdlePolicy(value);
-      if (!parsed) {
-        Fail("--idle: unknown policy '" + value +
-             "' (valid: deepest, stay, gated)");
-      }
-      spec.idle_policy = *parsed;
-    } else if (flag == "--cancel") {
-      const std::string value = next();
-      const auto parsed = policy::ParseCancelPolicy(value);
-      if (!parsed) {
-        Fail("--cancel: unknown policy '" + value +
-             "' (valid: never, hopeless)");
-      }
-      spec.cancel_policy = *parsed;
-    } else if (flag == "--rho-thresh") {
-      spec.filter_options.robustness_threshold =
-          ParseNonNegative(flag, next());
     } else if (flag == "--csv") {
       csv = true;
     } else if (flag == "--counters") {
@@ -429,107 +267,6 @@ int main(int argc, char** argv) {
     } else if (flag == "--trace-out") {
       trace_path = next();
       collect_counters = true;
-    } else if (flag == "--fault-mtbf") {
-      spec.fault.mtbf = ParseNonNegative(flag, next());
-    } else if (flag == "--fault-duration") {
-      spec.fault.repair_time = ParseNonNegative(flag, next());
-    } else if (flag == "--throttle-interval") {
-      spec.fault.throttle_interval = ParseNonNegative(flag, next());
-    } else if (flag == "--throttle-duration") {
-      spec.fault.throttle_duration = ParseNonNegative(flag, next());
-    } else if (flag == "--throttle-floor") {
-      spec.fault.throttle_floor =
-          static_cast<std::size_t>(ParseUint64(flag, next()));
-      if (spec.fault.throttle_floor >= cluster::kNumPStates) {
-        Fail("--throttle-floor: must be < " +
-             std::to_string(cluster::kNumPStates));
-      }
-    } else if (flag == "--domain-mtbf") {
-      spec.fault.domain_mtbf = ParseNonNegative(flag, next());
-    } else if (flag == "--domain-repair") {
-      spec.fault.domain_repair_time = ParseNonNegative(flag, next());
-    } else if (flag == "--cascade-throttle") {
-      spec.fault.cascade_throttle = true;
-    } else if (flag == "--fault-domains") {
-      // Validated against the sampled cluster at trial setup
-      // (fault::ResolveFaultDomains); the CLI only carries the text.
-      spec.fault_domains = next();
-    } else if (flag == "--recovery") {
-      const std::string value = next();
-      try {
-        spec.recovery = fault::ParseRecoveryPolicy(value);
-      } catch (const std::invalid_argument&) {
-        Fail("--recovery: unknown policy '" + value + "' (valid: " +
-             std::string(fault::RecoveryPolicyNames()) + ")");
-      }
-    } else if (flag == "--governor") {
-      spec.governor = next();
-      if (!governor::GovernorRegistry().Contains(spec.governor)) {
-        Fail("--governor: unknown governor '" + spec.governor +
-             "' (registered: " + governor::GovernorRegistry().JoinedNames() +
-             ")");
-      }
-    } else if (flag == "--stream") {
-      spec.mode = policy::RunMode::kStream;
-    } else if (flag == "--energy-rate") {
-      spec.stream.energy_rate = ParseNonNegative(flag, next());
-      if (spec.stream.energy_rate == 0.0) {
-        Fail("--energy-rate: must be > 0");
-      }
-    } else if (flag == "--stream-window") {
-      spec.stream.window_length = ParseNonNegative(flag, next());
-    } else if (flag == "--accrual-cap") {
-      spec.stream.accrual_cap = ParseNonNegative(flag, next());
-    } else if (flag == "--admission") {
-      spec.stream.admission = next();
-      if (!stream::AdmissionRegistry().Contains(spec.stream.admission)) {
-        Fail("--admission: unknown policy '" + spec.stream.admission +
-             "' (registered: " + stream::AdmissionRegistry().JoinedNames() +
-             ")");
-      }
-    } else if (flag == "--degraded-enter") {
-      spec.stream.degraded_enter_fraction = ParseNonNegative(flag, next());
-    } else if (flag == "--degraded-exit") {
-      spec.stream.degraded_exit_fraction = ParseNonNegative(flag, next());
-    } else if (flag == "--degraded-rho-scale") {
-      spec.stream.degraded_rho_scale = ParseNonNegative(flag, next());
-      if (spec.stream.degraded_rho_scale < 1.0) {
-        Fail("--degraded-rho-scale: must be >= 1");
-      }
-    } else if (flag == "--jobs") {
-      spec.environment.workload.jobs.enabled = true;
-    } else if (flag == "--job-widths") {
-      spec.environment.workload.jobs.widths = ParseShapeClasses(flag, next());
-    } else if (flag == "--job-depths") {
-      spec.environment.workload.jobs.depths = ParseShapeClasses(flag, next());
-    } else if (flag == "--job-deadline-scale") {
-      spec.environment.workload.jobs.deadline_scale =
-          ParseNonNegative(flag, next());
-      if (spec.environment.workload.jobs.deadline_scale < 1.0) {
-        Fail("--job-deadline-scale: must be >= 1");
-      }
-    } else if (flag == "--gang-policy") {
-      spec.jobs_placement = next();
-      if (!core::GangPlacementRegistry().Contains(spec.jobs_placement)) {
-        Fail("--gang-policy: unknown placement '" + spec.jobs_placement +
-             "' (registered: " +
-             core::GangPlacementRegistry().JoinedNames() + ")");
-      }
-    } else if (flag == "--econ") {
-      spec.econ_enabled = true;
-      // A bare --econ should meter something: default every type to unit
-      // value unless --econ-values overrides it.
-      if (spec.econ.type_values.empty()) spec.econ.type_values = {1.0};
-    } else if (flag == "--econ-values") {
-      spec.econ.type_values = ParseEconValues(flag, next());
-    } else if (flag == "--sla-tiers") {
-      spec.econ.tiers = ParseSlaTiers(flag, next());
-    } else if (flag == "--energy-price") {
-      spec.econ.energy_price = ParseDouble(flag, next());
-      if (spec.econ.energy_price < 0.0) Fail("--energy-price: must be >= 0");
-    } else if (flag == "--value-decay") {
-      spec.econ.value_decay = ParseDouble(flag, next());
-      if (spec.econ.value_decay < 0.0) Fail("--value-decay: must be >= 0");
     } else if (flag == "--checkpoint") {
       checkpoint_path = next();
       if (checkpoint_path.empty()) Fail("--checkpoint: empty path");
@@ -539,17 +276,29 @@ int main(int argc, char** argv) {
       resume = true;
       salvage = true;
     } else if (flag == "--trial-timeout") {
-      trial_timeout = ParseNonNegative(flag, next());
+      trial_timeout = ParseFlag(flag, next(), policy::ParseSpecNumber);
+      if (trial_timeout < 0.0) Fail("--trial-timeout: must be >= 0");
     } else if (flag == "--max-retries") {
-      max_attempts = 1 + static_cast<std::size_t>(ParseUint64(flag, next()));
-    } else if (flag == "--validate") {
-      const std::string value = next();
-      const auto mode = validate::ParseValidationMode(value);
-      if (!mode) {
-        Fail("--validate: unknown mode '" + value +
-             "' (valid: off, cheap, deep)");
+      max_attempts = 1 + ParseFlag(flag, next(), policy::ParseSpecCount);
+    } else if (const policy::SpecField* field = FindFlag(flag)) {
+      // A spec flag: a switch sets its row's fixed value, any other flag
+      // parses its argument with the row's codec and range check.
+      const std::string value =
+          field->fixed.empty() ? next() : std::string(field->fixed);
+      ParseFlag(flag, value, [&](const std::string& text) {
+        field->codec.parse(spec, text);
+      });
+      if (const auto registry = RegistryFor(flag);
+          registry && std::ranges::find(registry->names, value) ==
+                          registry->names.end()) {
+        Fail(flag + ": unknown " + std::string(registry->noun) + " '" + value +
+             "' (registered: " + registry->joined + ")");
       }
-      spec.validation = *mode;
+      // A bare --econ should meter something: default every type to unit
+      // value unless --econ-values overrides it.
+      if (flag == "--econ" && spec.econ.type_values.empty()) {
+        spec.econ.type_values = {1.0};
+      }
     } else {
       std::cerr << "run_experiment_cli: unknown flag '" << args[i] << "'\n";
       PrintUsage(std::cerr, argv[0]);

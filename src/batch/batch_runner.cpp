@@ -1,7 +1,6 @@
 #include "batch/batch_runner.hpp"
 
 #include <future>
-#include <stdexcept>
 
 #include "core/factory.hpp"
 #include "util/assert.hpp"
@@ -11,18 +10,10 @@
 namespace ecdra::batch {
 
 BatchRunOptions BatchRunOptionsFromSpec(const policy::ScenarioSpec& spec) {
-  // Typed refusal: batch mode cannot honor a streaming scenario, whatever
-  // run.mode says — the diagnostic names the offending stream.* fields.
-  policy::RequireStreamCompatible(policy::RunMode::kBatch, spec.stream);
-  // Same rule for gang jobs: the mapping-event scheduler has no
-  // all-or-nothing gang placement or stage-release machinery, so a
-  // jobs-enabled workload would silently serialize every gang. Refuse with
-  // the offending key rather than compute the wrong thing.
-  if (spec.environment.workload.jobs.enabled) {
-    throw std::invalid_argument(
-        "batch mode does not support job-level workloads; unset "
-        "env.workload.jobs.enabled or use the immediate-mode stack");
-  }
+  // Typed refusals naming the offending keys: batch mode plans the whole
+  // window against a fixed budget with no fault, governor, gang, econ, or
+  // stream machinery, so computing anyway would report the wrong thing.
+  policy::RequireBatchCompatible(spec);
   BatchRunOptions options;
   options.num_trials = spec.num_trials;
   options.idle_policy = spec.idle_policy;

@@ -31,11 +31,11 @@ struct BatchRunOptions {
 };
 
 /// The BatchRunOptions a ScenarioSpec describes (the shared result-shaping
-/// knobs; batch mode has no fault/governor/stream machinery). A spec whose
-/// stream block is non-default is refused with a typed one-line
-/// policy::StreamSpecError naming the incompatible fields — batch mode
-/// plans the whole window against a fixed budget and cannot honor a
-/// replenishing account.
+/// knobs batch mode has). A non-default stream block is refused with
+/// policy::StreamSpecError; any other knob the batch stack cannot honor
+/// (faults, a non-static governor, econ, gang jobs, DVFS latency,
+/// stochastic power — the table's kNoBatch rows) with
+/// policy::BatchSpecError. Both are one line naming the offending keys.
 [[nodiscard]] BatchRunOptions BatchRunOptionsFromSpec(
     const policy::ScenarioSpec& spec);
 

@@ -26,7 +26,7 @@
 //
 // Governors are registered by name (ECDRA_REGISTER_GOVERNOR) in the same
 // self-registering registry shape as heuristics and filters; the ScenarioSpec
-// "run.governor" key and the CLI --governor flag resolve against it. The
+// `run.governor` key and the CLI --governor flag resolve against it. The
 // "static" governor is the paper baseline: it declares an all-off cadence,
 // which the engine detects and skips every hook — bit-identical to a build
 // without this layer (the golden paper-grid fixture proves it).

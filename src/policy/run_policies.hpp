@@ -5,9 +5,6 @@
 // under their historical names (sim::IdlePolicy, sim::CancelPolicy).
 #pragma once
 
-#include <optional>
-#include <string_view>
-
 namespace ecdra::policy {
 
 /// What an idle core with an empty queue does (DESIGN.md decision 2).
@@ -36,15 +33,5 @@ enum class CancelPolicy {
   /// misses either way, and skipping them saves energy and queueing delay.
   kCancelHopelessQueued,
 };
-
-/// Spec-serialization names: "deepest" | "stay" | "gated".
-[[nodiscard]] std::string_view IdlePolicyName(IdlePolicy policy) noexcept;
-[[nodiscard]] std::optional<IdlePolicy> ParseIdlePolicy(
-    std::string_view name) noexcept;
-
-/// Spec-serialization names: "never" | "hopeless".
-[[nodiscard]] std::string_view CancelPolicyName(CancelPolicy policy) noexcept;
-[[nodiscard]] std::optional<CancelPolicy> ParseCancelPolicy(
-    std::string_view name) noexcept;
 
 }  // namespace ecdra::policy

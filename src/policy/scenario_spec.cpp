@@ -1,48 +1,16 @@
 #include "policy/scenario_spec.hpp"
 
+#include <array>
 #include <charconv>
-#include <cstdlib>
-#include <stdexcept>
+#include <cmath>
+#include <concepts>
+#include <limits>
+#include <type_traits>
 #include <utility>
 
 #include "obs/json.hpp"
 
 namespace ecdra::policy {
-
-std::string_view IdlePolicyName(IdlePolicy policy) noexcept {
-  switch (policy) {
-    case IdlePolicy::kDeepestPState:
-      return "deepest";
-    case IdlePolicy::kStayAtLast:
-      return "stay";
-    case IdlePolicy::kPowerGated:
-      return "gated";
-  }
-  return "deepest";
-}
-
-std::optional<IdlePolicy> ParseIdlePolicy(std::string_view name) noexcept {
-  if (name == "deepest") return IdlePolicy::kDeepestPState;
-  if (name == "stay") return IdlePolicy::kStayAtLast;
-  if (name == "gated") return IdlePolicy::kPowerGated;
-  return std::nullopt;
-}
-
-std::string_view CancelPolicyName(CancelPolicy policy) noexcept {
-  switch (policy) {
-    case CancelPolicy::kRunToCompletion:
-      return "never";
-    case CancelPolicy::kCancelHopelessQueued:
-      return "hopeless";
-  }
-  return "never";
-}
-
-std::optional<CancelPolicy> ParseCancelPolicy(std::string_view name) noexcept {
-  if (name == "never") return CancelPolicy::kRunToCompletion;
-  if (name == "hopeless") return CancelPolicy::kCancelHopelessQueued;
-  return std::nullopt;
-}
 
 std::uint64_t Fnv1a64(std::string_view text) noexcept {
   std::uint64_t hash = 0xcbf29ce484222325ULL;
@@ -84,199 +52,12 @@ constexpr std::string_view kHeaderLine = "ecdra-scenario v1";
 constexpr std::string_view kFingerprintHeaderLine =
     "ecdra-scenario-fingerprint v6";
 
-std::string_view LifetimeName(fault::LifetimeDistribution lifetime) noexcept {
-  return lifetime == fault::LifetimeDistribution::kWeibull ? "weibull"
-                                                           : "exponential";
+[[noreturn]] void Invalid(const std::string& why) {
+  throw std::invalid_argument(why);
 }
 
-std::string Num(double value) { return obs::json::Number(value); }
-
-std::string ArrivalsValue(const workload::ArrivalSpec& arrivals) {
-  std::string value;
-  for (const workload::ArrivalPhase& phase : arrivals.phases) {
-    if (!value.empty()) value += ",";
-    value += std::to_string(phase.num_tasks) + "@" + Num(phase.rate);
-  }
-  return value;
-}
-
-std::string PrioritiesValue(
-    const std::vector<workload::PriorityClass>& classes) {
-  std::string value;
-  for (const workload::PriorityClass& cls : classes) {
-    if (!value.empty()) value += ",";
-    value += Num(cls.weight) + "@" + Num(cls.probability);
-  }
-  return value;
-}
-
-std::string ShapesValue(const std::vector<workload::ShapeClass>& classes) {
-  std::string value;
-  for (const workload::ShapeClass& cls : classes) {
-    if (!value.empty()) value += ",";
-    value += std::to_string(cls.value) + "@" + Num(cls.probability);
-  }
-  return value;
-}
-
-std::string ValuesValue(const std::vector<double>& values) {
-  std::string value;
-  for (const double v : values) {
-    if (!value.empty()) value += ",";
-    value += Num(v);
-  }
-  return value;
-}
-
-std::string TiersValue(const std::vector<econ::SlaTier>& tiers) {
-  std::string value;
-  for (const econ::SlaTier& tier : tiers) {
-    if (!value.empty()) value += ",";
-    value += tier.name + "@" + Num(tier.value_multiplier) + "@" +
-             Num(tier.share_multiplier) + "@" + Num(tier.rho_floor) + "@" +
-             Num(tier.probability);
-  }
-  return value;
-}
-
-std::string NamesValue(const std::vector<std::string>& names) {
-  std::string value;
-  for (const std::string& name : names) {
-    if (!value.empty()) value += ",";
-    value += name;
-  }
-  return value;
-}
-
-/// One "key = value" line. The emission order below IS the canonical order;
-/// both serializations (full and fingerprint) walk the same emitters.
-void Emit(std::string& out, std::string_view key, std::string_view value) {
-  out += key;
-  out += " = ";
-  out += value;
-  out += '\n';
-}
-
-void EmitResultShapingLines(std::string& out, const ScenarioSpec& spec) {
-  Emit(out, "seed", std::to_string(spec.master_seed));
-
-  const cluster::ClusterBuilderOptions& cl = spec.environment.cluster;
-  Emit(out, "env.cluster.num_nodes", std::to_string(cl.num_nodes));
-  Emit(out, "env.cluster.min_processors", std::to_string(cl.min_processors));
-  Emit(out, "env.cluster.max_processors", std::to_string(cl.max_processors));
-  Emit(out, "env.cluster.min_cores_per_processor",
-       std::to_string(cl.min_cores_per_processor));
-  Emit(out, "env.cluster.max_cores_per_processor",
-       std::to_string(cl.max_cores_per_processor));
-  Emit(out, "env.cluster.min_power_efficiency", Num(cl.min_power_efficiency));
-  Emit(out, "env.cluster.max_power_efficiency", Num(cl.max_power_efficiency));
-  Emit(out, "env.cluster.min_step_gain", Num(cl.min_step_gain));
-  Emit(out, "env.cluster.max_step_gain", Num(cl.max_step_gain));
-  Emit(out, "env.cluster.min_frequency_fraction",
-       Num(cl.min_frequency_fraction));
-  Emit(out, "env.cluster.min_p0_power_watts", Num(cl.min_p0_power_watts));
-  Emit(out, "env.cluster.max_p0_power_watts", Num(cl.max_p0_power_watts));
-  Emit(out, "env.cluster.min_low_voltage", Num(cl.min_low_voltage));
-  Emit(out, "env.cluster.max_low_voltage", Num(cl.max_low_voltage));
-  Emit(out, "env.cluster.min_high_voltage", Num(cl.min_high_voltage));
-  Emit(out, "env.cluster.max_high_voltage", Num(cl.max_high_voltage));
-
-  // cvb.num_machines is deliberately absent: BuildExperimentSetup overrides
-  // it to num_nodes, so it can never shape a result.
-  const workload::CvbOptions& cvb = spec.environment.cvb;
-  Emit(out, "env.cvb.num_task_types", std::to_string(cvb.num_task_types));
-  Emit(out, "env.cvb.task_mean", Num(cvb.task_mean));
-  Emit(out, "env.cvb.task_cov", Num(cvb.task_cov));
-  Emit(out, "env.cvb.machine_cov", Num(cvb.machine_cov));
-
-  const pmf::DiscretizeOptions& disc = spec.environment.discretize;
-  Emit(out, "env.discretize.num_impulses", std::to_string(disc.num_impulses));
-  Emit(out, "env.discretize.tail_clip", Num(disc.tail_clip));
-
-  const workload::WorkloadGeneratorOptions& wl = spec.environment.workload;
-  Emit(out, "env.workload.arrivals", ArrivalsValue(wl.arrivals));
-  Emit(out, "env.workload.load_factor_scale", Num(wl.load_factor_scale));
-  Emit(out, "env.workload.priorities", PrioritiesValue(wl.priority_classes));
-  Emit(out, "env.workload.jobs.enabled", wl.jobs.enabled ? "true" : "false");
-  Emit(out, "env.workload.jobs.widths", ShapesValue(wl.jobs.widths));
-  Emit(out, "env.workload.jobs.depths", ShapesValue(wl.jobs.depths));
-  Emit(out, "env.workload.jobs.deadline_scale", Num(wl.jobs.deadline_scale));
-
-  Emit(out, "env.budget_task_count", Num(spec.environment.budget_task_count));
-  Emit(out, "env.exec_cov", Num(spec.environment.exec_cov));
-
-  Emit(out, "run.idle_policy", IdlePolicyName(spec.idle_policy));
-  Emit(out, "run.cancel_policy", CancelPolicyName(spec.cancel_policy));
-  Emit(out, "run.pstate_transition_latency",
-       Num(spec.pstate_transition_latency));
-  Emit(out, "run.power_cov", Num(spec.power_cov));
-  Emit(out, "run.governor", spec.governor);
-
-  const core::EnergyFilterOptions& en = spec.filter_options.energy;
-  Emit(out, "run.filter.en.low_multiplier", Num(en.low_multiplier));
-  Emit(out, "run.filter.en.mid_multiplier", Num(en.mid_multiplier));
-  Emit(out, "run.filter.en.high_multiplier", Num(en.high_multiplier));
-  Emit(out, "run.filter.en.low_depth", Num(en.low_depth));
-  Emit(out, "run.filter.en.high_depth", Num(en.high_depth));
-  Emit(out, "run.filter.en.scale_by_priority",
-       en.scale_fair_share_by_priority ? "true" : "false");
-  Emit(out, "run.filter.en.priority_baseline", Num(en.priority_baseline));
-  Emit(out, "run.filter.rho_thresh",
-       Num(spec.filter_options.robustness_threshold));
-
-  const fault::FaultModelOptions& fault = spec.fault;
-  Emit(out, "run.fault.mtbf", Num(fault.mtbf));
-  Emit(out, "run.fault.lifetime", LifetimeName(fault.lifetime));
-  Emit(out, "run.fault.weibull_shape", Num(fault.weibull_shape));
-  Emit(out, "run.fault.repair_time", Num(fault.repair_time));
-  Emit(out, "run.fault.throttle_interval", Num(fault.throttle_interval));
-  Emit(out, "run.fault.throttle_duration", Num(fault.throttle_duration));
-  Emit(out, "run.fault.throttle_floor",
-       std::to_string(std::size_t{fault.throttle_floor}));
-  Emit(out, "run.fault.horizon", Num(fault.horizon));
-  Emit(out, "run.fault.domain_mtbf", Num(fault.domain_mtbf));
-  Emit(out, "run.fault.domain_repair_time", Num(fault.domain_repair_time));
-  Emit(out, "run.fault.cascade_throttle",
-       fault.cascade_throttle ? "true" : "false");
-  Emit(out, "run.fault.domains", spec.fault_domains);
-  Emit(out, "run.recovery", fault::RecoveryPolicyName(spec.recovery));
-  Emit(out, "run.jobs.placement", spec.jobs_placement);
-
-  const StreamSpec& stream = spec.stream;
-  Emit(out, "run.mode", RunModeName(spec.mode));
-  Emit(out, "stream.energy_rate", Num(stream.energy_rate));
-  Emit(out, "stream.accrual_cap", Num(stream.accrual_cap));
-  Emit(out, "stream.initial_energy", Num(stream.initial_energy));
-  Emit(out, "stream.window_length", Num(stream.window_length));
-  Emit(out, "stream.emergency_enter", Num(stream.emergency_enter_fraction));
-  Emit(out, "stream.emergency_exit", Num(stream.emergency_exit_fraction));
-  Emit(out, "stream.admission", stream.admission);
-  Emit(out, "stream.defer_rho", Num(stream.defer_rho));
-  Emit(out, "stream.drop_rho", Num(stream.drop_rho));
-  Emit(out, "stream.fairness_wait", Num(stream.fairness_wait));
-  Emit(out, "stream.degraded_enter", Num(stream.degraded_enter_fraction));
-  Emit(out, "stream.degraded_exit", Num(stream.degraded_exit_fraction));
-  Emit(out, "stream.degraded_rho_scale", Num(stream.degraded_rho_scale));
-
-  Emit(out, "env.econ.values", ValuesValue(spec.econ.type_values));
-  Emit(out, "env.econ.tiers", TiersValue(spec.econ.tiers));
-  Emit(out, "run.econ.enabled", spec.econ_enabled ? "true" : "false");
-  Emit(out, "run.econ.energy_price", Num(spec.econ.energy_price));
-  Emit(out, "run.econ.value_decay", Num(spec.econ.value_decay));
-}
-
-void EmitGridAndHarnessLines(std::string& out, const ScenarioSpec& spec) {
-  Emit(out, "grid.heuristics", NamesValue(spec.grid.heuristics));
-  Emit(out, "grid.filter_variants", NamesValue(spec.grid.filter_variants));
-  Emit(out, "grid.batch_heuristics", NamesValue(spec.grid.batch_heuristics));
-  Emit(out, "harness.trials", std::to_string(spec.num_trials));
-  Emit(out, "harness.validation",
-       validate::ValidationModeName(spec.validation));
-}
-
-[[noreturn]] void ParseFail(std::string_view line, const std::string& why) {
-  throw std::invalid_argument("scenario spec: " + why + " in line '" +
-                              std::string(line) + "'");
+std::string Quoted(std::string_view text) {
+  return "'" + std::string(text) + "'";
 }
 
 std::string_view Trim(std::string_view text) {
@@ -290,150 +71,570 @@ std::string_view Trim(std::string_view text) {
   return text;
 }
 
-std::uint64_t ParseUint(std::string_view line, std::string_view value) {
-  std::uint64_t parsed = 0;
-  const auto [ptr, ec] =
-      std::from_chars(value.data(), value.data() + value.size(), parsed);
-  if (ec != std::errc() || ptr != value.data() + value.size() ||
-      value.empty()) {
-    ParseFail(line, "expected a non-negative integer");
-  }
-  return parsed;
-}
-
-double ParseNum(std::string_view line, std::string_view value) {
-  const std::string copy(value);  // strtod needs a terminator
-  char* end = nullptr;
-  const double parsed = std::strtod(copy.c_str(), &end);
-  if (copy.empty() || end != copy.c_str() + copy.size()) {
-    ParseFail(line, "expected a number");
-  }
-  return parsed;
-}
-
-bool ParseBool(std::string_view line, std::string_view value) {
-  if (value == "true") return true;
-  if (value == "false") return false;
-  ParseFail(line, "expected true or false");
-}
-
-/// Splits "a,b,c" into trimmed tokens; an empty value is an empty list.
-std::vector<std::string_view> SplitList(std::string_view value) {
+/// Splits "a<sep>b<sep>c" into tokens; an empty text is an empty list.
+std::vector<std::string_view> Split(std::string_view text, char sep) {
   std::vector<std::string_view> tokens;
-  while (!value.empty()) {
-    const std::size_t comma = value.find(',');
-    tokens.push_back(Trim(value.substr(0, comma)));
-    if (comma == std::string_view::npos) break;
-    value.remove_prefix(comma + 1);
+  while (!text.empty()) {
+    const std::size_t at = text.find(sep);
+    tokens.push_back(Trim(text.substr(0, at)));
+    if (at == std::string_view::npos) break;
+    text.remove_prefix(at + 1);
   }
   return tokens;
 }
 
-workload::ArrivalSpec ParseArrivals(std::string_view line,
-                                    std::string_view value) {
-  workload::ArrivalSpec arrivals;
-  for (const std::string_view token : SplitList(value)) {
-    const std::size_t at = token.find('@');
-    if (at == std::string_view::npos) {
-      ParseFail(line, "expected num_tasks@rate phases");
-    }
-    arrivals.phases.push_back(workload::ArrivalPhase{
-        static_cast<std::size_t>(ParseUint(line, token.substr(0, at))),
-        ParseNum(line, token.substr(at + 1))});
+/// Splits one '@'-joined list item into exactly N fields, or throws naming
+/// the expected shape.
+template <std::size_t N>
+std::array<std::string_view, N> Fields(std::string_view token,
+                                       std::string_view shape) {
+  const std::vector<std::string_view> parts = Split(token, '@');
+  if (parts.size() != N) {
+    Invalid(Quoted(token) + " is not a " + std::string(shape) + " item");
   }
-  return arrivals;
+  std::array<std::string_view, N> fields;
+  for (std::size_t i = 0; i < N; ++i) fields[i] = parts[i];
+  return fields;
 }
 
-std::vector<workload::PriorityClass> ParsePriorities(std::string_view line,
-                                                     std::string_view value) {
-  std::vector<workload::PriorityClass> classes;
-  for (const std::string_view token : SplitList(value)) {
-    const std::size_t at = token.find('@');
-    if (at == std::string_view::npos) {
-      ParseFail(line, "expected weight@probability classes");
-    }
-    classes.push_back(workload::PriorityClass{
-        ParseNum(line, token.substr(0, at)),
-        ParseNum(line, token.substr(at + 1))});
-  }
-  return classes;
+// -- Codecs, chosen by member type. Format and Parse are exact inverses;
+// Parse overwrites its output completely and throws std::invalid_argument
+// with a one-line reason. --
+
+template <std::unsigned_integral T>
+std::string Format(T value) {
+  return std::to_string(value);
 }
 
-std::vector<workload::ShapeClass> ParseShapes(std::string_view line,
-                                              std::string_view value) {
-  std::vector<workload::ShapeClass> classes;
-  for (const std::string_view token : SplitList(value)) {
-    const std::size_t at = token.find('@');
-    if (at == std::string_view::npos) {
-      ParseFail(line, "expected value@probability classes");
-    }
-    classes.push_back(workload::ShapeClass{
-        static_cast<std::size_t>(ParseUint(line, token.substr(0, at))),
-        ParseNum(line, token.substr(at + 1))});
+template <std::unsigned_integral T>
+void Parse(std::string_view text, T& out) {
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), out);
+  if (text.empty() || ec != std::errc() || ptr != text.data() + text.size()) {
+    Invalid(Quoted(text) + " is not a non-negative integer");
   }
-  return classes;
 }
 
-std::vector<double> ParseValues(std::string_view line, std::string_view value) {
-  std::vector<double> values;
-  for (const std::string_view token : SplitList(value)) {
-    values.push_back(ParseNum(line, token));
+std::string Format(double value) { return obs::json::Number(value); }
+
+/// Strict: the whole text must be consumed, no locale, and nan/inf are
+/// refused (the canonical text could not spell them back).
+void Parse(std::string_view text, double& out) {
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), out);
+  if (text.empty() || ec != std::errc() ||
+      ptr != text.data() + text.size() || !std::isfinite(out)) {
+    Invalid(Quoted(text) + " is not a finite number");
   }
-  return values;
 }
 
-std::vector<econ::SlaTier> ParseTiers(std::string_view line,
-                                      std::string_view value) {
-  std::vector<econ::SlaTier> tiers;
-  for (std::string_view token : SplitList(value)) {
-    econ::SlaTier tier;
-    std::vector<std::string_view> parts;
-    while (!token.empty()) {
-      const std::size_t at = token.find('@');
-      parts.push_back(token.substr(0, at));
-      if (at == std::string_view::npos) break;
-      token.remove_prefix(at + 1);
-    }
-    if (parts.size() != 5 || parts[0].empty()) {
-      ParseFail(line, "expected name@vmult@smult@rhofloor@prob tiers");
-    }
-    tier.name = std::string(parts[0]);
-    tier.value_multiplier = ParseNum(line, parts[1]);
-    tier.share_multiplier = ParseNum(line, parts[2]);
-    tier.rho_floor = ParseNum(line, parts[3]);
-    tier.probability = ParseNum(line, parts[4]);
-    tiers.push_back(std::move(tier));
+std::string Format(bool value) { return value ? "true" : "false"; }
+
+void Parse(std::string_view text, bool& out) {
+  if (text != "true" && text != "false") {
+    Invalid(Quoted(text) + " is not true or false");
   }
-  return tiers;
+  out = text == "true";
 }
 
-std::vector<std::string> ParseNames(std::string_view value) {
-  std::vector<std::string> names;
-  for (const std::string_view token : SplitList(value)) {
-    names.emplace_back(token);
+std::string Format(const std::string& value) { return value; }
+
+void Parse(std::string_view text, std::string& out) { out = text; }
+
+// Enums: Names() lists every spec-parseable value with its spelling.
+template <typename E>
+struct Spelling {
+  E value;
+  std::string_view name;
+};
+
+constexpr std::array<Spelling<IdlePolicy>, 3> Names(IdlePolicy) {
+  return {{{IdlePolicy::kDeepestPState, "deepest"},
+           {IdlePolicy::kStayAtLast, "stay"},
+           {IdlePolicy::kPowerGated, "gated"}}};
+}
+constexpr std::array<Spelling<CancelPolicy>, 2> Names(CancelPolicy) {
+  return {{{CancelPolicy::kRunToCompletion, "never"},
+           {CancelPolicy::kCancelHopelessQueued, "hopeless"}}};
+}
+constexpr std::array<Spelling<fault::LifetimeDistribution>, 2> Names(
+    fault::LifetimeDistribution) {
+  return {{{fault::LifetimeDistribution::kExponential, "exponential"},
+           {fault::LifetimeDistribution::kWeibull, "weibull"}}};
+}
+// Batch mode is a stack, not a spec-selectable trial mode.
+constexpr std::array<Spelling<RunMode>, 2> Names(RunMode) {
+  return {{{RunMode::kFixedTrace, "fixed"}, {RunMode::kStream, "stream"}}};
+}
+// These two spell themselves in their own modules.
+std::array<Spelling<fault::RecoveryPolicy>, 3> Names(fault::RecoveryPolicy) {
+  using enum fault::RecoveryPolicy;
+  return {{{kDropQueued, fault::RecoveryPolicyName(kDropQueued)},
+           {kRequeueToScheduler, fault::RecoveryPolicyName(kRequeueToScheduler)},
+           {kMigrateQueued, fault::RecoveryPolicyName(kMigrateQueued)}}};
+}
+std::array<Spelling<validate::ValidationMode>, 3> Names(
+    validate::ValidationMode) {
+  using enum validate::ValidationMode;
+  return {{{kOff, validate::ValidationModeName(kOff)},
+           {kCheap, validate::ValidationModeName(kCheap)},
+           {kDeep, validate::ValidationModeName(kDeep)}}};
+}
+
+template <typename E>
+  requires std::is_enum_v<E>
+std::string Format(E value) {
+  for (const auto& [choice, name] : Names(value)) {
+    if (choice == value) return std::string(name);
   }
-  return names;
+  return {};
+}
+
+template <typename E>
+  requires std::is_enum_v<E>
+void Parse(std::string_view text, E& out) {
+  std::string valid;
+  for (const auto& [choice, name] : Names(out)) {
+    if (name == text) {
+      out = choice;
+      return;
+    }
+    valid += (valid.empty() ? "" : ", ") + std::string(name);
+  }
+  Invalid("unknown value " + Quoted(text) + " (valid: " + valid + ")");
+}
+
+// '@'-joined list items.
+std::string Format(const workload::ArrivalPhase& phase) {
+  return Format(phase.num_tasks) + "@" + Format(phase.rate);
+}
+
+void Parse(std::string_view text, workload::ArrivalPhase& out) {
+  const auto fields = Fields<2>(text, "num_tasks@rate");
+  Parse(fields[0], out.num_tasks);
+  Parse(fields[1], out.rate);
+}
+
+std::string Format(const workload::PriorityClass& cls) {
+  return Format(cls.weight) + "@" + Format(cls.probability);
+}
+
+void Parse(std::string_view text, workload::PriorityClass& out) {
+  const auto fields = Fields<2>(text, "weight@probability");
+  Parse(fields[0], out.weight);
+  Parse(fields[1], out.probability);
+}
+
+std::string Format(const workload::ShapeClass& cls) {
+  return Format(cls.value) + "@" + Format(cls.probability);
+}
+
+/// A width-0 gang or depth-0 chain is meaningless; probabilities must be
+/// > 0 — the generator normalizes them, so 1@3,4@1 reads "3:1 odds".
+void Parse(std::string_view text, workload::ShapeClass& out) {
+  const auto fields = Fields<2>(text, "value@probability");
+  Parse(fields[0], out.value);
+  Parse(fields[1], out.probability);
+  if (out.value == 0) Invalid("shape values must be >= 1");
+  if (out.probability <= 0.0) Invalid("class probabilities must be > 0");
+}
+
+std::string Format(const econ::SlaTier& tier) {
+  return tier.name + "@" + Format(tier.value_multiplier) + "@" +
+         Format(tier.share_multiplier) + "@" + Format(tier.rho_floor) + "@" +
+         Format(tier.probability);
+}
+
+void Parse(std::string_view text, econ::SlaTier& out) {
+  const auto fields = Fields<5>(text, "name@vmult@smult@rhofloor@prob");
+  if (fields[0].empty()) Invalid("tier names must be non-empty");
+  out.name = fields[0];
+  Parse(fields[1], out.value_multiplier);
+  Parse(fields[2], out.share_multiplier);
+  Parse(fields[3], out.rho_floor);
+  Parse(fields[4], out.probability);
+  if (out.value_multiplier < 0.0 || out.share_multiplier < 0.0) {
+    Invalid("tier multipliers must be >= 0");
+  }
+  if (out.rho_floor < 0.0 || out.rho_floor > 1.0) {
+    Invalid("rho floors must be in [0, 1]");
+  }
+  if (out.probability <= 0.0) Invalid("tier probabilities must be > 0");
+}
+
+// Comma-separated lists of any item codec above.
+template <typename T>
+std::string Format(const std::vector<T>& items) {
+  std::string out;
+  for (const T& item : items) {
+    if (!out.empty()) out += ",";
+    out += Format(item);
+  }
+  return out;
+}
+
+template <typename T>
+void Parse(std::string_view text, std::vector<T>& out) {
+  out.clear();
+  for (const std::string_view token : Split(text, ',')) {
+    Parse(token, out.emplace_back());
+  }
+}
+
+std::string Format(const workload::ArrivalSpec& arrivals) {
+  return Format(arrivals.phases);
+}
+
+void Parse(std::string_view text, workload::ArrivalSpec& out) {
+  Parse(text, out.phases);
+}
+
+/// A row's range constraint: lo <= value < hi for numbers (and for each
+/// element of a number list); nonempty for strings and lists.
+struct Bounds {
+  double lo = -std::numeric_limits<double>::infinity();
+  double hi = std::numeric_limits<double>::infinity();
+  bool nonempty = false;
+};
+
+constexpr Bounds kNonNegative{.lo = 0.0};
+constexpr Bounds kAtLeastOne{.lo = 1.0};
+constexpr Bounds kPStateFloor{.lo = 0.0,
+                              .hi = static_cast<double>(cluster::kNumPStates)};
+/// Registry names: any non-empty token parses; the registry rejects unknown
+/// names at trial setup (examples may register policies the spec layer has
+/// never heard of).
+constexpr Bounds kNonEmpty{.nonempty = true};
+
+/// Throws naming `text`, the value as written, when `value` is out of
+/// `bounds`.
+void Check(double value, const Bounds& bounds, std::string_view text) {
+  if (value < bounds.lo) {
+    Invalid(Quoted(text) + " must be >= " + Format(bounds.lo));
+  }
+  if (value >= bounds.hi) {
+    Invalid(Quoted(text) + " must be < " + Format(bounds.hi));
+  }
+}
+
+template <typename T>
+void Check(const T& value, const Bounds& bounds, std::string_view text) {
+  if constexpr (std::is_arithmetic_v<T>) {
+    Check(static_cast<double>(value), bounds, text);
+  } else if constexpr (std::is_same_v<T, std::vector<double>>) {
+    for (const double element : value) {
+      Check(element, bounds, Format(element));
+    }
+  } else if constexpr (requires { value.empty(); }) {
+    if (bounds.nonempty && value.empty()) Invalid("must not be empty");
+  }
+}
+
+/// The codec of the member `Get` reaches, with `B` checked on parse.
+template <auto Get, Bounds B = Bounds{}>
+constexpr SpecField::Codec MakeCodec() {
+  return {[](const ScenarioSpec& spec) { return Format(Get(spec)); },
+          [](ScenarioSpec& spec, std::string_view text) {
+            std::remove_cvref_t<decltype(Get(spec))> value{};
+            Parse(text, value);
+            Check(value, B, text);
+            Get(spec) = std::move(value);
+          }};
+}
+
+// ECDRA_SPEC_CODEC(member[, bounds]): the codec of spec.member.
+#define ECDRA_SPEC_CODEC(member, ...)                       \
+  MakeCodec<[](auto& spec) -> auto& { return spec.member; } \
+            __VA_OPT__(, ) __VA_ARGS__>()
+
+using enum SpecField::Flags;
+
+// The field table: one row per spec key, in canonical emission order
+// ({key, codec, flags, CLI flag, value placeholder, switch value, help}).
+// cvb.num_machines is deliberately absent: BuildExperimentSetup overrides
+// it to num_nodes, so it can never shape a result.
+constexpr SpecField kFields[] = {
+    {"seed", ECDRA_SPEC_CODEC(master_seed), 0, "--seed", "S",
+     {}, "master seed (default: the paper's)"},
+    {"env.cluster.num_nodes", ECDRA_SPEC_CODEC(environment.cluster.num_nodes)},
+    {"env.cluster.min_processors",
+     ECDRA_SPEC_CODEC(environment.cluster.min_processors)},
+    {"env.cluster.max_processors",
+     ECDRA_SPEC_CODEC(environment.cluster.max_processors)},
+    {"env.cluster.min_cores_per_processor",
+     ECDRA_SPEC_CODEC(environment.cluster.min_cores_per_processor)},
+    {"env.cluster.max_cores_per_processor",
+     ECDRA_SPEC_CODEC(environment.cluster.max_cores_per_processor)},
+    {"env.cluster.min_power_efficiency",
+     ECDRA_SPEC_CODEC(environment.cluster.min_power_efficiency)},
+    {"env.cluster.max_power_efficiency",
+     ECDRA_SPEC_CODEC(environment.cluster.max_power_efficiency)},
+    {"env.cluster.min_step_gain",
+     ECDRA_SPEC_CODEC(environment.cluster.min_step_gain)},
+    {"env.cluster.max_step_gain",
+     ECDRA_SPEC_CODEC(environment.cluster.max_step_gain)},
+    {"env.cluster.min_frequency_fraction",
+     ECDRA_SPEC_CODEC(environment.cluster.min_frequency_fraction)},
+    {"env.cluster.min_p0_power_watts",
+     ECDRA_SPEC_CODEC(environment.cluster.min_p0_power_watts)},
+    {"env.cluster.max_p0_power_watts",
+     ECDRA_SPEC_CODEC(environment.cluster.max_p0_power_watts)},
+    {"env.cluster.min_low_voltage",
+     ECDRA_SPEC_CODEC(environment.cluster.min_low_voltage)},
+    {"env.cluster.max_low_voltage",
+     ECDRA_SPEC_CODEC(environment.cluster.max_low_voltage)},
+    {"env.cluster.min_high_voltage",
+     ECDRA_SPEC_CODEC(environment.cluster.min_high_voltage)},
+    {"env.cluster.max_high_voltage",
+     ECDRA_SPEC_CODEC(environment.cluster.max_high_voltage)},
+    {"env.cvb.num_task_types", ECDRA_SPEC_CODEC(environment.cvb.num_task_types)},
+    {"env.cvb.task_mean", ECDRA_SPEC_CODEC(environment.cvb.task_mean)},
+    {"env.cvb.task_cov", ECDRA_SPEC_CODEC(environment.cvb.task_cov)},
+    {"env.cvb.machine_cov", ECDRA_SPEC_CODEC(environment.cvb.machine_cov)},
+    {"env.discretize.num_impulses",
+     ECDRA_SPEC_CODEC(environment.discretize.num_impulses)},
+    {"env.discretize.tail_clip",
+     ECDRA_SPEC_CODEC(environment.discretize.tail_clip)},
+    {"env.workload.arrivals", ECDRA_SPEC_CODEC(environment.workload.arrivals)},
+    {"env.workload.load_factor_scale",
+     ECDRA_SPEC_CODEC(environment.workload.load_factor_scale)},
+    {"env.workload.priorities",
+     ECDRA_SPEC_CODEC(environment.workload.priority_classes)},
+    {"env.workload.jobs.enabled",
+     ECDRA_SPEC_CODEC(environment.workload.jobs.enabled), kNoBatch, "--jobs",
+     {}, "true",
+     "generate map->reduce jobs instead of tasks\n"
+     "(shapes from --job-widths / --job-depths)"},
+    {"env.workload.jobs.widths",
+     ECDRA_SPEC_CODEC(environment.workload.jobs.widths, kNonEmpty), 0,
+     "--job-widths", "LIST", {},
+     "comma-separated width@probability classes,\n"
+     "e.g. 1@0.5,4@0.5 (default 1@1)"},
+    {"env.workload.jobs.depths",
+     ECDRA_SPEC_CODEC(environment.workload.jobs.depths, kNonEmpty), 0,
+     "--job-depths", "LIST", {},
+     "comma-separated depth@probability classes\n"
+     "(stages per job; default 1@1)"},
+    {"env.workload.jobs.deadline_scale",
+     ECDRA_SPEC_CODEC(environment.workload.jobs.deadline_scale, kAtLeastOne),
+     0, "--job-deadline-scale", "X", {},
+     "stretch job deadlines by X (>= 1; default 1)"},
+    {"env.budget_task_count", ECDRA_SPEC_CODEC(environment.budget_task_count)},
+    {"env.exec_cov", ECDRA_SPEC_CODEC(environment.exec_cov)},
+    {"run.idle_policy", ECDRA_SPEC_CODEC(idle_policy), 0, "--idle", "POLICY",
+     {}, "deepest | stay | gated    (default deepest)"},
+    {"run.cancel_policy", ECDRA_SPEC_CODEC(cancel_policy), 0, "--cancel",
+     "POLICY", {}, "never | hopeless          (default never)"},
+    {"run.pstate_transition_latency",
+     ECDRA_SPEC_CODEC(pstate_transition_latency), kNoBatch},
+    {"run.power_cov", ECDRA_SPEC_CODEC(power_cov), kNoBatch},
+    {"run.governor", ECDRA_SPEC_CODEC(governor, kNonEmpty), kNoBatch, "--governor",
+     "NAME", {},
+     "online energy governor (default static)"},
+    {"run.filter.en.low_multiplier",
+     ECDRA_SPEC_CODEC(filter_options.energy.low_multiplier)},
+    {"run.filter.en.mid_multiplier",
+     ECDRA_SPEC_CODEC(filter_options.energy.mid_multiplier)},
+    {"run.filter.en.high_multiplier",
+     ECDRA_SPEC_CODEC(filter_options.energy.high_multiplier)},
+    {"run.filter.en.low_depth",
+     ECDRA_SPEC_CODEC(filter_options.energy.low_depth)},
+    {"run.filter.en.high_depth",
+     ECDRA_SPEC_CODEC(filter_options.energy.high_depth)},
+    {"run.filter.en.scale_by_priority",
+     ECDRA_SPEC_CODEC(filter_options.energy.scale_fair_share_by_priority)},
+    {"run.filter.en.priority_baseline",
+     ECDRA_SPEC_CODEC(filter_options.energy.priority_baseline)},
+    {"run.filter.rho_thresh",
+     ECDRA_SPEC_CODEC(filter_options.robustness_threshold, kNonNegative), 0,
+     "--rho-thresh", "P", {}, "robustness threshold      (default 0.5)"},
+    {"run.fault.mtbf", ECDRA_SPEC_CODEC(fault.mtbf, kNonNegative), kNoBatch,
+     "--fault-mtbf", "T", {},
+     "mean time to permanent core failure\n"
+     "(simulated seconds; 0 = fault-free, default)"},
+    {"run.fault.lifetime", ECDRA_SPEC_CODEC(fault.lifetime), kNoBatch},
+    {"run.fault.weibull_shape", ECDRA_SPEC_CODEC(fault.weibull_shape),
+     kNoBatch},
+    {"run.fault.repair_time", ECDRA_SPEC_CODEC(fault.repair_time, kNonNegative),
+     kNoBatch, "--fault-duration", "T", {},
+     "mean outage before a failed core is repaired\n"
+     "(0 = failures are permanent, default)"},
+    {"run.fault.throttle_interval",
+     ECDRA_SPEC_CODEC(fault.throttle_interval, kNonNegative), kNoBatch,
+     "--throttle-interval", "T", {},
+     "mean time between throttles (0 = off)"},
+    {"run.fault.throttle_duration",
+     ECDRA_SPEC_CODEC(fault.throttle_duration, kNonNegative), kNoBatch,
+     "--throttle-duration", "T", {}, "mean throttle length (0 = off, default)"},
+    {"run.fault.throttle_floor",
+     ECDRA_SPEC_CODEC(fault.throttle_floor, kPStateFloor), kNoBatch,
+     "--throttle-floor", "S", {},
+     "P-state floor while throttled (default 2)"},
+    {"run.fault.horizon", ECDRA_SPEC_CODEC(fault.horizon), kNoBatch},
+    {"run.fault.domain_mtbf", ECDRA_SPEC_CODEC(fault.domain_mtbf, kNonNegative),
+     kNoBatch, "--domain-mtbf", "T", {},
+     "mean time to whole-domain outage (simulated\n"
+     "seconds; 0 = no domain faults, default)"},
+    {"run.fault.domain_repair_time",
+     ECDRA_SPEC_CODEC(fault.domain_repair_time, kNonNegative), kNoBatch,
+     "--domain-repair", "T", {},
+     "mean outage before a downed domain repairs\n"
+     "(0 = outages are permanent, default)"},
+    {"run.fault.cascade_throttle", ECDRA_SPEC_CODEC(fault.cascade_throttle),
+     kNoBatch, "--cascade-throttle", {}, "true",
+     "propagate per-core throttles to every core in\n"
+     "the same fault domain"},
+    // Any text parses (empty = the derived node-per-domain grouping);
+    // fault::ResolveFaultDomains validates it against the cluster at setup.
+    {"run.fault.domains", ECDRA_SPEC_CODEC(fault_domains), kNoBatch,
+     "--fault-domains", "S", {},
+     "comma-separated 'name:lo-hi' core ranges\n"
+     "(default: one domain per cluster node)"},
+    {"run.recovery", ECDRA_SPEC_CODEC(recovery), kNoBatch, "--recovery",
+     "POLICY", {}, "drop | requeue | migrate  (default drop)"},
+    {"run.jobs.placement", ECDRA_SPEC_CODEC(gang_placement, kNonEmpty), 0,
+     "--gang-policy", "NAME", {}, "gang placement heuristic (default pack)"},
+    {"run.mode", ECDRA_SPEC_CODEC(mode), kNoBatch, "--stream", {}, "stream",
+     "serve against an energy rate, not a budget\n"
+     "(requires stream.energy_rate > 0)"},
+    {"stream.energy_rate", ECDRA_SPEC_CODEC(stream.energy_rate, kNonNegative),
+     0, "--energy-rate", "R", {},
+     "joules per second accruing into the account"},
+    {"stream.accrual_cap", ECDRA_SPEC_CODEC(stream.accrual_cap, kNonNegative),
+     0, "--accrual-cap", "J", {}, "account ceiling in joules (0 = derived)"},
+    {"stream.initial_energy", ECDRA_SPEC_CODEC(stream.initial_energy)},
+    {"stream.window_length",
+     ECDRA_SPEC_CODEC(stream.window_length, kNonNegative), 0,
+     "--stream-window", "T", {},
+     "rolling metrics window, simulated seconds\n"
+     "(0 = derived from the environment, default)"},
+    {"stream.emergency_enter",
+     ECDRA_SPEC_CODEC(stream.emergency_enter_fraction)},
+    {"stream.emergency_exit", ECDRA_SPEC_CODEC(stream.emergency_exit_fraction)},
+    {"stream.admission", ECDRA_SPEC_CODEC(stream.admission, kNonEmpty), 0,
+     "--admission", "NAME", {},
+     "admission policy (default none)"},
+    {"stream.defer_rho", ECDRA_SPEC_CODEC(stream.defer_rho)},
+    {"stream.drop_rho", ECDRA_SPEC_CODEC(stream.drop_rho)},
+    {"stream.fairness_wait", ECDRA_SPEC_CODEC(stream.fairness_wait)},
+    {"stream.degraded_enter",
+     ECDRA_SPEC_CODEC(stream.degraded_enter_fraction, kNonNegative), 0,
+     "--degraded-enter", "F", {},
+     "enter degraded mode once this fraction of\n"
+     "cores is lost to faults (default 0.25)"},
+    {"stream.degraded_exit",
+     ECDRA_SPEC_CODEC(stream.degraded_exit_fraction, kNonNegative), 0,
+     "--degraded-exit", "F", {},
+     "leave it at or below this fraction,\n"
+     "0 <= exit < enter <= 1 (default 0.1)"},
+    {"stream.degraded_rho_scale",
+     ECDRA_SPEC_CODEC(stream.degraded_rho_scale, kAtLeastOne), 0,
+     "--degraded-rho-scale", "X", {},
+     "multiply rho admission thresholds by X while\n"
+     "degraded (>= 1; default 1.5)"},
+    {"env.econ.values", ECDRA_SPEC_CODEC(econ.type_values, kNonNegative),
+     kNoBatch, "--econ-values", "LIST", {},
+     "per-type revenue values, cycled over task\n"
+     "types (e.g. 1,5,20; default 1)"},
+    {"env.econ.tiers", ECDRA_SPEC_CODEC(econ.tiers), kNoBatch, "--sla-tiers",
+     "LIST", {},
+     "comma-separated name@vmult@smult@rhofloor@prob\n"
+     "tiers, e.g. gold@3@2@0.9@0.2,be@1@1@0@0.8\n"
+     "(default: one neutral tier)"},
+    {"run.econ.enabled", ECDRA_SPEC_CODEC(econ_enabled), kNoBatch, "--econ",
+     {}, "true",
+     "meter revenue against the energy bill (try\n"
+     "econ-greedy, +sla, value-density, profit-guard)"},
+    {"run.econ.energy_price",
+     ECDRA_SPEC_CODEC(econ.energy_price, kNonNegative), kNoBatch,
+     "--energy-price", "X", {},
+     "price per joule drawn (default 0)"},
+    {"run.econ.value_decay", ECDRA_SPEC_CODEC(econ.value_decay, kNonNegative),
+     kNoBatch, "--value-decay", "W", {},
+     "late revenue decays to 0 over W seconds past\n"
+     "the deadline (default 0 = late earns nothing)"},
+    {"grid.heuristics", ECDRA_SPEC_CODEC(grid.heuristics), kHarness},
+    {"grid.filter_variants", ECDRA_SPEC_CODEC(grid.filter_variants), kHarness},
+    {"grid.batch_heuristics", ECDRA_SPEC_CODEC(grid.batch_heuristics),
+     kHarness},
+    {"harness.trials", ECDRA_SPEC_CODEC(num_trials, kAtLeastOne), kHarness,
+     "--trials", "N", {}, "Monte-Carlo trials        (default 50)"},
+    {"harness.validation", ECDRA_SPEC_CODEC(validation), kHarness,
+     "--validate", "MODE", {},
+     "off | cheap | deep invariant checks (default\n"
+     "off; violations are recorded, not fatal)"},
+};
+
+#undef ECDRA_SPEC_CODEC
+
+std::string Serialize(std::string_view header, const ScenarioSpec& spec,
+                      bool fingerprinted_only) {
+  std::string out;
+  out.reserve(2048);
+  out += header;
+  out += '\n';
+  for (const SpecField& field : kFields) {
+    if (fingerprinted_only && !field.fingerprinted()) continue;
+    out += field.key;
+    out += " = ";
+    out += field.codec.format(spec);
+    out += '\n';
+  }
+  return out;
+}
+
+/// "key = value, key = value" for every row `select` accepts whose value in
+/// `spec` differs from its default, in canonical order.
+template <typename Select>
+std::string DescribeNonDefault(const ScenarioSpec& spec, Select select) {
+  const ScenarioSpec defaults;
+  std::string out;
+  for (const SpecField& field : kFields) {
+    if (!select(field)) continue;
+    const std::string value = field.codec.format(spec);
+    if (value == field.codec.format(defaults)) continue;
+    if (!out.empty()) out += ", ";
+    out += field.key;
+    out += " = ";
+    out += value;
+  }
+  return out;
+}
+
+const SpecField& FindSpecField(std::string_view key) {
+  for (const SpecField& field : kFields) {
+    if (field.key == key) return field;
+  }
+  Invalid("unknown key " + Quoted(key));
+}
+
+[[noreturn]] void ParseFail(std::string_view line, const std::string& why) {
+  throw std::invalid_argument("scenario spec: " + why + " in line '" +
+                              std::string(line) + "'");
 }
 
 }  // namespace
 
+std::span<const SpecField> SpecFields() noexcept { return kFields; }
+
+double ParseSpecNumber(std::string_view text) {
+  double value = 0.0;
+  Parse(text, value);
+  return value;
+}
+
+std::uint64_t ParseSpecCount(std::string_view text) {
+  std::uint64_t value = 0;
+  Parse(text, value);
+  return value;
+}
+
 std::string CanonicalSpecText(const ScenarioSpec& spec) {
-  std::string out;
-  out.reserve(2048);
-  out += kHeaderLine;
-  out += '\n';
-  EmitResultShapingLines(out, spec);
-  EmitGridAndHarnessLines(out, spec);
-  return out;
+  return Serialize(kHeaderLine, spec, /*fingerprinted_only=*/false);
 }
 
 std::string FingerprintText(const ScenarioSpec& spec) {
-  std::string out;
-  out.reserve(2048);
-  out += kFingerprintHeaderLine;
-  out += '\n';
-  EmitResultShapingLines(out, spec);
-  return out;
+  return Serialize(kFingerprintHeaderLine, spec, /*fingerprinted_only=*/true);
 }
 
 std::string SpecFingerprint(const ScenarioSpec& spec) {
@@ -461,221 +662,11 @@ ScenarioSpec ParseScenarioSpec(std::string_view text) {
 
     const std::size_t eq = line.find('=');
     if (eq == std::string_view::npos) ParseFail(line, "expected 'key = value'");
-    const std::string_view key = Trim(line.substr(0, eq));
-    const std::string_view value = Trim(line.substr(eq + 1));
-
-    cluster::ClusterBuilderOptions& cl = spec.environment.cluster;
-    workload::CvbOptions& cvb = spec.environment.cvb;
-    pmf::DiscretizeOptions& disc = spec.environment.discretize;
-    workload::WorkloadGeneratorOptions& wl = spec.environment.workload;
-    core::EnergyFilterOptions& en = spec.filter_options.energy;
-    fault::FaultModelOptions& fault = spec.fault;
-
-    if (key == "seed") {
-      spec.master_seed = ParseUint(line, value);
-    } else if (key == "env.cluster.num_nodes") {
-      cl.num_nodes = ParseUint(line, value);
-    } else if (key == "env.cluster.min_processors") {
-      cl.min_processors = ParseUint(line, value);
-    } else if (key == "env.cluster.max_processors") {
-      cl.max_processors = ParseUint(line, value);
-    } else if (key == "env.cluster.min_cores_per_processor") {
-      cl.min_cores_per_processor = ParseUint(line, value);
-    } else if (key == "env.cluster.max_cores_per_processor") {
-      cl.max_cores_per_processor = ParseUint(line, value);
-    } else if (key == "env.cluster.min_power_efficiency") {
-      cl.min_power_efficiency = ParseNum(line, value);
-    } else if (key == "env.cluster.max_power_efficiency") {
-      cl.max_power_efficiency = ParseNum(line, value);
-    } else if (key == "env.cluster.min_step_gain") {
-      cl.min_step_gain = ParseNum(line, value);
-    } else if (key == "env.cluster.max_step_gain") {
-      cl.max_step_gain = ParseNum(line, value);
-    } else if (key == "env.cluster.min_frequency_fraction") {
-      cl.min_frequency_fraction = ParseNum(line, value);
-    } else if (key == "env.cluster.min_p0_power_watts") {
-      cl.min_p0_power_watts = ParseNum(line, value);
-    } else if (key == "env.cluster.max_p0_power_watts") {
-      cl.max_p0_power_watts = ParseNum(line, value);
-    } else if (key == "env.cluster.min_low_voltage") {
-      cl.min_low_voltage = ParseNum(line, value);
-    } else if (key == "env.cluster.max_low_voltage") {
-      cl.max_low_voltage = ParseNum(line, value);
-    } else if (key == "env.cluster.min_high_voltage") {
-      cl.min_high_voltage = ParseNum(line, value);
-    } else if (key == "env.cluster.max_high_voltage") {
-      cl.max_high_voltage = ParseNum(line, value);
-    } else if (key == "env.cvb.num_task_types") {
-      cvb.num_task_types = ParseUint(line, value);
-    } else if (key == "env.cvb.task_mean") {
-      cvb.task_mean = ParseNum(line, value);
-    } else if (key == "env.cvb.task_cov") {
-      cvb.task_cov = ParseNum(line, value);
-    } else if (key == "env.cvb.machine_cov") {
-      cvb.machine_cov = ParseNum(line, value);
-    } else if (key == "env.discretize.num_impulses") {
-      disc.num_impulses = ParseUint(line, value);
-    } else if (key == "env.discretize.tail_clip") {
-      disc.tail_clip = ParseNum(line, value);
-    } else if (key == "env.workload.arrivals") {
-      wl.arrivals = ParseArrivals(line, value);
-    } else if (key == "env.workload.load_factor_scale") {
-      wl.load_factor_scale = ParseNum(line, value);
-    } else if (key == "env.workload.priorities") {
-      wl.priority_classes = ParsePriorities(line, value);
-    } else if (key == "env.workload.jobs.enabled") {
-      wl.jobs.enabled = ParseBool(line, value);
-    } else if (key == "env.workload.jobs.widths") {
-      wl.jobs.widths = ParseShapes(line, value);
-    } else if (key == "env.workload.jobs.depths") {
-      wl.jobs.depths = ParseShapes(line, value);
-    } else if (key == "env.workload.jobs.deadline_scale") {
-      wl.jobs.deadline_scale = ParseNum(line, value);
-    } else if (key == "env.budget_task_count") {
-      spec.environment.budget_task_count = ParseNum(line, value);
-    } else if (key == "env.exec_cov") {
-      spec.environment.exec_cov = ParseNum(line, value);
-    } else if (key == "run.idle_policy") {
-      const auto policy = ParseIdlePolicy(value);
-      if (!policy) ParseFail(line, "expected deepest, stay, or gated");
-      spec.idle_policy = *policy;
-    } else if (key == "run.cancel_policy") {
-      const auto policy = ParseCancelPolicy(value);
-      if (!policy) ParseFail(line, "expected never or hopeless");
-      spec.cancel_policy = *policy;
-    } else if (key == "run.pstate_transition_latency") {
-      spec.pstate_transition_latency = ParseNum(line, value);
-    } else if (key == "run.power_cov") {
-      spec.power_cov = ParseNum(line, value);
-    } else if (key == "run.governor") {
-      // Any non-empty token parses; the registry rejects unknown names when
-      // the trial is constructed (examples may register governors the spec
-      // layer has never heard of).
-      if (value.empty()) ParseFail(line, "expected a governor name");
-      spec.governor = std::string(value);
-    } else if (key == "run.filter.en.low_multiplier") {
-      en.low_multiplier = ParseNum(line, value);
-    } else if (key == "run.filter.en.mid_multiplier") {
-      en.mid_multiplier = ParseNum(line, value);
-    } else if (key == "run.filter.en.high_multiplier") {
-      en.high_multiplier = ParseNum(line, value);
-    } else if (key == "run.filter.en.low_depth") {
-      en.low_depth = ParseNum(line, value);
-    } else if (key == "run.filter.en.high_depth") {
-      en.high_depth = ParseNum(line, value);
-    } else if (key == "run.filter.en.scale_by_priority") {
-      en.scale_fair_share_by_priority = ParseBool(line, value);
-    } else if (key == "run.filter.en.priority_baseline") {
-      en.priority_baseline = ParseNum(line, value);
-    } else if (key == "run.filter.rho_thresh") {
-      spec.filter_options.robustness_threshold = ParseNum(line, value);
-    } else if (key == "run.fault.mtbf") {
-      fault.mtbf = ParseNum(line, value);
-    } else if (key == "run.fault.lifetime") {
-      if (value == "exponential") {
-        fault.lifetime = fault::LifetimeDistribution::kExponential;
-      } else if (value == "weibull") {
-        fault.lifetime = fault::LifetimeDistribution::kWeibull;
-      } else {
-        ParseFail(line, "expected exponential or weibull");
-      }
-    } else if (key == "run.fault.weibull_shape") {
-      fault.weibull_shape = ParseNum(line, value);
-    } else if (key == "run.fault.repair_time") {
-      fault.repair_time = ParseNum(line, value);
-    } else if (key == "run.fault.throttle_interval") {
-      fault.throttle_interval = ParseNum(line, value);
-    } else if (key == "run.fault.throttle_duration") {
-      fault.throttle_duration = ParseNum(line, value);
-    } else if (key == "run.fault.throttle_floor") {
-      fault.throttle_floor =
-          static_cast<cluster::PStateIndex>(ParseUint(line, value));
-    } else if (key == "run.fault.horizon") {
-      fault.horizon = ParseNum(line, value);
-    } else if (key == "run.fault.domain_mtbf") {
-      fault.domain_mtbf = ParseNum(line, value);
-    } else if (key == "run.fault.domain_repair_time") {
-      fault.domain_repair_time = ParseNum(line, value);
-    } else if (key == "run.fault.cascade_throttle") {
-      fault.cascade_throttle = ParseBool(line, value);
-    } else if (key == "run.fault.domains") {
-      // Any value parses (empty = the derived node-per-domain grouping);
-      // fault::ResolveFaultDomains validates against the cluster at setup.
-      spec.fault_domains = std::string(value);
-    } else if (key == "run.recovery") {
-      try {
-        spec.recovery = fault::ParseRecoveryPolicy(value);
-      } catch (const std::invalid_argument&) {
-        ParseFail(line, "expected one of: " +
-                            std::string(fault::RecoveryPolicyNames()));
-      }
-    } else if (key == "run.jobs.placement") {
-      // Any non-empty token parses; the gang-placement registry rejects
-      // unknown names at trial setup, like run.governor.
-      if (value.empty()) ParseFail(line, "expected a gang-placement name");
-      spec.jobs_placement = std::string(value);
-    } else if (key == "run.mode") {
-      // Batch mode is a stack, not a spec-selectable trial mode.
-      if (value == "fixed") {
-        spec.mode = RunMode::kFixedTrace;
-      } else if (value == "stream") {
-        spec.mode = RunMode::kStream;
-      } else {
-        ParseFail(line, "expected fixed or stream");
-      }
-    } else if (key == "stream.energy_rate") {
-      spec.stream.energy_rate = ParseNum(line, value);
-    } else if (key == "stream.accrual_cap") {
-      spec.stream.accrual_cap = ParseNum(line, value);
-    } else if (key == "stream.initial_energy") {
-      spec.stream.initial_energy = ParseNum(line, value);
-    } else if (key == "stream.window_length") {
-      spec.stream.window_length = ParseNum(line, value);
-    } else if (key == "stream.emergency_enter") {
-      spec.stream.emergency_enter_fraction = ParseNum(line, value);
-    } else if (key == "stream.emergency_exit") {
-      spec.stream.emergency_exit_fraction = ParseNum(line, value);
-    } else if (key == "stream.admission") {
-      // Any non-empty token parses; the admission registry rejects unknown
-      // names at trial setup, like run.governor.
-      if (value.empty()) ParseFail(line, "expected an admission policy name");
-      spec.stream.admission = std::string(value);
-    } else if (key == "stream.defer_rho") {
-      spec.stream.defer_rho = ParseNum(line, value);
-    } else if (key == "stream.drop_rho") {
-      spec.stream.drop_rho = ParseNum(line, value);
-    } else if (key == "stream.fairness_wait") {
-      spec.stream.fairness_wait = ParseNum(line, value);
-    } else if (key == "stream.degraded_enter") {
-      spec.stream.degraded_enter_fraction = ParseNum(line, value);
-    } else if (key == "stream.degraded_exit") {
-      spec.stream.degraded_exit_fraction = ParseNum(line, value);
-    } else if (key == "stream.degraded_rho_scale") {
-      spec.stream.degraded_rho_scale = ParseNum(line, value);
-    } else if (key == "env.econ.values") {
-      spec.econ.type_values = ParseValues(line, value);
-    } else if (key == "env.econ.tiers") {
-      spec.econ.tiers = ParseTiers(line, value);
-    } else if (key == "run.econ.enabled") {
-      spec.econ_enabled = ParseBool(line, value);
-    } else if (key == "run.econ.energy_price") {
-      spec.econ.energy_price = ParseNum(line, value);
-    } else if (key == "run.econ.value_decay") {
-      spec.econ.value_decay = ParseNum(line, value);
-    } else if (key == "grid.heuristics") {
-      spec.grid.heuristics = ParseNames(value);
-    } else if (key == "grid.filter_variants") {
-      spec.grid.filter_variants = ParseNames(value);
-    } else if (key == "grid.batch_heuristics") {
-      spec.grid.batch_heuristics = ParseNames(value);
-    } else if (key == "harness.trials") {
-      spec.num_trials = ParseUint(line, value);
-    } else if (key == "harness.validation") {
-      const auto mode = validate::ParseValidationMode(value);
-      if (!mode) ParseFail(line, "expected off, cheap, or deep");
-      spec.validation = *mode;
-    } else {
-      ParseFail(line, "unknown key '" + std::string(key) + "'");
+    try {
+      FindSpecField(Trim(line.substr(0, eq)))
+          .codec.parse(spec, Trim(line.substr(eq + 1)));
+    } catch (const std::invalid_argument& error) {
+      ParseFail(line, error.what());
     }
   }
   if (!saw_header) {
@@ -683,6 +674,36 @@ ScenarioSpec ParseScenarioSpec(std::string_view text) {
                                 std::string(kHeaderLine) + "')");
   }
   return spec;
+}
+
+void RequireStreamCompatible(RunMode mode, const StreamSpec& stream) {
+  if (mode == RunMode::kStream) {
+    if (stream.energy_rate > 0.0) return;
+    throw StreamSpecError(
+        "stream mode requires stream.energy_rate > 0 (set --energy-rate)");
+  }
+  ScenarioSpec spec;
+  spec.stream = stream;
+  const std::string fields =
+      DescribeNonDefault(spec, [](const SpecField& field) {
+        return field.key.starts_with("stream.");
+      });
+  if (fields.empty()) return;
+  throw StreamSpecError(
+      (mode == RunMode::kBatch ? std::string("batch") : Format(mode)) +
+      " mode cannot honor a streaming scenario: " + fields +
+      " (run with --stream, or drop the stream block)");
+}
+
+void RequireBatchCompatible(const ScenarioSpec& spec) {
+  RequireStreamCompatible(RunMode::kBatch, spec.stream);
+  const std::string fields =
+      DescribeNonDefault(spec, [](const SpecField& field) {
+        return (field.flags & SpecField::kNoBatch) != 0;
+      });
+  if (fields.empty()) return;
+  throw BatchSpecError("batch mode cannot honor " + fields +
+                       " (reset these keys, or use the immediate-mode stack)");
 }
 
 }  // namespace ecdra::policy

@@ -1,19 +1,23 @@
 // The single declarative description of an experiment (docs/ARCHITECTURE.md,
 // "policy"): the sampled environment's generating options, the
-// result-shaping trial knobs, the (heuristic x filter-variant) policy grid,
+// result-shaping run knobs, the (heuristic x filter-variant) policy grid,
 // and the harness knobs, with one canonical text serialization.
 //
-// Every consumer that used to re-assemble configuration independently —
-// run_experiment_cli flag parsing, the figure-harness variant enumeration,
-// the bench configs, and the checkpoint config fingerprint — now derives
-// from a ScenarioSpec, so a configuration cannot mean different things in
+// Every spec key is declared once, as one row of the field table in
+// scenario_spec.cpp. The row names the ScenarioSpec member, its codec, its
+// range, whether it is fingerprinted, whether batch mode can honor it, and
+// its command-line flag. The canonical text, the parser, the checkpoint
+// fingerprint, the mode refusals, and run_experiment_cli's flags and --help
+// all walk that table, so a configuration cannot mean different things in
 // different stacks. The checkpoint fingerprint is FNV-1a over
 // FingerprintText(), the canonical serialization of the result-shaping
-// subset (grid and harness knobs excluded: they select *which* trials run
-// and how, never what a trial computes).
+// rows (grid and harness rows excluded: they select *which* trials run and
+// how, never what a trial computes).
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -60,11 +64,10 @@ struct PolicyGrid {
   std::vector<std::string> batch_heuristics;
 };
 
-struct ScenarioSpec {
-  std::uint64_t master_seed = 0;
-  EnvironmentSpec environment;
-
-  // -- Result-shaping trial knobs (fingerprinted) --
+/// The result-shaping trial knobs, declared once: ScenarioSpec and
+/// sim::RunOptions both derive from this struct, so copying the knobs
+/// between them is one slice assignment that cannot forget a field.
+struct RunKnobs {
   IdlePolicy idle_policy = IdlePolicy::kDeepestPState;
   CancelPolicy cancel_policy = CancelPolicy::kRunToCompletion;
   /// DVFS switching delay and stochastic-power CoV (see sim::TrialOptions).
@@ -73,6 +76,10 @@ struct ScenarioSpec {
   /// Options for every filter either stack constructs — the one source of
   /// truth for e.g. the robustness threshold.
   core::FilterChainOptions filter_options;
+  /// Fault extension (src/fault): when enabled(), each trial samples its own
+  /// fault schedule from the trial's dedicated "fault" substream — no other
+  /// trial draw shifts, so fault-free configurations stay bit-identical.
+  /// A zero fault.horizon is replaced by (last arrival + 20 * t_avg).
   fault::FaultModelOptions fault;
   /// Correlated fault-domain grouping: comma-separated "name:lo-hi" flat-core
   /// ranges (fault::ResolveFaultDomains); empty derives one domain per
@@ -80,11 +87,14 @@ struct ScenarioSpec {
   std::string fault_domains;
   fault::RecoveryPolicy recovery = fault::RecoveryPolicy::kDropQueued;
   /// Job extension (src/workload/job.hpp): registered gang-placement policy
-  /// ("pack", "spread", or the "serial" no-gang ablation) used when the
-  /// workload's job shapes are enabled; inert otherwise.
-  std::string jobs_placement = "pack";
+  /// used when the workload's job shapes are enabled ("pack" fills node by
+  /// node, "spread" round-robins across nodes, "serial" is the no-gang
+  /// ablation that maps members through the per-task pipeline); inert
+  /// otherwise.
+  std::string gang_placement = "pack";
   /// Registered governor name (src/governor). "static" is the paper's
-  /// open-loop baseline; the registry validates the name at trial setup.
+  /// open-loop baseline and leaves the trial bit-identical to a
+  /// pre-governor build; the registry validates the name at trial setup.
   std::string governor = "static";
   /// Run mode (stream_spec.hpp): the paper's fixed-trace window, or the
   /// streaming service mode. Explicit, never inferred from the stream
@@ -98,6 +108,11 @@ struct ScenarioSpec {
   /// takes the exact pre-econ trial path — bit-identical to the paper grid.
   bool econ_enabled = false;
   econ::EconModel econ;
+};
+
+struct ScenarioSpec : RunKnobs {
+  std::uint64_t master_seed = 0;
+  EnvironmentSpec environment;
 
   // -- Grid + harness knobs (serialized, but not fingerprinted) --
   PolicyGrid grid;
@@ -105,15 +120,60 @@ struct ScenarioSpec {
   validate::ValidationMode validation = validate::ValidationMode::kOff;
 };
 
+/// One row of the field table: the single declaration of a spec key.
+struct SpecField {
+  enum Flags : unsigned {
+    /// A grid/harness row: serialized, but not part of the fingerprint.
+    kHarness = 1u << 0,
+    /// Batch mode cannot honor a non-default value (BatchSpecError).
+    kNoBatch = 1u << 1,
+  };
+  /// The member's codec, chosen by its type, with the row's range check
+  /// folded into parse.
+  struct Codec {
+    /// Canonical value text of the member in `spec`.
+    std::string (*format)(const ScenarioSpec& spec);
+    /// Parses `value` into the member of `spec`; throws
+    /// std::invalid_argument with a one-line reason (no key or line) and
+    /// leaves `spec` unchanged on failure.
+    void (*parse)(ScenarioSpec& spec, std::string_view value);
+  };
+
+  std::string_view key;
+  Codec codec;
+  unsigned flags = 0;
+  /// run_experiment_cli spelling (empty = spec files only): the flag, its
+  /// value placeholder, the value a bare switch sets (e.g. --stream sets
+  /// "stream"; empty = the flag takes a value), and its --help text.
+  std::string_view flag = {};
+  std::string_view arg = {};
+  std::string_view fixed = {};
+  std::string_view help = {};
+
+  [[nodiscard]] bool fingerprinted() const noexcept {
+    return (flags & kHarness) == 0;
+  }
+};
+
+/// Every row, in canonical emission order.
+[[nodiscard]] std::span<const SpecField> SpecFields() noexcept;
+
+/// The codecs' scalar parsers, for values that are not spec fields (the
+/// CLI's --budget-scale, say): the whole text must be a finite decimal
+/// number or a non-negative integer. Throw std::invalid_argument naming
+/// the value.
+[[nodiscard]] double ParseSpecNumber(std::string_view text);
+[[nodiscard]] std::uint64_t ParseSpecCount(std::string_view text);
+
 /// Canonical serialization: a "ecdra-scenario v1" header line followed by
-/// one "key = value" line per field in a fixed order. Doubles use the
+/// one "key = value" line per table row, in table order. Doubles use the
 /// shortest decimal that round-trips bit-exactly (obs::json::Number), so
 /// serialize -> parse -> serialize is byte-stable.
 [[nodiscard]] std::string CanonicalSpecText(const ScenarioSpec& spec);
 
 /// Inverse of CanonicalSpecText. Unset keys keep their defaults; unknown
-/// keys, malformed values, and a missing/wrong header line throw
-/// std::invalid_argument naming the offending line.
+/// keys, malformed or out-of-range values, and a missing/wrong header line
+/// throw std::invalid_argument naming the offending line.
 [[nodiscard]] ScenarioSpec ParseScenarioSpec(std::string_view text);
 
 /// The result-shaping subset of CanonicalSpecText (seed, environment, run
@@ -127,5 +187,18 @@ struct ScenarioSpec {
 /// golden-regression tests share).
 [[nodiscard]] std::uint64_t Fnv1a64(std::string_view text) noexcept;
 [[nodiscard]] std::string Fnv1a64Hex(std::string_view text);
+
+/// A spec handed to the batch stack with knobs it cannot honor (faults, a
+/// non-static governor, econ, gang jobs, DVFS latency, stochastic power).
+/// One line; what() names every offending "key = value".
+class BatchSpecError : public std::invalid_argument {
+ public:
+  explicit BatchSpecError(const std::string& what_arg)
+      : std::invalid_argument(what_arg) {}
+};
+
+/// Throws StreamSpecError for a non-default stream block, then
+/// BatchSpecError for any other non-default kNoBatch row.
+void RequireBatchCompatible(const ScenarioSpec& spec);
 
 }  // namespace ecdra::policy

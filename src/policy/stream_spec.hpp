@@ -17,7 +17,6 @@
 
 #include <stdexcept>
 #include <string>
-#include <string_view>
 
 namespace ecdra::policy {
 
@@ -26,8 +25,6 @@ namespace ecdra::policy {
 /// duplex stack (src/batch — never spec-selected, named here so refusals
 /// can say who is refusing).
 enum class RunMode { kFixedTrace, kStream, kBatch };
-
-[[nodiscard]] std::string_view RunModeName(RunMode mode) noexcept;
 
 /// The stream block of a ScenarioSpec. Every field is result-shaping (it
 /// joins the fingerprint). Fields documented as "0 = derived" are resolved
@@ -75,10 +72,6 @@ struct StreamSpec {
   /// Multiplier (>= 1) applied to defer_rho/drop_rho while degraded;
   /// thresholds are clamped to 1. 1 disables the tightening.
   double degraded_rho_scale = 1.5;
-
-  /// True when any field differs from its default — the spec carries a
-  /// stream block that a non-streaming consumer must refuse.
-  [[nodiscard]] bool any() const noexcept;
 };
 
 /// A stream block handed to a consumer that cannot honor it (or a stream
@@ -90,13 +83,10 @@ class StreamSpecError : public std::invalid_argument {
       : std::invalid_argument(what_arg) {}
 };
 
-/// "stream.energy_rate = 80, stream.admission = rho" — the non-default
-/// fields of the block, in canonical emission order.
-[[nodiscard]] std::string DescribeStreamFields(const StreamSpec& stream);
-
 /// Throws StreamSpecError unless `mode` can honor `stream`: kStream
 /// requires energy_rate > 0; kFixedTrace and kBatch require no stream
-/// block at all.
+/// block at all (every stream.* row at its default). Defined in
+/// scenario_spec.cpp, beside the field table it walks.
 void RequireStreamCompatible(RunMode mode, const StreamSpec& stream);
 
 }  // namespace ecdra::policy

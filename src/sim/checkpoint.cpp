@@ -230,21 +230,9 @@ std::string ConfigFingerprint(const ExperimentSetup& setup,
   // threads, traces, watchdog/retry, checkpoint paths) are deliberately
   // absent: they select which trials run and how, never what one computes.
   policy::ScenarioSpec spec;
+  static_cast<policy::RunKnobs&>(spec) = options;
   spec.master_seed = setup.master_seed;
   spec.environment = setup.environment;
-  spec.idle_policy = options.idle_policy;
-  spec.cancel_policy = options.cancel_policy;
-  spec.pstate_transition_latency = options.pstate_transition_latency;
-  spec.power_cov = options.power_cov;
-  spec.filter_options = options.filter_options;
-  spec.fault = options.fault;
-  spec.fault_domains = options.fault_domains;
-  spec.recovery = options.recovery;
-  spec.governor = options.governor;
-  spec.mode = options.mode;
-  spec.stream = options.stream;
-  spec.econ_enabled = options.econ_enabled;
-  spec.econ = options.econ;
   return policy::SpecFingerprint(spec);
 }
 

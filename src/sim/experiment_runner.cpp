@@ -76,21 +76,8 @@ RunOptions RunOptionsFromSpec(const policy::ScenarioSpec& spec) {
   // silently ignoring the block.
   policy::RequireStreamCompatible(spec.mode, spec.stream);
   RunOptions options;
+  static_cast<policy::RunKnobs&>(options) = spec;
   options.num_trials = spec.num_trials;
-  options.idle_policy = spec.idle_policy;
-  options.cancel_policy = spec.cancel_policy;
-  options.pstate_transition_latency = spec.pstate_transition_latency;
-  options.power_cov = spec.power_cov;
-  options.filter_options = spec.filter_options;
-  options.fault = spec.fault;
-  options.fault_domains = spec.fault_domains;
-  options.recovery = spec.recovery;
-  options.gang_placement = spec.jobs_placement;
-  options.governor = spec.governor;
-  options.mode = spec.mode;
-  options.stream = spec.stream;
-  options.econ_enabled = spec.econ_enabled;
-  options.econ = spec.econ;
   options.validation = spec.validation;
   return options;
 }

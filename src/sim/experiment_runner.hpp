@@ -63,15 +63,14 @@ struct ExperimentSetup {
 [[nodiscard]] ExperimentSetup BuildExperimentSetup(
     const policy::ScenarioSpec& spec);
 
-struct RunOptions {
+/// How to run the trials of one (heuristic, filter variant) configuration:
+/// the result-shaping knobs (policy::RunKnobs, shared with ScenarioSpec)
+/// plus the execution mechanics below, which never change what a trial
+/// computes.
+struct RunOptions : policy::RunKnobs {
   std::size_t num_trials = 50;
-  IdlePolicy idle_policy = IdlePolicy::kDeepestPState;
-  CancelPolicy cancel_policy = CancelPolicy::kRunToCompletion;
   bool collect_task_records = false;
   bool collect_robustness_trace = false;
-  /// See TrialOptions: DVFS switching delay and stochastic-power CoV.
-  double pstate_transition_latency = 0.0;
-  double power_cov = 0.0;
   /// Collect per-trial obs::Counters into TrialResult.counters.
   bool collect_counters = false;
   /// Write one JSONL decision/energy trace covering every trial to this
@@ -84,40 +83,6 @@ struct RunOptions {
   obs::TraceSink* trace_sink = nullptr;
   /// Worker threads for the trial fan-out; 0 = hardware concurrency.
   std::size_t num_threads = 0;
-  core::FilterChainOptions filter_options;
-  /// Fault extension (src/fault): when enabled(), each trial samples its own
-  /// fault schedule from the trial's dedicated "fault" substream — no other
-  /// trial draw shifts, so fault-free configurations stay bit-identical.
-  /// A zero fault.horizon is replaced by (last arrival + 20 * t_avg).
-  fault::FaultModelOptions fault;
-  /// Correlated fault-domain grouping spec (fault::ResolveFaultDomains
-  /// syntax); empty derives one domain per cluster node.
-  std::string fault_domains;
-  fault::RecoveryPolicy recovery = fault::RecoveryPolicy::kDropQueued;
-  /// Governor extension (src/governor): registered governor name for every
-  /// trial. "static" (the paper baseline) declares no cadence and leaves
-  /// the trial bit-identical to a pre-governor build.
-  std::string governor = "static";
-  /// Streaming service mode (src/stream): the run mode and the portable
-  /// stream block. kStream resolves the block against the trial environment
-  /// (ResolveStreamConfig) and runs every trial with the replenishing
-  /// account, windowed metrics, and admission stage; kFixedTrace (the
-  /// default) with a non-default stream block is refused with a typed
-  /// one-line diagnostic (policy::RequireStreamCompatible).
-  policy::RunMode mode = policy::RunMode::kFixedTrace;
-  policy::StreamSpec stream;
-  /// Job extension (src/workload/job.hpp): registered gang-placement policy
-  /// used when the workload's job shapes are enabled ("pack" fills node by
-  /// node, "spread" round-robins across nodes, "serial" is the no-gang
-  /// ablation that maps members through the per-task pipeline).
-  std::string gang_placement = "pack";
-  /// Econ extension (src/econ): when enabled with a non-trivial model, each
-  /// trial assigns per-task value and SLA tier from the trial's dedicated
-  /// "econ" substream, the engine meters profit, and value-aware policies
-  /// see the model. Disabled or trivial keeps every trial bit-identical to
-  /// a pre-econ build.
-  bool econ_enabled = false;
-  econ::EconModel econ;
 
   // -- Crash-safe sweep extensions (RunSweep; all inert by default) --
   /// Per-attempt wall-clock watchdog in real seconds (0 = off). A trial
@@ -152,11 +117,11 @@ struct RunOptions {
   std::function<void(std::size_t, std::size_t)> pre_trial_hook;
 };
 
-/// The RunOptions a ScenarioSpec describes: the result-shaping knobs
-/// (idle/cancel policy, transition latency, power CoV, filter options,
-/// fault model, recovery) plus num_trials and validation mode. Execution
-/// mechanics (threads, traces, checkpoint paths, retry policy) are not part
-/// of a spec and keep their defaults.
+/// The RunOptions a ScenarioSpec describes: its RunKnobs slice plus
+/// num_trials and validation mode. Execution mechanics (threads, traces,
+/// checkpoint paths, retry policy) are not part of a spec and keep their
+/// defaults. Throws policy::StreamSpecError when spec.mode cannot honor
+/// spec.stream.
 [[nodiscard]] RunOptions RunOptionsFromSpec(const policy::ScenarioSpec& spec);
 
 /// A trial that exhausted every attempt without producing a result.

@@ -395,5 +395,38 @@ TEST(BatchRunner, AllHeuristicsSatisfyInvariantsOnPaperWorkload) {
   }
 }
 
+// Batch mode has no fault, governor, econ, gang, DVFS-latency, or
+// stochastic-power machinery: a spec setting any of them is refused with
+// one typed line naming every offending key, never silently run as if the
+// knob were unset.
+TEST(BatchRunner, FromSpecRefusesEveryKnobItCannotHonor) {
+  EXPECT_NO_THROW((void)BatchRunOptionsFromSpec(experiment::PaperScenario()));
+  policy::ScenarioSpec spec;
+  spec.fault.mtbf = 100.0;
+  spec.governor = "race-to-idle";
+  spec.econ_enabled = true;
+  spec.pstate_transition_latency = 0.5;
+  spec.power_cov = 0.1;
+  spec.environment.workload.jobs.enabled = true;
+  try {
+    (void)BatchRunOptionsFromSpec(spec);
+    FAIL() << "expected BatchSpecError";
+  } catch (const policy::BatchSpecError& error) {
+    const std::string message = error.what();
+    for (const char* key :
+         {"run.fault.mtbf = 100", "run.governor = race-to-idle",
+          "run.econ.enabled = true", "run.pstate_transition_latency = 0.5",
+          "run.power_cov = 0.1", "env.workload.jobs.enabled = true"}) {
+      EXPECT_NE(message.find(key), std::string::npos) << message;
+    }
+    EXPECT_EQ(message.find('\n'), std::string::npos) << message;
+  }
+  // Knobs batch mode does honor pass through.
+  policy::ScenarioSpec honored;
+  honored.idle_policy = policy::IdlePolicy::kStayAtLast;
+  honored.filter_options.robustness_threshold = 0.8;
+  EXPECT_NO_THROW((void)BatchRunOptionsFromSpec(honored));
+}
+
 }  // namespace
 }  // namespace ecdra::batch

@@ -620,6 +620,17 @@ TEST(ConfigFingerprint, SensitiveToResultsShapingOptionsOnly) {
   EXPECT_EQ(base, ConfigFingerprint(setup, mechanics));
 }
 
+TEST(ConfigFingerprint, DistinguishesGangPlacements) {
+  // Gang placement chooses the core sets of every job, so a store written
+  // under one placement must never resume a run under another.
+  const ExperimentSetup setup = BuildExperimentSetup(3, SmallOptions());
+  RunOptions pack;
+  pack.gang_placement = "pack";
+  RunOptions serial = pack;
+  serial.gang_placement = "serial";
+  EXPECT_NE(ConfigFingerprint(setup, pack), ConfigFingerprint(setup, serial));
+}
+
 TEST(Resume, InterruptedSweepResumesBitIdentical) {
   const ExperimentSetup setup = BuildExperimentSetup(3, SmallOptions());
   const std::string path = TempPath("resume_golden");

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <string>
 
 namespace {
@@ -113,6 +114,56 @@ TEST(Cli, CheckpointThenResumeServesTrialsFromTheFile) {
       << mismatched.output;
 
   std::remove(path.c_str());
+}
+
+TEST(Cli, ResumeRefusesAStoreWrittenUnderAnotherGangPlacement) {
+  const std::string path = TempPath("gang_resume");
+  std::remove(path.c_str());
+  const std::string run =
+      "--jobs --job-widths 1@0.5,2@0.5 --trials 2 --heuristic SQ "
+      "--variant en --checkpoint " + path;
+
+  const CliResult serial = RunCli(run + " --gang-policy serial");
+  ASSERT_EQ(serial.exit_code, 0) << serial.output;
+  // Serial's trials must not be served as pack's.
+  const CliResult pack = RunCli(run + " --gang-policy pack --resume");
+  EXPECT_EQ(pack.exit_code, 2) << pack.output;
+  EXPECT_NE(pack.output.find("different run"), std::string::npos)
+      << pack.output;
+
+  std::remove(path.c_str());
+}
+
+TEST(Cli, FlagsAndSpecFilesApplyTheSameNumericChecks) {
+  // Non-finite numbers would print as unparseable "null" spec lines.
+  CliResult result = RunCli("--rho-thresh nan --print-spec");
+  EXPECT_EQ(result.exit_code, 2);
+  EXPECT_NE(result.output.find("--rho-thresh: 'nan' is not a finite number"),
+            std::string::npos)
+      << result.output;
+  result = RunCli("--budget-scale inf --print-spec");
+  EXPECT_EQ(result.exit_code, 2);
+  EXPECT_NE(result.output.find("--budget-scale"), std::string::npos)
+      << result.output;
+
+  // A range the flag refuses is refused in a spec file too, naming the line.
+  result = RunCli("--fault-mtbf -5 --print-spec");
+  EXPECT_EQ(result.exit_code, 2);
+  EXPECT_NE(result.output.find("--fault-mtbf: '-5' must be >= 0"),
+            std::string::npos)
+      << result.output;
+  const std::string spec_path = testing::TempDir() + "ecdra_cli_range.spec";
+  {
+    std::ofstream spec(spec_path);
+    spec << "ecdra-scenario v1\nrun.fault.mtbf = -5\n";
+  }
+  result = RunCli("--spec " + spec_path + " --trials 1");
+  EXPECT_EQ(result.exit_code, 2);
+  EXPECT_NE(result.output.find("'-5' must be >= 0 in line "
+                               "'run.fault.mtbf = -5'"),
+            std::string::npos)
+      << result.output;
+  std::remove(spec_path.c_str());
 }
 
 }  // namespace

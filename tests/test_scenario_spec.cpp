@@ -7,8 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <map>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "experiment/paper_config.hpp"
 #include "sim/checkpoint.hpp"
@@ -17,66 +22,166 @@
 namespace ecdra {
 namespace {
 
-/// A spec with every field moved off its default, so a round-trip that
-/// silently drops a key would be caught.
-policy::ScenarioSpec FullyCustomSpec() {
-  policy::ScenarioSpec spec;
-  spec.master_seed = 77;
-  spec.environment.cluster.num_nodes = 5;
-  spec.environment.cluster.min_processors = 2;
-  spec.environment.cluster.max_processors = 3;
-  spec.environment.cluster.min_power_efficiency = 0.85;
-  spec.environment.cvb.num_task_types = 25;
-  spec.environment.cvb.task_mean = 500.0;
-  spec.environment.cvb.task_cov = 0.3;
-  spec.environment.cvb.machine_cov = 0.2;
-  spec.environment.discretize.num_impulses = 16;
-  spec.environment.discretize.tail_clip = 1e-5;
+/// A non-default value, spelled canonically, for every row of the spec
+/// field table. EveryRowRoundTripsAndFingerprintsAsDeclared fails when a
+/// row is added without an entry here, so a new knob cannot skip the
+/// round-trip and fingerprint checks. Values are valid on SmallSpec() so
+/// each one can also build an environment and run options.
+const std::map<std::string, std::string, std::less<>>& NonDefaultValues() {
+  static const std::map<std::string, std::string, std::less<>> values = {
+      {"seed", "77"},
+      {"env.cluster.num_nodes", "4"},
+      {"env.cluster.min_processors", "2"},
+      {"env.cluster.max_processors", "3"},
+      {"env.cluster.min_cores_per_processor", "2"},
+      {"env.cluster.max_cores_per_processor", "3"},
+      {"env.cluster.min_power_efficiency", "0.85"},
+      {"env.cluster.max_power_efficiency", "0.99"},
+      {"env.cluster.min_step_gain", "0.1"},
+      {"env.cluster.max_step_gain", "0.3"},
+      {"env.cluster.min_frequency_fraction", "0.5"},
+      {"env.cluster.min_p0_power_watts", "120"},
+      {"env.cluster.max_p0_power_watts", "140"},
+      {"env.cluster.min_low_voltage", "0.9"},
+      {"env.cluster.max_low_voltage", "1.2"},
+      {"env.cluster.min_high_voltage", "1.3"},
+      {"env.cluster.max_high_voltage", "1.6"},
+      {"env.cvb.num_task_types", "12"},
+      {"env.cvb.task_mean", "500"},
+      {"env.cvb.task_cov", "0.3"},
+      {"env.cvb.machine_cov", "0.2"},
+      {"env.discretize.num_impulses", "16"},
+      {"env.discretize.tail_clip", "1e-05"},
+      {"env.workload.arrivals", "30@0.14285714285714285,60@0.03225806451612903"},
+      {"env.workload.load_factor_scale", "1.25"},
+      {"env.workload.priorities", "1@0.7,4@0.3"},
+      {"env.workload.jobs.enabled", "true"},
+      {"env.workload.jobs.widths", "2@0.5,4@0.5"},
+      {"env.workload.jobs.depths", "1@0.5,2@0.5"},
+      {"env.workload.jobs.deadline_scale", "1.5"},
+      {"env.budget_task_count", "800"},
+      {"env.exec_cov", "0.4"},
+      {"run.idle_policy", "gated"},
+      {"run.cancel_policy", "hopeless"},
+      {"run.pstate_transition_latency", "0.25"},
+      {"run.power_cov", "0.1"},
+      {"run.governor", "budget-feedback"},
+      {"run.filter.en.low_multiplier", "1.1"},
+      {"run.filter.en.mid_multiplier", "1.05"},
+      {"run.filter.en.high_multiplier", "1.3"},
+      {"run.filter.en.low_depth", "0.7"},
+      {"run.filter.en.high_depth", "1.4"},
+      {"run.filter.en.scale_by_priority", "true"},
+      {"run.filter.en.priority_baseline", "2"},
+      {"run.filter.rho_thresh", "0.65"},
+      {"run.fault.mtbf", "5000"},
+      {"run.fault.lifetime", "weibull"},
+      {"run.fault.weibull_shape", "1.7"},
+      {"run.fault.repair_time", "120"},
+      {"run.fault.throttle_interval", "300"},
+      {"run.fault.throttle_duration", "30"},
+      {"run.fault.throttle_floor", "3"},
+      {"run.fault.horizon", "9999"},
+      {"run.fault.domain_mtbf", "20000"},
+      {"run.fault.domain_repair_time", "600"},
+      {"run.fault.cascade_throttle", "true"},
+      {"run.fault.domains", "rackA:0-2,rackB:3-4"},
+      {"run.recovery", "migrate"},
+      {"run.jobs.placement", "serial"},
+      {"run.mode", "stream"},
+      {"stream.energy_rate", "1234.5"},
+      {"stream.accrual_cap", "9000"},
+      {"stream.initial_energy", "500"},
+      {"stream.window_length", "250"},
+      {"stream.emergency_enter", "0.1"},
+      {"stream.emergency_exit", "0.3"},
+      {"stream.admission", "rho"},
+      {"stream.defer_rho", "0.4"},
+      {"stream.drop_rho", "0.1"},
+      {"stream.fairness_wait", "700"},
+      {"stream.degraded_enter", "0.5"},
+      {"stream.degraded_exit", "0.2"},
+      {"stream.degraded_rho_scale", "2"},
+      {"env.econ.values", "1,4,0.5"},
+      {"env.econ.tiers", "gold@3@2@0.8@0.2,best-effort@1@1@0@0.8"},
+      {"run.econ.enabled", "true"},
+      {"run.econ.energy_price", "2.5e-06"},
+      {"run.econ.value_decay", "150"},
+      {"grid.heuristics", "LL,MECT"},
+      {"grid.filter_variants", "en,en+rob"},
+      {"grid.batch_heuristics", "MinMinCT"},
+      {"harness.trials", "7"},
+      {"harness.validation", "cheap"},
+  };
+  return values;
+}
+
+/// A paper spec shrunk so BuildExperimentSetup stays fast, in stream mode
+/// so RunOptionsFromSpec accepts any stream block set on top of it.
+policy::ScenarioSpec SmallSpec() {
+  policy::ScenarioSpec spec = experiment::PaperScenario();
+  spec.environment.cluster.num_nodes = 3;
+  spec.environment.cvb.num_task_types = 10;
   spec.environment.workload.arrivals =
-      workload::ArrivalSpec::PaperBursty(30, 60, 1.0 / 7.0, 1.0 / 31.0);
-  spec.environment.workload.load_factor_scale = 1.25;
-  spec.environment.workload.priority_classes = {{1.0, 0.7}, {4.0, 0.3}};
-  spec.environment.budget_task_count = 800.0;
-  spec.environment.exec_cov = 0.4;
-  spec.idle_policy = policy::IdlePolicy::kPowerGated;
-  spec.cancel_policy = policy::CancelPolicy::kCancelHopelessQueued;
-  spec.pstate_transition_latency = 0.25;
-  spec.power_cov = 0.1;
-  spec.filter_options.energy.low_multiplier = 1.1;
-  spec.filter_options.energy.scale_fair_share_by_priority = true;
-  spec.filter_options.robustness_threshold = 0.65;
-  spec.fault.mtbf = 5000.0;
-  spec.fault.lifetime = fault::LifetimeDistribution::kWeibull;
-  spec.fault.weibull_shape = 1.7;
-  spec.fault.repair_time = 120.0;
-  spec.fault.throttle_interval = 300.0;
-  spec.fault.throttle_duration = 30.0;
-  spec.fault.throttle_floor = 2;
-  spec.fault.horizon = 9999.0;
-  spec.fault.domain_mtbf = 20000.0;
-  spec.fault.domain_repair_time = 600.0;
-  spec.fault.cascade_throttle = true;
-  spec.fault_domains = "rackA:0-2,rackB:3-4";
-  spec.recovery = fault::RecoveryPolicy::kMigrateQueued;
-  spec.governor = "budget-feedback";
-  spec.econ_enabled = true;
-  spec.econ.type_values = {1.0, 4.0, 0.5};
-  spec.econ.tiers = {econ::SlaTier{"gold", 3.0, 2.0, 0.8, 0.2},
-                     econ::SlaTier{"best-effort", 1.0, 1.0, 0.0, 0.8}};
-  spec.econ.energy_price = 2.5e-6;
-  spec.econ.value_decay = 150.0;
-  spec.grid.heuristics = {"LL", "MECT"};
-  spec.grid.filter_variants = {"en", "en+rob"};
-  spec.grid.batch_heuristics = {"MinMinCT"};
-  spec.num_trials = 7;
-  spec.validation = validate::ValidationMode::kCheap;
+      workload::ArrivalSpec::PaperBursty(10, 20, 1.0 / 8.0, 1.0 / 48.0);
+  spec.mode = policy::RunMode::kStream;
+  spec.stream.energy_rate = 100.0;
   return spec;
+}
+
+/// The checkpoint header's ConfigFingerprint of the run `spec` describes.
+std::string CheckpointFingerprint(const policy::ScenarioSpec& spec) {
+  return sim::ConfigFingerprint(sim::BuildExperimentSetup(spec),
+                                sim::RunOptionsFromSpec(spec));
+}
+
+TEST(ScenarioSpec, EveryRowRoundTripsAndFingerprintsAsDeclared) {
+  std::vector<std::string_view> keys;
+  for (const policy::SpecField& field : policy::SpecFields()) {
+    keys.push_back(field.key);
+  }
+  std::vector<std::string_view> listed;
+  for (const auto& [key, value] : NonDefaultValues()) listed.push_back(key);
+  std::sort(keys.begin(), keys.end());
+  EXPECT_EQ(keys, listed) << "every table row needs a NonDefaultValues entry";
+  EXPECT_EQ(std::adjacent_find(keys.begin(), keys.end()), keys.end())
+      << "duplicate key in the field table";
+
+  const policy::ScenarioSpec base;
+  const std::string base_text = policy::CanonicalSpecText(base);
+  const std::string base_fingerprint = policy::SpecFingerprint(base);
+  policy::ScenarioSpec everything = SmallSpec();
+  for (const policy::SpecField& field : policy::SpecFields()) {
+    SCOPED_TRACE(std::string(field.key));
+    const std::string& value = NonDefaultValues().find(field.key)->second;
+    ASSERT_NE(value, field.codec.format(base)) << "not a non-default value";
+
+    policy::ScenarioSpec changed = base;
+    field.codec.parse(changed, value);
+    EXPECT_EQ(field.codec.format(changed), value) << "not canonically spelled";
+    const std::string text = policy::CanonicalSpecText(changed);
+    EXPECT_NE(text, base_text);
+    EXPECT_EQ(policy::CanonicalSpecText(policy::ParseScenarioSpec(text)), text);
+    EXPECT_EQ(policy::SpecFingerprint(changed) != base_fingerprint,
+              field.fingerprinted());
+
+    // The checkpoint fingerprint carries the row exactly as the spec does:
+    // RunOptionsFromSpec and ConfigFingerprint drop nothing.
+    policy::ScenarioSpec runnable = SmallSpec();
+    field.codec.parse(runnable, value);
+    EXPECT_EQ(CheckpointFingerprint(runnable),
+              policy::SpecFingerprint(runnable));
+    field.codec.parse(everything, value);
+  }
+  const std::string text = policy::CanonicalSpecText(everything);
+  EXPECT_EQ(policy::CanonicalSpecText(policy::ParseScenarioSpec(text)), text);
+  EXPECT_EQ(CheckpointFingerprint(everything),
+            policy::SpecFingerprint(everything));
 }
 
 TEST(ScenarioSpec, SerializeParseSerializeIsByteStable) {
   for (const policy::ScenarioSpec& spec :
-       {policy::ScenarioSpec{}, experiment::PaperScenario(),
-        FullyCustomSpec()}) {
+       {policy::ScenarioSpec{}, experiment::PaperScenario(), SmallSpec()}) {
     const std::string text = policy::CanonicalSpecText(spec);
     const policy::ScenarioSpec parsed = policy::ParseScenarioSpec(text);
     EXPECT_EQ(policy::CanonicalSpecText(parsed), text);
@@ -145,100 +250,39 @@ TEST(ScenarioSpec, MalformedTierTokensNameTheExpectedShape) {
   }
 }
 
-TEST(ScenarioSpec, FingerprintCoversResultShapingKnobsOnly) {
-  const policy::ScenarioSpec base;
-  const std::string fingerprint = policy::SpecFingerprint(base);
-  EXPECT_EQ(fingerprint.size(), 16u);
-  EXPECT_EQ(fingerprint, policy::SpecFingerprint(base));  // deterministic
-
-  // Result-shaping fields change the hash...
-  policy::ScenarioSpec changed = base;
-  changed.master_seed = 999;
-  EXPECT_NE(fingerprint, policy::SpecFingerprint(changed));
-  changed = base;
-  changed.filter_options.robustness_threshold = 0.9;
-  EXPECT_NE(fingerprint, policy::SpecFingerprint(changed));
-  changed = base;
-  changed.environment.budget_task_count = 1.0;
-  EXPECT_NE(fingerprint, policy::SpecFingerprint(changed));
-  changed = base;
-  changed.fault.mtbf = 100.0;
-  EXPECT_NE(fingerprint, policy::SpecFingerprint(changed));
-  changed = base;
-  changed.fault.domain_mtbf = 100.0;
-  EXPECT_NE(fingerprint, policy::SpecFingerprint(changed));
-  changed = base;
-  changed.fault_domains = "all:0-15";
-  EXPECT_NE(fingerprint, policy::SpecFingerprint(changed));
-  changed = base;
-  changed.governor = "race-to-idle";
-  EXPECT_NE(fingerprint, policy::SpecFingerprint(changed));
-  // The v5 job block shapes results too: gangs change placement and
-  // per-job accounting, so every knob must perturb the hash.
-  changed = base;
-  changed.environment.workload.jobs.enabled = true;
-  EXPECT_NE(fingerprint, policy::SpecFingerprint(changed));
-  changed = base;
-  changed.environment.workload.jobs.widths = {{4, 1.0}};
-  EXPECT_NE(fingerprint, policy::SpecFingerprint(changed));
-  changed = base;
-  changed.environment.workload.jobs.depths = {{2, 1.0}};
-  EXPECT_NE(fingerprint, policy::SpecFingerprint(changed));
-  changed = base;
-  changed.environment.workload.jobs.deadline_scale = 1.5;
-  EXPECT_NE(fingerprint, policy::SpecFingerprint(changed));
-  changed = base;
-  changed.jobs_placement = "spread";
-  EXPECT_NE(fingerprint, policy::SpecFingerprint(changed));
-  // The v6 econ block: values, tiers, the enable flag, the energy price,
-  // and the decay window all shape results (policies read them), so every
-  // one must perturb the hash.
-  changed = base;
-  changed.econ_enabled = true;
-  EXPECT_NE(fingerprint, policy::SpecFingerprint(changed));
-  changed = base;
-  changed.econ.type_values = {1.0, 5.0};
-  EXPECT_NE(fingerprint, policy::SpecFingerprint(changed));
-  changed = base;
-  changed.econ.tiers = {econ::SlaTier{"gold", 3.0, 2.0, 0.8, 1.0}};
-  EXPECT_NE(fingerprint, policy::SpecFingerprint(changed));
-  changed = base;
-  changed.econ.energy_price = 1e-6;
-  EXPECT_NE(fingerprint, policy::SpecFingerprint(changed));
-  changed = base;
-  changed.econ.value_decay = 200.0;
-  EXPECT_NE(fingerprint, policy::SpecFingerprint(changed));
-
-  // ...grid and harness knobs do not (so a resume with more trials or a
-  // different sweep grid accepts the same checkpoints).
-  policy::ScenarioSpec harness = base;
-  harness.num_trials = 9999;
-  harness.grid.heuristics = {"OnlyThis"};
-  harness.grid.filter_variants = {"none"};
-  harness.grid.batch_heuristics = {"MinMinCT"};
-  harness.validation = validate::ValidationMode::kDeep;
-  EXPECT_EQ(fingerprint, policy::SpecFingerprint(harness));
-
-  // The full serialization does cover them (they are part of the artifact,
-  // just not of the fingerprint).
-  EXPECT_NE(policy::CanonicalSpecText(harness),
-            policy::CanonicalSpecText(base));
-}
-
-TEST(ScenarioSpec, CheckpointConfigFingerprintIsTheSpecFingerprint) {
-  policy::ScenarioSpec spec = experiment::PaperScenario();
-  // Shrink so BuildExperimentSetup stays fast.
-  spec.environment.cluster.num_nodes = 3;
-  spec.environment.cvb.num_task_types = 10;
-  spec.environment.workload.arrivals =
-      workload::ArrivalSpec::PaperBursty(10, 20, 1.0 / 8.0, 1.0 / 48.0);
-  spec.filter_options.robustness_threshold = 0.6;
-  spec.idle_policy = policy::IdlePolicy::kStayAtLast;
-
-  const sim::ExperimentSetup setup = sim::BuildExperimentSetup(spec);
-  const sim::RunOptions options = sim::RunOptionsFromSpec(spec);
-  EXPECT_EQ(sim::ConfigFingerprint(setup, options),
-            policy::SpecFingerprint(spec));
+TEST(ScenarioSpec, RangeChecksRefuseSpecLinesLikeTheirFlags) {
+  // Each line is refused with the same reason its CLI flag gives, and the
+  // diagnostic names the line. Non-finite numbers are refused everywhere:
+  // the canonical text could not spell them back.
+  const std::pair<std::string, std::string> cases[] = {
+      {"run.fault.mtbf = -5", "'-5' must be >= 0"},
+      {"run.filter.rho_thresh = nan", "'nan' is not a finite number"},
+      {"stream.energy_rate = inf", "'inf' is not a finite number"},
+      {"env.cvb.task_mean = -inf", "is not a finite number"},
+      {"run.fault.throttle_floor = 5", "must be < 5"},
+      {"stream.degraded_rho_scale = 0.5", "must be >= 1"},
+      {"env.workload.jobs.deadline_scale = 0.9", "must be >= 1"},
+      {"env.workload.jobs.widths = 0@1", "shape values must be >= 1"},
+      {"env.workload.jobs.depths = 2@0", "class probabilities must be > 0"},
+      {"env.workload.jobs.widths =", "must not be empty"},
+      {"env.econ.tiers = gold@3@2@1.5@1", "rho floors must be in [0, 1]"},
+      {"env.econ.tiers = gold@-3@2@0.5@1", "tier multipliers must be >= 0"},
+      {"env.econ.tiers = gold@3@2@0.5@0", "tier probabilities must be > 0"},
+      {"env.econ.values = 1,-2", "'-2' must be >= 0"},
+      {"run.governor =", "must not be empty"},
+      {"harness.trials = 0", "must be >= 1"},
+  };
+  for (const auto& [line, reason] : cases) {
+    SCOPED_TRACE(line);
+    try {
+      (void)policy::ParseScenarioSpec("ecdra-scenario v1\n" + line + "\n");
+      ADD_FAILURE() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find(reason), std::string::npos) << message;
+      EXPECT_NE(message.find("'" + line + "'"), std::string::npos) << message;
+    }
+  }
 }
 
 TEST(ScenarioSpec, BuildExperimentSetupRecordsItsRecipe) {
@@ -260,31 +304,6 @@ TEST(ScenarioSpec, BuildExperimentSetupRecordsItsRecipe) {
   EXPECT_EQ(again.t_avg, setup.t_avg);
   EXPECT_EQ(again.p_avg, setup.p_avg);
   EXPECT_EQ(again.energy_budget, setup.energy_budget);
-}
-
-TEST(ScenarioSpec, RunOptionsFromSpecCopiesEveryRunKnob) {
-  const policy::ScenarioSpec spec = FullyCustomSpec();
-  const sim::RunOptions options = sim::RunOptionsFromSpec(spec);
-  EXPECT_EQ(options.num_trials, spec.num_trials);
-  EXPECT_EQ(options.idle_policy, spec.idle_policy);
-  EXPECT_EQ(options.cancel_policy, spec.cancel_policy);
-  EXPECT_EQ(options.pstate_transition_latency,
-            spec.pstate_transition_latency);
-  EXPECT_EQ(options.power_cov, spec.power_cov);
-  EXPECT_EQ(options.filter_options.robustness_threshold,
-            spec.filter_options.robustness_threshold);
-  EXPECT_EQ(options.filter_options.energy.low_multiplier,
-            spec.filter_options.energy.low_multiplier);
-  EXPECT_EQ(options.fault.mtbf, spec.fault.mtbf);
-  EXPECT_EQ(options.fault.domain_mtbf, spec.fault.domain_mtbf);
-  EXPECT_EQ(options.fault.domain_repair_time, spec.fault.domain_repair_time);
-  EXPECT_EQ(options.fault.cascade_throttle, spec.fault.cascade_throttle);
-  EXPECT_EQ(options.fault_domains, spec.fault_domains);
-  EXPECT_EQ(options.recovery, spec.recovery);
-  EXPECT_EQ(options.governor, spec.governor);
-  EXPECT_EQ(options.validation, spec.validation);
-  EXPECT_EQ(options.econ_enabled, spec.econ_enabled);
-  EXPECT_EQ(options.econ, spec.econ);
 }
 
 TEST(Fnv1a64, MatchesKnownVectors) {
