@@ -50,6 +50,7 @@ class PmfOpCounters {
     state_.counters["prob_sum_leq_ops"] =
         per_iteration(counters_.pmf_prob_sum_leq);
     state_.counters["truncate_ops"] = per_iteration(counters_.pmf_truncations);
+    state_.counters["ready_misses"] = per_iteration(counters_.ready_pmf_misses);
   }
 
  private:
@@ -138,35 +139,53 @@ const std::vector<Pmf>& ExecPmfs() {
   return pmfs;
 }
 
-/// The robustness hot path: one ready-time query per candidate core per
-/// arrival. `now` cycles through 256 distinct values so every query misses
-/// the per-time memo and pays the full shift + truncate (+ convolve when the
-/// queue is non-empty) pipeline, exactly like successive arrivals do.
-void BM_ReadyPmf(benchmark::State& state) {
-  const auto depth = static_cast<std::size_t>(state.range(0));
+/// A CoreQueueModel with execs[0] running from t = 0 and `depth` tasks
+/// queued behind it.
+CoreQueueModel QueuedModel(std::size_t depth) {
   const std::vector<Pmf>& execs = ExecPmfs();
   CoreQueueModel model;
   model.StartTask(ModeledTask{0, &execs[0], 1e9}, 0.0);
   for (std::size_t i = 1; i <= depth; ++i) {
     model.Enqueue(ModeledTask{i, &execs[i], 1e9});
   }
+  return model;
+}
+
+/// One ReadyPmf rebuild: the memo is keyed on how many running impulses lie
+/// below `now`, so `now` alternates between the gaps on either side of one
+/// impulse and every query pays the truncate (+ convolve when the queue is
+/// non-empty) pipeline.
+void BM_ReadyPmf(benchmark::State& state) {
+  const CoreQueueModel model =
+      QueuedModel(static_cast<std::size_t>(state.range(0)));
+  const auto running = ExecPmfs()[0].impulses();
+  const std::size_t k = running.size() / 2;
+  const double below = 0.5 * (running[k - 1].value + running[k].value);
+  const double above = 0.5 * (running[k].value + running[k + 1].value);
   const PmfOpCounters ops(state);
   std::uint32_t step = 0;
   for (auto _ : state) {
-    // Stays inside the running pmf's [500, 1500] support.
-    const double now = 600.0 + 0.25 * static_cast<double>(step++ & 255u);
-    benchmark::DoNotOptimize(model.ReadyPmf(now));
+    benchmark::DoNotOptimize(model.ReadyPmf((step++ & 1u) ? above : below));
   }
 }
 BENCHMARK(BM_ReadyPmf)->Arg(0)->Arg(4)->Arg(8);
 
-void BM_ExpectedReadyTime(benchmark::State& state) {
-  const std::vector<Pmf>& execs = ExecPmfs();
-  CoreQueueModel model;
-  model.StartTask(ModeledTask{0, &execs[0], 1e9}, 0.0);
-  for (std::size_t i = 1; i <= 4; ++i) {
-    model.Enqueue(ModeledTask{i, &execs[i], 1e9});
+/// Successive arrivals at a queue of depth 8: `now` steps by 8 s (a burst's
+/// inter-arrival time) through the running pmf's [500, 1500] support, so the
+/// memo rebuilds only when an impulse crosses `now`.
+void BM_ReadyPmfArrivals(benchmark::State& state) {
+  const CoreQueueModel model = QueuedModel(8);
+  const PmfOpCounters ops(state);
+  std::uint32_t step = 0;
+  for (auto _ : state) {
+    const double now = 500.0 + 8.0 * static_cast<double>(step++ % 125u);
+    benchmark::DoNotOptimize(model.ReadyPmf(now));
   }
+}
+BENCHMARK(BM_ReadyPmfArrivals);
+
+void BM_ExpectedReadyTime(benchmark::State& state) {
+  const CoreQueueModel model = QueuedModel(4);
   const PmfOpCounters ops(state);
   std::uint32_t step = 0;
   for (auto _ : state) {

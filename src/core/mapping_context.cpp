@@ -74,9 +74,18 @@ double MappingContext::ExpectedCompletionTime(
 double MappingContext::OnTimeProbability(const Candidate& candidate) const {
   // Batch shape: no queue ahead of the task, rho = F_exec(deadline - now).
   if (cores_.empty()) return candidate.exec->CdfAt(task_->deadline - now_);
-  return robustness::OnTimeProbability(
-      cores_[candidate.assignment.flat_core], now_, *candidate.exec,
-      task_->deadline);
+  if (rho_.empty()) rho_.resize(cores_.size() * cluster::kNumPStates);
+  const Assignment& at = candidate.assignment;
+  RhoEntry& entry = rho_[at.flat_core * cluster::kNumPStates + at.pstate];
+  if (entry.exec == nullptr) {
+    entry = RhoEntry{candidate.exec,
+                     robustness::OnTimeProbability(cores_[at.flat_core], now_,
+                                                   *candidate.exec,
+                                                   task_->deadline)};
+  }
+  ECDRA_ASSERT(entry.exec == candidate.exec,
+               "an assignment fixes the exec pmf within one context");
+  return entry.rho;
 }
 
 double MappingContext::GangOnTimeProbability(

@@ -3,10 +3,12 @@
 // and lazily-computed stochastic quantities (expected completion time and
 // the on-time probability rho).
 //
-// Stochastic quantities are evaluated through the CoreQueueModel's memoized
-// ready pmf, so a full mapping step costs at most one truncation + one
-// convolution per core regardless of how many candidates and filters touch
-// rho.
+// rho is memoized per candidate (core, P-state), so every filter and
+// heuristic after the first reads the value the first one computed. It is
+// evaluated through each CoreQueueModel's ready pmf, which the model keeps
+// across arrivals while its running task's truncation cut holds: a mapping
+// step convolves only for cores whose cut moved or whose queue changed since
+// they were last queried, regardless of how many candidates touch rho.
 #pragma once
 
 #include <limits>
@@ -151,6 +153,14 @@ class MappingContext {
   const econ::EconModel* econ_ = nullptr;
   /// Memoized ExpectedReadyTime per core (NaN = not yet computed).
   mutable std::vector<double> expected_ready_;
+  /// Memoized rho, indexed flat_core * kNumPStates + pstate; exec is null
+  /// until computed. Allocated on the first rho query, so scalar-only
+  /// heuristics pay nothing.
+  struct RhoEntry {
+    const pmf::Pmf* exec = nullptr;
+    double rho = 0.0;
+  };
+  mutable std::vector<RhoEntry> rho_;
 };
 
 }  // namespace ecdra::core

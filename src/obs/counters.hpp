@@ -37,7 +37,8 @@ struct Counters {
   std::uint64_t discarded_by_other = 0;
 
   // -- CoreQueueModel --
-  /// ReadyPmf served from the per-time-step memo vs. recomputed.
+  /// ReadyPmf served without a rebuild since the truncation cut last moved
+  /// vs. rebuilt.
   std::uint64_t ready_pmf_hits = 0;
   std::uint64_t ready_pmf_misses = 0;
 

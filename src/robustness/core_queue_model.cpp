@@ -1,12 +1,39 @@
 #include "robustness/core_queue_model.hpp"
 
+#include <algorithm>
+
 #include "obs/counters.hpp"
 #include "util/assert.hpp"
 
 namespace ecdra::robustness {
 
+std::size_t CoreQueueModel::CutAt(double now) const {
+  const auto impulses = running_completion_.impulses();
+  return static_cast<std::size_t>(
+      std::lower_bound(impulses.begin(), impulses.end(), now,
+                       [](const pmf::Impulse& imp, double t) {
+                         return imp.value < t;
+                       }) -
+      impulses.begin());
+}
+
+void CoreQueueModel::RefreshTruncated(double now, std::size_t cut) const {
+  if (truncated_key_.Serves(cut, now)) return;
+  // §IV-B: completion pmf of the running task = its shifted exec pmf with
+  // past impulses removed and the rest renormalized. In place: truncated_
+  // keeps its storage, so a rebuild costs zero allocations.
+  truncated_ = running_completion_;
+  const double retained = truncated_.TruncateBelowInPlace(now);
+  truncated_mean_ = truncated_.Expectation();
+  // TruncateBelowInPlace's Delta(now) fallback depends on now itself.
+  const bool fallback = cut == running_completion_.size() ||
+                        retained <= pmf::Pmf::kMassTolerance;
+  truncated_key_ = MemoKey{true, cut, fallback, now};
+}
+
 const pmf::Pmf& CoreQueueModel::ReadyPmf(double now) const {
-  if (cache_valid_ && cached_now_ == now) {
+  const std::size_t cut = CutAt(now);
+  if (ready_key_.Serves(cut, now)) {
     obs::Bump(&obs::Counters::ready_pmf_hits);
     return cached_ready_;
   }
@@ -15,40 +42,30 @@ const pmf::Pmf& CoreQueueModel::ReadyPmf(double now) const {
   if (!running_) {
     ECDRA_ASSERT(queued_.empty(), "queued tasks require a running task");
     cached_ready_ = pmf::Pmf::Delta(now);
-  } else {
-    // §IV-B: completion pmf of the running task = its exec pmf shifted by
-    // its start time, with past impulses removed and the rest renormalized.
-    // All in place: scratch_ and cached_ready_ keep their storage, so a
-    // cache miss costs zero allocations.
-    scratch_ = *running_->exec;
-    scratch_.ShiftInPlace(start_time_);
-    scratch_.TruncateBelowInPlace(now);
-    if (queued_.empty()) {
-      cached_ready_ = scratch_;
-    } else {
-      pmf::ConvolveInto(scratch_, queued_suffix_, pmf::Pmf::kDefaultMaxImpulses,
-                        cached_ready_);
-    }
+    ready_key_ = MemoKey{true, cut, true, now};
+    return cached_ready_;
   }
-  cached_now_ = now;
-  cache_valid_ = true;
+  RefreshTruncated(now, cut);
+  if (queued_.empty()) {
+    cached_ready_ = truncated_;
+  } else {
+    pmf::ConvolveInto(truncated_, queued_suffix_, pmf::Pmf::kDefaultMaxImpulses,
+                      cached_ready_);
+  }
+  ready_key_ = truncated_key_;
   return cached_ready_;
 }
 
 double CoreQueueModel::ExpectedReadyTime(double now) const {
   if (!running_) return now;
-  scratch_ = *running_->exec;
-  scratch_.ShiftInPlace(start_time_);
-  scratch_.TruncateBelowInPlace(now);
-  return scratch_.Expectation() + queued_mean_sum_;
+  RefreshTruncated(now, CutAt(now));
+  return truncated_mean_ + queued_mean_sum_;
 }
 
 void CoreQueueModel::StartTask(const ModeledTask& task, double now) {
   ECDRA_REQUIRE(task.exec != nullptr, "modeled task needs an exec pmf");
   ECDRA_REQUIRE(!running_, "StartTask on a busy core; use Enqueue");
-  running_ = task;
-  start_time_ = now;
-  InvalidateCache();
+  SetRunning(task, now);
 }
 
 void CoreQueueModel::Enqueue(const ModeledTask& task) {
@@ -62,24 +79,24 @@ void CoreQueueModel::Enqueue(const ModeledTask& task) {
     pmf::ConvolveInto(queued_suffix_, *task.exec, pmf::Pmf::kDefaultMaxImpulses,
                       queued_suffix_);
   }
-  InvalidateCache();
+  // The running task's truncation is unchanged; only the suffix moved.
+  ready_key_.valid = false;
 }
 
 void CoreQueueModel::FinishRunning() {
   ECDRA_REQUIRE(running_, "FinishRunning on an idle core");
   running_.reset();
-  InvalidateCache();
+  InvalidateRunning();
 }
 
 void CoreQueueModel::StartNext(double now) {
   ECDRA_REQUIRE(!running_, "StartNext while a task is still running");
   ECDRA_REQUIRE(!queued_.empty(), "StartNext with an empty queue");
-  running_ = queued_.front();
+  const ModeledTask next = queued_.front();
   queued_.pop_front();
-  start_time_ = now;
-  queued_mean_sum_ -= running_->exec->Expectation();
+  queued_mean_sum_ -= next.exec->Expectation();
   RebuildSuffix();
-  InvalidateCache();
+  SetRunning(next, now);
 }
 
 void CoreQueueModel::DropNext() {
@@ -88,7 +105,7 @@ void CoreQueueModel::DropNext() {
   queued_mean_sum_ -= queued_.front().exec->Expectation();
   queued_.pop_front();
   RebuildSuffix();
-  InvalidateCache();
+  ready_key_.valid = false;
 }
 
 void CoreQueueModel::Reset() noexcept {
@@ -96,7 +113,22 @@ void CoreQueueModel::Reset() noexcept {
   queued_.clear();
   queued_suffix_ = pmf::Pmf();
   queued_mean_sum_ = 0.0;
-  InvalidateCache();
+  InvalidateRunning();
+}
+
+void CoreQueueModel::SetRunning(const ModeledTask& task, double now) {
+  running_ = task;
+  start_time_ = now;
+  running_completion_ = *task.exec;
+  running_completion_.ShiftInPlace(now);
+  truncated_key_.valid = false;
+  ready_key_.valid = false;
+}
+
+void CoreQueueModel::InvalidateRunning() noexcept {
+  running_completion_ = pmf::Pmf();
+  truncated_key_.valid = false;
+  ready_key_.valid = false;
 }
 
 void CoreQueueModel::RebuildSuffix() {

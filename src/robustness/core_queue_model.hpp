@@ -7,11 +7,15 @@
 //   truncate-renormalize(exec_running shifted by start, t_l)
 //     (x) exec_q1 (x) ... (x) exec_qm
 //
-// where (x) is convolution. The suffix convolution of queued-task pmfs is
-// cached (rebuilt on dequeue), so one query costs one truncation plus one
-// convolution; the resulting ready pmf is additionally memoized per query
-// time, because an immediate-mode heuristic probes every core once per
-// arrival at the same t_l.
+// where (x) is convolution. The running task's shifted pmf is stored once
+// when it starts, and the suffix convolution of queued-task pmfs is cached
+// (rebuilt on dequeue). The truncation depends on t_l only through its cut
+// — how many of the shifted impulses lie strictly below t_l — so the ready
+// pmf is memoized per cut: successive arrivals reuse it until an impulse
+// crosses t_l or the queue mutates, and a rebuild costs one truncation plus
+// one convolution. Two results depend on t_l itself and stay keyed on the
+// exact query time: the idle core's Delta(t_l) and the truncation's
+// Delta(t_l) fallback (every impulse past, or too little mass left).
 //
 // Pmf pointers reference the TaskTypeTable (or any equally stable storage)
 // and must outlive the model.
@@ -77,23 +81,47 @@ class CoreQueueModel {
   void Reset() noexcept;
 
  private:
+  /// What a memoized pmf was built for: the truncation cut, plus the exact
+  /// query time when the result depends on it (idle core, Delta fallback).
+  struct MemoKey {
+    bool valid = false;
+    std::size_t cut = 0;
+    bool keyed_on_now = false;
+    double now = 0.0;
+
+    [[nodiscard]] bool Serves(std::size_t query_cut,
+                              double query_now) const noexcept {
+      return valid && cut == query_cut && (!keyed_on_now || now == query_now);
+    }
+  };
+
+  /// Number of running_completion_ impulses with value < now — the same
+  /// strict comparison TruncateBelowInPlace uses. 0 when idle.
+  [[nodiscard]] std::size_t CutAt(double now) const;
+  /// Brings truncated_/truncated_mean_ up to date for `now` at `cut`.
+  void RefreshTruncated(double now, std::size_t cut) const;
+  void SetRunning(const ModeledTask& task, double now);
   void RebuildSuffix();
-  void InvalidateCache() noexcept { cache_valid_ = false; }
+  void InvalidateRunning() noexcept;
 
   std::optional<ModeledTask> running_;
   double start_time_ = 0.0;
+  /// The running task's exec pmf shifted by its start time; empty when idle.
+  pmf::Pmf running_completion_;
   std::deque<ModeledTask> queued_;
   /// Convolution of all queued (not running) exec pmfs; empty when none.
   pmf::Pmf queued_suffix_;
   /// Sum of queued exec-pmf means, for the scalar fast path.
   double queued_mean_sum_ = 0.0;
 
+  /// running_completion_ truncated at truncated_key_, and its expectation;
+  /// shared by ReadyPmf and ExpectedReadyTime and kept across Enqueue.
+  mutable pmf::Pmf truncated_;
+  mutable double truncated_mean_ = 0.0;
+  mutable MemoKey truncated_key_;
+  /// truncated_ (x) queued_suffix_, valid for ready_key_.
   mutable pmf::Pmf cached_ready_;
-  mutable double cached_now_ = 0.0;
-  mutable bool cache_valid_ = false;
-  /// Reused working pmf for the shift/truncate pipeline, so ReadyPmf and
-  /// ExpectedReadyTime perform no allocation per query.
-  mutable pmf::Pmf scratch_;
+  mutable MemoKey ready_key_;
 };
 
 }  // namespace ecdra::robustness

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "obs/counters.hpp"
 #include "test_support.hpp"
 #include "util/rng.hpp"
 
@@ -190,6 +194,238 @@ TEST_P(RandomizedQueueModel, ExpectationShortcutAlwaysMatches) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomizedQueueModel,
                          ::testing::Range<std::uint64_t>(1, 9));
+
+// ------------------------- memo bit-identity --------------------------------
+
+/// The running task's exec pmf shifted by its start time.
+pmf::Pmf ShiftedRunning(const CoreQueueModel& core) {
+  pmf::Pmf shifted = *core.running()->exec;
+  shifted.ShiftInPlace(core.running_start());
+  return shifted;
+}
+
+/// §IV-B rebuilt from scratch on every call: copy, shift, truncate, then
+/// convolve with the queued suffix folded front to back.
+pmf::Pmf ReferenceReadyPmf(const CoreQueueModel& core, double now) {
+  if (core.idle()) return pmf::Pmf::Delta(now);
+  pmf::Pmf truncated = ShiftedRunning(core);
+  truncated.TruncateBelowInPlace(now);
+  if (core.queued().empty()) return truncated;
+  pmf::Pmf suffix = *core.queued().front().exec;
+  for (std::size_t i = 1; i < core.queued().size(); ++i) {
+    pmf::ConvolveInto(suffix, *core.queued()[i].exec,
+                      pmf::Pmf::kDefaultMaxImpulses, suffix);
+  }
+  pmf::Pmf ready;
+  pmf::ConvolveInto(truncated, suffix, pmf::Pmf::kDefaultMaxImpulses, ready);
+  return ready;
+}
+
+/// Sum of queued exec means, accumulated the way the model does: a fresh
+/// front-to-back sum whenever the head is popped, += on every Enqueue.
+double FreshMeanSum(const CoreQueueModel& core) {
+  double sum = 0.0;
+  for (const ModeledTask& task : core.queued()) sum += task.exec->Expectation();
+  return sum;
+}
+
+/// The scalar formula: truncated running expectation + queued mean sum.
+double ReferenceExpectedReadyTime(const CoreQueueModel& core, double now,
+                                  double queued_mean_sum) {
+  if (core.idle()) return now;
+  pmf::Pmf truncated = ShiftedRunning(core);
+  truncated.TruncateBelowInPlace(now);
+  return truncated.Expectation() + queued_mean_sum;
+}
+
+/// Next query time, never earlier than `now`: inside an impulse gap, exactly
+/// on an impulse value, unchanged, or past the running task's last impulse.
+double NextQueryTime(util::RngStream& rng, const CoreQueueModel& core,
+                     double now) {
+  const double pick = rng.UniformReal(0.0, 1.0);
+  if (core.idle() || pick < 0.2) return now + rng.UniformReal(0.0, 3.0);
+  if (pick < 0.35) return now;
+  const pmf::Pmf shifted = ShiftedRunning(core);
+  if (pick < 0.5) return std::max(now, shifted.Max() + rng.UniformReal(0, 5));
+  std::vector<double> ahead;
+  for (const pmf::Impulse& imp : shifted.impulses()) {
+    if (imp.value >= now) ahead.push_back(imp.value);
+  }
+  if (ahead.empty()) return now + rng.UniformReal(0.0, 3.0);
+  const std::size_t k = static_cast<std::size_t>(rng.UniformInt(
+      0, static_cast<std::int64_t>(std::min<std::size_t>(ahead.size(), 3)) -
+             1));
+  if (pick < 0.75 || k + 1 == ahead.size()) return ahead[k];
+  return 0.5 * (ahead[k] + ahead[k + 1]);
+}
+
+class MemoBitIdentity : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(MemoBitIdentity, ReadyPmfAndExpectationMatchFromScratch) {
+  util::RngStream rng(GetParam());
+  std::vector<pmf::Pmf> execs;
+  for (int i = 0; i < 5; ++i) {
+    std::vector<pmf::Impulse> impulses;
+    const auto n = rng.UniformInt(1, 12);
+    for (std::int64_t j = 0; j < n; ++j) {
+      impulses.push_back({rng.UniformReal(1.0, 40.0), rng.UniformReal(0.1, 1)});
+    }
+    execs.push_back(pmf::Pmf::FromImpulses(std::move(impulses)));
+  }
+  // Two values closer than an ulp at the trial's start times, so shifting
+  // coalesces them.
+  execs.push_back(pmf::Pmf::FromImpulses(
+      {{2.0, 0.3}, {2.0 + 1e-14, 0.3}, {9.0, 0.4}}));
+  // A tail too light to renormalize: truncating inside (10, 30] takes the
+  // Delta(now) fallback while impulses remain past now.
+  execs.push_back(pmf::Pmf::FromImpulses({{10.0, 1.0}, {30.0, 1e-12}}));
+  {
+    pmf::Pmf shifted = execs[5];
+    shifted.ShiftInPlace(1000.0);
+    ASSERT_LT(shifted.size(), execs[5].size());
+  }
+
+  obs::Counters counters;
+  const obs::CountersScope scope(&counters);
+  CoreQueueModel core;
+  double mean_sum = 0.0;
+  double now = 1000.0;
+  std::size_t next_id = 0;
+  const auto random_exec = [&] {
+    return &execs[static_cast<std::size_t>(
+        rng.UniformInt(0, static_cast<std::int64_t>(execs.size()) - 1))];
+  };
+  for (int step = 0; step < 300; ++step) {
+    const double op = rng.UniformReal(0.0, 1.0);
+    if (op < 0.04) {
+      core.Reset();
+      mean_sum = 0.0;
+    } else if (core.idle()) {
+      core.StartTask(ModeledTask{next_id++, random_exec(), 0.0}, now);
+    } else if (op < 0.55) {
+      const pmf::Pmf* exec = random_exec();
+      core.Enqueue(ModeledTask{next_id++, exec, 0.0});
+      mean_sum += exec->Expectation();
+    } else if (op < 0.8) {
+      core.FinishRunning();
+      while (!core.queued().empty() && rng.UniformReal(0.0, 1.0) < 0.3) {
+        core.DropNext();
+        mean_sum = FreshMeanSum(core);
+      }
+      if (!core.queued().empty()) {
+        core.StartNext(now);
+        mean_sum = FreshMeanSum(core);
+      }
+    }
+    const auto queries = rng.UniformInt(1, 3);
+    for (std::int64_t q = 0; q < queries; ++q) {
+      now = NextQueryTime(rng, core, now);
+      const bool scalar_first = rng.UniformReal(0.0, 1.0) < 0.5;
+      if (scalar_first) {
+        EXPECT_EQ(core.ExpectedReadyTime(now),
+                  ReferenceExpectedReadyTime(core, now, mean_sum))
+            << "step " << step << " now " << now;
+      }
+      EXPECT_EQ(core.ReadyPmf(now), ReferenceReadyPmf(core, now))
+          << "step " << step << " now " << now;
+      EXPECT_EQ(core.ExpectedReadyTime(now),
+                ReferenceExpectedReadyTime(core, now, mean_sum))
+          << "step " << step << " now " << now;
+    }
+  }
+  EXPECT_GT(counters.ready_pmf_hits, 0u);
+  EXPECT_GT(counters.ready_pmf_misses, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MemoBitIdentity,
+                         ::testing::Range<std::uint64_t>(1, 9));
+
+// ---------------------------- memo edge cases -------------------------------
+
+class ReadyMemo : public ::testing::Test {
+ protected:
+  ReadyMemo() : scope_(&counters_) {}
+
+  obs::Counters counters_;
+  obs::CountersScope scope_;
+  const pmf::Pmf exec_ = test::TwoPoint(10.0, 20.0);
+  const pmf::Pmf queued_exec_ = test::TwoPoint(1.0, 3.0);
+  CoreQueueModel core_;
+};
+
+TEST_F(ReadyMemo, LaterQueryInsideTheSameGapIsAHit) {
+  core_.StartTask(ModeledTask{0, &exec_, 0.0}, 0.0);
+  core_.Enqueue(ModeledTask{1, &queued_exec_, 0.0});
+  const pmf::Pmf& first = core_.ReadyPmf(1.0);
+  // 10.0 itself is not below the query time, so the cut is unchanged.
+  for (const double now : {5.0, 9.5, 10.0}) {
+    const pmf::Pmf& later = core_.ReadyPmf(now);
+    EXPECT_EQ(&later, &first);
+    EXPECT_EQ(later, ReferenceReadyPmf(core_, now));
+  }
+  EXPECT_EQ(counters_.ready_pmf_misses, 1u);
+  EXPECT_EQ(counters_.ready_pmf_hits, 3u);
+}
+
+TEST_F(ReadyMemo, CrossingAnImpulseIsAMiss) {
+  core_.StartTask(ModeledTask{0, &exec_, 0.0}, 0.0);
+  EXPECT_EQ(core_.ReadyPmf(5.0).size(), 2u);
+  const pmf::Pmf& crossed = core_.ReadyPmf(10.5);
+  EXPECT_EQ(crossed, pmf::Pmf::Delta(20.0));
+  EXPECT_EQ(counters_.ready_pmf_misses, 2u);
+  EXPECT_EQ(counters_.ready_pmf_hits, 0u);
+}
+
+TEST_F(ReadyMemo, OverrunCoreNeverServesAStaleDelta) {
+  core_.StartTask(ModeledTask{0, &exec_, 0.0}, 0.0);
+  for (const double now : {25.0, 30.0, 31.5}) {
+    EXPECT_EQ(core_.ReadyPmf(now), pmf::Pmf::Delta(now)) << now;
+    EXPECT_EQ(core_.ExpectedReadyTime(now), now) << now;
+  }
+  EXPECT_EQ(counters_.ready_pmf_misses, 3u);
+  (void)core_.ReadyPmf(31.5);
+  EXPECT_EQ(counters_.ready_pmf_hits, 1u);
+
+  // Same guard behind a queue: Delta(now) convolved with the suffix.
+  core_.Enqueue(ModeledTask{1, &queued_exec_, 0.0});
+  for (const double now : {40.0, 41.0}) {
+    EXPECT_EQ(core_.ReadyPmf(now), ReferenceReadyPmf(core_, now)) << now;
+    EXPECT_DOUBLE_EQ(core_.ReadyPmf(now).Min(), now + 1.0) << now;
+  }
+}
+
+TEST_F(ReadyMemo, LightTailFallbackStaysKeyedOnNow) {
+  // Inside (10, 30] the cut does not move, but the surviving 1e-12 mass is
+  // too little to renormalize, so each query is Delta(now).
+  const pmf::Pmf light_tail =
+      pmf::Pmf::FromImpulses({{10.0, 1.0}, {30.0, 1e-12}});
+  core_.StartTask(ModeledTask{0, &light_tail, 0.0}, 0.0);
+  for (const double now : {12.0, 15.0, 30.0}) {
+    EXPECT_EQ(core_.ReadyPmf(now), pmf::Pmf::Delta(now)) << now;
+    EXPECT_EQ(core_.ExpectedReadyTime(now), now) << now;
+  }
+  EXPECT_EQ(counters_.ready_pmf_misses, 3u);
+}
+
+TEST_F(ReadyMemo, IdleCoreStaysKeyedOnNow) {
+  EXPECT_EQ(core_.ReadyPmf(5.0), pmf::Pmf::Delta(5.0));
+  EXPECT_EQ(core_.ReadyPmf(6.0), pmf::Pmf::Delta(6.0));
+  EXPECT_EQ(counters_.ready_pmf_misses, 2u);
+  EXPECT_EQ(core_.ReadyPmf(6.0), pmf::Pmf::Delta(6.0));
+  EXPECT_EQ(counters_.ready_pmf_hits, 1u);
+}
+
+TEST_F(ReadyMemo, MutationInvalidatesWithinTheSameCut) {
+  core_.StartTask(ModeledTask{0, &exec_, 0.0}, 0.0);
+  (void)core_.ReadyPmf(1.0);
+  core_.Enqueue(ModeledTask{1, &queued_exec_, 0.0});
+  EXPECT_EQ(core_.ReadyPmf(2.0), ReferenceReadyPmf(core_, 2.0));
+  core_.FinishRunning();
+  core_.StartNext(2.0);
+  EXPECT_EQ(core_.ReadyPmf(2.0), ReferenceReadyPmf(core_, 2.0));
+  EXPECT_EQ(counters_.ready_pmf_misses, 3u);
+  EXPECT_EQ(counters_.ready_pmf_hits, 0u);
+}
 
 }  // namespace
 }  // namespace ecdra::robustness

@@ -4,6 +4,7 @@
 #include "core/factory.hpp"
 #include "core/mapping_context.hpp"
 #include "core/robustness_filter.hpp"
+#include "obs/counters.hpp"
 #include "test_support.hpp"
 #include "workload/task_type_table.hpp"
 
@@ -182,6 +183,34 @@ TEST_F(FilterTest, CustomFilterChainOptionsPropagate) {
   for (const Candidate& candidate : ctx.candidates()) {
     EXPECT_GE(ctx.OnTimeProbability(candidate), 0.95);
   }
+}
+
+TEST_F(FilterTest, RhoIsComputedOncePerCandidate) {
+  // A busy core, so rho goes through a truncated and convolved ready pmf.
+  const pmf::Pmf running = test::TwoPoint(40.0, 90.0);
+  const pmf::Pmf queued = test::TwoPoint(20.0, 30.0);
+  cores_[0].StartTask(robustness::ModeledTask{98, &running, 1e9}, 0.0);
+  cores_[0].Enqueue(robustness::ModeledTask{99, &queued, 1e9});
+  task_.deadline = 300.0;
+  MappingContext ctx = Context(1e5, 10, 10.0);
+  const auto chain = MakeFilterChain("en+rob");
+  chain[0]->Apply(ctx);
+  const std::size_t en_survivors = ctx.candidates().size();
+  ASSERT_GT(en_survivors, 0u);
+
+  // rob queries every en survivor; LL and the trace record re-read rho for
+  // candidates rob already scored.
+  obs::Counters counters;
+  {
+    const obs::CountersScope scope(&counters);
+    chain[1]->Apply(ctx);
+    const std::optional<Candidate> chosen =
+        MakeHeuristic("LL", util::RngStream(1))->Select(ctx);
+    ASSERT_TRUE(chosen.has_value());
+    (void)ctx.OnTimeProbability(*chosen);
+  }
+  EXPECT_LT(ctx.candidates().size(), en_survivors);
+  EXPECT_EQ(counters.pmf_prob_sum_leq, en_survivors);
 }
 
 }  // namespace
