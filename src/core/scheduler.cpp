@@ -92,26 +92,8 @@ std::optional<Candidate> ImmediateModeScheduler::RunPipeline(
   }
 
   obs::MappingDecisionRecord record;
-  if (trace != nullptr) record.stages.reserve(filters_.size());
-
-  std::string_view emptying_stage;  // filter that left no candidate
-  for (const auto& filter : filters_) {
-    const std::size_t before = ctx.candidates().size();
-    filter->Apply(ctx);
-    const std::size_t after = ctx.candidates().size();
-    ECDRA_ASSERT(after <= before, "filters may only remove candidates");
-    if (counters != nullptr) {
-      counters->*PrunedSlotFor(filter->name()) += before - after;
-    }
-    if (trace != nullptr) {
-      record.stages.push_back(obs::FilterStageRecord{
-          std::string(filter->name()), before - after, after});
-    }
-    if (after == 0) {
-      emptying_stage = filter->name();
-      break;
-    }
-  }
+  const std::string_view emptying_stage =
+      ApplyFilters(ctx, trace != nullptr ? &record.stages : nullptr);
 
   std::optional<Candidate> chosen = heuristic_->Select(ctx);
   if (chosen) estimator_.Charge(chosen->eec);
@@ -153,6 +135,27 @@ std::optional<Candidate> ImmediateModeScheduler::RunPipeline(
     }
   }
   return chosen;
+}
+
+std::string_view ImmediateModeScheduler::ApplyFilters(
+    MappingContext& ctx, std::vector<obs::FilterStageRecord>* stages) {
+  obs::Counters* const counters = obs_.counters;
+  if (stages != nullptr) stages->reserve(filters_.size());
+  for (const auto& filter : filters_) {
+    const std::size_t before = ctx.candidates().size();
+    filter->Apply(ctx);
+    const std::size_t after = ctx.candidates().size();
+    ECDRA_ASSERT(after <= before, "filters may only remove candidates");
+    if (counters != nullptr) {
+      counters->*PrunedSlotFor(filter->name()) += before - after;
+    }
+    if (stages != nullptr) {
+      stages->push_back(obs::FilterStageRecord{std::string(filter->name()),
+                                               before - after, after});
+    }
+    if (after == 0) return filter->name();
+  }
+  return {};
 }
 
 void ImmediateModeScheduler::ConfigureGangs(const std::string& placement) {
@@ -204,29 +207,44 @@ GangOutcome ImmediateModeScheduler::MapGang(
   ctx.SetBudgetView(estimator_.remaining(), tasks_left);
   ctx.SetFairShareScale(fair_share_scale_);
   ctx.SetEconView(econ_);
+  const std::size_t candidates_generated = ctx.candidates().size();
   if (counters != nullptr) {
-    counters->candidates_generated += ctx.candidates().size();
+    counters->candidates_generated += candidates_generated;
   }
+  std::vector<obs::FilterStageRecord> stages;
+  ApplyFilters(ctx, trace != nullptr ? &stages : nullptr);
 
-  for (const auto& filter : filters_) {
-    const std::size_t before = ctx.candidates().size();
-    filter->Apply(ctx);
-    const std::size_t after = ctx.candidates().size();
-    ECDRA_ASSERT(after <= before, "filters may only remove candidates");
-    if (counters != nullptr) {
-      counters->*PrunedSlotFor(filter->name()) += before - after;
+  const auto finish = [&](GangStatus status) {
+    outcome.status = status;
+    if (timed && counters != nullptr) {
+      const std::chrono::duration<double> elapsed =
+          std::chrono::steady_clock::now() - decision_start;
+      counters->decision_seconds += elapsed.count();
     }
-    if (after == 0) break;
+    return outcome;
+  };
+
+  // Distinct surviving cores, in candidate order: candidates arrive
+  // flat-core-major, so same-core options are adjacent. Member rho is read
+  // only by the per-core collapse, the placement policy and the joint check
+  // below, so a gang short of width cores waits before computing any.
+  for (const Candidate& candidate : ctx.candidates()) {
+    const std::size_t flat = candidate.assignment.flat_core;
+    if (outcome.feasible_cores.empty() ||
+        outcome.feasible_cores.back() != flat) {
+      outcome.feasible_cores.push_back(flat);
+    }
   }
+  if (outcome.feasible_cores.size() < width) return finish(GangStatus::kWait);
 
   // Collapse to the best surviving option per core (highest rho, ties
   // toward lower EEC, then the lower P-state the candidate order provides).
-  // Candidates arrive flat-core-major, so same-core options are adjacent.
   // A non-final stage folds the optimistic chain tail into each member's
   // rho: an EEC tie judged on the member deadline alone would pick a
   // P-state slow enough to doom the downstream stages, and the collapse
   // here is what the placement policy and the joint fallback choose from.
   std::vector<GangCoreOption> options;
+  options.reserve(outcome.feasible_cores.size());
   for (const Candidate& candidate : ctx.candidates()) {
     const pmf::Pmf* const exec = candidate.exec;
     const double rho =
@@ -244,22 +262,6 @@ GangOutcome ImmediateModeScheduler::MapGang(
       options.push_back(GangCoreOption{candidate, rho});
     }
   }
-  outcome.feasible_cores.reserve(options.size());
-  for (const GangCoreOption& option : options) {
-    outcome.feasible_cores.push_back(option.candidate.assignment.flat_core);
-  }
-
-  const auto finish = [&](GangStatus status) {
-    outcome.status = status;
-    if (timed && counters != nullptr) {
-      const std::chrono::duration<double> elapsed =
-          std::chrono::steady_clock::now() - decision_start;
-      counters->decision_seconds += elapsed.count();
-    }
-    return outcome;
-  };
-
-  if (options.size() < width) return finish(GangStatus::kWait);
 
   // The placement policy picks *which* width cores; joint feasibility then
   // judges the set as a whole. If the preferred set fails, fall back to the
@@ -324,25 +326,24 @@ GangOutcome ImmediateModeScheduler::MapGang(
     // stamps the trace records.
     const std::chrono::duration<double> elapsed =
         std::chrono::steady_clock::now() - decision_start;
-    {
-      for (std::size_t m = 0; m < width; ++m) {
-        const Candidate& member = outcome.members[m];
-        obs::MappingDecisionRecord record;
-        record.trial = obs_.trial;
-        record.task_id = members[m].id;
-        record.time = now;
-        record.deadline = members[m].deadline;
-        record.candidates_generated = ctx.candidates().size();
-        record.decision_us = elapsed.count() * 1e6 / static_cast<double>(width);
-        record.remap = remap;
-        record.assigned = true;
-        record.flat_core = member.assignment.flat_core;
-        record.pstate = member.assignment.pstate;
-        record.eet = member.eet;
-        record.eec = member.eec;
-        record.rho = ctx.OnTimeProbability(member);
-        trace->Record(record);
-      }
+    for (std::size_t m = 0; m < width; ++m) {
+      const Candidate& member = outcome.members[m];
+      obs::MappingDecisionRecord record;
+      record.trial = obs_.trial;
+      record.task_id = members[m].id;
+      record.time = now;
+      record.deadline = members[m].deadline;
+      record.candidates_generated = candidates_generated;
+      record.stages = stages;
+      record.decision_us = elapsed.count() * 1e6 / static_cast<double>(width);
+      record.remap = remap;
+      record.assigned = true;
+      record.flat_core = member.assignment.flat_core;
+      record.pstate = member.assignment.pstate;
+      record.eet = member.eet;
+      record.eec = member.eec;
+      record.rho = ctx.OnTimeProbability(member);
+      trace->Record(record);
     }
   }
   return finish(GangStatus::kPlaced);

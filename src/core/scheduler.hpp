@@ -184,6 +184,13 @@ class ImmediateModeScheduler {
       std::span<const robustness::CoreQueueModel> cores,
       std::span<const CoreAvailability> availability, std::size_t tasks_left,
       bool remap);
+  /// Runs the filter chain over `ctx` until it empties the candidate set,
+  /// tallying prunes into the counters and, when `stages` is non-null, one
+  /// record per filter applied. Returns the name of the filter that emptied
+  /// the set, or "" when candidates survive. Shared by MapTask and MapGang
+  /// so both record the same telemetry.
+  std::string_view ApplyFilters(MappingContext& ctx,
+                                std::vector<obs::FilterStageRecord>* stages);
 
   const cluster::Cluster* cluster_;
   const workload::TaskTypeTable* types_;

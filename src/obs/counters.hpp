@@ -17,7 +17,7 @@
 namespace ecdra::obs {
 
 struct Counters {
-  // -- Mapping pipeline (ImmediateModeScheduler::MapTask) --
+  // -- Mapping pipelines (MapTask/RemapTask, MapGang, batch scheduler) --
   /// Arrivals that received an assignment.
   std::uint64_t tasks_mapped = 0;
   /// Arrivals discarded because filtering left no feasible candidate.
@@ -100,7 +100,9 @@ struct Counters {
   /// Emergency-mode episodes entered by the energy account.
   std::uint64_t stream_emergency_entries = 0;
 
-  /// Total wall-clock time spent inside MapTask (steady_clock), seconds.
+  /// Total wall-clock time spent in mapping decisions (steady_clock),
+  /// seconds: MapTask/RemapTask, every MapGang call, and each batch
+  /// scheduling event.
   double decision_seconds = 0.0;
 
   /// Adds every slot of `other` into this (cross-trial aggregation).

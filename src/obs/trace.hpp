@@ -32,8 +32,10 @@
 //
 // `stages` lists the filter chain in application order; `discard_stage`
 // names the stage that emptied the candidate set ("" never appears — the
-// key is omitted for assigned tasks). `decision_us` is the wall-clock
-// latency of the whole MapTask call measured with steady_clock. Decision
+// key is omitted for assigned tasks). `decision_us` is the steady_clock
+// wall time of the decision behind the record: the whole MapTask call, a
+// placed gang's MapGang call divided by its width (one record per member),
+// or a batch event's whole decision (on each of its records). Decision
 // records for fault-recovery re-mappings additionally carry "remap":true.
 #pragma once
 
@@ -74,7 +76,9 @@ struct MappingDecisionRecord {
   /// Candidates enumerated before any filter ran.
   std::uint64_t candidates_generated = 0;
   std::vector<FilterStageRecord> stages;
-  /// Wall-clock MapTask latency, microseconds (steady_clock).
+  /// Wall-clock decision latency, microseconds (steady_clock): the MapTask
+  /// call; for a gang member, the MapGang call divided by the gang width;
+  /// for a batch assignment, the whole batch event.
   double decision_us = 0.0;
   /// True for fault-recovery re-mapping decisions (the task already appeared
   /// in an earlier decision record of the same trial).

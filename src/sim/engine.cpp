@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <optional>
+#include <ranges>
 #include <sstream>
 
 #include "robustness/robustness.hpp"
@@ -1224,16 +1225,24 @@ void Engine::UpdateDegraded(double now) {
 }
 
 double Engine::BestAdmissionRho(const workload::Task& task, double now) const {
+  // rho is clamped to [0, 1] and a max does not depend on visiting order, so
+  // idle cores (ready pmf Delta(now), no convolution) go first and the scan
+  // stops at the first exact 1.0, before most busy cores rebuild a ready pmf.
   double best = 0.0;
-  for (std::size_t flat = 0; flat < models_.size(); ++flat) {
-    if (fault_enabled_ && !injector_.available(flat)) continue;
-    // The same rho(i,j,k,pi,t,z) primitive the robustness filter computes,
-    // evaluated at the core's current P-state floor (emergency, throttle,
-    // or governor cap) — the fastest state a mapping could actually get.
-    const auto& exec = types_->ExecPmf(task.type, cluster_->NodeIndexOf(flat),
-                                       availability_[flat].pstate_floor);
-    best = std::max(best, robustness::OnTimeProbability(models_[flat], now,
-                                                        exec, task.deadline));
+  for (const bool idle_pass : {true, false}) {
+    for (std::size_t flat = 0; flat < models_.size(); ++flat) {
+      if (models_[flat].idle() != idle_pass) continue;
+      if (fault_enabled_ && !injector_.available(flat)) continue;
+      // The same rho(i,j,k,pi,t,z) primitive the robustness filter computes,
+      // evaluated at the core's current P-state floor (emergency, throttle,
+      // or governor cap) — the fastest state a mapping could actually get.
+      const auto& exec = types_->ExecPmf(
+          task.type, cluster_->NodeIndexOf(flat),
+          availability_[flat].pstate_floor);
+      best = std::max(best, robustness::OnTimeProbability(
+                                models_[flat], now, exec, task.deadline));
+      if (best == 1.0) return best;
+    }
   }
   return best;
 }
@@ -1502,12 +1511,20 @@ core::GangOutcome Engine::AttemptGang(const PendingGang& gang, double now) {
   // would stagger the starts) and cores reserved by senior waiting gangs
   // are unavailable on top of the fault/governor/emergency mask.
   const std::span<const core::CoreAvailability> base = AvailabilityView();
-  gang_availability_.assign(runtime_.size(), core::CoreAvailability{});
-  for (std::size_t flat = 0; flat < runtime_.size(); ++flat) {
-    if (!base.empty()) gang_availability_[flat] = base[flat];
-    if (runtime_[flat].busy || reserved_[flat] != 0) {
-      gang_availability_[flat].available = false;
-    }
+  const auto is_free = [&](std::size_t flat) {
+    return !runtime_[flat].busy && reserved_[flat] == 0 &&
+           (base.empty() || base[flat].available);
+  };
+  // No free core: MapGang would filter an empty candidate set and wait with
+  // nothing to reserve, so wait without building the mask, the chain tail or
+  // the context.
+  const auto flats = std::views::iota(std::size_t{0}, runtime_.size());
+  if (std::ranges::none_of(flats, is_free)) return core::GangOutcome{};
+  gang_availability_.resize(runtime_.size());
+  for (const std::size_t flat : flats) {
+    gang_availability_[flat] =
+        base.empty() ? core::CoreAvailability{} : base[flat];
+    gang_availability_[flat].available = is_free(flat);
   }
   const std::span<const workload::Task> members =
       std::span<const workload::Task>(tasks_).subspan(stage.first_task,

@@ -291,7 +291,8 @@ class Engine : private governor::GovernorHost {
   void AdvanceEnergy(double to_time);
   // -- Streaming service mode (src/stream; all no-ops when disabled) --
   /// Best achievable on-time probability for `task` over available cores at
-  /// their current P-state floors — the admission stage's rho signal.
+  /// their current P-state floors — the admission stage's rho signal. Idle
+  /// cores are visited first and the scan stops at the first exact 1.0.
   [[nodiscard]] double BestAdmissionRho(const workload::Task& task,
                                         double now) const;
   /// Builds the AdmissionView and runs the configured policy.
@@ -339,7 +340,8 @@ class Engine : private governor::GovernorHost {
                     double now, bool requeued);
   /// One placement attempt for a pending gang: builds the gang availability
   /// mask (dead, busy, and reserved cores excluded) and the remaining-chain
-  /// pmf, then runs the scheduler's joint pipeline.
+  /// pmf, then runs the scheduler's joint pipeline. With no core left free
+  /// it waits (no feasible cores) without building either.
   [[nodiscard]] core::GangOutcome AttemptGang(const PendingGang& gang,
                                               double now);
   /// Commits a placed gang: every member starts simultaneously on its

@@ -1,17 +1,26 @@
 // Job-level scheduling: BuildJobGraph encoding validation, generator job
 // shapes, and the engine's gang semantics — all-or-nothing simultaneous
 // starts, map->reduce stage precedence with per-job deadline accounting,
-// whole-gang requeue after a domain outage, and the demotion guarantee
-// (an all-degenerate job workload takes the exact task-level event path).
+// reservations against junior gangs, whole-gang requeue after a domain
+// outage, and the demotion guarantee (an all-degenerate job workload takes
+// the exact task-level event path). Counter-exact tests pin the sweep's
+// cost: an attempt that cannot place computes no member rho, and an
+// attempt with no free core runs no pipeline at all.
 #include "workload/job.hpp"
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
+#include <string_view>
 #include <vector>
 
 #include "core/factory.hpp"
+#include "core/filter.hpp"
 #include "fault/fault_model.hpp"
+#include "obs/counters.hpp"
+#include "obs/trace.hpp"
+#include "robustness/core_queue_model.hpp"
 #include "sim/engine.hpp"
 #include "test_support.hpp"
 #include "workload/workload_generator.hpp"
@@ -51,15 +60,44 @@ void AppendStage(std::vector<Task>& tasks, std::size_t job, std::size_t stage,
   }
 }
 
+/// Keeps every decision record the engine emits.
+class CapturingSink final : public obs::TraceSink {
+ public:
+  void Record(const obs::MappingDecisionRecord& decision) override {
+    decisions.push_back(decision);
+  }
+  void Record(const obs::EnergySnapshotRecord& snapshot) override {
+    (void)snapshot;
+  }
+
+  std::vector<obs::MappingDecisionRecord> decisions;
+};
+
+/// Pass-through filter that counts how often a pipeline runs it.
+class CountingFilter final : public core::Filter {
+ public:
+  explicit CountingFilter(std::size_t& calls) : calls_(&calls) {}
+  void Apply(core::MappingContext& ctx) override {
+    (void)ctx;
+    ++*calls_;
+  }
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "count";
+  }
+
+ private:
+  std::size_t* calls_;
+};
+
 class JobEngineTest : public ::testing::Test {
  protected:
-  [[nodiscard]] TrialResult Run(const cluster::Cluster& cluster,
-                                const workload::TaskTypeTable& table,
-                                std::vector<workload::Task> tasks,
-                                TrialOptions options) {
+  [[nodiscard]] TrialResult Run(
+      const cluster::Cluster& cluster, const workload::TaskTypeTable& table,
+      std::vector<workload::Task> tasks, TrialOptions options,
+      std::vector<std::unique_ptr<core::Filter>> filters = {}) {
     core::ImmediateModeScheduler scheduler(
-        cluster, table, core::MakeHeuristic("SQ", util::RngStream(1)), {},
-        options.energy_budget, tasks.size());
+        cluster, table, core::MakeHeuristic("SQ", util::RngStream(1)),
+        std::move(filters), options.energy_budget, tasks.size());
     Engine engine(cluster, table, std::move(tasks), scheduler, options,
                   util::RngStream(7));
     return engine.Run();
@@ -382,6 +420,143 @@ TEST_F(JobEngineTest, InfeasiblyWideGangFailsItsJob) {
   EXPECT_EQ(result.jobs.gangs_abandoned, 1u);
   EXPECT_EQ(result.completed, 0u);
   EXPECT_EQ(result.missed_deadlines, 3u);
+}
+
+TEST_F(JobEngineTest, WaitingGangReservesItsCoresAgainstJuniorGangs) {
+  // Three cores; a filler holds one until t = 10. A width-3 map stage
+  // released at t = 1 waits on the two free cores and reserves them, so
+  // the width-2 gang released at t = 2 cannot backfill them. At t = 10 the
+  // map starts on all three cores (generous deadline: the cheapest state,
+  // exec 10 / 0.4096 = 24.4140625); the junior gang starts when the map
+  // frees two cores, and the reduce takes the third.
+  const cluster::Cluster cluster({test::SimpleNode(1, 3)});
+  const workload::TaskTypeTable table = DeltaTable(cluster, {10.0});
+  std::vector<Task> tasks = {Task{.id = 0, .arrival = 0.0, .deadline = 100.0}};
+  AppendStage(tasks, 1, 0, 3, 1.0, 1000.0);  // map
+  AppendStage(tasks, 1, 1, 1, 1.0, 1000.0);  // reduce
+  AppendStage(tasks, 2, 0, 2, 2.0, 1000.0);  // junior gang
+
+  const TrialResult result = Run(cluster, table, tasks, JobOptions());
+
+  EXPECT_EQ(result.jobs.gangs_placed, 2u);
+  EXPECT_EQ(result.jobs.gang_waits, 2u);
+  EXPECT_EQ(result.jobs.jobs_on_time, 3u);
+  ASSERT_EQ(result.task_records.size(), 7u);
+  for (std::size_t id = 1; id <= 3; ++id) {
+    EXPECT_DOUBLE_EQ(result.task_records[id].start_time, 10.0) << id;
+  }
+  const double map_end = 10.0 + 10.0 / 0.4096;
+  EXPECT_DOUBLE_EQ(result.task_records[4].start_time, map_end);
+  EXPECT_DOUBLE_EQ(result.task_records[5].start_time, map_end);
+  EXPECT_DOUBLE_EQ(result.task_records[6].start_time, map_end);
+  EXPECT_DOUBLE_EQ(result.jobs.gang_wait_seconds,
+                   (10.0 - 1.0) + (map_end - 2.0));
+}
+
+TEST(MapGang, ShortOfWidthWaitsWithoutComputingMemberRho) {
+  // A width-3 map stage of a map->reduce job sees two feasible cores of
+  // three. Member rho folds the chain tail into every candidate by
+  // convolution, but only the per-core collapse, the placement policy and
+  // the joint check read it, and a gang short of width cores reaches none
+  // of them: it waits on the same feasible cores, having computed nothing.
+  const cluster::Cluster cluster({test::SimpleNode(1, 3)});
+  const workload::TaskTypeTable table = DeltaTable(cluster, {10.0});
+  std::vector<Task> tasks;
+  AppendStage(tasks, 0, 0, 3, 0.0, 100.0);
+  AppendStage(tasks, 0, 1, 1, 0.0, 100.0);
+  core::ImmediateModeScheduler scheduler(
+      cluster, table, core::MakeHeuristic("SQ", util::RngStream(1)), {}, 1e9,
+      tasks.size());
+  scheduler.ConfigureGangs("pack");
+  const std::vector<robustness::CoreQueueModel> cores(cluster.total_cores());
+  std::vector<core::CoreAvailability> availability(cluster.total_cores());
+  availability[1].available = false;  // busy or reserved
+  const pmf::Pmf& tail = table.ExecPmf(0, 0, 0);
+
+  obs::Counters counters;
+  core::GangOutcome outcome;
+  {
+    const obs::CountersScope scope(&counters);
+    outcome = scheduler.MapGang(std::span<const Task>(tasks).first(3), 0.0,
+                                cores, availability, &tail,
+                                /*remap=*/false);
+  }
+  EXPECT_EQ(outcome.status, core::GangStatus::kWait);
+  EXPECT_EQ(outcome.feasible_cores, (std::vector<std::size_t>{0, 2}));
+  EXPECT_TRUE(outcome.members.empty());
+  EXPECT_EQ(scheduler.tasks_seen(), 0u);
+  EXPECT_EQ(counters.pmf_convolutions, 0u);
+  EXPECT_EQ(counters.pmf_prob_sum_leq, 0u);
+}
+
+TEST_F(JobEngineTest, SweepWithEveryCoreBusyRunsNoPipeline) {
+  // Two fillers hold both cores over [0, 10). Three map->reduce gangs
+  // released at t = 1, 2, 3 meet only busy cores — six attempts over three
+  // sweeps — and expire (deadline 5) before a core frees. No attempt
+  // enumerates a candidate, runs a filter, or builds the chain tail (a
+  // max-fold of the width-2 reduce stage): only the fillers' two MapTask
+  // calls do any of that.
+  const cluster::Cluster cluster({test::SimpleNode(1, 2)});
+  const workload::TaskTypeTable table = DeltaTable(cluster, {10.0});
+  std::vector<Task> tasks = {Task{.id = 0, .arrival = 0.0, .deadline = 100.0},
+                             Task{.id = 1, .arrival = 0.0, .deadline = 100.0}};
+  for (std::size_t job = 2; job <= 4; ++job) {
+    const double release = static_cast<double>(job - 1);
+    AppendStage(tasks, job, 0, 2, release, 5.0);
+    AppendStage(tasks, job, 1, 2, release, 5.0);
+  }
+  std::size_t filter_calls = 0;
+  std::vector<std::unique_ptr<core::Filter>> filters;
+  filters.push_back(std::make_unique<CountingFilter>(filter_calls));
+  TrialOptions options = JobOptions();
+  options.collect_counters = true;
+
+  const TrialResult result =
+      Run(cluster, table, tasks, options, std::move(filters));
+
+  EXPECT_EQ(result.jobs.gang_waits, 3u);
+  EXPECT_EQ(result.jobs.gangs_abandoned, 3u);
+  EXPECT_EQ(result.jobs.gangs_placed, 0u);
+  EXPECT_EQ(result.completed, 2u);
+  EXPECT_EQ(result.counters.candidates_generated, 2u * 2u * 5u);
+  EXPECT_EQ(filter_calls, 2u);
+  EXPECT_EQ(result.counters.pmf_max_ops, 0u);
+  EXPECT_EQ(result.counters.pmf_convolutions, 0u);
+}
+
+TEST_F(JobEngineTest, GangDecisionRecordsCountCandidatesBeforeTheFilters) {
+  // A width-2 gang on two idle cores under an en budget whose fair share
+  // (0.8 * 2812.5 / 3 = 750 J) prunes P0 and P1 (EEC 1000 and 840.3 J) on
+  // both cores, then a lone task whose larger share prunes nothing. Gang
+  // member records report the same fields as the task record: the 10
+  // candidates enumerated before any filter ran, and the en stage.
+  const cluster::Cluster cluster({test::SimpleNode(1, 2)});
+  const workload::TaskTypeTable table = DeltaTable(cluster, {10.0});
+  std::vector<Task> tasks;
+  AppendStage(tasks, 0, 0, 2, 0.0, 100.0);
+  tasks.push_back(Task{.id = 2, .arrival = 50.0, .deadline = 200.0});
+  CapturingSink sink;
+  TrialOptions options = JobOptions();
+  options.energy_budget = 2812.5;
+  options.trace_sink = &sink;
+
+  const TrialResult result = Run(cluster, table, tasks, options,
+                                 core::MakeFilterChain("en"));
+
+  ASSERT_EQ(result.jobs.gangs_placed, 1u);
+  ASSERT_EQ(sink.decisions.size(), 3u);
+  const std::vector<obs::FilterStageRecord> gang_stages = {{"en", 4, 6}};
+  for (std::size_t i = 0; i < 2; ++i) {
+    const obs::MappingDecisionRecord& member = sink.decisions[i];
+    EXPECT_EQ(member.task_id, i);
+    EXPECT_TRUE(member.assigned);
+    EXPECT_EQ(member.candidates_generated, 10u);
+    EXPECT_EQ(member.stages, gang_stages);
+  }
+  const obs::MappingDecisionRecord& task = sink.decisions[2];
+  EXPECT_EQ(task.task_id, 2u);
+  EXPECT_EQ(task.candidates_generated, 10u);
+  EXPECT_EQ(task.stages, (std::vector<obs::FilterStageRecord>{{"en", 0, 10}}));
 }
 
 TEST_F(JobEngineTest, AllDegenerateWorkloadDemotesToTaskPathBitwise) {

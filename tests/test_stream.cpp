@@ -546,6 +546,45 @@ TEST(StreamEngine, DomainOutageCycleFlipsDegradedModeExactlyOnce) {
   EXPECT_DOUBLE_EQ(result.stream.degraded_seconds, 15.0);  // [5, 20)
 }
 
+TEST(StreamEngine, RhoAdmissionVisitsIdleCoresFirstAndStopsAtCertainty) {
+  // rho admission with SQ and no filter: admission is the only rho consumer.
+  // Its best rho is a max of values clamped to [0, 1], so it visits idle
+  // cores first (ready pmf Delta(now)) and stops at the first exact 1.0.
+  // Task 0 arrives on an idle cluster; task 1 arrives while core 0 runs
+  // task 0 until t = 10, where it would finish at 20 > 12 (rho 0), and
+  // finishes on the idle core 1 at 11 (rho 1); task 2 arrives on an idle
+  // cluster again. Each admission costs one ProbSumLeq and one ReadyPmf
+  // build, never the busy core's.
+  const cluster::Cluster cluster({test::SimpleNode(1, 2)});
+  workload::TaskTypeTable table = DeltaTable(cluster, 10.0);
+  std::vector<workload::Task> tasks = {workload::Task{0, 0, 0.0, 1000.0},
+                                       workload::Task{1, 0, 1.0, 12.0},
+                                       workload::Task{2, 0, 50.0, 1000.0}};
+  core::ImmediateModeScheduler scheduler(
+      cluster, table, core::MakeHeuristic("SQ", util::RngStream(1)), {}, 1e9,
+      tasks.size());
+
+  sim::TrialOptions options;
+  options.energy_budget = 1e9;
+  options.collect_counters = true;
+  options.stream.enabled = true;
+  options.stream.energy_rate = 1000.0;
+  options.stream.accrual_cap = 1e9;
+  options.stream.initial_energy = 1e6;
+  options.stream.window_length = 100.0;
+  options.stream.admission = "rho";
+
+  sim::Engine engine(cluster, table, std::move(tasks), scheduler, options,
+                     util::RngStream(7));
+  const sim::TrialResult result = engine.Run();
+
+  EXPECT_EQ(result.completed, 3u);
+  EXPECT_EQ(result.stream.deferred, 0u);
+  EXPECT_EQ(result.stream.admission_dropped, 0u);
+  EXPECT_EQ(result.counters.pmf_prob_sum_leq, 3u);
+  EXPECT_EQ(result.counters.ready_pmf_misses, 3u);
+}
+
 TEST(StreamRunner, RunOptionsFromSpecRefusesFixedTraceWithAStreamBlock) {
   policy::ScenarioSpec spec;
   spec.stream.energy_rate = 80.0;  // mode stays kFixedTrace
