@@ -67,8 +67,8 @@ int main(int argc, char** argv) {
   sim::RunOptions immediate;
   immediate.num_trials = num_trials;
   immediate.collect_counters = true;
-  for (const std::string& heuristic : {"LL", "MECT", "SQ"}) {
-    add_row("immediate", heuristic + std::string(" (en+rob)"),
+  for (const char* heuristic : {"LL", "MECT", "SQ"}) {
+    add_row("immediate", std::string(heuristic) + " (en+rob)",
             sim::RunTrials(setup, heuristic, "en+rob", immediate));
   }
 

@@ -3,6 +3,7 @@
 #include <future>
 
 #include "core/factory.hpp"
+#include "sim/engine.hpp"
 #include "util/assert.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/workload_generator.hpp"
@@ -38,16 +39,15 @@ sim::TrialResult RunBatchTrial(const sim::ExperimentSetup& setup,
       setup.cluster, setup.types, MakeBatchHeuristic(heuristic),
       core::MakeFilterChain(options.filter_variant, options.filter_options),
       setup.energy_budget, setup.window_size);
-  const BatchTrialOptions trial_options{
-      .energy_budget = setup.energy_budget,
-      .idle_policy = options.idle_policy,
-      .cancel_policy = options.cancel_policy,
-      .collect_task_records = options.collect_task_records,
-      .collect_counters = options.collect_counters,
-      .trace_sink = options.trace_sink,
-      .trial_index = trial_index,
-  };
-  BatchEngine engine(setup.cluster, setup.types, std::move(tasks), scheduler,
+  sim::TrialOptions trial_options;
+  trial_options.energy_budget = setup.energy_budget;
+  trial_options.idle_policy = options.idle_policy;
+  trial_options.cancel_policy = options.cancel_policy;
+  trial_options.collect_task_records = options.collect_task_records;
+  trial_options.collect_counters = options.collect_counters;
+  trial_options.trace_sink = options.trace_sink;
+  trial_options.trial_index = trial_index;
+  sim::Engine engine(setup.cluster, setup.types, std::move(tasks), scheduler,
                      trial_options, trial_rng.Substream("sim"));
   return engine.Run();
 }

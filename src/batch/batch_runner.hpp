@@ -1,13 +1,13 @@
 // Monte-Carlo runner for batch-mode configurations, mirroring
 // sim::RunTrials so immediate-mode and batch-mode results are directly
 // comparable (same ExperimentSetup, same per-trial workloads via the same
-// substreams, same TrialResult format).
+// substreams, same sim::Engine event loop and TrialResult format).
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "batch/batch_engine.hpp"
+#include "batch/batch_scheduler.hpp"
 #include "core/factory.hpp"
 #include "obs/trace.hpp"
 #include "sim/experiment_runner.hpp"

@@ -63,7 +63,7 @@ std::vector<SeriesSpec> VariantsOfHeuristic(const std::string& heuristic,
                                             const policy::PolicyGrid& grid) {
   std::vector<SeriesSpec> specs;
   for (const std::string& variant : grid.filter_variants) {
-    specs.push_back(SeriesSpec{heuristic, variant, ""});
+    specs.push_back(SeriesSpec{heuristic, variant, "", ""});
   }
   return specs;
 }
@@ -75,7 +75,7 @@ std::vector<SeriesSpec> BestVariants() {
 std::vector<SeriesSpec> BestVariants(const policy::PolicyGrid& grid) {
   std::vector<SeriesSpec> specs;
   for (const std::string& heuristic : grid.heuristics) {
-    specs.push_back(SeriesSpec{heuristic, "en+rob", ""});
+    specs.push_back(SeriesSpec{heuristic, "en+rob", "", ""});
   }
   return specs;
 }
@@ -84,7 +84,7 @@ std::vector<SeriesSpec> GridSeries(const policy::PolicyGrid& grid) {
   std::vector<SeriesSpec> specs;
   for (const std::string& heuristic : grid.heuristics) {
     for (const std::string& variant : grid.filter_variants) {
-      specs.push_back(SeriesSpec{heuristic, variant, ""});
+      specs.push_back(SeriesSpec{heuristic, variant, "", ""});
     }
   }
   return specs;

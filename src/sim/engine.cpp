@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <optional>
 #include <ranges>
 #include <sstream>
 
+#include "batch/batch_scheduler.hpp"
 #include "robustness/robustness.hpp"
 #include "util/assert.hpp"
 
@@ -36,12 +38,12 @@ const char* FaultKindName(fault::FaultEventKind kind) {
 Engine::Engine(const cluster::Cluster& cluster,
                const workload::TaskTypeTable& types,
                std::vector<workload::Task> tasks,
-               core::ImmediateModeScheduler& scheduler,
+               const core::EnergyEstimator& estimator,
                const TrialOptions& options, util::RngStream rng)
     : cluster_(&cluster),
       types_(&types),
       tasks_(std::move(tasks)),
-      scheduler_(&scheduler),
+      estimator_(&estimator),
       options_(options),
       rng_(std::move(rng)),
       runtime_(cluster.total_cores()),
@@ -77,6 +79,36 @@ Engine::Engine(const cluster::Cluster& cluster,
       record.deadline = task.deadline;
     }
   }
+}
+
+Engine::Engine(const cluster::Cluster& cluster,
+               const workload::TaskTypeTable& types,
+               std::vector<workload::Task> tasks,
+               batch::BatchScheduler& scheduler, const TrialOptions& options,
+               util::RngStream rng)
+    : Engine(cluster, types, std::move(tasks), scheduler.estimator(), options,
+             std::move(rng)) {
+  // Each extension calls into the immediate scheduler (remaps, admission,
+  // fair-share scaling, gangs, the econ view), which batch mode does not have.
+  ECDRA_REQUIRE(options.fault_schedule.empty() &&
+                    options.governor == "static" && !options.stream.enabled &&
+                    !options.jobs.enabled && !options.econ.enabled,
+                "batch mode runs no fault, governor, stream, jobs or econ "
+                "extension");
+  batch_ = &scheduler;
+  batch_->SetObservability(core::SchedulerObservability{
+      options_.collect_counters ? &counters_ : nullptr, options_.trace_sink,
+      options_.trial_index});
+}
+
+Engine::Engine(const cluster::Cluster& cluster,
+               const workload::TaskTypeTable& types,
+               std::vector<workload::Task> tasks,
+               core::ImmediateModeScheduler& scheduler,
+               const TrialOptions& options, util::RngStream rng)
+    : Engine(cluster, types, std::move(tasks), scheduler.estimator(), options,
+             std::move(rng)) {
+  scheduler_ = &scheduler;
   scheduler_->SetObservability(core::SchedulerObservability{
       options_.collect_counters ? &counters_ : nullptr, options_.trace_sink,
       options_.trial_index});
@@ -276,7 +308,10 @@ TrialResult Engine::Run() {
     now = event.time;
     if (event.kind == 2) {
       --arrivals_pending;
-      if (jobs_enabled_) {
+      if (batch_ != nullptr) {
+        batch_pool_.push_back(tasks_[event.index]);
+        SweepBatchPool(now);
+      } else if (jobs_enabled_) {
         HandleJobArrival(event.index, now);
       } else {
         HandleArrival(tasks_[event.index], now);
@@ -298,7 +333,7 @@ TrialResult Engine::Run() {
       if (options_.trace_sink != nullptr) {
         options_.trace_sink->Record(obs::EnergySnapshotRecord{
             options_.trial_index, now, meter_.consumed(),
-            options_.energy_budget, scheduler_->estimator().remaining()});
+            options_.energy_budget, estimator_->remaining()});
       }
     } else if (event.kind == 1) {
       --fault_events_pending;
@@ -435,7 +470,16 @@ TrialResult Engine::Run() {
                    1e-6 * std::max(1.0, std::fabs(post_hoc)),
                "online and post-hoc energy accounting disagree");
 
-  result.discarded = scheduler_->tasks_discarded();
+  if (batch_ != nullptr) {
+    // Tasks still pooled when the work drained (the filters kept eliminating
+    // every candidate, e.g. after the budget estimate collapsed) never ran:
+    // the batch analogue of a discard. Every sweep re-filtered them, so no
+    // single filter owns the discard and only the total is counted.
+    result.discarded = batch_pool_.size();
+    counters_.tasks_discarded += batch_pool_.size();
+  } else {
+    result.discarded = scheduler_->tasks_discarded();
+  }
   result.cancelled = cancelled_;
   result.failures_injected = injector_.failures_applied();
   result.repairs_applied = injector_.repairs_applied();
@@ -458,7 +502,7 @@ TrialResult Engine::Run() {
   }
   result.total_energy = post_hoc;
   result.energy_exhausted_at = exhausted_at_;
-  result.estimated_energy_remaining = scheduler_->estimator().remaining();
+  result.estimated_energy_remaining = estimator_->remaining();
   result.makespan = now;
   if (stream_enabled_) {
     stream_stats_.enabled = true;
@@ -965,10 +1009,54 @@ void Engine::HandleFinish(std::size_t flat_core, double now) {
     const double start =
         StartOnCore(flat_core, next.task_id, next.duration, next.pstate, now);
     models_[flat_core].StartNext(start);
-  } else if (options_.idle_policy == IdlePolicy::kDeepestPState) {
+    return;
+  }
+  // Batch mode sweeps before the core idles: the online meter sums power
+  // incrementally, so an idle switch undone by a pooled task starting at the
+  // same instant would still change the energy bits. Every other free core
+  // already idled at its own finish.
+  if (batch_ != nullptr) SweepBatchPool(now);
+  if (core.busy) return;
+  if (options_.idle_policy == IdlePolicy::kDeepestPState) {
     SwitchPState(flat_core, idle_pstate_, now);
   } else if (options_.idle_policy == IdlePolicy::kPowerGated) {
     SwitchPState(flat_core, idle_pstate_, now, 0.0);
+  }
+}
+
+void Engine::SweepBatchPool(double now) {
+  if (options_.cancel_policy == CancelPolicy::kCancelHopelessQueued) {
+    std::erase_if(batch_pool_, [&](const workload::Task& task) {
+      if (task.deadline >= now) return false;
+      ++cancelled_;
+      if (options_.collect_task_records) {
+        records_[task.id].cancelled = true;
+        records_[task.id].finish_time = now;
+      }
+      return true;
+    });
+  }
+  if (batch_pool_.empty()) return;
+  std::vector<bool> idle(runtime_.size());
+  for (std::size_t flat = 0; flat < runtime_.size(); ++flat) {
+    idle[flat] = !runtime_[flat].busy;
+  }
+  const std::vector<batch::BatchAssignment> assignments =
+      batch_->MapEvent(batch_pool_, idle, now, active_tasks_);
+  std::vector<std::size_t> mapped;
+  mapped.reserve(assignments.size());
+  for (const batch::BatchAssignment& assignment : assignments) {
+    ECDRA_ASSERT(!runtime_[assignment.candidate.assignment.flat_core].busy,
+                 "batch heuristic assigned two tasks to one core");
+    PlaceOnCore(assignment.candidate, batch_pool_[assignment.pending_index],
+                now);
+    mapped.push_back(assignment.pending_index);
+  }
+  // Descending index order keeps the remaining indices valid.
+  std::sort(mapped.begin(), mapped.end(), std::greater<>());
+  for (const std::size_t index : mapped) {
+    batch_pool_.erase(batch_pool_.begin() +
+                      static_cast<std::ptrdiff_t>(index));
   }
 }
 

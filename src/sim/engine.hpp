@@ -17,6 +17,11 @@
 // runtime state (current P-state, transition log, sampled actual execution
 // times) and the resource manager's stochastic CoreQueueModel (execution
 // time pmfs) that heuristics and filters consult.
+//
+// The same loop runs batch mode ([SmA10]/[MaA99], src/batch): built with a
+// batch::BatchScheduler, the engine parks arrivals in a global unmapped pool
+// and sweeps it against the idle cores after every arrival and every
+// finish, so both regimes share one energy path and one result assembly.
 #pragma once
 
 #include <cstddef>
@@ -52,6 +57,10 @@
 #include "workload/job.hpp"
 #include "workload/task.hpp"
 #include "workload/task_type_table.hpp"
+
+namespace ecdra::batch {
+class BatchScheduler;
+}  // namespace ecdra::batch
 
 namespace ecdra::sim {
 
@@ -185,6 +194,14 @@ class Engine : private governor::GovernorHost {
          std::vector<workload::Task> tasks,
          core::ImmediateModeScheduler& scheduler, const TrialOptions& options,
          util::RngStream rng);
+  /// Batch mode: arrivals join a global unmapped pool that `scheduler`
+  /// sweeps against the idle cores after every arrival and every finish;
+  /// each assignment starts at once on its (idle) core. Batch mode has no
+  /// fault, governor, stream, jobs or econ path: `options` asking for any
+  /// of them throws std::invalid_argument.
+  Engine(const cluster::Cluster& cluster, const workload::TaskTypeTable& types,
+         std::vector<workload::Task> tasks, batch::BatchScheduler& scheduler,
+         const TrialOptions& options, util::RngStream rng);
 
   /// Runs the trial to completion (all assigned tasks executed) and returns
   /// the outcome.
@@ -216,8 +233,21 @@ class Engine : private governor::GovernorHost {
     bool busy = false;
   };
 
+  /// The state both modes share; the public constructors add their
+  /// scheduler. `estimator` is the scheduler's energy estimate.
+  Engine(const cluster::Cluster& cluster, const workload::TaskTypeTable& types,
+         std::vector<workload::Task> tasks,
+         const core::EnergyEstimator& estimator, const TrialOptions& options,
+         util::RngStream rng);
+
   void HandleArrival(const workload::Task& task, double now);
+  /// Frees the core and starts its next queued task; in batch mode sweeps
+  /// the pool first. A core still free afterwards takes the idle policy.
   void HandleFinish(std::size_t flat_core, double now);
+  /// Batch mode: cancels hopeless pooled tasks (kCancelHopelessQueued), then
+  /// lets the batch scheduler map the pool onto the idle cores and commits
+  /// every assignment through PlaceOnCore.
+  void SweepBatchPool(double now);
   /// Applies one fault event: updates the injector/availability state and
   /// carries out the hardware + recovery consequences. Domain events fan out
   /// over the domain's members; the engine acts only on true live<->dead
@@ -385,7 +415,11 @@ class Engine : private governor::GovernorHost {
   const cluster::Cluster* cluster_;
   const workload::TaskTypeTable* types_;
   std::vector<workload::Task> tasks_;
-  core::ImmediateModeScheduler* scheduler_;
+  /// Exactly one of scheduler_ (immediate mode) and batch_ is set.
+  core::ImmediateModeScheduler* scheduler_ = nullptr;
+  batch::BatchScheduler* batch_ = nullptr;
+  /// The set scheduler's energy estimate (energy snapshots, the result).
+  const core::EnergyEstimator* estimator_;
   TrialOptions options_;
   util::RngStream rng_;
 
@@ -514,6 +548,8 @@ class Engine : private governor::GovernorHost {
   /// event loop stop once all work is resolved instead of draining
   /// trailing fault events.
   std::size_t active_tasks_ = 0;
+  /// Batch mode's global unmapped pool, in arrival order.
+  std::vector<workload::Task> batch_pool_;
   std::vector<TaskRecord> records_;
   std::vector<RobustnessSample> robustness_trace_;
   cluster::PStateIndex idle_pstate_;

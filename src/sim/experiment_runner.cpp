@@ -141,6 +141,7 @@ TrialResult RunSingleTrial(const ExperimentSetup& setup,
       .trial_index = trial_index,
       .fault_schedule = {},
       .recovery_policy = options.recovery,
+      .fault_domains = {},
       .validation = options.validation,
       .validation_fail_fast = options.validation_fail_fast,
       .trial_timeout = options.trial_timeout,

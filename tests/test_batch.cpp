@@ -1,16 +1,18 @@
 // Tests for the batch-mode subsystem: two-phase heuristics on hand-built
-// candidate sets, the batch scheduler's filter semantics, and full
-// BatchEngine trials on deterministic scenarios.
+// candidate sets, the batch scheduler's filter semantics, and full batch
+// trials on sim::Engine in deterministic scenarios.
 #include <gtest/gtest.h>
 
 #include <type_traits>
 
-#include "batch/batch_engine.hpp"
 #include "batch/batch_heuristics.hpp"
 #include "batch/batch_runner.hpp"
 #include "core/factory.hpp"
 #include "experiment/paper_config.hpp"
+#include "sim/checkpoint.hpp"
+#include "sim/engine.hpp"
 #include "test_support.hpp"
+#include "workload/workload_generator.hpp"
 
 namespace ecdra::batch {
 namespace {
@@ -141,7 +143,7 @@ TEST(BatchFactory, RejectsUnknownNames) {
 }
 
 // ---------------------------------------------------------------------------
-// BatchEngine scenarios on a deterministic single-type table.
+// Batch trials on sim::Engine, on a deterministic single-type table.
 
 workload::TaskTypeTable DeltaTable(const cluster::Cluster& cluster,
                                    double base) {
@@ -155,20 +157,21 @@ workload::TaskTypeTable DeltaTable(const cluster::Cluster& cluster,
   return workload::TaskTypeTable(1, cluster.num_nodes(), std::move(pmfs));
 }
 
-class BatchEngineTest : public ::testing::Test {
+class BatchTrialTest : public ::testing::Test {
  protected:
-  BatchEngineTest()
+  BatchTrialTest()
       : cluster_({test::SimpleNode(1, 2)}), table_(DeltaTable(cluster_, 10.0)) {}
 
   [[nodiscard]] sim::TrialResult Run(
       std::vector<workload::Task> tasks, const std::string& heuristic,
-      BatchTrialOptions options, const std::string& filter_variant = "en+rob",
+      const sim::TrialOptions& options,
+      const std::string& filter_variant = "en+rob",
       const core::FilterChainOptions& filter_options = {}) {
     BatchScheduler scheduler(
         cluster_, table_, MakeBatchHeuristic(heuristic),
         core::MakeFilterChain(filter_variant, filter_options),
         options.energy_budget, tasks.size());
-    BatchEngine engine(cluster_, table_, std::move(tasks), scheduler, options,
+    sim::Engine engine(cluster_, table_, std::move(tasks), scheduler, options,
                        util::RngStream(7));
     return engine.Run();
   }
@@ -177,8 +180,8 @@ class BatchEngineTest : public ::testing::Test {
   workload::TaskTypeTable table_;
 };
 
-TEST_F(BatchEngineTest, MapsArrivalsToIdleCoresImmediately) {
-  BatchTrialOptions options;
+TEST_F(BatchTrialTest, MapsArrivalsToIdleCoresImmediately) {
+  sim::TrialOptions options;
   options.energy_budget = 1e9;
   options.collect_task_records = true;
   const sim::TrialResult result =
@@ -189,12 +192,13 @@ TEST_F(BatchEngineTest, MapsArrivalsToIdleCoresImmediately) {
   EXPECT_DOUBLE_EQ(result.task_records[1].start_time, 1.0);
 }
 
-TEST_F(BatchEngineTest, QueuedTaskWaitsForACoreAndRemapsAtCompletion) {
+TEST_F(BatchTrialTest, QueuedTaskWaitsForACoreAndRemapsAtCompletion) {
   // Three tasks, two cores: the third waits in the global queue and starts
   // when the first completion frees a core.
-  BatchTrialOptions options;
+  sim::TrialOptions options;
   options.energy_budget = 1e9;
   options.collect_task_records = true;
+  options.collect_counters = true;
   const sim::TrialResult result =
       Run({workload::Task{0, 0, 0.0, 100.0}, workload::Task{1, 0, 0.5, 100.0},
            workload::Task{2, 0, 1.0, 100.0}},
@@ -202,12 +206,16 @@ TEST_F(BatchEngineTest, QueuedTaskWaitsForACoreAndRemapsAtCompletion) {
   EXPECT_EQ(result.completed, 3u);
   // Task 2 starts when task 0 finishes at 10 (MinMin on idle cores).
   EXPECT_DOUBLE_EQ(result.task_records[2].start_time, 10.0);
+  // P4 -> P0 at t = 0 and t = 0.5, back to P4 at t = 10.5 and t = 20. At
+  // t = 10 the pool is swept before core 0 idles, so task 2 takes it at P0
+  // with no switch; idling first would log P0 -> P4 -> P0 there (6).
+  EXPECT_EQ(result.counters.pstate_switches, 4u);
 }
 
-TEST_F(BatchEngineTest, RobustnessFilterHoldsBackHopelessMappings) {
+TEST_F(BatchTrialTest, RobustnessFilterHoldsBackHopelessMappings) {
   // With rho_thresh = 1.0 and a deadline only satisfiable at P0, every
   // assignment at lower P-states is infeasible; the task still maps at P0.
-  BatchTrialOptions options;
+  sim::TrialOptions options;
   options.energy_budget = 1e9;
   options.collect_task_records = true;
   core::FilterChainOptions filter_options;
@@ -219,9 +227,9 @@ TEST_F(BatchEngineTest, RobustnessFilterHoldsBackHopelessMappings) {
   EXPECT_EQ(result.task_records[0].pstate, 0u);  // P4 would take 24.4 s
 }
 
-TEST_F(BatchEngineTest, UnmappableTasksEndUpDiscarded) {
+TEST_F(BatchTrialTest, UnmappableTasksEndUpDiscarded) {
   // Zero-ish budget estimate: the energy fair share is 0, nothing ever maps.
-  BatchTrialOptions options;
+  sim::TrialOptions options;
   options.energy_budget = 1e-6;
   const sim::TrialResult result =
       Run({workload::Task{0, 0, 0.0, 100.0}}, "MinMinCT", options);
@@ -230,10 +238,10 @@ TEST_F(BatchEngineTest, UnmappableTasksEndUpDiscarded) {
   EXPECT_EQ(result.missed_deadlines, 1u);
 }
 
-TEST_F(BatchEngineTest, CancelPolicyDropsHopelessPendingTasks) {
+TEST_F(BatchTrialTest, CancelPolicyDropsHopelessPendingTasks) {
   // Both cores busy [0, 10); a task with deadline 5 waits in the queue and
   // is cancelled at the first mapping event after its deadline.
-  BatchTrialOptions options;
+  sim::TrialOptions options;
   options.energy_budget = 1e9;
   options.cancel_policy = sim::CancelPolicy::kCancelHopelessQueued;
   options.collect_task_records = true;
@@ -246,8 +254,8 @@ TEST_F(BatchEngineTest, CancelPolicyDropsHopelessPendingTasks) {
   EXPECT_EQ(result.completed, 2u);
 }
 
-TEST_F(BatchEngineTest, EnergyAccountingMatchesImmediateModeSemantics) {
-  BatchTrialOptions options;
+TEST_F(BatchTrialTest, EnergyAccountingMatchesImmediateModeSemantics) {
+  sim::TrialOptions options;
   options.energy_budget = 1e9;
   const sim::TrialResult result =
       Run({workload::Task{0, 0, 1.0, 100.0}}, "MinMinCT", options, "none");
@@ -343,23 +351,61 @@ TEST(BatchRunner, FilterOptionsAreTheImmediateStacksVerbatim) {
             immediate_defaults.energy.priority_baseline);
 }
 
-TEST(BatchRunner, DeterministicAndComparableToImmediate) {
+TEST_F(BatchTrialTest, RefusesTheExtensionsBatchModeCannotRun) {
+  // Each extension calls into the immediate scheduler, so the engine refuses
+  // it in batch mode instead of running as if the knob were unset.
+  const std::vector<std::pair<std::string, void (*)(sim::TrialOptions&)>>
+      refused{
+          {"fault schedule",
+           [](sim::TrialOptions& o) {
+             o.fault_schedule.events.push_back(fault::FaultEvent{});
+           }},
+          {"governor",
+           [](sim::TrialOptions& o) { o.governor = "race-to-idle"; }},
+          {"stream", [](sim::TrialOptions& o) { o.stream.enabled = true; }},
+          {"jobs", [](sim::TrialOptions& o) { o.jobs.enabled = true; }},
+          {"econ", [](sim::TrialOptions& o) { o.econ.enabled = true; }},
+      };
+  for (const auto& [knob, set] : refused) {
+    sim::TrialOptions options;
+    options.energy_budget = 1e9;
+    set(options);
+    EXPECT_THROW(
+        (void)Run({workload::Task{0, 0, 0.0, 100.0}}, "MinMinCT", options),
+        std::invalid_argument)
+        << knob;
+  }
+}
+
+/// Three nodes, ten task types, 60 tasks per trial.
+sim::ExperimentSetup SmallSetup() {
   sim::SetupOptions small;
   small.cluster.num_nodes = 3;
   small.cvb.num_task_types = 10;
   small.workload.arrivals =
       workload::ArrivalSpec::PaperBursty(15, 30, 1.0 / 8.0, 1.0 / 48.0);
-  const sim::ExperimentSetup setup = sim::BuildExperimentSetup(3, small);
+  return sim::BuildExperimentSetup(3, small);
+}
 
+TEST(BatchRunner, DeterministicAndComparableToImmediate) {
+  const sim::ExperimentSetup setup = SmallSetup();
+
+  // One thread against four: every trial must come out byte-identical.
   BatchRunOptions options;
-  options.num_trials = 2;
+  options.num_trials = 4;
   options.collect_task_records = true;
+  options.num_threads = 1;
   const auto a = RunBatchTrials(setup, "MinMinCT", options);
+  options.num_threads = 4;
   const auto b = RunBatchTrials(setup, "MinMinCT", options);
-  ASSERT_EQ(a.size(), 2u);
-  for (std::size_t i = 0; i < 2; ++i) {
-    EXPECT_EQ(a[i].missed_deadlines, b[i].missed_deadlines);
-    EXPECT_DOUBLE_EQ(a[i].total_energy, b[i].total_energy);
+  ASSERT_EQ(a.size(), 4u);
+  ASSERT_EQ(b.size(), 4u);
+  const auto json = [](sim::TrialResult result) {
+    result.task_records.clear();
+    return sim::TrialResultToJson(result);
+  };
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(json(a[i]), json(b[i])) << "trial " << i;
     EXPECT_EQ(a[i].window_size, 60u);
     EXPECT_EQ(a[i].missed_deadlines,
               a[i].discarded + a[i].finished_late +
@@ -382,16 +428,40 @@ TEST(BatchRunner, DeterministicAndComparableToImmediate) {
 }
 
 TEST(BatchRunner, AllHeuristicsSatisfyInvariantsOnPaperWorkload) {
-  sim::SetupOptions small;
-  small.cluster.num_nodes = 3;
-  small.cvb.num_task_types = 10;
-  small.workload.arrivals =
-      workload::ArrivalSpec::PaperBursty(15, 30, 1.0 / 8.0, 1.0 / 48.0);
-  const sim::ExperimentSetup setup = sim::BuildExperimentSetup(3, small);
+  const sim::ExperimentSetup setup = SmallSetup();
   for (const std::string& name : BatchHeuristicNames()) {
     const sim::TrialResult result = RunBatchTrial(setup, name, 1);
     EXPECT_EQ(result.completed + result.missed_deadlines, 60u) << name;
     EXPECT_GT(result.total_energy, 0.0) << name;
+  }
+}
+
+TEST(BatchRunner, BatchTrialsPassTheEnginesDeepValidation) {
+  // Batch trials run on sim::Engine, so they take its invariant audits:
+  // event order, the budget cutoff, queue-model/engine sync and every pmf
+  // operation. The workload is the runner's trial 0.
+  const sim::ExperimentSetup setup = SmallSetup();
+  for (const std::string& name : BatchHeuristicNames()) {
+    const util::RngStream trial_rng =
+        util::RngStream(setup.master_seed).Substream("trial", 0);
+    util::RngStream workload_rng = trial_rng.Substream("workload");
+    BatchScheduler scheduler(setup.cluster, setup.types,
+                             MakeBatchHeuristic(name),
+                             core::MakeFilterChain("en+rob"),
+                             setup.energy_budget, setup.window_size);
+    sim::TrialOptions options;
+    options.energy_budget = setup.energy_budget;
+    options.validation = validate::ValidationMode::kDeep;
+    options.validation_fail_fast = true;
+    sim::Engine engine(
+        setup.cluster, setup.types,
+        workload::GenerateWorkload(setup.types, setup.workload, workload_rng),
+        scheduler, options, trial_rng.Substream("sim"));
+    sim::TrialResult result;
+    ASSERT_NO_THROW(result = engine.Run()) << name;
+    EXPECT_GT(result.validation.checks_run, 0u) << name;
+    EXPECT_EQ(result.completed + result.missed_deadlines, result.window_size)
+        << name;
   }
 }
 

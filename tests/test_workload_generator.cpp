@@ -32,7 +32,9 @@ TEST_F(WorkloadGeneratorTest, GeneratesSequentialIdsAndSortedArrivals) {
   ASSERT_EQ(tasks.size(), 100u);
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     EXPECT_EQ(tasks[i].id, i);
-    if (i > 0) EXPECT_GE(tasks[i].arrival, tasks[i - 1].arrival);
+    if (i > 0) {
+      EXPECT_GE(tasks[i].arrival, tasks[i - 1].arrival);
+    }
   }
 }
 
