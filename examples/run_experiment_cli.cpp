@@ -42,7 +42,6 @@
 #include "stats/summary.hpp"
 #include "stream/admission.hpp"
 #include "stats/table_writer.hpp"
-#include "validate/validation.hpp"
 
 namespace {
 
@@ -419,7 +418,10 @@ int main(int argc, char** argv) {
             << ", " << run.num_trials << " trials, budget x" << budget_scale
             << ":\n";
   if (!misses.empty()) {
-    std::cout << "  missed deadlines: " << stats::Summarize(misses) << "\n";
+    // Then every mean from the result table, block by block, with the
+    // validation totals and (--counters) the counter block.
+    std::cout << "  missed deadlines: " << stats::Summarize(misses) << "\n  "
+              << sim::SummarizeSweep(sweep) << "\n";
   } else {
     std::cout << "  no completed trials\n";
   }
@@ -428,50 +430,6 @@ int main(int argc, char** argv) {
     std::cout << "  harness: " << sweep.trials_resumed << " resumed, "
               << sweep.trials_retried << " retried, " << sweep.failures.size()
               << " failed\n";
-  }
-  const sim::SummaryStatistics summary = sim::SummarizeSweep(sweep);
-  if (run.fault.enabled() && !sweep.results.empty()) {
-    std::cout << "  faults (recovery="
-              << fault::RecoveryPolicyName(run.recovery) << "): mean failures "
-              << summary.mean_failures << ", mean tasks lost "
-              << summary.mean_tasks_lost << ", mean remapped "
-              << summary.mean_remapped << " (on time "
-              << summary.mean_remapped_on_time << ")\n";
-    if (summary.mean_domain_outages > 0.0 || summary.mean_migrated > 0.0) {
-      std::cout << "    domains: mean outages " << summary.mean_domain_outages
-                << ", mean migrated " << summary.mean_migrated << " (on time "
-                << summary.mean_migrated_on_time << ")\n";
-    }
-  }
-  if (run.mode == policy::RunMode::kStream && !sweep.results.empty()) {
-    std::cout << "  stream (admission=" << run.stream.admission
-              << "): mean deferred " << summary.mean_stream_deferred
-              << ", dropped " << summary.mean_stream_dropped << ", released "
-              << summary.mean_stream_released << ", emergency "
-              << summary.mean_emergency_seconds << " s\n";
-  }
-  if (summary.job_trials > 0) {
-    std::cout << "  jobs (placement=" << run.gang_placement
-              << "): mean on time " << summary.mean_jobs_on_time
-              << ", failed " << summary.mean_jobs_failed
-              << ", gangs placed " << summary.mean_gangs_placed
-              << ", waits " << summary.mean_gang_waits << " ("
-              << summary.mean_gang_wait_seconds << " s)\n";
-  }
-  if (summary.econ_trials > 0) {
-    std::cout << "  econ (price=" << run.econ.energy_price
-              << "/J): mean revenue " << summary.mean_revenue
-              << ", energy cost " << summary.mean_energy_cost
-              << ", net profit " << summary.mean_net_profit
-              << " (offered " << summary.mean_value_offered << ")\n";
-  }
-  if (run.validation != validate::ValidationMode::kOff) {
-    std::cout << "  validation (" << validate::ValidationModeName(run.validation)
-              << "): " << summary.validation_checks << " checks, "
-              << summary.validation_violations << " violations\n";
-  }
-  if (run.collect_counters && !sweep.results.empty()) {
-    std::cout << '\n' << summary << '\n';
   }
   if (!run.trace_path.empty()) {
     std::cout << "trace written to " << run.trace_path << "\n";

@@ -36,19 +36,16 @@ FigureResult RunFigure(const sim::ExperimentSetup& setup,
     }
     series.missed_deadlines.reserve(sweep.results.size());
     double energy_fraction_sum = 0.0;
-    double discarded_sum = 0.0;
     for (const sim::TrialResult& trial : sweep.results) {
       series.missed_deadlines.push_back(
           static_cast<double>(trial.missed_deadlines));
       energy_fraction_sum += trial.total_energy / setup.energy_budget;
-      discarded_sum += static_cast<double>(trial.discarded);
     }
     series.summary = sim::SummarizeSweep(sweep);
     if (!sweep.results.empty()) {
       const double n = static_cast<double>(sweep.results.size());
       series.box = stats::Summarize(series.missed_deadlines);
       series.mean_energy_fraction = energy_fraction_sum / n;
-      series.mean_discarded = discarded_sum / n;
     }
     figure.series.push_back(std::move(series));
   }
@@ -109,7 +106,7 @@ void PrintFigure(std::ostream& os, const FigureResult& figure) {
         stats::Table::Num(series.box.mean, 1),
         stats::Table::Num(100.0 * series.box.median / window, 2) + "%",
         stats::Table::Num(100.0 * series.mean_energy_fraction, 1) + "%",
-        stats::Table::Num(series.mean_discarded, 1),
+        stats::Table::Num(series.summary.mean_discarded, 1),
     });
   }
   table.PrintText(os);

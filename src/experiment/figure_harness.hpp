@@ -32,8 +32,6 @@ struct SeriesResult {
   stats::BoxWhisker box;
   /// Mean ground-truth energy drawn per trial, as a fraction of zeta_max.
   double mean_energy_fraction = 0.0;
-  /// Mean discarded tasks per trial.
-  double mean_discarded = 0.0;
   /// Cross-trial aggregate including the summed observability counters
   /// (all-zero unless RunOptions.collect_counters was set).
   sim::SummaryStatistics summary;

@@ -9,6 +9,7 @@
 #include <sstream>
 #include <system_error>
 #include <utility>
+#include <variant>
 
 #include "obs/json.hpp"
 #include "policy/scenario_spec.hpp"
@@ -33,14 +34,12 @@ std::string_view CheckpointErrorKindName(CheckpointErrorKind kind) {
   return "unknown";
 }
 
-CheckpointError::CheckpointError(CheckpointErrorKind kind,
-                                 const std::string& message)
-    : std::runtime_error("checkpoint [" +
-                         std::string(CheckpointErrorKindName(kind)) +
-                         "]: " + message),
-      kind_(kind) {}
-
 namespace {
+
+/// The "checkpoint [kind]: " head of every CheckpointError message.
+std::string MessagePrefix(CheckpointErrorKind kind) {
+  return "checkpoint [" + std::string(CheckpointErrorKindName(kind)) + "]: ";
+}
 
 // ---------------------------------------------------------------------------
 // Serialization helpers
@@ -60,6 +59,12 @@ void Field(std::string& out, std::string_view key, double value) {
   out += key;
   out += "\":";
   out += json::Number(value);
+}
+
+void Field(std::string& out, std::string_view key, std::monostate) {
+  out += '"';
+  out += key;
+  out += "\":null";
 }
 
 void Field(std::string& out, std::string_view key, std::string_view value) {
@@ -142,8 +147,10 @@ double RequireNumber(const json::Value& object, std::string_view key) {
 
 std::uint64_t RequireUint(const json::Value& object, std::string_view key) {
   const double number = RequireNumber(object, key);
-  const auto value = static_cast<std::uint64_t>(number);
-  if (number < 0.0 || static_cast<double>(value) != number) {
+  // Range first: converting a double outside [0, 2^64) is undefined.
+  const bool in_range = number >= 0.0 && number < 0x1p64;
+  const auto value = in_range ? static_cast<std::uint64_t>(number) : 0;
+  if (!in_range || static_cast<double>(value) != number) {
     BadRecord("field \"" + std::string(key) +
               "\" is not a non-negative integer");
   }
@@ -173,6 +180,25 @@ std::uint64_t RequireUint64String(const json::Value& object,
   return value;
 }
 
+/// A result row's value at its key in `object`, checked against its kind.
+ResultValue RequireValue(const json::Value& object, const ResultField& field) {
+  switch (field.codec.kind) {
+    case ResultField::Kind::kCount:
+      return RequireUint(object, field.key);
+    case ResultField::Kind::kNumber:
+      return RequireNumber(object, field.key);
+    case ResultField::Kind::kNumberOrNull:
+      break;
+  }
+  const json::Value& value = Require(object, field.key);
+  if (value.is_null()) return std::monostate{};
+  if (value.kind() != json::Value::Kind::kNumber) {
+    BadRecord("field \"" + std::string(field.key) +
+              "\" is neither a number nor null");
+  }
+  return value.AsNumber();
+}
+
 std::string HeaderToJson(const CheckpointHeader& header) {
   std::string out = "{";
   Field(out, "record", std::string_view("header"));
@@ -188,9 +214,21 @@ std::string HeaderToJson(const CheckpointHeader& header) {
   return out;
 }
 
-CheckpointHeader HeaderFromJson(const json::Value& object) {
+[[noreturn]] void WrongSchema(
+    const std::string& context, std::uint64_t found,
+    std::uint32_t expected = kCheckpointSchemaVersion) {
+  throw CheckpointError(CheckpointErrorKind::kSchemaVersion,
+                        context + ": written with schema version " +
+                            std::to_string(found) + ", this build reads " +
+                            std::to_string(expected));
+}
+
+/// `context` names the file in a schema refusal.
+CheckpointHeader HeaderFromJson(const json::Value& object,
+                                const std::string& context) {
   CheckpointHeader header;
   const std::uint64_t schema = RequireUint(object, "schema");
+  if (schema > UINT32_MAX) WrongSchema(context, schema);
   header.schema_version = static_cast<std::uint32_t>(schema);
   header.master_seed = RequireUint64String(object, "seed");
   header.config_hash = RequireString(object, "config");
@@ -199,15 +237,15 @@ CheckpointHeader HeaderFromJson(const json::Value& object) {
 
 }  // namespace
 
+CheckpointError::CheckpointError(CheckpointErrorKind kind,
+                                 const std::string& message)
+    : std::runtime_error(MessagePrefix(kind) + message), kind_(kind) {}
+
 void VerifyCheckpointHeader(const CheckpointHeader& found,
                             const CheckpointHeader& expected,
                             const std::string& context) {
   if (found.schema_version != expected.schema_version) {
-    throw CheckpointError(
-        CheckpointErrorKind::kSchemaVersion,
-        context + ": written with schema version " +
-            std::to_string(found.schema_version) + ", this build reads " +
-            std::to_string(expected.schema_version));
+    WrongSchema(context, found.schema_version, expected.schema_version);
   }
   if (found.master_seed != expected.master_seed ||
       found.config_hash != expected.config_hash) {
@@ -243,147 +281,22 @@ std::string TrialResultToJson(const TrialResult& result) {
         "per-task records / robustness traces cannot be checkpointed; "
         "disable collect_task_records and collect_robustness_trace");
   }
+  // The scalars: a walk over the result table.
   std::string out = "{";
-  Field(out, "window", std::uint64_t{result.window_size});
-  out += ',';
-  Field(out, "completed", std::uint64_t{result.completed});
-  out += ',';
-  Field(out, "missed", std::uint64_t{result.missed_deadlines});
-  out += ',';
-  Field(out, "discarded", std::uint64_t{result.discarded});
-  out += ',';
-  Field(out, "late", std::uint64_t{result.finished_late});
-  out += ',';
-  Field(out, "over_budget", std::uint64_t{result.on_time_but_over_budget});
-  out += ',';
-  Field(out, "cancelled", std::uint64_t{result.cancelled});
-  out += ',';
-  Field(out, "failures", std::uint64_t{result.failures_injected});
-  out += ',';
-  Field(out, "repairs", std::uint64_t{result.repairs_applied});
-  out += ',';
-  Field(out, "throttles", std::uint64_t{result.throttles_injected});
-  out += ',';
-  Field(out, "lost", std::uint64_t{result.tasks_lost_to_failures});
-  out += ',';
-  Field(out, "remapped", std::uint64_t{result.tasks_remapped});
-  out += ',';
-  Field(out, "remapped_on_time", std::uint64_t{result.remapped_on_time});
-  // Domain-fault / migration scalars: omitted when zero, so a record from a
-  // run without domain faults or migration serializes byte-identically to a
-  // pre-domain build's — the golden grid hashes this exact text.
-  if (result.domain_outages != 0) {
-    out += ',';
-    Field(out, "domain_outages", std::uint64_t{result.domain_outages});
-  }
-  if (result.domain_repairs != 0) {
-    out += ',';
-    Field(out, "domain_repairs", std::uint64_t{result.domain_repairs});
-  }
-  if (result.tasks_migrated != 0) {
-    out += ',';
-    Field(out, "migrated", std::uint64_t{result.tasks_migrated});
-  }
-  if (result.migrated_on_time != 0) {
-    out += ',';
-    Field(out, "migrated_on_time", std::uint64_t{result.migrated_on_time});
-  }
-  out += ',';
-  Field(out, "weighted_total", result.weighted_total);
-  out += ',';
-  Field(out, "weighted_completed", result.weighted_completed);
-  out += ',';
-  Field(out, "weighted_missed", result.weighted_missed);
-  out += ',';
-  Field(out, "energy", result.total_energy);
-  out += ',';
-  out += "\"exhausted_at\":";
-  out += result.energy_exhausted_at ? json::Number(*result.energy_exhausted_at)
-                                    : "null";
-  out += ',';
-  Field(out, "energy_remaining", result.estimated_energy_remaining);
-  out += ',';
-  Field(out, "makespan", result.makespan);
-
-  // Streaming aggregates (omitted entirely for fixed-trace trials).
-  if (result.stream.enabled) {
-    out += ",\"stream\":{";
-    Field(out, "windows", std::uint64_t{result.stream.windows});
-    out += ',';
-    Field(out, "deferred", std::uint64_t{result.stream.deferred});
-    out += ',';
-    Field(out, "admission_dropped",
-          std::uint64_t{result.stream.admission_dropped});
-    out += ',';
-    Field(out, "released", std::uint64_t{result.stream.released});
-    out += ',';
-    Field(out, "forced", std::uint64_t{result.stream.forced_admissions});
-    out += ',';
-    Field(out, "pen_peak", std::uint64_t{result.stream.pen_peak});
-    out += ',';
-    Field(out, "emergency_entries",
-          std::uint64_t{result.stream.emergency_entries});
-    out += ',';
-    Field(out, "emergency_seconds", result.stream.emergency_seconds);
-    out += ',';
-    Field(out, "degraded_entries",
-          std::uint64_t{result.stream.degraded_entries});
-    out += ',';
-    Field(out, "degraded_seconds", result.stream.degraded_seconds);
-    out += ',';
-    Field(out, "min_available", result.stream.min_available);
-    out += ',';
-    Field(out, "final_available", result.stream.final_available);
-    out += '}';
-  }
-
-  // Job aggregates (omitted entirely for task-level trials, so pre-jobs
-  // records and degenerate-jobs runs serialize byte-identically).
-  if (result.jobs.enabled) {
-    out += ",\"jobs\":{";
-    Field(out, "jobs", std::uint64_t{result.jobs.jobs});
-    out += ',';
-    Field(out, "on_time", std::uint64_t{result.jobs.jobs_on_time});
-    out += ',';
-    Field(out, "late", std::uint64_t{result.jobs.jobs_late});
-    out += ',';
-    Field(out, "failed", std::uint64_t{result.jobs.jobs_failed});
-    out += ',';
-    Field(out, "gangs_placed", std::uint64_t{result.jobs.gangs_placed});
-    out += ',';
-    Field(out, "gang_waits", std::uint64_t{result.jobs.gang_waits});
-    out += ',';
-    Field(out, "gangs_requeued", std::uint64_t{result.jobs.gangs_requeued});
-    out += ',';
-    Field(out, "gangs_abandoned", std::uint64_t{result.jobs.gangs_abandoned});
-    out += ',';
-    Field(out, "pending_peak", std::uint64_t{result.jobs.pending_peak});
-    out += ',';
-    Field(out, "gang_wait_seconds", result.jobs.gang_wait_seconds);
-    out += '}';
-  }
-
-  // Profit settlement (omitted entirely outside econ mode, so pre-econ
-  // records and zero-model runs serialize byte-identically).
-  if (result.econ.enabled) {
-    out += ",\"econ\":{";
-    Field(out, "revenue", result.econ.revenue);
-    out += ',';
-    Field(out, "energy_cost", result.econ.energy_cost);
-    out += ',';
-    Field(out, "net_profit", result.econ.net_profit);
-    out += ',';
-    Field(out, "value_offered", result.econ.value_offered);
-    out += ',';
-    Field(out, "paid_finishes", std::uint64_t{result.econ.paid_finishes});
-    out += ',';
-    Field(out, "decayed_finishes",
-          std::uint64_t{result.econ.decayed_finishes});
-    out += ',';
-    Field(out, "premium_total", std::uint64_t{result.econ.premium_total});
-    out += ',';
-    Field(out, "premium_on_time", std::uint64_t{result.econ.premium_on_time});
-    out += '}';
+  for (const ResultBlock& block : ResultBlocks()) {
+    if (!block.enabled(result)) continue;
+    if (!block.key.empty()) {
+      out += ",\"";
+      out += block.key;
+      out += "\":{";
+    }
+    for (const ResultField& field : block.fields) {
+      if (!field.written(result)) continue;
+      if (out.back() != '{') out += ',';
+      std::visit([&](const auto& value) { Field(out, field.key, value); },
+                 field.codec.get(result));
+    }
+    if (!block.key.empty()) out += '}';
   }
 
   // Counters: non-zero slots only, via the generic field table.
@@ -445,92 +358,21 @@ TrialResult TrialResultFromValue(const json::Value& object) {
     BadRecord("trial result is not a JSON object");
   }
   TrialResult result;
-  result.window_size = RequireUint(object, "window");
-  result.completed = RequireUint(object, "completed");
-  result.missed_deadlines = RequireUint(object, "missed");
-  result.discarded = RequireUint(object, "discarded");
-  result.finished_late = RequireUint(object, "late");
-  result.on_time_but_over_budget = RequireUint(object, "over_budget");
-  result.cancelled = RequireUint(object, "cancelled");
-  result.failures_injected = RequireUint(object, "failures");
-  result.repairs_applied = RequireUint(object, "repairs");
-  result.throttles_injected = RequireUint(object, "throttles");
-  result.tasks_lost_to_failures = RequireUint(object, "lost");
-  result.tasks_remapped = RequireUint(object, "remapped");
-  result.remapped_on_time = RequireUint(object, "remapped_on_time");
-  // Optional (written only when non-zero; see TrialResultToJson).
-  const auto OptionalUint = [](const json::Value& obj, std::string_view key) {
-    return obj.Find(key) != nullptr ? RequireUint(obj, key) : 0;
-  };
-  result.domain_outages = OptionalUint(object, "domain_outages");
-  result.domain_repairs = OptionalUint(object, "domain_repairs");
-  result.tasks_migrated = OptionalUint(object, "migrated");
-  result.migrated_on_time = OptionalUint(object, "migrated_on_time");
-  result.weighted_total = RequireNumber(object, "weighted_total");
-  result.weighted_completed = RequireNumber(object, "weighted_completed");
-  result.weighted_missed = RequireNumber(object, "weighted_missed");
-  result.total_energy = RequireNumber(object, "energy");
-  const json::Value& exhausted = Require(object, "exhausted_at");
-  if (!exhausted.is_null()) {
-    if (exhausted.kind() != json::Value::Kind::kNumber) {
-      BadRecord("field \"exhausted_at\" is neither a number nor null");
+  // The scalars: a walk over the result table.
+  for (const ResultBlock& block : ResultBlocks()) {
+    const json::Value* scope = &object;
+    if (!block.key.empty()) {
+      scope = object.Find(block.key);
+      if (scope == nullptr) continue;
+      if (scope->kind() != json::Value::Kind::kObject) {
+        BadRecord("field \"" + std::string(block.key) + "\" is not an object");
+      }
+      block.set_enabled(result, true);
     }
-    result.energy_exhausted_at = exhausted.AsNumber();
-  }
-  result.estimated_energy_remaining = RequireNumber(object, "energy_remaining");
-  result.makespan = RequireNumber(object, "makespan");
-
-  if (const json::Value* stream = object.Find("stream")) {
-    if (stream->kind() != json::Value::Kind::kObject) {
-      BadRecord("field \"stream\" is not an object");
+    for (const ResultField& field : block.fields) {
+      if (field.omit_when_zero && scope->Find(field.key) == nullptr) continue;
+      field.codec.set(result, RequireValue(*scope, field));
     }
-    result.stream.enabled = true;
-    result.stream.windows = RequireUint(*stream, "windows");
-    result.stream.deferred = RequireUint(*stream, "deferred");
-    result.stream.admission_dropped = RequireUint(*stream, "admission_dropped");
-    result.stream.released = RequireUint(*stream, "released");
-    result.stream.forced_admissions = RequireUint(*stream, "forced");
-    result.stream.pen_peak = RequireUint(*stream, "pen_peak");
-    result.stream.emergency_entries = RequireUint(*stream, "emergency_entries");
-    result.stream.emergency_seconds =
-        RequireNumber(*stream, "emergency_seconds");
-    result.stream.degraded_entries = RequireUint(*stream, "degraded_entries");
-    result.stream.degraded_seconds =
-        RequireNumber(*stream, "degraded_seconds");
-    result.stream.min_available = RequireNumber(*stream, "min_available");
-    result.stream.final_available = RequireNumber(*stream, "final_available");
-  }
-
-  if (const json::Value* jobs = object.Find("jobs")) {
-    if (jobs->kind() != json::Value::Kind::kObject) {
-      BadRecord("field \"jobs\" is not an object");
-    }
-    result.jobs.enabled = true;
-    result.jobs.jobs = RequireUint(*jobs, "jobs");
-    result.jobs.jobs_on_time = RequireUint(*jobs, "on_time");
-    result.jobs.jobs_late = RequireUint(*jobs, "late");
-    result.jobs.jobs_failed = RequireUint(*jobs, "failed");
-    result.jobs.gangs_placed = RequireUint(*jobs, "gangs_placed");
-    result.jobs.gang_waits = RequireUint(*jobs, "gang_waits");
-    result.jobs.gangs_requeued = RequireUint(*jobs, "gangs_requeued");
-    result.jobs.gangs_abandoned = RequireUint(*jobs, "gangs_abandoned");
-    result.jobs.pending_peak = RequireUint(*jobs, "pending_peak");
-    result.jobs.gang_wait_seconds = RequireNumber(*jobs, "gang_wait_seconds");
-  }
-
-  if (const json::Value* econ = object.Find("econ")) {
-    if (econ->kind() != json::Value::Kind::kObject) {
-      BadRecord("field \"econ\" is not an object");
-    }
-    result.econ.enabled = true;
-    result.econ.revenue = RequireNumber(*econ, "revenue");
-    result.econ.energy_cost = RequireNumber(*econ, "energy_cost");
-    result.econ.net_profit = RequireNumber(*econ, "net_profit");
-    result.econ.value_offered = RequireNumber(*econ, "value_offered");
-    result.econ.paid_finishes = RequireUint(*econ, "paid_finishes");
-    result.econ.decayed_finishes = RequireUint(*econ, "decayed_finishes");
-    result.econ.premium_total = RequireUint(*econ, "premium_total");
-    result.econ.premium_on_time = RequireUint(*econ, "premium_on_time");
   }
 
   if (const json::Value* counters = object.Find("counters")) {
@@ -706,7 +548,7 @@ CheckpointStore CheckpointStore::Load(const std::string& path,
               break;
             }
           }
-          header = HeaderFromJson(*value);
+          header = HeaderFromJson(*value, path);
           parsed = true;
         } catch (const CheckpointError& error) {
           if (error.kind() != CheckpointErrorKind::kBadRecord) throw;
@@ -720,11 +562,7 @@ CheckpointStore CheckpointStore::Load(const std::string& path,
         continue;
       }
       if (header.schema_version != kCheckpointSchemaVersion) {
-        throw CheckpointError(
-            CheckpointErrorKind::kSchemaVersion,
-            path + ": written with schema version " +
-                std::to_string(header.schema_version) + ", this build reads " +
-                std::to_string(kCheckpointSchemaVersion));
+        WrongSchema(path, header.schema_version);
       }
       const CrcStatus crc = VerifyLineCrc(line);
       if (crc != CrcStatus::kOk) {
@@ -764,8 +602,7 @@ CheckpointStore CheckpointStore::Load(const std::string& path,
     try {
       const std::string& record = RequireString(*value, "record");
       if (record != "trial") {
-        BadRecord(path + ": line " + std::to_string(line_number) +
-                  ": unknown record type \"" + record + '"');
+        BadRecord("unknown record type \"" + record + '"');
       }
       const std::string& heuristic = RequireString(*value, "heuristic");
       const std::string& filter = RequireString(*value, "filter");
@@ -778,11 +615,14 @@ CheckpointStore CheckpointStore::Load(const std::string& path,
     } catch (const CheckpointError& error) {
       // A record that passed its CRC but fails semantically was committed
       // intact and is wrong by construction, not by damage — salvage does
-      // not swallow it.
+      // not swallow it. The re-thrown message keeps the inner detail only,
+      // so the kind prefix appears once.
       if (error.kind() == CheckpointErrorKind::kBadRecord) {
-        throw CheckpointError(CheckpointErrorKind::kBadRecord,
-                              path + ": line " + std::to_string(line_number) +
-                                  ": " + error.what());
+        const std::string what = error.what();
+        throw CheckpointError(
+            CheckpointErrorKind::kBadRecord,
+            path + ": line " + std::to_string(line_number) + ": " +
+                what.substr(MessagePrefix(error.kind()).size()));
       }
       throw;
     }
@@ -831,7 +671,7 @@ CheckpointWriter::CheckpointWriter(const std::string& path,
               CheckpointErrorKind::kBadHeader,
               path + ": existing file's first line is not a header record");
         }
-        VerifyCheckpointHeader(HeaderFromJson(*value), header, path);
+        VerifyCheckpointHeader(HeaderFromJson(*value, path), header, path);
         if (VerifyLineCrc(first_line) != CrcStatus::kOk) {
           throw CheckpointError(
               CheckpointErrorKind::kCrcMismatch,

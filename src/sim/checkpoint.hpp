@@ -10,6 +10,9 @@
 //   {"record":"trial","heuristic":"SQ","filter":"en+rob","trial":0,
 //    "result":{"window":1000,"completed":749,...},"crc":"4e5f6071"}
 //
+// The result table (sim::ResultBlocks(), metrics.hpp) is the single
+// declaration of the "result" object's scalars.
+//
 // Doubles are serialized with obs::json::Number (shortest round-trip
 // decimal), so a deserialized TrialResult is bit-identical to the one that
 // was written — resuming a sweep reproduces an uninterrupted run exactly,
@@ -116,7 +119,8 @@ void VerifyCheckpointHeader(const CheckpointHeader& found,
                             const std::string& context);
 
 /// Serializes the checkpointable fields of `result` (everything except the
-/// opt-in task_records / robustness_trace vectors) as one JSON object.
+/// opt-in task_records / robustness_trace vectors) as one JSON object: the
+/// result table's rows, then the counters and the validation report.
 [[nodiscard]] std::string TrialResultToJson(const TrialResult& result);
 
 /// Exact inverse of TrialResultToJson. Throws CheckpointError(kBadRecord).

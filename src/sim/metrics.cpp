@@ -1,80 +1,198 @@
 #include "sim/metrics.hpp"
 
 #include <ostream>
+#include <type_traits>
+#include <utility>
 
 #include "util/assert.hpp"
 
 namespace ecdra::sim {
 
+namespace {
+
+/// The codec of the member `Get` reaches. A std::size_t member is a count,
+/// a double a number, and a std::optional<double> a number-or-null.
+template <auto Get>
+constexpr ResultField::Codec MakeCodec() {
+  using T = std::remove_cvref_t<decltype(Get(std::declval<TrialResult&>()))>;
+  if constexpr (std::is_same_v<T, std::optional<double>>) {
+    return {ResultField::Kind::kNumberOrNull,
+            [](const TrialResult& result) {
+              const std::optional<double>& number = Get(result);
+              return number ? ResultValue(*number) : ResultValue();
+            },
+            [](TrialResult& result, const ResultValue& value) {
+              const double* number = std::get_if<double>(&value);
+              Get(result) = number ? std::optional(*number) : std::nullopt;
+            }};
+  } else {
+    constexpr bool kCount = std::is_same_v<T, std::size_t>;
+    static_assert(kCount || std::is_same_v<T, double>);
+    using V = std::conditional_t<kCount, std::uint64_t, double>;
+    return {kCount ? ResultField::Kind::kCount : ResultField::Kind::kNumber,
+            [](const TrialResult& result) {
+              return ResultValue(static_cast<V>(Get(result)));
+            },
+            [](TrialResult& result, const ResultValue& value) {
+              Get(result) = std::get<V>(value);
+            }};
+  }
+}
+
+// ECDRA_RESULT_CODEC(member): the codec of result.member.
+#define ECDRA_RESULT_CODEC(member) \
+  MakeCodec<[](auto& result) -> auto& { return result.member; }>()
+
+using S = SummaryStatistics;
+constexpr bool kOmitWhenZero = true;
+
+// The result table, one row per TrialResult scalar ({key, codec, mean fed,
+// omit when zero}), block by block in emission order. The golden grid hashes
+// the JSON these rows produce, so order, keys and omission are frozen: a new
+// row goes last in its block and is omitted when zero, or opens a new block.
+constexpr ResultField kTopFields[] = {
+    {"window", ECDRA_RESULT_CODEC(window_size)},
+    {"completed", ECDRA_RESULT_CODEC(completed), &S::mean_completed},
+    {"missed", ECDRA_RESULT_CODEC(missed_deadlines), &S::mean_missed},
+    {"discarded", ECDRA_RESULT_CODEC(discarded), &S::mean_discarded},
+    {"late", ECDRA_RESULT_CODEC(finished_late)},
+    {"over_budget", ECDRA_RESULT_CODEC(on_time_but_over_budget)},
+    {"cancelled", ECDRA_RESULT_CODEC(cancelled), &S::mean_cancelled},
+    {"failures", ECDRA_RESULT_CODEC(failures_injected), &S::mean_failures},
+    {"repairs", ECDRA_RESULT_CODEC(repairs_applied)},
+    {"throttles", ECDRA_RESULT_CODEC(throttles_injected)},
+    {"lost", ECDRA_RESULT_CODEC(tasks_lost_to_failures), &S::mean_tasks_lost},
+    {"remapped", ECDRA_RESULT_CODEC(tasks_remapped), &S::mean_remapped},
+    {"remapped_on_time", ECDRA_RESULT_CODEC(remapped_on_time),
+     &S::mean_remapped_on_time},
+    // The domain-fault and migration rows postdate the rows above.
+    {"domain_outages", ECDRA_RESULT_CODEC(domain_outages),
+     &S::mean_domain_outages, kOmitWhenZero},
+    {"domain_repairs", ECDRA_RESULT_CODEC(domain_repairs), nullptr,
+     kOmitWhenZero},
+    {"migrated", ECDRA_RESULT_CODEC(tasks_migrated), &S::mean_migrated,
+     kOmitWhenZero},
+    {"migrated_on_time", ECDRA_RESULT_CODEC(migrated_on_time),
+     &S::mean_migrated_on_time, kOmitWhenZero},
+    {"weighted_total", ECDRA_RESULT_CODEC(weighted_total)},
+    {"weighted_completed", ECDRA_RESULT_CODEC(weighted_completed)},
+    {"weighted_missed", ECDRA_RESULT_CODEC(weighted_missed)},
+    {"energy", ECDRA_RESULT_CODEC(total_energy), &S::mean_energy},
+    {"exhausted_at", ECDRA_RESULT_CODEC(energy_exhausted_at)},
+    {"energy_remaining", ECDRA_RESULT_CODEC(estimated_energy_remaining)},
+    {"makespan", ECDRA_RESULT_CODEC(makespan), &S::mean_makespan},
+};
+
+constexpr ResultField kStreamFields[] = {
+    {"windows", ECDRA_RESULT_CODEC(stream.windows)},
+    {"deferred", ECDRA_RESULT_CODEC(stream.deferred),
+     &S::mean_stream_deferred},
+    {"admission_dropped", ECDRA_RESULT_CODEC(stream.admission_dropped),
+     &S::mean_stream_dropped},
+    {"released", ECDRA_RESULT_CODEC(stream.released),
+     &S::mean_stream_released},
+    {"forced", ECDRA_RESULT_CODEC(stream.forced_admissions)},
+    {"pen_peak", ECDRA_RESULT_CODEC(stream.pen_peak)},
+    {"emergency_entries", ECDRA_RESULT_CODEC(stream.emergency_entries)},
+    {"emergency_seconds", ECDRA_RESULT_CODEC(stream.emergency_seconds),
+     &S::mean_emergency_seconds},
+    {"degraded_entries", ECDRA_RESULT_CODEC(stream.degraded_entries)},
+    {"degraded_seconds", ECDRA_RESULT_CODEC(stream.degraded_seconds),
+     &S::mean_degraded_seconds},
+    {"min_available", ECDRA_RESULT_CODEC(stream.min_available)},
+    {"final_available", ECDRA_RESULT_CODEC(stream.final_available)},
+};
+
+constexpr ResultField kJobsFields[] = {
+    {"jobs", ECDRA_RESULT_CODEC(jobs.jobs)},
+    {"on_time", ECDRA_RESULT_CODEC(jobs.jobs_on_time), &S::mean_jobs_on_time},
+    {"late", ECDRA_RESULT_CODEC(jobs.jobs_late)},
+    {"failed", ECDRA_RESULT_CODEC(jobs.jobs_failed), &S::mean_jobs_failed},
+    {"gangs_placed", ECDRA_RESULT_CODEC(jobs.gangs_placed),
+     &S::mean_gangs_placed},
+    {"gang_waits", ECDRA_RESULT_CODEC(jobs.gang_waits), &S::mean_gang_waits},
+    {"gangs_requeued", ECDRA_RESULT_CODEC(jobs.gangs_requeued)},
+    {"gangs_abandoned", ECDRA_RESULT_CODEC(jobs.gangs_abandoned)},
+    {"pending_peak", ECDRA_RESULT_CODEC(jobs.pending_peak)},
+    {"gang_wait_seconds", ECDRA_RESULT_CODEC(jobs.gang_wait_seconds),
+     &S::mean_gang_wait_seconds},
+};
+
+constexpr ResultField kEconFields[] = {
+    {"revenue", ECDRA_RESULT_CODEC(econ.revenue), &S::mean_revenue},
+    {"energy_cost", ECDRA_RESULT_CODEC(econ.energy_cost),
+     &S::mean_energy_cost},
+    {"net_profit", ECDRA_RESULT_CODEC(econ.net_profit), &S::mean_net_profit},
+    {"value_offered", ECDRA_RESULT_CODEC(econ.value_offered),
+     &S::mean_value_offered},
+    {"paid_finishes", ECDRA_RESULT_CODEC(econ.paid_finishes)},
+    {"decayed_finishes", ECDRA_RESULT_CODEC(econ.decayed_finishes)},
+    {"premium_total", ECDRA_RESULT_CODEC(econ.premium_total)},
+    {"premium_on_time", ECDRA_RESULT_CODEC(econ.premium_on_time)},
+};
+
+// ECDRA_RESULT_BLOCK(member, trials, fields): the extension block of
+// result.member, keyed by the member's name.
+#define ECDRA_RESULT_BLOCK(member, trials, fields)                           \
+  {#member, [](const TrialResult& result) { return result.member.enabled; }, \
+   [](TrialResult& result, bool on) { result.member.enabled = on; },         \
+   &SummaryStatistics::trials, fields}
+
+constexpr ResultBlock kBlocks[] = {
+    {"", [](const TrialResult&) { return true; }, nullptr, nullptr,
+     kTopFields},
+    ECDRA_RESULT_BLOCK(stream, stream_trials, kStreamFields),
+    ECDRA_RESULT_BLOCK(jobs, job_trials, kJobsFields),
+    ECDRA_RESULT_BLOCK(econ, econ_trials, kEconFields),
+};
+
+#undef ECDRA_RESULT_BLOCK
+#undef ECDRA_RESULT_CODEC
+
+/// A count or number row's value as a double (what SummarizeTrials adds).
+double AsDouble(const ResultValue& value) {
+  const std::uint64_t* count = std::get_if<std::uint64_t>(&value);
+  return count != nullptr ? static_cast<double>(*count)
+                          : std::get<double>(value);
+}
+
+void Print(std::ostream& os, const ResultValue& value) {
+  if (const std::uint64_t* count = std::get_if<std::uint64_t>(&value)) {
+    os << *count;
+  } else if (const double* number = std::get_if<double>(&value)) {
+    os << *number;
+  } else {
+    os << "null";
+  }
+}
+
+}  // namespace
+
+std::span<const ResultBlock> ResultBlocks() noexcept { return kBlocks; }
+
+bool ResultField::written(const TrialResult& result) const {
+  return !omit_when_zero || AsDouble(codec.get(result)) != 0.0;
+}
+
 std::ostream& operator<<(std::ostream& os, const TrialResult& result) {
-  os << "TrialResult{window=" << result.window_size
-     << ", completed=" << result.completed
-     << ", missed=" << result.missed_deadlines
-     << " (discarded=" << result.discarded
-     << ", late=" << result.finished_late
-     << ", over_budget=" << result.on_time_but_over_budget
-     << ", cancelled=" << result.cancelled
-     << "), energy=" << result.total_energy;
-  if (result.failures_injected > 0 || result.throttles_injected > 0 ||
-      result.domain_outages > 0) {
-    os << ", failures=" << result.failures_injected
-       << ", repairs=" << result.repairs_applied
-       << ", throttles=" << result.throttles_injected
-       << ", lost=" << result.tasks_lost_to_failures
-       << ", remapped=" << result.tasks_remapped
-       << ", remapped_on_time=" << result.remapped_on_time;
-    if (result.domain_outages > 0) {
-      os << ", domain_outages=" << result.domain_outages
-         << ", domain_repairs=" << result.domain_repairs;
+  os << "TrialResult{";
+  const char* separator = "";
+  for (const ResultBlock& block : ResultBlocks()) {
+    if (!block.enabled(result)) continue;
+    if (!block.key.empty()) {
+      os << ", " << block.key << '{';
+      separator = "";
     }
-    if (result.tasks_migrated > 0) {
-      os << ", migrated=" << result.tasks_migrated
-         << ", migrated_on_time=" << result.migrated_on_time;
+    for (const ResultField& field : block.fields) {
+      if (!field.written(result)) continue;
+      os << separator << field.key << '=';
+      Print(os, field.codec.get(result));
+      separator = ", ";
     }
+    if (!block.key.empty()) os << '}';
   }
-  if (result.energy_exhausted_at) {
-    os << ", exhausted_at=" << *result.energy_exhausted_at;
-  }
-  if (result.stream.enabled) {
-    os << ", stream{windows=" << result.stream.windows
-       << ", deferred=" << result.stream.deferred
-       << ", admission_dropped=" << result.stream.admission_dropped
-       << ", released=" << result.stream.released
-       << ", forced=" << result.stream.forced_admissions
-       << ", pen_peak=" << result.stream.pen_peak
-       << ", emergencies=" << result.stream.emergency_entries
-       << ", emergency_s=" << result.stream.emergency_seconds
-       << ", degraded=" << result.stream.degraded_entries
-       << ", degraded_s=" << result.stream.degraded_seconds
-       << ", min_available=" << result.stream.min_available
-       << ", final_available=" << result.stream.final_available << "}";
-  }
-  if (result.jobs.enabled) {
-    os << ", jobs{total=" << result.jobs.jobs
-       << ", on_time=" << result.jobs.jobs_on_time
-       << ", late=" << result.jobs.jobs_late
-       << ", failed=" << result.jobs.jobs_failed
-       << ", gangs_placed=" << result.jobs.gangs_placed
-       << ", gang_waits=" << result.jobs.gang_waits
-       << ", gangs_requeued=" << result.jobs.gangs_requeued
-       << ", gangs_abandoned=" << result.jobs.gangs_abandoned
-       << ", pending_peak=" << result.jobs.pending_peak
-       << ", gang_wait_s=" << result.jobs.gang_wait_seconds << "}";
-  }
-  if (result.econ.enabled) {
-    os << ", econ{revenue=" << result.econ.revenue
-       << ", cost=" << result.econ.energy_cost
-       << ", net=" << result.econ.net_profit
-       << ", offered=" << result.econ.value_offered
-       << ", paid=" << result.econ.paid_finishes
-       << ", decayed=" << result.econ.decayed_finishes
-       << ", premium=" << result.econ.premium_on_time << "/"
-       << result.econ.premium_total << "}";
-  }
-  if (!result.validation.ok()) {
-    os << ", validation=" << result.validation;
-  }
-  return os << ", makespan=" << result.makespan << "}";
+  if (!result.validation.ok()) os << ", validation=" << result.validation;
+  return os << '}';
 }
 
 SummaryStatistics SummarizeTrials(std::span<const TrialResult> trials) {
@@ -82,119 +200,44 @@ SummaryStatistics SummarizeTrials(std::span<const TrialResult> trials) {
   SummaryStatistics summary;
   summary.trials = trials.size();
   for (const TrialResult& trial : trials) {
-    summary.mean_missed += static_cast<double>(trial.missed_deadlines);
-    summary.mean_completed += static_cast<double>(trial.completed);
-    summary.mean_discarded += static_cast<double>(trial.discarded);
-    summary.mean_cancelled += static_cast<double>(trial.cancelled);
-    summary.mean_energy += trial.total_energy;
-    summary.mean_makespan += trial.makespan;
-    summary.mean_failures += static_cast<double>(trial.failures_injected);
-    summary.mean_tasks_lost +=
-        static_cast<double>(trial.tasks_lost_to_failures);
-    summary.mean_remapped += static_cast<double>(trial.tasks_remapped);
-    summary.mean_remapped_on_time +=
-        static_cast<double>(trial.remapped_on_time);
-    summary.mean_domain_outages += static_cast<double>(trial.domain_outages);
-    summary.mean_migrated += static_cast<double>(trial.tasks_migrated);
-    summary.mean_migrated_on_time +=
-        static_cast<double>(trial.migrated_on_time);
-    if (trial.stream.enabled) ++summary.stream_trials;
-    summary.mean_stream_deferred += static_cast<double>(trial.stream.deferred);
-    summary.mean_stream_dropped +=
-        static_cast<double>(trial.stream.admission_dropped);
-    summary.mean_stream_released += static_cast<double>(trial.stream.released);
-    summary.mean_emergency_seconds += trial.stream.emergency_seconds;
-    summary.mean_degraded_seconds += trial.stream.degraded_seconds;
-    if (trial.jobs.enabled) ++summary.job_trials;
-    summary.mean_jobs_on_time += static_cast<double>(trial.jobs.jobs_on_time);
-    summary.mean_jobs_failed += static_cast<double>(trial.jobs.jobs_failed);
-    summary.mean_gangs_placed += static_cast<double>(trial.jobs.gangs_placed);
-    summary.mean_gang_waits += static_cast<double>(trial.jobs.gang_waits);
-    summary.mean_gang_wait_seconds += trial.jobs.gang_wait_seconds;
-    if (trial.econ.enabled) ++summary.econ_trials;
-    summary.mean_revenue += trial.econ.revenue;
-    summary.mean_energy_cost += trial.econ.energy_cost;
-    summary.mean_net_profit += trial.econ.net_profit;
-    summary.mean_value_offered += trial.econ.value_offered;
+    for (const ResultBlock& block : ResultBlocks()) {
+      if (block.trials != nullptr && block.enabled(trial)) {
+        ++(summary.*block.trials);
+      }
+      for (const ResultField& field : block.fields) {
+        if (field.mean != nullptr) {
+          summary.*field.mean += AsDouble(field.codec.get(trial));
+        }
+      }
+    }
     summary.counters.Merge(trial.counters);
     summary.validation_checks += trial.validation.checks_run;
     summary.validation_violations += trial.validation.violations;
   }
   const double n = static_cast<double>(trials.size());
-  summary.mean_missed /= n;
-  summary.mean_completed /= n;
-  summary.mean_discarded /= n;
-  summary.mean_cancelled /= n;
-  summary.mean_energy /= n;
-  summary.mean_makespan /= n;
-  summary.mean_failures /= n;
-  summary.mean_tasks_lost /= n;
-  summary.mean_remapped /= n;
-  summary.mean_remapped_on_time /= n;
-  summary.mean_domain_outages /= n;
-  summary.mean_migrated /= n;
-  summary.mean_migrated_on_time /= n;
-  summary.mean_stream_deferred /= n;
-  summary.mean_stream_dropped /= n;
-  summary.mean_stream_released /= n;
-  summary.mean_emergency_seconds /= n;
-  summary.mean_degraded_seconds /= n;
-  summary.mean_jobs_on_time /= n;
-  summary.mean_jobs_failed /= n;
-  summary.mean_gangs_placed /= n;
-  summary.mean_gang_waits /= n;
-  summary.mean_gang_wait_seconds /= n;
-  summary.mean_revenue /= n;
-  summary.mean_energy_cost /= n;
-  summary.mean_net_profit /= n;
-  summary.mean_value_offered /= n;
+  for (const ResultBlock& block : ResultBlocks()) {
+    for (const ResultField& field : block.fields) {
+      if (field.mean != nullptr) summary.*field.mean /= n;
+    }
+  }
   return summary;
 }
 
 std::ostream& operator<<(std::ostream& os, const SummaryStatistics& summary) {
-  os << "SummaryStatistics{trials=" << summary.trials
-     << ", mean_missed=" << summary.mean_missed
-     << ", mean_completed=" << summary.mean_completed
-     << ", mean_discarded=" << summary.mean_discarded
-     << ", mean_energy=" << summary.mean_energy
-     << ", mean_makespan=" << summary.mean_makespan;
-  if (summary.mean_failures > 0.0 || summary.mean_domain_outages > 0.0) {
-    os << ", mean_failures=" << summary.mean_failures
-       << ", mean_tasks_lost=" << summary.mean_tasks_lost
-       << ", mean_remapped=" << summary.mean_remapped
-       << ", mean_remapped_on_time=" << summary.mean_remapped_on_time;
-    if (summary.mean_domain_outages > 0.0) {
-      os << ", mean_domain_outages=" << summary.mean_domain_outages;
+  os << "SummaryStatistics{trials=" << summary.trials;
+  for (const ResultBlock& block : ResultBlocks()) {
+    if (block.trials != nullptr) {
+      if (summary.*block.trials == 0) continue;
+      os << ", " << block.key << "{trials=" << summary.*block.trials;
     }
-    if (summary.mean_migrated > 0.0) {
-      os << ", mean_migrated=" << summary.mean_migrated
-         << ", mean_migrated_on_time=" << summary.mean_migrated_on_time;
+    for (const ResultField& field : block.fields) {
+      if (field.mean == nullptr ||
+          (field.omit_when_zero && summary.*field.mean == 0.0)) {
+        continue;
+      }
+      os << ", " << field.key << '=' << summary.*field.mean;
     }
-  }
-  if (summary.stream_trials > 0) {
-    os << ", stream_trials=" << summary.stream_trials
-       << ", mean_stream_deferred=" << summary.mean_stream_deferred
-       << ", mean_stream_dropped=" << summary.mean_stream_dropped
-       << ", mean_stream_released=" << summary.mean_stream_released
-       << ", mean_emergency_seconds=" << summary.mean_emergency_seconds;
-    if (summary.mean_degraded_seconds > 0.0) {
-      os << ", mean_degraded_seconds=" << summary.mean_degraded_seconds;
-    }
-  }
-  if (summary.job_trials > 0) {
-    os << ", job_trials=" << summary.job_trials
-       << ", mean_jobs_on_time=" << summary.mean_jobs_on_time
-       << ", mean_jobs_failed=" << summary.mean_jobs_failed
-       << ", mean_gangs_placed=" << summary.mean_gangs_placed
-       << ", mean_gang_waits=" << summary.mean_gang_waits
-       << ", mean_gang_wait_seconds=" << summary.mean_gang_wait_seconds;
-  }
-  if (summary.econ_trials > 0) {
-    os << ", econ_trials=" << summary.econ_trials
-       << ", mean_revenue=" << summary.mean_revenue
-       << ", mean_energy_cost=" << summary.mean_energy_cost
-       << ", mean_net_profit=" << summary.mean_net_profit
-       << ", mean_value_offered=" << summary.mean_value_offered;
+    if (block.trials != nullptr) os << '}';
   }
   if (summary.failed_trials > 0 || summary.retried_trials > 0 ||
       summary.timed_out_trials > 0) {

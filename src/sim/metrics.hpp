@@ -5,12 +5,20 @@
 // finished late, tasks the filters discarded, and tasks that finished on
 // time but only after the system energy budget was exhausted (DESIGN.md
 // decision 3).
+//
+// The result table in metrics.cpp (ResultBlocks()) is the single
+// declaration of every TrialResult scalar: its member, JSON key, kind,
+// omission rule, block and the SummaryStatistics mean it feeds. The
+// checkpoint record layout, both printers and SummarizeTrials walk it.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <iosfwd>
 #include <optional>
 #include <span>
+#include <string_view>
+#include <variant>
 #include <vector>
 
 #include "cluster/pstate.hpp"
@@ -296,12 +304,62 @@ struct SummaryStatistics {
   std::size_t retried_trials = 0;
 };
 
-/// Aggregates trial results (at least one required).
+/// Aggregates trial results (at least one required): each mean_* member is
+/// its result-table row summed in trial order, divided by the trial count.
 [[nodiscard]] SummaryStatistics SummarizeTrials(
     std::span<const TrialResult> trials);
 
-/// Prints the means and, when counter collection was on, the counter block
-/// with derived rates (ReadyPmf hit rate, mean decision latency).
+/// Prints the means under their rows' keys (an extension block's means only
+/// when some trial ran it) and, when counter collection was on, the counter
+/// block with derived rates (ReadyPmf hit rate, mean decision latency).
 std::ostream& operator<<(std::ostream& os, const SummaryStatistics& summary);
+
+/// One result scalar's value: a count, a number, or null (an unset
+/// number-or-null row).
+using ResultValue = std::variant<std::monostate, std::uint64_t, double>;
+
+/// One row of the result table: the single declaration of a TrialResult
+/// scalar.
+struct ResultField {
+  enum class Kind { kCount, kNumber, kNumberOrNull };
+  /// Typed access to the row's member. The member's type (std::size_t,
+  /// double, std::optional<double>) picks the kind, and get/set carry the
+  /// matching ResultValue alternative.
+  struct Codec {
+    Kind kind;
+    ResultValue (*get)(const TrialResult& result);
+    void (*set)(TrialResult& result, const ResultValue& value);
+  };
+
+  /// JSON key, unique within the block. Both printers print it too.
+  std::string_view key;
+  Codec codec;
+  /// The SummaryStatistics mean the row feeds (null: none).
+  double SummaryStatistics::*mean = nullptr;
+  /// Left out of the JSON when zero, and read as zero when absent.
+  bool omit_when_zero = false;
+
+  /// Whether the omission rule keeps the row in `result`'s JSON.
+  [[nodiscard]] bool written(const TrialResult& result) const;
+};
+
+/// A block of result rows: the top level, or one extension's nested JSON
+/// object, written only when the trial ran that extension.
+struct ResultBlock {
+  /// JSON key of the nested object; empty for the top level.
+  std::string_view key;
+  /// Reads the block's `enabled` flag (always true for the top level).
+  bool (*enabled)(const TrialResult& result);
+  /// Sets the flag; null for the top level, which is always written.
+  void (*set_enabled)(TrialResult& result, bool enabled);
+  /// The SummaryStatistics count of trials that ran the block (null for
+  /// the top level).
+  std::size_t SummaryStatistics::*trials;
+  /// The block's rows, in emission order.
+  std::span<const ResultField> fields;
+};
+
+/// The result table: every block, top level first, in emission order.
+[[nodiscard]] std::span<const ResultBlock> ResultBlocks() noexcept;
 
 }  // namespace ecdra::sim

@@ -65,27 +65,29 @@ std::string ReadFile(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
-/// EXPECT_EQ on every simulation-deterministic field (bit-exact doubles;
-/// excludes wall-clock decision_seconds).
+/// EXPECT_EQ on every result-table row and block flag (bit-exact doubles;
+/// counters, whose decision_seconds is wall-clock, are not rows).
 void ExpectBitIdentical(const TrialResult& a, const TrialResult& b) {
-  EXPECT_EQ(a.window_size, b.window_size);
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.missed_deadlines, b.missed_deadlines);
-  EXPECT_EQ(a.discarded, b.discarded);
-  EXPECT_EQ(a.finished_late, b.finished_late);
-  EXPECT_EQ(a.on_time_but_over_budget, b.on_time_but_over_budget);
-  EXPECT_EQ(a.cancelled, b.cancelled);
-  EXPECT_EQ(a.weighted_total, b.weighted_total);
-  EXPECT_EQ(a.weighted_completed, b.weighted_completed);
-  EXPECT_EQ(a.weighted_missed, b.weighted_missed);
-  EXPECT_EQ(a.total_energy, b.total_energy);
-  EXPECT_EQ(a.energy_exhausted_at.has_value(),
-            b.energy_exhausted_at.has_value());
-  if (a.energy_exhausted_at && b.energy_exhausted_at) {
-    EXPECT_EQ(*a.energy_exhausted_at, *b.energy_exhausted_at);
+  for (const ResultBlock& block : ResultBlocks()) {
+    EXPECT_EQ(block.enabled(a), block.enabled(b)) << block.key;
+    for (const ResultField& field : block.fields) {
+      EXPECT_EQ(field.codec.get(a), field.codec.get(b))
+          << block.key << '.' << field.key;
+    }
   }
-  EXPECT_EQ(a.estimated_energy_remaining, b.estimated_energy_remaining);
-  EXPECT_EQ(a.makespan, b.makespan);
+}
+
+/// The zero of `field`'s kind (null for a number-or-null row).
+ResultValue ZeroValue(const ResultField& field) {
+  switch (field.codec.kind) {
+    case ResultField::Kind::kCount:
+      return std::uint64_t{0};
+    case ResultField::Kind::kNumber:
+      return 0.0;
+    case ResultField::Kind::kNumberOrNull:
+      break;
+  }
+  return std::monostate{};
 }
 
 TEST(TrialResultJson, RoundTripIsBitExact) {
@@ -128,37 +130,109 @@ TEST(TrialResultJson, NullExhaustedAtAndViolationsRoundTrip) {
   EXPECT_EQ(restored.validation.by_check[0], result.validation.by_check[0]);
 }
 
-TEST(TrialResultJson, EconBlockRoundTripsBitExact) {
+TEST(TrialResultJson, EveryResultFieldRoundTripsBitExact) {
+  // Every block on and every row a distinct value: the n-th row holds n if
+  // it is a count, else an exactness probe divided by n. The expected text
+  // pins the record layout (order, keys, nesting), so a moved row or a
+  // changed omission rule fails here before it reaches the golden grid.
   TrialResult result;
-  result.window_size = 10;
-  result.completed = 10;
-  result.econ.enabled = true;
-  result.econ.revenue = 0x1.91eb851eb851fp+6;  // exactness probes
-  result.econ.energy_cost = 0x1.2c0p+7;
-  result.econ.net_profit = result.econ.revenue - result.econ.energy_cost;
-  result.econ.value_offered = 250.0;
-  result.econ.paid_finishes = 42;
-  result.econ.decayed_finishes = 3;
-  result.econ.premium_total = 17;
-  result.econ.premium_on_time = 11;
-
+  std::uint64_t n = 0;
+  for (const ResultBlock& block : ResultBlocks()) {
+    if (block.set_enabled != nullptr) block.set_enabled(result, true);
+    for (const ResultField& field : block.fields) {
+      ++n;
+      field.codec.set(result, field.codec.kind == ResultField::Kind::kCount
+                                  ? ResultValue(n)
+                                  : ResultValue(0x1.8db3c4579b52dp+26 /
+                                                static_cast<double>(n)));
+    }
+  }
+  ASSERT_EQ(n, 54u);
+  ASSERT_EQ(ResultBlocks().size(), 4u);
   const std::string json = TrialResultToJson(result);
-  EXPECT_NE(json.find("\"econ\":{"), std::string::npos) << json;
+  EXPECT_EQ(json,
+            "{\"window\":1,\"completed\":2,\"missed\":3,\"discarded\":4,"
+            "\"late\":5,\"over_budget\":6,\"cancelled\":7,\"failures\":8,"
+            "\"repairs\":9,\"throttles\":10,\"lost\":11,\"remapped\":12,"
+            "\"remapped_on_time\":13,\"domain_outages\":14,"
+            "\"domain_repairs\":15,\"migrated\":16,\"migrated_on_time\":17,"
+            "\"weighted_total\":5791958.298269733,"
+            "\"weighted_completed\":5487118.387834484,"
+            "\"weighted_missed\":5212762.4684427595,"
+            "\"energy\":4964535.684231199,\"exhausted_at\":4738874.9713116,"
+            "\"energy_remaining\":4532836.92908066,"
+            "\"makespan\":4343968.723702299,"
+            "\"stream\":{\"windows\":25,\"deferred\":26,"
+            "\"admission_dropped\":27,\"released\":28,\"forced\":29,"
+            "\"pen_peak\":30,\"emergency_entries\":31,"
+            "\"emergency_seconds\":3257976.542776725,\"degraded_entries\":33,"
+            "\"degraded_seconds\":3066330.8637898588,"
+            "\"min_available\":2978721.41053872,"
+            "\"final_available\":2895979.1491348664},"
+            "\"jobs\":{\"jobs\":37,\"on_time\":38,\"late\":39,\"failed\":40,"
+            "\"gangs_placed\":41,\"gang_waits\":42,\"gangs_requeued\":43,"
+            "\"gangs_abandoned\":44,\"pending_peak\":45,"
+            "\"gang_wait_seconds\":2266418.46454033},"
+            "\"econ\":{\"revenue\":2218196.795082025,"
+            "\"energy_cost\":2171984.3618511497,"
+            "\"net_profit\":2127658.1503848,"
+            "\"value_offered\":2085104.987377104,\"paid_finishes\":51,"
+            "\"decayed_finishes\":52,\"premium_total\":53,"
+            "\"premium_on_time\":54}}");
   const TrialResult restored = TrialResultFromJson(json);
-  EXPECT_EQ(restored.econ, result.econ);
-}
+  EXPECT_EQ(TrialResultToJson(restored), json);
+  ExpectBitIdentical(result, restored);
 
-TEST(TrialResultJson, EconOffTrialsKeepThePreEconFormat) {
-  // A trial without econ metering must serialize without any "econ" key —
-  // and a pre-econ record line (no "econ" object) must load with the econ
-  // block disabled, so old stores stay resumable.
-  TrialResult result;
-  result.window_size = 10;
-  const std::string json = TrialResultToJson(result);
-  EXPECT_EQ(json.find("\"econ\""), std::string::npos) << json;
-  const TrialResult restored = TrialResultFromJson(json);
-  EXPECT_FALSE(restored.econ.enabled);
-  EXPECT_EQ(restored.econ, EconStats{});
+  // An unset number-or-null row is written as null and reads back unset.
+  // An omit-when-zero row at zero is not written and reads back as zero.
+  for (const ResultBlock& block : ResultBlocks()) {
+    for (const ResultField& field : block.fields) {
+      if (field.codec.kind != ResultField::Kind::kNumberOrNull &&
+          !field.omit_when_zero) {
+        continue;
+      }
+      TrialResult zeroed = result;
+      field.codec.set(zeroed, ZeroValue(field));
+      const std::string text = TrialResultToJson(zeroed);
+      const std::string key = "\"" + std::string(field.key) + "\":";
+      if (field.omit_when_zero) {
+        EXPECT_EQ(text.find(key), std::string::npos) << text;
+      } else {
+        EXPECT_NE(text.find(key + "null"), std::string::npos) << text;
+      }
+      const TrialResult back = TrialResultFromJson(text);
+      EXPECT_EQ(field.codec.get(back), ZeroValue(field)) << field.key;
+      EXPECT_EQ(TrialResultToJson(back), text);
+      ExpectBitIdentical(zeroed, back);
+    }
+  }
+
+  // A disabled block is not written, so an older record without it loads
+  // with the block off and all of its rows at zero.
+  for (const ResultBlock& block : ResultBlocks()) {
+    if (block.set_enabled == nullptr) continue;
+    TrialResult off = result;
+    block.set_enabled(off, false);
+    const std::string text = TrialResultToJson(off);
+    EXPECT_EQ(text.find("\"" + std::string(block.key) + "\":"),
+              std::string::npos)
+        << text;
+    const TrialResult back = TrialResultFromJson(text);
+    EXPECT_FALSE(block.enabled(back)) << block.key;
+    for (const ResultField& field : block.fields) {
+      EXPECT_EQ(field.codec.get(back), ZeroValue(field)) << field.key;
+    }
+    EXPECT_EQ(TrialResultToJson(back), text);
+  }
+
+  // A trial that ran no extension keeps the paper-era record.
+  EXPECT_EQ(TrialResultToJson(TrialResult{}),
+            "{\"window\":0,\"completed\":0,\"missed\":0,\"discarded\":0,"
+            "\"late\":0,\"over_budget\":0,\"cancelled\":0,\"failures\":0,"
+            "\"repairs\":0,\"throttles\":0,\"lost\":0,\"remapped\":0,"
+            "\"remapped_on_time\":0,\"weighted_total\":0,"
+            "\"weighted_completed\":0,\"weighted_missed\":0,\"energy\":0,"
+            "\"exhausted_at\":null,\"energy_remaining\":0,\"makespan\":0}");
 }
 
 TEST(TrialResultJson, RejectsTaskRecords) {
@@ -267,15 +341,27 @@ TEST(CheckpointStore, TruncatedFinalLineIsTypedStrictAndDroppedTolerant) {
 }
 
 TEST(CheckpointStore, WrongSchemaVersionIsTyped) {
+  // 4294967303 is 2^32 + 7: narrowed to 32 bits it would read as schema 7,
+  // so the refusal must name the value as written.
   const std::string path = TempPath("schema");
-  WriteFile(path,
-            "{\"record\":\"header\",\"schema\":99,\"seed\":\"5\","
-            "\"config\":\"x\"}\n");
-  try {
-    (void)CheckpointStore::Load(path);
-    FAIL() << "expected CheckpointError";
-  } catch (const CheckpointError& error) {
-    EXPECT_EQ(error.kind(), CheckpointErrorKind::kSchemaVersion);
+  const auto header = [](const std::string& schema) {
+    return "{\"record\":\"header\",\"schema\":" + schema +
+           ",\"seed\":\"5\",\"config\":\"x\"}";
+  };
+  for (const auto& [schema, line] :
+       {std::pair{std::string("99"), header("99")},
+        std::pair{std::string("4294967303"), Sealed(header("4294967303"))}}) {
+    WriteFile(path, line + "\n");
+    try {
+      (void)CheckpointStore::Load(path);
+      FAIL() << "expected CheckpointError: " << line;
+    } catch (const CheckpointError& error) {
+      EXPECT_EQ(error.kind(), CheckpointErrorKind::kSchemaVersion);
+      const std::string message = error.what();
+      EXPECT_NE(message.find("schema version " + schema + ","),
+                std::string::npos)
+          << message;
+    }
   }
   std::remove(path.c_str());
 }
@@ -566,18 +652,33 @@ TEST(CheckpointSalvage, BlankTailLineRefusedStrictHealedBySalvage) {
 TEST(CheckpointSalvage, CrcValidButSemanticallyBadRecordIsNeverSalvaged) {
   // A record that passed its CRC was committed intact: if it is wrong it is
   // wrong by construction (a writer bug), and papering over it would hide
-  // the bug — salvage refuses exactly like a strict load.
+  // the bug — salvage refuses exactly like a strict load. 1e20 is past
+  // 2^64, where converting to an integer is undefined: it must be refused
+  // before the conversion.
   const std::string path = TempPath("salvage_semantic");
-  WriteFile(path, ValidHeaderLine() +
-                      Sealed("{\"record\":\"trial\",\"heuristic\":\"SQ\","
-                             "\"filter\":\"en\",\"trial\":0,\"result\":{}}") +
-                      "\n");
-  for (const bool salvage : {false, true}) {
-    try {
-      (void)CheckpointStore::Load(path, {.salvage = salvage});
-      FAIL() << "expected CheckpointError (salvage=" << salvage << ")";
-    } catch (const CheckpointError& error) {
-      EXPECT_EQ(error.kind(), CheckpointErrorKind::kBadRecord);
+  for (const auto& [result, detail] :
+       {std::pair{"{}", "missing field \"window\""},
+        std::pair{"{\"window\":1e20}",
+                  "field \"window\" is not a non-negative integer"}}) {
+    WriteFile(path, ValidHeaderLine() +
+                        Sealed("{\"record\":\"trial\",\"heuristic\":\"SQ\","
+                               "\"filter\":\"en\",\"trial\":0,\"result\":" +
+                               std::string(result) + "}") +
+                        "\n");
+    for (const bool salvage : {false, true}) {
+      try {
+        (void)CheckpointStore::Load(path, {.salvage = salvage});
+        FAIL() << "expected CheckpointError (salvage=" << salvage << ")";
+      } catch (const CheckpointError& error) {
+        EXPECT_EQ(error.kind(), CheckpointErrorKind::kBadRecord);
+        const std::string message = error.what();
+        const std::string prefix = "checkpoint [bad-record]: ";
+        EXPECT_EQ(message.find(prefix), 0u) << message;
+        EXPECT_EQ(message.find(prefix, 1), std::string::npos) << message;
+        EXPECT_NE(message.find(": line 2: " + std::string(detail)),
+                  std::string::npos)
+            << message;
+      }
     }
   }
   std::remove(path.c_str());

@@ -5,6 +5,7 @@
 // fault-enabled runs are deterministic regardless of thread count.
 #include "fault/fault_model.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "experiment/paper_config.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/recovery.hpp"
+#include "sim/checkpoint.hpp"
 #include "sim/engine.hpp"
 #include "sim/experiment_runner.hpp"
 #include "test_support.hpp"
@@ -680,36 +682,81 @@ TEST(FaultBaseline, FaultRateZeroIsBitIdenticalToTheSeedBuild) {
 }
 
 TEST(FaultDeterminism, ThreadCountDoesNotChangeFaultTrialResults) {
-  const sim::ExperimentSetup setup = experiment::BuildPaperSetup();
+  // Runs `run` at 1 and 4 threads and requires each trial's whole result
+  // record (every result-table row, plus validation) to match byte for
+  // byte. Returns the serial trials.
+  const auto serial_trials = [](const sim::ExperimentSetup& setup,
+                                sim::RunOptions run) {
+    run.num_threads = 1;
+    const std::vector<sim::TrialResult> serial =
+        sim::RunTrials(setup, "LL", "en+rob", run);
+    run.num_threads = 4;
+    const std::vector<sim::TrialResult> parallel =
+        sim::RunTrials(setup, "LL", "en+rob", run);
+    EXPECT_EQ(serial.size(), parallel.size());
+    for (std::size_t i = 0; i < std::min(serial.size(), parallel.size());
+         ++i) {
+      EXPECT_EQ(sim::TrialResultToJson(serial[i]),
+                sim::TrialResultToJson(parallel[i]))
+          << "trial " << i;
+    }
+    return serial;
+  };
+
   sim::RunOptions run;
   run.num_trials = 4;
   run.fault.mtbf = 2e5;
   run.recovery = fault::RecoveryPolicy::kRequeueToScheduler;
-
-  sim::RunOptions serial = run;
-  serial.num_threads = 1;
-  sim::RunOptions parallel = run;
-  parallel.num_threads = 4;
-
-  const std::vector<sim::TrialResult> a =
-      sim::RunTrials(setup, "LL", "en+rob", serial);
-  const std::vector<sim::TrialResult> b =
-      sim::RunTrials(setup, "LL", "en+rob", parallel);
-  ASSERT_EQ(a.size(), b.size());
-  bool saw_failure = false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].missed_deadlines, b[i].missed_deadlines) << i;
-    EXPECT_EQ(a[i].completed, b[i].completed) << i;
-    EXPECT_EQ(a[i].failures_injected, b[i].failures_injected) << i;
-    EXPECT_EQ(a[i].tasks_lost_to_failures, b[i].tasks_lost_to_failures) << i;
-    EXPECT_EQ(a[i].tasks_remapped, b[i].tasks_remapped) << i;
-    EXPECT_EQ(a[i].total_energy, b[i].total_energy) << i;  // bitwise
-    EXPECT_EQ(a[i].makespan, b[i].makespan) << i;
-    saw_failure = saw_failure || a[i].failures_injected > 0;
-  }
+  const std::vector<sim::TrialResult> trials =
+      serial_trials(experiment::BuildPaperSetup(), run);
   // The sweep point is harsh enough that the guarantee is actually
   // exercised: at least one trial must inject a failure.
-  EXPECT_TRUE(saw_failure);
+  EXPECT_TRUE(std::any_of(trials.begin(), trials.end(),
+                          [](const sim::TrialResult& trial) {
+                            return trial.failures_injected > 0;
+                          }));
+
+  // Every extension at once, with the knobs of the e2e `extensions`
+  // workload: streaming with value-density admission, the budget-feedback
+  // governor, domain outages with cascading throttles plus per-core faults
+  // and throttles, migrate recovery, map->reduce gang jobs, and per-type
+  // value.
+  sim::SetupOptions environment;
+  environment.cluster.num_nodes = 3;
+  environment.workload.arrivals =
+      workload::ArrivalSpec::PaperBursty(15, 30, 1.0 / 8.0, 1.0 / 48.0);
+  environment.workload.jobs.enabled = true;
+  environment.workload.jobs.widths = {{1, 0.6}, {4, 0.4}};
+  environment.workload.jobs.depths = {{1, 0.5}, {2, 0.5}};
+  sim::RunOptions extensions;
+  extensions.num_trials = 8;
+  extensions.validation = validate::ValidationMode::kDeep;
+  extensions.governor = "budget-feedback";
+  extensions.mode = policy::RunMode::kStream;
+  extensions.stream.energy_rate = 6000.0;
+  extensions.stream.admission = "value-density";
+  extensions.fault.mtbf = 1e5;
+  extensions.fault.repair_time = 2000.0;
+  extensions.fault.throttle_interval = 40000.0;
+  extensions.fault.throttle_duration = 2000.0;
+  extensions.fault.domain_mtbf = 16000.0;
+  extensions.fault.domain_repair_time = 4000.0;
+  extensions.fault.cascade_throttle = true;
+  extensions.recovery = fault::RecoveryPolicy::kMigrateQueued;
+  extensions.econ_enabled = true;
+  extensions.econ.type_values = {1.0, 5.0, 20.0};
+  extensions.econ.energy_price = 1e-6;
+  const std::vector<sim::TrialResult> extension_trials = serial_trials(
+      sim::BuildExperimentSetup(14, environment), extensions);
+  ASSERT_EQ(extension_trials.size(), 8u);
+  for (const sim::TrialResult& trial : extension_trials) {
+    EXPECT_TRUE(trial.stream.enabled && trial.jobs.enabled &&
+                trial.econ.enabled);
+    EXPECT_GT(trial.failures_injected + trial.throttles_injected +
+                  trial.domain_outages,
+              0u);
+    EXPECT_TRUE(trial.validation.ok());
+  }
 }
 
 TEST(FaultDeterminism, RepeatedFaultTrialsAreIdentical) {
