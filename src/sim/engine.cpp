@@ -50,6 +50,25 @@ Engine::Engine(const cluster::Cluster& cluster,
       models_(cluster.total_cores()),
       meter_(cluster, cluster::kNumPStates - 1),
       events_(cluster.total_cores()),
+      // Every extension's state, in both modes; an extension that is off
+      // holds its neutral value. Resolving the governor name validates it;
+      // "static" declares an empty cadence.
+      injector_(cluster.total_cores(), options.fault_schedule,
+                options.fault_domains),
+      availability_(cluster.total_cores()),
+      remapped_(tasks_.size(), 0),
+      migrated_(tasks_.size(), 0),
+      governor_(governor::MakeGovernor(options.governor)),
+      cadence_(governor_->cadence()),
+      governor_floor_(cluster.total_cores(), 0),
+      parked_(cluster.total_cores(), 0),
+      core_views_(cluster.total_cores()),
+      horizon_(tasks_.empty() ? 0.0 : tasks_.back().arrival),
+      stream_enabled_(options.stream.enabled),
+      jobs_enabled_(!workload::AllTasksDegenerate(tasks_)),
+      econ_enabled_(!options.econ.trivial()),
+      profit_(options_.econ),
+      member_tallied_(tasks_.size(), 0),
       idle_pstate_(cluster::kNumPStates - 1) {
   ECDRA_REQUIRE(options.energy_budget > 0.0, "energy budget must be positive");
   ECDRA_REQUIRE(std::is_sorted(tasks_.begin(), tasks_.end(),
@@ -89,12 +108,29 @@ Engine::Engine(const cluster::Cluster& cluster,
     : Engine(cluster, types, std::move(tasks), scheduler.estimator(), options,
              std::move(rng)) {
   // Each extension calls into the immediate scheduler (remaps, admission,
-  // fair-share scaling, gangs, the econ view), which batch mode does not have.
-  ECDRA_REQUIRE(options.fault_schedule.empty() &&
-                    options.governor == "static" && !options.stream.enabled &&
-                    !options.jobs.enabled && !options.econ.enabled,
-                "batch mode runs no fault, governor, stream, jobs or econ "
-                "extension");
+  // fair-share scaling, gangs, the econ view), which batch mode does not
+  // have; one line names every input that asks for one.
+  std::string refused;
+  const auto refuse = [&refused](const std::string& input) {
+    refused += (refused.empty() ? "" : ", ") + input;
+  };
+  if (!options_.fault_schedule.empty()) refuse("a fault schedule");
+  if (options_.governor != "static") {
+    refuse("governor \"" + options_.governor + "\"");
+  }
+  if (stream_enabled_) refuse("stream mode");
+  if (jobs_enabled_) {
+    const std::size_t job =
+        std::ranges::find_if_not(tasks_, workload::IsDegenerateJobTask)->job;
+    const auto first = std::ranges::find(tasks_, job, &workload::Task::job);
+    refuse("task " + std::to_string(first->id) + " of gang job " +
+           std::to_string(job));
+  }
+  if (econ_enabled_) refuse("a non-trivial econ model");
+  if (!refused.empty()) {
+    throw std::invalid_argument("batch mode cannot run " + refused +
+                                " (use the immediate-mode engine)");
+  }
   batch_ = &scheduler;
   batch_->SetObservability(core::SchedulerObservability{
       options_.collect_counters ? &counters_ : nullptr, options_.trace_sink,
@@ -113,39 +149,9 @@ Engine::Engine(const cluster::Cluster& cluster,
       options_.collect_counters ? &counters_ : nullptr, options_.trace_sink,
       options_.trial_index});
 
-  // Fault extension: all bookkeeping stays unallocated (and the baseline
-  // event/mapping paths untouched) unless this trial has a schedule.
-  fault_enabled_ = !options_.fault_schedule.empty();
-  if (fault_enabled_) {
-    injector_ = fault::FaultInjector(
-        cluster.total_cores(), options_.fault_schedule, options_.fault_domains);
-    availability_.assign(cluster.total_cores(), core::CoreAvailability{});
-    remapped_.assign(tasks_.size(), 0);
-    migrated_.assign(tasks_.size(), 0);
-  }
-
-  // Governor extension (src/governor): resolving the name validates it; the
-  // "static" baseline declares an all-off cadence, so no governor
-  // bookkeeping is allocated and every hook below compiles down to a dead
-  // branch — the trial is bit-identical to a pre-governor build.
-  governor_ = governor::MakeGovernor(options_.governor);
-  cadence_ = governor_->cadence();
-  governor_enabled_ = cadence_.any();
-  if (governor_enabled_) {
-    governor_floor_.assign(cluster.total_cores(), 0);
-    parked_.assign(cluster.total_cores(), 0);
-    core_views_.resize(cluster.total_cores());
-    if (availability_.empty()) {
-      availability_.assign(cluster.total_cores(), core::CoreAvailability{});
-    }
-    horizon_ = tasks_.empty() ? 0.0 : tasks_.back().arrival;
-  }
-
   // Streaming service mode (src/stream): the replenishing account, the
   // admission policy (resolving the name validates it; "none" reports
-  // inactive so arrivals skip the rho sweep), and the availability slab the
-  // emergency pin writes through.
-  stream_enabled_ = options_.stream.enabled;
+  // inactive so arrivals skip the rho sweep), and degraded mode.
   if (stream_enabled_) {
     ECDRA_REQUIRE(options_.stream.window_length > 0.0,
                   "stream window length must be positive");
@@ -156,9 +162,6 @@ Engine::Engine(const cluster::Cluster& cluster,
     window_length_ = options_.stream.window_length;
     degraded_ = stream::DegradedMode(options_.stream.degraded_enter,
                                      options_.stream.degraded_exit);
-    if (availability_.empty()) {
-      availability_.assign(cluster.total_cores(), core::CoreAvailability{});
-    }
     // An account born below the enter threshold is already in emergency; the
     // floors must say so before the first arrival maps.
     emergency_active_ = account_.emergency();
@@ -169,51 +172,29 @@ Engine::Engine(const cluster::Cluster& cluster,
     }
   }
 
-  // Econ extension (src/econ): a trivial model (all values zero, free
-  // energy, neutral tiers) is treated exactly like econ-off, so the
-  // degenerate configuration allocates no meter and the scheduler never
-  // sees an econ view — bit-identical to a pre-econ build.
-  econ_enabled_ = options_.econ.enabled && !options_.econ.model.trivial();
-  if (econ_enabled_) {
-    profit_.emplace(options_.econ.model);
-    scheduler_->SetEconModel(&options_.econ.model);
-  }
+  // Econ extension (src/econ): only a non-trivial model gives the scheduler
+  // an econ view; econ-aware policies read null outside econ mode.
+  if (econ_enabled_) scheduler_->SetEconModel(&options_.econ);
 
   // Job extension (src/workload/job.hpp): derive the JobGraph from the
-  // tasks' job/stage fields. A workload whose every job is degenerate
-  // demotes back to the task-level path — the event loop, the scheduler
-  // calls, and the result JSON are bit-identical to a pre-jobs build, and
-  // JobStats stays disabled.
-  jobs_enabled_ = options_.jobs.enabled;
+  // tasks' job/stage fields. An all-degenerate workload never builds one (it
+  // would hold a Job per task) and takes the task-level path.
   if (jobs_enabled_) {
     graph_ = workload::BuildJobGraph(tasks_);
-    bool any_gang = false;
-    for (const workload::Job& job : graph_.jobs) {
-      if (!job.degenerate()) {
-        any_gang = true;
-        break;
+    job_of_.resize(tasks_.size());
+    job_runtime_.resize(graph_.size());
+    for (std::size_t j = 0; j < graph_.size(); ++j) {
+      const workload::Job& job = graph_.jobs[j];
+      const std::size_t first = job.stages.front().first_task;
+      const std::size_t total = job.total_tasks();
+      job_runtime_[j].tasks_remaining = total;
+      for (std::size_t id = first; id < first + total; ++id) {
+        job_of_[id] = j;
       }
     }
-    if (!any_gang) {
-      jobs_enabled_ = false;
-      graph_ = workload::JobGraph{};
-    } else {
-      job_of_.resize(tasks_.size());
-      job_runtime_.resize(graph_.size());
-      for (std::size_t j = 0; j < graph_.size(); ++j) {
-        const workload::Job& job = graph_.jobs[j];
-        const std::size_t first = job.stages.front().first_task;
-        const std::size_t total = job.total_tasks();
-        job_runtime_[j].tasks_remaining = total;
-        for (std::size_t id = first; id < first + total; ++id) {
-          job_of_[id] = j;
-        }
-      }
-      reserved_.assign(cluster.total_cores(), 0);
-      member_tallied_.assign(tasks_.size(), 0);
-      scheduler_->ConfigureGangs(options_.jobs.placement);
-      serializes_ = scheduler_->gang_placement()->Serializes();
-    }
+    reserved_.assign(cluster.total_cores(), 0);
+    scheduler_->ConfigureGangs(options_.gang_placement);
+    serializes_ = scheduler_->gang_placement()->Serializes();
   }
 }
 
@@ -241,21 +222,19 @@ TrialResult Engine::Run() {
   // Every task is offered to the profit meter exactly once so forfeited
   // value (discards, drops, never-finished work) shows up as the gap
   // between value_offered and revenue.
-  if (econ_enabled_) {
-    for (const workload::Task& task : tasks_) profit_->Offer(task);
-  }
+  for (const workload::Task& task : tasks_) profit_.Offer(task);
 
   // Jobs mode seeds one kind-2 event per *job* (event.index is a job index;
   // every member task shares the job's arrival), and weights the trial by
   // job priorities — per-job deadline accounting replaces the per-task tally.
+  std::size_t arrivals_pending = jobs_enabled_ ? graph_.size() : tasks_.size();
+  events_.Reserve(arrivals_pending + injector_.events().size() + 1);
   if (jobs_enabled_) {
-    events_.Reserve(graph_.size() + injector_.events().size() + 1);
     for (std::size_t j = 0; j < graph_.size(); ++j) {
       result.weighted_total += graph_.jobs[j].priority;
       events_.Push(Event{graph_.jobs[j].arrival, 2, j, next_seq_++});
     }
   } else {
-    events_.Reserve(tasks_.size() + injector_.events().size() + 1);
     for (std::size_t i = 0; i < tasks_.size(); ++i) {
       result.weighted_total += tasks_[i].priority;
       events_.Push(Event{tasks_[i].arrival, 2, i, next_seq_++});
@@ -264,14 +243,13 @@ TrialResult Engine::Run() {
   for (std::size_t i = 0; i < injector_.events().size(); ++i) {
     events_.Push(Event{injector_.events()[i].time, 1, i, next_seq_++});
   }
-  if (governor_enabled_ && cadence_.tick_period > 0.0) {
+  if (cadence_.tick_period > 0.0) {
     events_.Push(Event{cadence_.tick_period, 3, 0, next_seq_++});
   }
   if (stream_enabled_) {
     events_.Push(Event{window_length_, 4, 0, next_seq_++});
   }
 
-  std::size_t arrivals_pending = jobs_enabled_ ? graph_.size() : tasks_.size();
   std::size_t fault_events_pending = injector_.events().size();
   double now = 0.0;
   while (!events_.empty()) {
@@ -316,7 +294,7 @@ TrialResult Engine::Run() {
       } else {
         HandleArrival(tasks_[event.index], now);
       }
-      if (governor_enabled_ && cadence_.on_assignment) InvokeGovernor(now);
+      if (cadence_.on_assignment) InvokeGovernor(now);
       if (options_.collect_robustness_trace) {
         // Sampled after the arrival is mapped, so the trace reflects the
         // allocation the scheduler just produced. in_flight counts every
@@ -339,7 +317,7 @@ TrialResult Engine::Run() {
       --fault_events_pending;
       HandleFault(injector_.events()[event.index], now);
       // A repair may have revived enough distinct cores for a waiting gang.
-      if (jobs_enabled_) TryPlacePendingGangs(now);
+      TryPlacePendingGangs(now);
     } else if (event.kind == 3) {
       // Governor tick. The next one is only scheduled while work remains,
       // so trailing ticks cannot stretch the event loop past the workload.
@@ -372,37 +350,30 @@ TrialResult Engine::Run() {
       const bool within_energy =
           stream_enabled_ ? account_.available() >= 0.0
                           : (!exhausted_at_ || now <= *exhausted_at_);
+      const bool ok = on_time && within_energy;
       // A gang restart after a fault re-runs already-finished members; only
       // a member's first finish counts toward the task-level buckets (the
       // job-level verdict always uses the finish that actually happened).
-      const bool first_finish =
-          !jobs_enabled_ || member_tallied_[task_id] == 0;
-      if (jobs_enabled_) member_tallied_[task_id] = 1;
-      if (first_finish) {
-        if (on_time && within_energy) {
+      if (member_tallied_[task_id] == 0) {
+        member_tallied_[task_id] = 1;
+        if (ok) {
           ++result.completed;
-          // Jobs mode credits weighted completion once per job, when its
-          // last task finishes (OnMemberFinished), not per member task.
-          if (!jobs_enabled_) result.weighted_completed += task.priority;
-          if (fault_enabled_ && remapped_[task_id] != 0) ++remapped_on_time_;
-          if (fault_enabled_ && migrated_[task_id] != 0) ++migrated_on_time_;
+          ++window_.on_time;
+          // Jobs mode replaces this per-task credit with the per-job one
+          // (OnMemberFinished) when the result is assembled.
+          result.weighted_completed += task.priority;
+          if (remapped_[task_id] != 0) ++remapped_on_time_;
+          if (migrated_[task_id] != 0) ++migrated_on_time_;
         } else if (!on_time) {
           ++result.finished_late;
+          ++window_.late;
         } else {
           ++result.on_time_but_over_budget;
-        }
-        if (stream_enabled_) {
-          if (on_time && within_energy) {
-            ++window_.on_time;
-          } else if (!on_time) {
-            ++window_.late;
-          } else {
-            ++window_.over_energy;
-          }
+          ++window_.over_energy;
         }
         // A late finish may still earn a decayed fraction; an insolvent
         // (over-budget) finish earns nothing.
-        if (econ_enabled_) profit_->Finish(task, now, within_energy);
+        profit_.Finish(task, now, within_energy);
       }
       --active_tasks_;
       if (options_.collect_task_records) {
@@ -413,23 +384,20 @@ TrialResult Engine::Run() {
       }
       HandleFinish(flat, now);
       if (validator && validator->deep()) CheckQueueModelSync(flat, now);
-      if (jobs_enabled_) {
-        // Order matters: HandleFinish freed the core (and started any queued
-        // successor), so a stage release triggered here sees that capacity.
-        OnMemberFinished(task_id, on_time && within_energy, now);
-        TryPlacePendingGangs(now);
-      }
+      // Order matters: HandleFinish freed the core (and started any queued
+      // successor), so a stage release triggered here sees that capacity.
+      if (jobs_enabled_) OnMemberFinished(task_id, ok, now);
+      TryPlacePendingGangs(now);
       // A completion freed capacity: give the most-owed penned task one
       // chance to re-enter (full scans wait for the window boundary).
-      if (stream_enabled_ && !pen_.empty()) ReleasePen(now, false);
-      if (governor_enabled_ && cadence_.on_completion) InvokeGovernor(now);
+      ReleasePen(now, false);
+      if (cadence_.on_completion) InvokeGovernor(now);
     }
     // With all arrivals seen, no task assigned anywhere, and nothing penned,
     // nothing left in the queue can matter — only stale finishes, trailing
     // fault events, and trailing window boundaries.
-    if (arrivals_pending == 0 && active_tasks_ == 0 &&
-        (!stream_enabled_ || pen_.empty())) {
-      if (jobs_enabled_ && !pending_gangs_.empty()) {
+    if (arrivals_pending == 0 && active_tasks_ == 0 && pen_.empty()) {
+      if (!pending_gangs_.empty()) {
         // A still-queued repair can revive the distinct cores a waiting
         // gang needs — keep consuming fault events before giving up.
         if (fault_events_pending > 0) continue;
@@ -516,16 +484,16 @@ TrialResult Engine::Run() {
     result.stream = stream_stats_;
   }
   if (econ_enabled_) {
-    profit_->Settle(post_hoc);
+    profit_.Settle(post_hoc);
     result.econ.enabled = true;
-    result.econ.revenue = profit_->revenue();
-    result.econ.energy_cost = profit_->energy_cost();
-    result.econ.net_profit = profit_->net_profit();
-    result.econ.value_offered = profit_->value_offered();
-    result.econ.paid_finishes = profit_->paid_finishes();
-    result.econ.decayed_finishes = profit_->decayed_finishes();
-    result.econ.premium_total = profit_->premium_total();
-    result.econ.premium_on_time = profit_->premium_on_time();
+    result.econ.revenue = profit_.revenue();
+    result.econ.energy_cost = profit_.energy_cost();
+    result.econ.net_profit = profit_.net_profit();
+    result.econ.value_offered = profit_.value_offered();
+    result.econ.paid_finishes = profit_.paid_finishes();
+    result.econ.decayed_finishes = profit_.decayed_finishes();
+    result.econ.premium_total = profit_.premium_total();
+    result.econ.premium_on_time = profit_.premium_on_time();
     if (options_.trace_sink != nullptr) {
       options_.trace_sink->Record(obs::ProfitRecord{
           options_.trial_index, now, result.econ.revenue,
@@ -538,14 +506,12 @@ TrialResult Engine::Run() {
   result.robustness_trace = std::move(robustness_trace_);
   if (options_.collect_counters) {
     counters_.tasks_cancelled = cancelled_;
-    if (stream_enabled_) {
-      counters_.stream_windows = stream_stats_.windows;
-      counters_.stream_deferred = stream_stats_.deferred;
-      counters_.stream_admission_dropped = stream_stats_.admission_dropped;
-      counters_.stream_released = stream_stats_.released;
-      counters_.stream_forced_admissions = stream_stats_.forced_admissions;
-      counters_.stream_emergency_entries = stream_stats_.emergency_entries;
-    }
+    counters_.stream_windows = stream_stats_.windows;
+    counters_.stream_deferred = stream_stats_.deferred;
+    counters_.stream_admission_dropped = stream_stats_.admission_dropped;
+    counters_.stream_released = stream_stats_.released;
+    counters_.stream_forced_admissions = stream_stats_.forced_admissions;
+    counters_.stream_emergency_entries = stream_stats_.emergency_entries;
     result.counters = counters_;
   }
   if (validator) result.validation = validator->TakeReport();
@@ -574,33 +540,22 @@ void Engine::CheckQueueModelSync(std::size_t flat_core, double now) const {
 }
 
 void Engine::HandleArrival(const workload::Task& task, double now) {
-  if (stream_enabled_) {
-    ++window_.arrivals;
-    if (admission_active_) {
-      // The admission stage rules before the mapping pipeline runs. Deferred
-      // and dropped arrivals still consume their slot in the scheduler's
-      // arrival window (SkipTask) so the energy filter's fair share stays
-      // honest; a later pen release re-enters through the remap pipeline.
-      switch (DecideAdmission(task, now)) {
-        case stream::AdmissionVerdict::kDefer:
-          scheduler_->SkipTask();
-          DeferToPen(task);
-          return;
-        case stream::AdmissionVerdict::kDrop:
-          scheduler_->SkipTask();
-          DropAtAdmission(task.id, now);
-          return;
-        case stream::AdmissionVerdict::kAdmitForced:
-          ++stream_stats_.forced_admissions;
-          break;
-        case stream::AdmissionVerdict::kAdmit:
-          break;
-      }
+  ++window_.arrivals;
+  // The admission stage rules before the mapping pipeline runs. Deferred and
+  // dropped arrivals still consume their slot in the scheduler's arrival
+  // window (SkipTask) so the energy filter's fair share stays honest; a later
+  // pen release re-enters through the remap pipeline.
+  const stream::AdmissionVerdict verdict = Admit(task, now);
+  if (verdict != stream::AdmissionVerdict::kAdmit) {
+    scheduler_->SkipTask();
+    if (verdict == stream::AdmissionVerdict::kDrop) {
+      DropAtAdmission(task.id, now);
     }
-    ++window_.admitted;
+    return;
   }
+  ++window_.admitted;
   const std::optional<core::Candidate> chosen =
-      scheduler_->MapTask(task, now, models_, AvailabilityView());
+      scheduler_->MapTask(task, now, models_, availability_);
   if (!chosen) return;  // discarded; scheduler counted it
   PlaceOnCore(*chosen, task, now);
 }
@@ -636,7 +591,7 @@ void Engine::PlaceOnCore(const core::Candidate& chosen,
 
 bool Engine::TryRemap(const workload::Task& task, double now) {
   const std::optional<core::Candidate> chosen =
-      scheduler_->RemapTask(task, now, models_, AvailabilityView());
+      scheduler_->RemapTask(task, now, models_, availability_);
   if (!chosen) return false;
   PlaceOnCore(*chosen, task, now);
   return true;
@@ -669,7 +624,7 @@ void Engine::HandleFault(const fault::FaultEvent& fault_event, double now) {
   const bool kills_or_revives =
       fault_event.kind == fault::FaultEventKind::kCoreFailure ||
       fault_event.kind == fault::FaultEventKind::kCoreRepair || domain_event;
-  if (governor_enabled_ && kills_or_revives) {
+  if (kills_or_revives) {
     for (const std::size_t flat : affected) parked_[flat] = 0;
   }
 
@@ -721,7 +676,7 @@ void Engine::HandleFault(const fault::FaultEvent& fault_event, double now) {
   // Degraded-mode bookkeeping rides every capacity change, not just domain
   // events: a lone core failure nudges the lost fraction too (and while
   // degraded, every loss or partial repair moves the fair-share shrink).
-  if (stream_enabled_ && kills_or_revives) UpdateDegraded(now);
+  if (kills_or_revives) UpdateDegraded(now);
 
   if (options_.trace_sink != nullptr) {
     trace_record.trial = options_.trial_index;
@@ -864,32 +819,17 @@ void Engine::FailCores(std::span<const std::size_t> dead_cores, double now,
 
 void Engine::RecoverViaRequeue(std::size_t task_id, double now,
                                obs::FaultEventRecord& trace_record) {
-  bool saved = false;
-  if (stream_enabled_ && admission_active_) {
-    // Streaming admission sees a requeued task exactly like a fresh
-    // arrival — it re-enters admission, it never jumps straight into
-    // the holding pen (and may be re-refused under backpressure).
-    switch (DecideAdmission(tasks_[task_id], now)) {
-      case stream::AdmissionVerdict::kDefer:
-        DeferToPen(tasks_[task_id]);
-        return;  // neither saved nor lost yet
-      case stream::AdmissionVerdict::kDrop:
-        // Counted as an admission drop and, below, as lost.
-        ++stream_stats_.admission_dropped;
-        ++window_.dropped;
-        break;
-      case stream::AdmissionVerdict::kAdmitForced:
-        ++stream_stats_.forced_admissions;
-        saved = TryRemap(tasks_[task_id], now);
-        break;
-      case stream::AdmissionVerdict::kAdmit:
-        saved = TryRemap(tasks_[task_id], now);
-        break;
-    }
-  } else {
-    saved = TryRemap(tasks_[task_id], now);
+  // Streaming admission sees a requeued task exactly like a fresh arrival —
+  // it re-enters admission, it never jumps straight into the holding pen
+  // (and may be re-refused under backpressure).
+  const stream::AdmissionVerdict verdict = Admit(tasks_[task_id], now);
+  if (verdict == stream::AdmissionVerdict::kDefer) return;  // not lost yet
+  // A drop counts as an admission drop and, below, as lost.
+  if (verdict == stream::AdmissionVerdict::kDrop) {
+    DropAtAdmission(task_id, now);
   }
-  if (saved) {
+  if (verdict == stream::AdmissionVerdict::kAdmit &&
+      TryRemap(tasks_[task_id], now)) {
     ++tasks_remapped_;
     ++trace_record.tasks_requeued;
     remapped_[task_id] = 1;
@@ -951,7 +891,7 @@ void Engine::MarkTaskLost(std::size_t task_id, double now,
     record.finish_time = now;
   }
   // A lost member dooms its whole job: no later stage can complete.
-  if (jobs_enabled_) FailJob(job_of_[task_id], now);
+  FailJobOf(task_id, now);
 }
 
 void Engine::ApplyExecFloor(std::size_t flat_core, double now) {
@@ -1000,7 +940,7 @@ void Engine::HandleFinish(std::size_t flat_core, double now) {
         record.cancelled = true;
         record.finish_time = now;
       }
-      if (jobs_enabled_) FailJob(job_of_[cancelled_id], now);
+      FailJobOf(cancelled_id, now);
     }
   }
   if (!core.pending.empty()) {
@@ -1065,16 +1005,14 @@ double Engine::StartOnCore(std::size_t flat_core, std::size_t task_id,
                            double now) {
   // Fault extension: an active throttle floor caps the execution state; the
   // sampled duration stretches by the time-multiplier ratio. Unthrottled
-  // cores (and all fault-free trials) take the exact baseline path.
-  cluster::PStateIndex exec_pstate = pstate;
-  if (fault_enabled_) {
-    exec_pstate = std::max(pstate, injector_.pstate_floor(flat_core));
-    if (exec_pstate != pstate) {
-      const cluster::PStateProfile& pstates =
-          cluster_->NodeOf(flat_core).pstates;
-      duration *= pstates[exec_pstate].time_multiplier /
-                  pstates[pstate].time_multiplier;
-    }
+  // cores (floor 0) run at the assigned state.
+  const cluster::PStateIndex exec_pstate =
+      std::max(pstate, injector_.pstate_floor(flat_core));
+  if (exec_pstate != pstate) {
+    const cluster::PStateProfile& pstates =
+        cluster_->NodeOf(flat_core).pstates;
+    duration *= pstates[exec_pstate].time_multiplier /
+                pstates[pstate].time_multiplier;
   }
   // Optional DVFS switching delay: the core is occupied (at the destination
   // state's power) before execution begins.
@@ -1094,7 +1032,7 @@ double Engine::StartOnCore(std::size_t flat_core, std::size_t task_id,
             options_.power_cov * options_.power_cov);
   }
   SwitchPState(flat_core, exec_pstate, now, core_watts);
-  if (governor_enabled_) parked_[flat_core] = 0;
+  parked_[flat_core] = 0;
   CoreRuntime& core = runtime_[flat_core];
   core.busy = true;
   core.running = RunningTask{task_id, start + duration, pstate, exec_pstate};
@@ -1162,16 +1100,10 @@ void Engine::AdvanceEnergy(double to_time) {
 }
 
 void Engine::RefreshAvailability(std::size_t flat_core) {
-  core::CoreAvailability availability;
-  if (fault_enabled_) {
-    availability.available = injector_.available(flat_core);
-    availability.pstate_floor = injector_.pstate_floor(flat_core);
-  }
-  if (governor_enabled_) {
-    availability.pstate_floor =
-        std::max(availability.pstate_floor, governor_floor_[flat_core]);
-  }
-  if (stream_enabled_ && emergency_active_) {
+  core::CoreAvailability availability{
+      injector_.available(flat_core),
+      std::max(injector_.pstate_floor(flat_core), governor_floor_[flat_core])};
+  if (emergency_active_) {
     // Emergency pin: future mappings are floored to the deepest P-state;
     // running tasks keep their states (the governor-cap precedent).
     availability.pstate_floor =
@@ -1201,10 +1133,8 @@ void Engine::InvokeGovernor(double now) {
   observation.queues = models_;
   observation.cores = core_views_;
   observation.idle_pstate = idle_pstate_;
-  if (econ_enabled_) {
-    observation.energy_price = options_.econ.model.energy_price;
-    observation.realized_revenue = profit_->revenue();
-  }
+  observation.energy_price = options_.econ.energy_price;
+  observation.realized_revenue = profit_.revenue();
   governor_->Govern(observation, *this);
   if (validate::TrialValidator* validator = validate::ActiveValidator()) {
     // Cheap invariant: a parked core must be idle — a busy one would mean a
@@ -1247,7 +1177,7 @@ bool Engine::ParkIdleCore(std::size_t flat_core) {
                 "governor park: core index out of range");
   CoreRuntime& core = runtime_[flat_core];
   if (core.busy || parked_[flat_core] != 0) return false;
-  if (fault_enabled_ && !injector_.available(flat_core)) return false;
+  if (!injector_.available(flat_core)) return false;
   // Already drawing nothing (IdlePolicy::kPowerGated, or a dead core):
   // parking would be a no-op transition the nu list should not record.
   if (core.log.back().power_watts == 0.0) return false;
@@ -1291,7 +1221,7 @@ void Engine::PushFairShare() {
   // of one surviving core keeps the scale positive even under a total
   // outage (nothing can map then anyway).
   double effective = fair_share_scale_;
-  if (stream_enabled_ && degraded_.active()) {
+  if (degraded_.active()) {
     const double total = static_cast<double>(runtime_.size());
     const double surviving =
         total - static_cast<double>(injector_.unavailable_cores());
@@ -1303,7 +1233,6 @@ void Engine::PushFairShare() {
 }
 
 void Engine::UpdateDegraded(double now) {
-  if (!fault_enabled_) return;
   const double lost = static_cast<double>(injector_.unavailable_cores()) /
                       static_cast<double>(runtime_.size());
   degraded_.Update(now, lost);
@@ -1320,7 +1249,7 @@ double Engine::BestAdmissionRho(const workload::Task& task, double now) const {
   for (const bool idle_pass : {true, false}) {
     for (std::size_t flat = 0; flat < models_.size(); ++flat) {
       if (models_[flat].idle() != idle_pass) continue;
-      if (fault_enabled_ && !injector_.available(flat)) continue;
+      if (!injector_.available(flat)) continue;
       // The same rho(i,j,k,pi,t,z) primitive the robustness filter computes,
       // evaluated at the core's current P-state floor (emergency, throttle,
       // or governor cap) — the fastest state a mapping could actually get.
@@ -1352,9 +1281,19 @@ stream::AdmissionVerdict Engine::DecideAdmission(const workload::Task& task,
     view.value = task.value;
     view.cheapest_energy =
         stream::CheapestExpectedEnergy(*cluster_, *types_, task.type);
-    view.energy_price = options_.econ.model.energy_price;
+    view.energy_price = options_.econ.energy_price;
   }
   return admission_->Decide(view);
+}
+
+stream::AdmissionVerdict Engine::Admit(const workload::Task& task,
+                                       double now) {
+  if (!admission_active_) return stream::AdmissionVerdict::kAdmit;
+  const stream::AdmissionVerdict verdict = DecideAdmission(task, now);
+  if (verdict == stream::AdmissionVerdict::kDefer) DeferToPen(task);
+  if (verdict != stream::AdmissionVerdict::kAdmitForced) return verdict;
+  ++stream_stats_.forced_admissions;
+  return stream::AdmissionVerdict::kAdmit;
 }
 
 void Engine::DeferToPen(const workload::Task& task) {
@@ -1382,7 +1321,7 @@ void Engine::ReleasePen(double now, bool full_scan) {
       // Expired in the pen: a certain miss not worth a mapping attempt.
       pen_.Remove(penned.task_id);
       DropAtAdmission(penned.task_id, now);
-      if (jobs_enabled_) FailJob(job_of_[penned.task_id], now);
+      FailJobOf(penned.task_id, now);
       continue;
     }
     const stream::AdmissionVerdict verdict = DecideAdmission(task, now);
@@ -1393,7 +1332,7 @@ void Engine::ReleasePen(double now, bool full_scan) {
     pen_.Remove(penned.task_id);
     if (verdict == stream::AdmissionVerdict::kDrop) {
       DropAtAdmission(penned.task_id, now);
-      if (jobs_enabled_) FailJob(job_of_[penned.task_id], now);
+      FailJobOf(penned.task_id, now);
       continue;
     }
     if (verdict == stream::AdmissionVerdict::kAdmitForced) {
@@ -1405,7 +1344,7 @@ void Engine::ReleasePen(double now, bool full_scan) {
     } else {
       // The mapping pipeline found nothing feasible for it either.
       DropAtAdmission(penned.task_id, now);
-      if (jobs_enabled_) FailJob(job_of_[penned.task_id], now);
+      FailJobOf(penned.task_id, now);
     }
     // A head-only scan (completion-triggered) releases at most one task.
     if (!full_scan) break;
@@ -1422,7 +1361,7 @@ void Engine::DrainPen(double now) {
       ++window_.released;
     } else {
       DropAtAdmission(penned.task_id, now);
-      if (jobs_enabled_) FailJob(job_of_[penned.task_id], now);
+      FailJobOf(penned.task_id, now);
     }
   }
 }
@@ -1477,41 +1416,27 @@ double Engine::SampleActualDuration(const workload::Task& task,
 
 void Engine::HandleJobArrival(std::size_t job_index, double now) {
   const workload::Job& job = graph_.jobs[job_index];
+  const std::size_t first = job.stages.front().first_task;
   const std::size_t total = job.total_tasks();
-  if (stream_enabled_) {
-    window_.arrivals += total;
-    if (admission_active_) {
-      // Admission rules once for the whole job, on its first task as the
-      // representative (members share arrival, deadline, and type layout
-      // per stage). A refused job consumes every member's arrival-window
-      // slot up front (prepaid) — later stage releases re-enter through
-      // the remap pipeline and never touch the window again.
-      const workload::Task& rep = tasks_[job.stages.front().first_task];
-      switch (DecideAdmission(rep, now)) {
-        case stream::AdmissionVerdict::kDefer:
-          for (std::size_t i = 0; i < total; ++i) scheduler_->SkipTask();
-          job_runtime_[job_index].prepaid = true;
-          DeferToPen(rep);
-          return;
-        case stream::AdmissionVerdict::kDrop: {
-          for (std::size_t i = 0; i < total; ++i) scheduler_->SkipTask();
-          job_runtime_[job_index].prepaid = true;
-          const std::size_t first = job.stages.front().first_task;
-          for (std::size_t id = first; id < first + total; ++id) {
-            DropAtAdmission(id, now);
-          }
-          FailJob(job_index, now);
-          return;
-        }
-        case stream::AdmissionVerdict::kAdmitForced:
-          ++stream_stats_.forced_admissions;
-          break;
-        case stream::AdmissionVerdict::kAdmit:
-          break;
+  window_.arrivals += total;
+  // Admission rules once for the whole job, on its first task as the
+  // representative (members share arrival, deadline, and type layout per
+  // stage). A refused job consumes every member's arrival-window slot up
+  // front (prepaid) — later stage releases re-enter through the remap
+  // pipeline and never touch the window again.
+  const stream::AdmissionVerdict verdict = Admit(tasks_[first], now);
+  if (verdict != stream::AdmissionVerdict::kAdmit) {
+    for (std::size_t i = 0; i < total; ++i) scheduler_->SkipTask();
+    job_runtime_[job_index].prepaid = true;
+    if (verdict == stream::AdmissionVerdict::kDrop) {
+      for (std::size_t id = first; id < first + total; ++id) {
+        DropAtAdmission(id, now);
       }
+      FailJob(job_index, now);
     }
-    window_.admitted += total;
+    return;
   }
+  window_.admitted += total;
   ReleaseStage(job_index, 0, now, /*requeued=*/false);
 }
 
@@ -1537,7 +1462,7 @@ void Engine::ReleaseStage(std::size_t job_index, std::size_t stage_index,
         placed = TryRemap(member, now);
       } else {
         const std::optional<core::Candidate> chosen =
-            scheduler_->MapTask(member, now, models_, AvailabilityView());
+            scheduler_->MapTask(member, now, models_, availability_);
         if (chosen) {
           PlaceOnCore(*chosen, member, now);
           placed = true;
@@ -1598,20 +1523,17 @@ core::GangOutcome Engine::AttemptGang(const PendingGang& gang, double now) {
   // Gang members must start simultaneously *now*: busy cores (queueing
   // would stagger the starts) and cores reserved by senior waiting gangs
   // are unavailable on top of the fault/governor/emergency mask.
-  const std::span<const core::CoreAvailability> base = AvailabilityView();
   const auto is_free = [&](std::size_t flat) {
     return !runtime_[flat].busy && reserved_[flat] == 0 &&
-           (base.empty() || base[flat].available);
+           availability_[flat].available;
   };
   // No free core: MapGang would filter an empty candidate set and wait with
   // nothing to reserve, so wait without building the mask, the chain tail or
   // the context.
   const auto flats = std::views::iota(std::size_t{0}, runtime_.size());
   if (std::ranges::none_of(flats, is_free)) return core::GangOutcome{};
-  gang_availability_.resize(runtime_.size());
+  gang_availability_ = availability_;
   for (const std::size_t flat : flats) {
-    gang_availability_[flat] =
-        base.empty() ? core::CoreAvailability{} : base[flat];
     gang_availability_[flat].available = is_free(flat);
   }
   const std::span<const workload::Task> members =
@@ -1633,7 +1555,7 @@ void Engine::CommitGang(const PendingGang& gang,
     if (gang.requeued) {
       ++tasks_remapped_;
       obs::Bump(&obs::Counters::tasks_remapped);
-      if (fault_enabled_) remapped_[member.id] = 1;
+      remapped_[member.id] = 1;
       if (options_.collect_task_records) records_[member.id].remapped = true;
     }
   }
@@ -1693,6 +1615,10 @@ void Engine::FailJob(std::size_t job_index, double now) {
     unreleased += job.stages[s].width;
   }
   if (unreleased > 0) scheduler_->DiscardTasks(unreleased);
+}
+
+void Engine::FailJobOf(std::size_t task_id, double now) {
+  if (jobs_enabled_) FailJob(job_of_[task_id], now);
 }
 
 void Engine::OnMemberFinished(std::size_t task_id, bool ok, double now) {

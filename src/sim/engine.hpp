@@ -13,6 +13,11 @@
 // cluster energy online, pinning the exact instant the budget zeta_max is
 // exhausted.
 //
+// An extension that is off holds its neutral state, which the loop reads
+// without a flag: an empty fault schedule, the "static" governor's empty
+// cadence, the all-zero econ model. Only streaming, jobs and econ keep a
+// flag, where they change what the loop does rather than a value it reads.
+//
 // The engine keeps two synchronized views of every core: the ground-truth
 // runtime state (current P-state, transition log, sampled actual execution
 // times) and the resource manager's stochastic CoreQueueModel (execution
@@ -128,8 +133,8 @@ struct TrialOptions {
   /// Trial index stamped into trace records (trials may share one sink).
   std::uint64_t trial_index = 0;
   /// Fault extension (src/fault): this trial's pre-sampled fault schedule.
-  /// Empty (the default) reproduces the paper's fault-free cluster
-  /// bit-for-bit — no fault bookkeeping touches the hot path.
+  /// Empty (the default) is the paper's fault-free cluster: every core
+  /// stays available at P-state floor 0.
   fault::FaultSchedule fault_schedule;
   /// What happens to tasks stranded by a permanent core failure.
   fault::RecoveryPolicy recovery_policy = fault::RecoveryPolicy::kDropQueued;
@@ -148,40 +153,29 @@ struct TrialOptions {
   /// 0 disables. Checked every 64 events; expiry throws TrialTimeoutError.
   double trial_timeout = 0.0;
   /// Online energy governor (src/governor), by registered name. "static"
-  /// (the paper baseline) declares an all-off cadence, which disables every
-  /// governor hook — the trial takes the exact pre-governor event path.
-  /// Unknown names throw std::invalid_argument listing the registry.
+  /// (the paper baseline) declares an empty cadence, so it is never invoked
+  /// and its floors stay 0. Unknown names throw std::invalid_argument
+  /// listing the registry.
   std::string governor = "static";
   /// Streaming service mode (src/stream): replenishing energy account,
   /// rolling windowed metrics, and admission-controlled backpressure.
-  /// Disabled (the default) reproduces the fixed-budget trial bit-for-bit —
-  /// no stream bookkeeping touches the event loop. When enabled,
+  /// Disabled (the default) reproduces the fixed-budget trial bit-for-bit:
+  /// the holding pen stays empty and admission inactive. When enabled,
   /// energy_budget above still seeds the governor's budget schedule (the
   /// caller sets it to the total accrual over the arrival horizon) but the
   /// within-energy test becomes the account balance, not a fixed cutoff.
   stream::StreamConfig stream;
-  /// Job extension (src/workload/job.hpp): treat the task vector as gang +
-  /// precedence jobs derived from the tasks' job/stage fields.
-  struct JobOptions {
-    /// Derive the JobGraph and run the job-level event path. A workload
-    /// whose every job is degenerate (1 stage, width 1) demotes back to the
-    /// exact task-level path — bit-identical to a pre-jobs build.
-    bool enabled = false;
-    /// Gang-placement policy by registered name
-    /// (core::GangPlacementRegistry): "pack", "spread", or the "serial"
-    /// ablation baseline that maps members through the per-task pipeline.
-    std::string placement = "pack";
-  };
-  JobOptions jobs;
-  /// Econ extension (src/econ): value-aware scheduling. The engine treats a
-  /// trivial model (all values zero, free energy, neutral tiers) exactly
-  /// like `enabled = false`, so the degenerate configuration allocates no
-  /// profit bookkeeping and reproduces the pre-econ trial bit-for-bit.
-  struct EconOptions {
-    bool enabled = false;
-    econ::EconModel model;
-  };
-  EconOptions econ;
+  /// Job extension (src/workload/job.hpp): the gang-placement policy by
+  /// registered name (core::GangPlacementRegistry): "pack", "spread", or the
+  /// "serial" ablation baseline that maps members through the per-task
+  /// pipeline. Jobs run exactly when some task belongs to a non-degenerate
+  /// job (its job/stage fields); an all-degenerate workload takes the
+  /// task-level path.
+  std::string gang_placement = "pack";
+  /// Econ extension (src/econ): value-aware scheduling. Econ runs exactly
+  /// when the model is non-trivial; the default all-zero model offers, earns
+  /// and bills nothing, and the scheduler never sees an econ view.
+  econ::EconModel econ;
 };
 
 class Engine : private governor::GovernorHost {
@@ -197,8 +191,9 @@ class Engine : private governor::GovernorHost {
   /// Batch mode: arrivals join a global unmapped pool that `scheduler`
   /// sweeps against the idle cores after every arrival and every finish;
   /// each assignment starts at once on its (idle) core. Batch mode has no
-  /// fault, governor, stream, jobs or econ path: `options` asking for any
-  /// of them throws std::invalid_argument.
+  /// fault, governor, stream, jobs or econ path: a fault schedule, a governor
+  /// other than "static", stream mode, a task of a gang job or a non-trivial
+  /// econ model throws std::invalid_argument naming each.
   Engine(const cluster::Cluster& cluster, const workload::TaskTypeTable& types,
          std::vector<workload::Task> tasks, batch::BatchScheduler& scheduler,
          const TrialOptions& options, util::RngStream rng);
@@ -281,18 +276,8 @@ class Engine : private governor::GovernorHost {
   /// mapping and fault recovery).
   void PlaceOnCore(const core::Candidate& chosen, const workload::Task& task,
                    double now);
-  /// The scheduler's availability view: empty (all cores fully available,
-  /// the exact baseline path) unless this trial has a fault schedule, an
-  /// active (non-static) governor, or runs in streaming mode (whose
-  /// emergency pin is an availability floor).
-  [[nodiscard]] std::span<const core::CoreAvailability> AvailabilityView()
-      const noexcept {
-    return (fault_enabled_ || governor_enabled_ || stream_enabled_)
-               ? std::span<const core::CoreAvailability>(availability_)
-               : std::span<const core::CoreAvailability>{};
-  }
   /// Re-derives one core's scheduler-facing availability from the injector
-  /// state and the governor floor (the two floors merge by max).
+  /// state, the governor floor and the emergency pin (floors merge by max).
   void RefreshAvailability(std::size_t flat_core);
   /// Assembles the observation and runs the governor; host actions land
   /// through the private GovernorHost overrides below.
@@ -319,7 +304,7 @@ class Engine : private governor::GovernorHost {
   void SwitchPState(std::size_t flat_core, cluster::PStateIndex pstate,
                     double now, double core_watts = -1.0);
   void AdvanceEnergy(double to_time);
-  // -- Streaming service mode (src/stream; all no-ops when disabled) --
+  // -- Streaming service mode (src/stream; neutral when disabled) --
   /// Best achievable on-time probability for `task` over available cores at
   /// their current P-state floors — the admission stage's rho signal. Idle
   /// cores are visited first and the scan stops at the first exact 1.0.
@@ -328,6 +313,11 @@ class Engine : private governor::GovernorHost {
   /// Builds the AdmissionView and runs the configured policy.
   [[nodiscard]] stream::AdmissionVerdict DecideAdmission(
       const workload::Task& task, double now);
+  /// The admission stage for an arrival or a fault requeue: kAdmit with no
+  /// active stage; otherwise a deferred task is parked in the pen and a
+  /// forced admission is counted and reported as kAdmit.
+  [[nodiscard]] stream::AdmissionVerdict Admit(const workload::Task& task,
+                                               double now);
   /// Parks a task in the holding pen (fresh deferral or fault requeue).
   void DeferToPen(const workload::Task& task);
   /// Records an admission drop (fresh arrival or expired pen entry).
@@ -346,8 +336,7 @@ class Engine : private governor::GovernorHost {
   [[nodiscard]] double SampleActualDuration(const workload::Task& task,
                                             std::size_t node,
                                             cluster::PStateIndex pstate);
-  // -- Job extension (src/workload/job.hpp; all inert when jobs_enabled_
-  // is false) --
+  // -- Job extension (src/workload/job.hpp) --
   /// A released stage waiting for `width` simultaneously-free cores.
   struct PendingGang {
     std::size_t job = 0;
@@ -394,6 +383,8 @@ class Engine : private governor::GovernorHost {
   /// consume their arrival-window slots as discards (unless the job's slots
   /// were prepaid by streaming admission).
   void FailJob(std::size_t job_index, double now);
+  /// FailJob on the job of `task_id`; a no-op outside jobs mode.
+  void FailJobOf(std::size_t task_id, double now);
   /// Per-member completion bookkeeping: releases the successor stage when
   /// the released stage drains, and settles the per-job on-time/late
   /// verdict on the job's last finisher.
@@ -433,12 +424,12 @@ class Engine : private governor::GovernorHost {
   std::uint64_t next_seq_ = 0;
   std::optional<double> exhausted_at_;
   std::size_t cancelled_ = 0;
-  // -- Fault extension state (inert when fault_enabled_ is false) --
-  bool fault_enabled_ = false;
+  // -- Fault extension state (no events: every core available at floor 0) --
   fault::FaultInjector injector_;
-  /// Scheduler-facing availability, kept in sync with the injector.
+  /// Scheduler-facing availability of every core, kept in sync with the
+  /// injector, the governor floors and the emergency pin.
   std::vector<core::CoreAvailability> availability_;
-  /// Per-task "was re-mapped" flags (sized only when faults are enabled).
+  /// Per-task "was re-mapped" flags.
   std::vector<std::uint8_t> remapped_;
   /// Per-task "was migrated off a failed core/domain while queued" flags.
   std::vector<std::uint8_t> migrated_;
@@ -447,8 +438,7 @@ class Engine : private governor::GovernorHost {
   std::size_t remapped_on_time_ = 0;
   std::size_t tasks_migrated_ = 0;
   std::size_t migrated_on_time_ = 0;
-  // -- Governor extension state (inert when governor_enabled_ is false) --
-  bool governor_enabled_ = false;
+  // -- Governor extension state ("static": never invoked, floors stay 0) --
   std::unique_ptr<governor::Governor> governor_;
   governor::GovernorCadence cadence_;
   /// Per-core governor P-state floor (merged into availability_ by max with
@@ -469,7 +459,8 @@ class Engine : private governor::GovernorHost {
   double pushed_share_scale_ = 1.0;
   /// Clock of the in-flight InvokeGovernor, stamped into action records.
   double governor_now_ = 0.0;
-  // -- Streaming extension state (inert when stream_enabled_ is false) --
+  // -- Streaming extension state (off: empty pen, inactive admission,
+  // disarmed degraded mode, window tallies nothing reads) --
   bool stream_enabled_ = false;
   stream::EnergyAccount account_;
   std::unique_ptr<stream::AdmissionPolicy> admission_;
@@ -500,7 +491,7 @@ class Engine : private governor::GovernorHost {
   };
   WindowAccumulator window_;
   StreamStats stream_stats_;
-  // -- Job extension state (inert when jobs_enabled_ is false) --
+  // -- Job extension state (empty unless some task is in a gang job) --
   bool jobs_enabled_ = false;
   /// Mirror of the placement policy's Serializes(): gang members take the
   /// ordinary per-task pipeline (the ablation baseline).
@@ -535,14 +526,13 @@ class Engine : private governor::GovernorHost {
   /// Priority-weighted completed jobs (jobs mode replaces the per-task
   /// weighted tallies with per-job ones).
   double weighted_jobs_completed_ = 0.0;
-  // -- Econ extension state (inert when econ_enabled_ is false) --
+  // -- Econ extension state (econ_enabled_: the model is non-trivial) --
   bool econ_enabled_ = false;
-  /// Per-trial profit accounting against options_.econ.model (allocated
-  /// only in econ mode).
-  std::optional<econ::ProfitMeter> profit_;
+  /// Per-trial profit accounting against options_.econ.
+  econ::ProfitMeter profit_;
   /// Task ids already tallied into the task-level result buckets: a gang
   /// restart after a fault re-runs already-finished members, and only their
-  /// first finish may count (jobs mode only).
+  /// first finish may count.
   std::vector<std::uint8_t> member_tallied_;
   /// Tasks currently assigned to some core (running or queued); lets the
   /// event loop stop once all work is resolved instead of draining

@@ -95,11 +95,13 @@ TrialResult RunSingleTrial(const ExperimentSetup& setup,
 
   // Econ extension: value and SLA tier are workload attributes, assigned
   // from a dedicated substream so enabling the model shifts no workload,
-  // heuristic, or sim draw — a trivial model skips the draw entirely and
-  // the trial is bit-identical to a pre-econ build.
-  const bool econ_active = options.econ_enabled && !options.econ.trivial();
-  if (econ_active) {
-    econ::AssignEconAttributes(tasks, options.econ, setup.types.num_types(),
+  // heuristic, or sim draw. Econ off runs the all-zero model, and a trivial
+  // model skips the draw entirely: the trial is bit-identical to a pre-econ
+  // build.
+  const econ::EconModel econ =
+      options.econ_enabled ? options.econ : econ::EconModel{};
+  if (!econ.trivial()) {
+    econ::AssignEconAttributes(tasks, econ, setup.types.num_types(),
                                trial_rng.Substream("econ"));
   }
 
@@ -118,9 +120,9 @@ TrialResult RunSingleTrial(const ExperimentSetup& setup,
   }
 
   // The scheduler's arrival window is the trial's actual task count: with
-  // jobs enabled each arrival event expands into that job's stage tasks (so
-  // the count varies per trial); with jobs disabled it equals
-  // setup.window_size exactly.
+  // job shapes each arrival event expands into that job's stage tasks (so
+  // the count varies per trial); without them it equals setup.window_size
+  // exactly.
   const std::size_t trial_window = tasks.size();
   core::ImmediateModeScheduler scheduler(
       setup.cluster, setup.types,
@@ -147,9 +149,8 @@ TrialResult RunSingleTrial(const ExperimentSetup& setup,
       .trial_timeout = options.trial_timeout,
       .governor = options.governor,
       .stream = stream_config,
-      .jobs = {.enabled = setup.workload.jobs.enabled,
-               .placement = options.gang_placement},
-      .econ = {.enabled = econ_active, .model = options.econ},
+      .gang_placement = options.gang_placement,
+      .econ = econ,
   };
   if (options.fault.enabled()) {
     // The fault schedule draws only from the trial's "fault" substream, so

@@ -57,6 +57,8 @@ struct TaskRecord {
   /// Queued (not yet started) on a failed core and migrated in
   /// waiting-time-per-joule order (RecoveryPolicy::kMigrateQueued).
   bool migrated = false;
+
+  friend bool operator==(const TaskRecord&, const TaskRecord&) = default;
 };
 
 /// One sample of the system robustness rho(t_l) (Eq. 4) taken at a task

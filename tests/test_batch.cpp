@@ -353,28 +353,70 @@ TEST(BatchRunner, FilterOptionsAreTheImmediateStacksVerbatim) {
 
 TEST_F(BatchTrialTest, RefusesTheExtensionsBatchModeCannotRun) {
   // Each extension calls into the immediate scheduler, so the engine refuses
-  // it in batch mode instead of running as if the knob were unset.
-  const std::vector<std::pair<std::string, void (*)(sim::TrialOptions&)>>
-      refused{
-          {"fault schedule",
-           [](sim::TrialOptions& o) {
-             o.fault_schedule.events.push_back(fault::FaultEvent{});
-           }},
-          {"governor",
-           [](sim::TrialOptions& o) { o.governor = "race-to-idle"; }},
-          {"stream", [](sim::TrialOptions& o) { o.stream.enabled = true; }},
-          {"jobs", [](sim::TrialOptions& o) { o.jobs.enabled = true; }},
-          {"econ", [](sim::TrialOptions& o) { o.econ.enabled = true; }},
-      };
-  for (const auto& [knob, set] : refused) {
+  // it in batch mode instead of running as if the input were unset, and the
+  // message names the input that asked for it.
+  struct Refusal {
+    std::string named;
+    void (*set)(sim::TrialOptions&, std::vector<workload::Task>&);
+  };
+  const std::vector<Refusal> refused{
+      {"fault schedule",
+       [](sim::TrialOptions& o, std::vector<workload::Task>&) {
+         o.fault_schedule.events.push_back(fault::FaultEvent{});
+       }},
+      {"governor \"race-to-idle\"",
+       [](sim::TrialOptions& o, std::vector<workload::Task>&) {
+         o.governor = "race-to-idle";
+       }},
+      {"stream mode",
+       [](sim::TrialOptions& o, std::vector<workload::Task>&) {
+         o.stream.enabled = true;
+       }},
+      {"task 0 of gang job 0",
+       [](sim::TrialOptions&, std::vector<workload::Task>& tasks) {
+         // Two tasks of one width-2 job.
+         tasks.push_back(workload::Task{1, 0, 0.0, 100.0});
+         for (workload::Task& task : tasks) task.job = 0;
+       }},
+      {"non-trivial econ model",
+       [](sim::TrialOptions& o, std::vector<workload::Task>&) {
+         o.econ.energy_price = 1e-6;
+       }},
+  };
+  for (const Refusal& refusal : refused) {
     sim::TrialOptions options;
     options.energy_budget = 1e9;
-    set(options);
-    EXPECT_THROW(
-        (void)Run({workload::Task{0, 0, 0.0, 100.0}}, "MinMinCT", options),
-        std::invalid_argument)
-        << knob;
+    std::vector<workload::Task> tasks{workload::Task{0, 0, 0.0, 100.0}};
+    refusal.set(options, tasks);
+    try {
+      (void)Run(tasks, "MinMinCT", options);
+      ADD_FAILURE() << refusal.named << " was not refused";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find(refusal.named),
+                std::string::npos)
+          << error.what();
+    }
   }
+}
+
+TEST_F(BatchTrialTest, AcceptsTheNeutralExtensionInputs) {
+  // An all-zero econ model and explicit self-jobs (job == id) are the
+  // extensions' neutral values: batch mode runs them like the defaults.
+  sim::TrialOptions options;
+  options.energy_budget = 1e9;
+  const std::vector<workload::Task> plain{workload::Task{0, 0, 0.0, 100.0},
+                                          workload::Task{1, 0, 1.0, 100.0}};
+  std::vector<workload::Task> self_jobs = plain;
+  for (workload::Task& task : self_jobs) task.job = task.id;
+  sim::TrialOptions zero_model = options;
+  zero_model.econ.type_values = {0.0, 0.0};
+
+  const std::string expected =
+      sim::TrialResultToJson(Run(plain, "MinMinCT", options));
+  EXPECT_EQ(sim::TrialResultToJson(Run(self_jobs, "MinMinCT", options)),
+            expected);
+  EXPECT_EQ(sim::TrialResultToJson(Run(plain, "MinMinCT", zero_model)),
+            expected);
 }
 
 /// Three nodes, ten task types, 60 tasks per trial.
@@ -424,6 +466,34 @@ TEST(BatchRunner, DeterministicAndComparableToImmediate) {
     EXPECT_DOUBLE_EQ(immediate.task_records[i].arrival,
                      a[0].task_records[i].arrival);
     EXPECT_EQ(immediate.task_records[i].type, a[0].task_records[i].type);
+  }
+}
+
+TEST(BatchRunner, RefusesAGangWorkloadOnADirectCall) {
+  // BatchRunOptionsFromSpec refuses a spec with job shapes, but a direct
+  // RunBatchTrial on such a setup must not run its gangs as 300 independent
+  // tasks: the engine derives jobs mode from the tasks and refuses it.
+  sim::SetupOptions gangs;
+  gangs.cluster.num_nodes = 3;
+  gangs.cvb.num_task_types = 10;
+  gangs.workload.arrivals =
+      workload::ArrivalSpec::PaperBursty(15, 30, 1.0 / 8.0, 1.0 / 48.0);
+  gangs.workload.jobs.enabled = true;
+  gangs.workload.jobs.widths = {{4, 1.0}};
+  gangs.workload.jobs.depths = {{2, 1.0}};
+  const sim::ExperimentSetup setup = sim::BuildExperimentSetup(3, gangs);
+
+  // The immediate-mode runner runs the same setup as 60 jobs.
+  EXPECT_EQ(sim::RunSingleTrial(setup, "SQ", "none", 0, sim::RunOptions{})
+                .jobs.jobs,
+            60u);
+  try {
+    (void)RunBatchTrial(setup, "MinMinCT", 0, BatchRunOptions{});
+    ADD_FAILURE() << "batch mode ran a gang workload";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("task 0 of gang job 0"),
+              std::string::npos)
+        << error.what();
   }
 }
 

@@ -19,6 +19,7 @@
 #include "core/sla_filter.hpp"
 #include "econ/profit_meter.hpp"
 #include "governor/governor.hpp"
+#include "sim/checkpoint.hpp"
 #include "sim/experiment_runner.hpp"
 #include "stream/admission.hpp"
 #include "test_support.hpp"
@@ -562,13 +563,24 @@ TEST(EconTrial, MeteringLeavesThePaperMetricsUntouched) {
 }
 
 TEST(EconTrial, TrivialModelBehavesExactlyLikeEconOff) {
+  // Econ runs exactly when the model is non-trivial: an enabled all-zero
+  // model and a disabled non-trivial one both run the all-zero model, and
+  // the whole result matches the default run's, with no econ block.
+  const std::string plain = sim::TrialResultToJson(sim::RunSingleTrial(
+      EconSmallSetup(), "LL", "en+rob", 0, sim::RunOptions{}));
+
   sim::RunOptions trivial_run;
   trivial_run.econ_enabled = true;
-  trivial_run.econ.type_values = {0.0, 0.0};  // trivial: never attached
-  const sim::TrialResult result =
-      sim::RunSingleTrial(EconSmallSetup(), "LL", "en+rob", 0, trivial_run);
-  EXPECT_FALSE(result.econ.enabled);
-  EXPECT_DOUBLE_EQ(result.econ.value_offered, 0.0);
+  trivial_run.econ.type_values = {0.0, 0.0};
+  sim::RunOptions disabled_run;
+  disabled_run.econ.type_values = {1.0, 4.0};
+  disabled_run.econ.energy_price = 1e-6;
+  for (const sim::RunOptions& run : {trivial_run, disabled_run}) {
+    const sim::TrialResult result =
+        sim::RunSingleTrial(EconSmallSetup(), "LL", "en+rob", 0, run);
+    EXPECT_FALSE(result.econ.enabled);
+    EXPECT_EQ(sim::TrialResultToJson(result), plain);
+  }
 }
 
 TEST(EconTrial, ProfitAccountingIsDeterministic) {

@@ -374,7 +374,7 @@ class FaultEngineTest : public ::testing::Test {
   [[nodiscard]] static sim::TrialResult Run(
       const cluster::Cluster& cluster, std::vector<workload::Task> tasks,
       fault::FaultSchedule schedule, fault::RecoveryPolicy recovery,
-      sim::TrialOptions options = {}) {
+      sim::TrialOptions options = sim::TrialOptions()) {
     workload::TaskTypeTable table = DeltaTable(cluster, 10.0);
     core::ImmediateModeScheduler scheduler(
         cluster, table, core::MakeHeuristic("SQ", util::RngStream(1)), {},

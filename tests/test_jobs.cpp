@@ -21,6 +21,7 @@
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
 #include "robustness/core_queue_model.hpp"
+#include "sim/checkpoint.hpp"
 #include "sim/engine.hpp"
 #include "test_support.hpp"
 #include "workload/workload_generator.hpp"
@@ -107,7 +108,6 @@ class JobEngineTest : public ::testing::Test {
     TrialOptions options;
     options.energy_budget = 1e9;
     options.collect_task_records = true;
-    options.jobs.enabled = true;
     return options;
   }
 };
@@ -397,7 +397,7 @@ TEST_F(JobEngineTest, SerialPlacementRunsGangMembersIndependently) {
   AppendStage(tasks, 0, 0, 2, 0.0, 50.0);
 
   TrialOptions options = JobOptions();
-  options.jobs.placement = "serial";
+  options.gang_placement = "serial";
   const TrialResult result = Run(cluster, table, tasks, options);
 
   EXPECT_EQ(result.completed, 2u);
@@ -560,8 +560,10 @@ TEST_F(JobEngineTest, GangDecisionRecordsCountCandidatesBeforeTheFilters) {
 }
 
 TEST_F(JobEngineTest, AllDegenerateWorkloadDemotesToTaskPathBitwise) {
-  // jobs.enabled with an all-degenerate workload must take the exact
-  // task-level path: identical result fields and a silent JobStats block.
+  // Explicit self-jobs (job == id) are degenerate jobs: the engine derives
+  // no jobs mode from them and takes the exact task-level path of the
+  // kSelfJob defaults — the same result text (no JobStats block) and the
+  // same task records.
   const cluster::Cluster cluster({test::SimpleNode(1, 2)});
   const workload::TaskTypeTable table = DeltaTable(cluster, {10.0});
   const std::vector<Task> tasks = {
@@ -569,20 +571,17 @@ TEST_F(JobEngineTest, AllDegenerateWorkloadDemotesToTaskPathBitwise) {
       Task{.id = 1, .arrival = 1.0, .deadline = 12.0},
       Task{.id = 2, .arrival = 2.0, .deadline = 40.0},
   };
-  TrialOptions plain;
-  plain.energy_budget = 1e9;
-  const TrialResult off = Run(cluster, table, tasks, plain);
-  TrialOptions jobs = plain;
-  jobs.jobs.enabled = true;
-  const TrialResult on = Run(cluster, table, tasks, jobs);
+  std::vector<Task> self_jobs = tasks;
+  for (Task& task : self_jobs) task.job = task.id;
+  TrialResult off = Run(cluster, table, tasks, JobOptions());
+  TrialResult on = Run(cluster, table, self_jobs, JobOptions());
 
-  EXPECT_FALSE(on.jobs.enabled);  // demoted: no job ever non-degenerate
   EXPECT_EQ(on.jobs, JobStats{});
-  EXPECT_EQ(on.completed, off.completed);
-  EXPECT_EQ(on.missed_deadlines, off.missed_deadlines);
-  EXPECT_EQ(on.weighted_completed, off.weighted_completed);
-  EXPECT_EQ(on.total_energy, off.total_energy);
-  EXPECT_EQ(on.makespan, off.makespan);
+  ASSERT_EQ(on.task_records.size(), tasks.size());
+  EXPECT_EQ(on.task_records, off.task_records);
+  on.task_records.clear();
+  off.task_records.clear();
+  EXPECT_EQ(TrialResultToJson(on), TrialResultToJson(off));
 }
 
 }  // namespace

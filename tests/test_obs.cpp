@@ -426,7 +426,7 @@ class ObsEngineTest : public ::testing::Test {
 
 TEST_F(ObsEngineTest, CountersStayZeroWhenCollectionIsOff) {
   const sim::TrialResult result =
-      Run({workload::Task{0, 0, 1.0, 100.0}}, sim::TrialOptions{});
+      Run({workload::Task{0, 0, 1.0, 100.0}}, sim::TrialOptions());
   EXPECT_TRUE(result.counters.empty());
 }
 
