@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
 
 #include "core/mapping_context.hpp"
 #include "core/robustness_filter.hpp"
@@ -243,14 +244,27 @@ GangOutcome ImmediateModeScheduler::MapGang(
   // rho: an EEC tie judged on the member deadline alone would pick a
   // P-state slow enough to doom the downstream stages, and the collapse
   // here is what the placement policy and the joint fallback choose from.
+  // That folded rho depends only on the exec pmf, and every core of a node
+  // shares one exec pmf per P-state, so each distinct pmf is convolved with
+  // the tail once per call (at most nodes x P-states entries). Note that
+  // CdfAt(compact(exec (*) tail)) is not bit-identical to
+  // ProbSumLeq(exec, tail, .): the memo keeps the convolution.
+  std::vector<std::pair<const pmf::Pmf*, double>> tail_rho;
+  const auto member_rho = [&](const Candidate& candidate) {
+    if (chain_tail == nullptr) return ctx.OnTimeProbability(candidate);
+    const pmf::Pmf* const exec = candidate.exec;
+    const auto known = std::ranges::find(
+        tail_rho, exec, &std::pair<const pmf::Pmf*, double>::first);
+    if (known != tail_rho.end()) return known->second;
+    const double rho =
+        ctx.GangOnTimeProbability(std::span(&exec, 1), chain_tail);
+    tail_rho.emplace_back(exec, rho);
+    return rho;
+  };
   std::vector<GangCoreOption> options;
   options.reserve(outcome.feasible_cores.size());
   for (const Candidate& candidate : ctx.candidates()) {
-    const pmf::Pmf* const exec = candidate.exec;
-    const double rho =
-        chain_tail == nullptr
-            ? ctx.OnTimeProbability(candidate)
-            : ctx.GangOnTimeProbability(std::span(&exec, 1), chain_tail);
+    const double rho = member_rho(candidate);
     if (!options.empty() && options.back().candidate.assignment.flat_core ==
                                 candidate.assignment.flat_core) {
       GangCoreOption& best = options.back();

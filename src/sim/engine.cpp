@@ -1241,36 +1241,89 @@ void Engine::UpdateDegraded(double now) {
   PushFairShare();
 }
 
-double Engine::BestAdmissionRho(const workload::Task& task, double now) const {
-  // rho is clamped to [0, 1] and a max does not depend on visiting order, so
-  // idle cores (ready pmf Delta(now), no convolution) go first and the scan
-  // stops at the first exact 1.0, before most busy cores rebuild a ready pmf.
-  double best = 0.0;
-  for (const bool idle_pass : {true, false}) {
-    for (std::size_t flat = 0; flat < models_.size(); ++flat) {
-      if (models_[flat].idle() != idle_pass) continue;
-      if (!injector_.available(flat)) continue;
-      // The same rho(i,j,k,pi,t,z) primitive the robustness filter computes,
-      // evaluated at the core's current P-state floor (emergency, throttle,
-      // or governor cap) — the fastest state a mapping could actually get.
-      const auto& exec = types_->ExecPmf(
-          task.type, cluster_->NodeIndexOf(flat),
-          availability_[flat].pstate_floor);
-      best = std::max(best, robustness::OnTimeProbability(
-                                models_[flat], now, exec, task.deadline));
-      if (best == 1.0) return best;
+class Engine::AdmissionScan final : public stream::RhoScan {
+ public:
+  AdmissionScan(const Engine& engine, const workload::Task& task, double now)
+      : engine_(engine), task_(task), now_(now) {}
+
+  [[nodiscard]] bool Reaches(double threshold, double scale) override {
+    // scale * rho is monotone in rho and the max only grows, so a yes from
+    // the running max is the full max's yes. rho is clamped to [0, 1]: past
+    // an exact 1.0 no core can raise the max.
+    while (!(scale * best_ >= threshold) && best_ != 1.0 && VisitNext()) {
     }
+    const bool answer = scale * best_ >= threshold;
+    if (validate::TrialValidator* validator = validate::DeepValidator()) {
+      Audit(*validator, threshold, scale, answer);
+    }
+    return answer;
   }
-  return best;
-}
+
+ private:
+  /// Raises the running max by the next available core's rho; false once
+  /// every core has been visited.
+  bool VisitNext() {
+    const std::size_t cores = engine_.models_.size();
+    while (idle_pass_ || next_ < cores) {
+      if (next_ == cores) {
+        idle_pass_ = false;
+        next_ = 0;
+        continue;
+      }
+      const std::size_t flat = next_++;
+      if (engine_.models_[flat].idle() != idle_pass_) continue;
+      if (!engine_.injector_.available(flat)) continue;
+      best_ = std::max(best_, Rho(flat));
+      return true;
+    }
+    return false;
+  }
+
+  /// The same rho(i,j,k,pi,t,z) primitive the robustness filter computes,
+  /// evaluated at the core's current P-state floor (emergency, throttle, or
+  /// governor cap) — the fastest state a mapping could actually get.
+  [[nodiscard]] double Rho(std::size_t flat) const {
+    const auto& exec = engine_.types_->ExecPmf(
+        task_.type, engine_.cluster_->NodeIndexOf(flat),
+        engine_.availability_[flat].pstate_floor);
+    return robustness::OnTimeProbability(engine_.models_[flat], now_, exec,
+                                         task_.deadline);
+  }
+
+  void Audit(validate::TrialValidator& validator, double threshold,
+             double scale, bool answer) {
+    if (!full_max_) {
+      double full = 0.0;
+      for (std::size_t flat = 0; flat < engine_.models_.size(); ++flat) {
+        if (engine_.injector_.available(flat)) full = std::max(full, Rho(flat));
+      }
+      full_max_ = full;
+    }
+    validator.CountChecks();
+    if (answer == (scale * *full_max_ >= threshold)) return;
+    std::ostringstream os;
+    os << "task " << task_.id << ": Reaches(" << threshold << ", " << scale
+       << ") answered " << answer << " but best_rho is " << *full_max_;
+    validator.Fail("admission-rho-oracle", now_, os.str());
+  }
+
+  const Engine& engine_;
+  const workload::Task& task_;
+  double now_;
+  double best_ = 0.0;
+  bool idle_pass_ = true;
+  std::size_t next_ = 0;
+  std::optional<double> full_max_;
+};
 
 stream::AdmissionVerdict Engine::DecideAdmission(const workload::Task& task,
                                                  double now) {
+  AdmissionScan scan(*this, task, now);
   stream::AdmissionView view;
   view.now = now;
   view.arrival = task.arrival;
   view.deadline = task.deadline;
-  view.best_rho = BestAdmissionRho(task, now);
+  view.best_rho = stream::RhoOracle(scan);
   view.available_energy = account_.available();
   view.emergency = account_.emergency();
   view.degraded = degraded_.active();
@@ -1487,6 +1540,14 @@ void Engine::TryPlacePendingGangs(double now) {
   // queues freely on busy cores and never consults the reservations.
   std::fill(reserved_.begin(), reserved_.end(), std::uint8_t{0});
   std::deque<PendingGang> keep;
+  // A gang with no free core waits with no feasible cores: that is what
+  // MapGang returns for an empty candidate set, so the attempt is skipped.
+  // Nothing in a sweep frees a core (commits occupy cores, reservations only
+  // grow, abandons touch no core), so once one gang finds none the sweep
+  // stops scanning, but still checks every gang for abandonment in order.
+  const auto flats = std::views::iota(std::size_t{0}, runtime_.size());
+  const auto is_free = [this](std::size_t flat) { return GangCoreFree(flat); };
+  bool any_free = true;
   while (!pending_gangs_.empty()) {
     PendingGang gang = pending_gangs_.front();
     pending_gangs_.pop_front();
@@ -1496,7 +1557,9 @@ void Engine::TryPlacePendingGangs(double now) {
       AbandonGang(gang, now);
       continue;
     }
-    const core::GangOutcome outcome = AttemptGang(gang, now);
+    any_free = any_free && std::ranges::any_of(flats, is_free);
+    const core::GangOutcome outcome =
+        any_free ? AttemptGang(gang, now) : core::GangOutcome{};
     if (outcome.status == core::GangStatus::kPlaced) {
       CommitGang(gang, outcome, now);
       continue;
@@ -1517,24 +1580,17 @@ void Engine::TryPlacePendingGangs(double now) {
   pending_gangs_ = std::move(keep);
 }
 
+bool Engine::GangCoreFree(std::size_t flat) const {
+  return !runtime_[flat].busy && reserved_[flat] == 0 &&
+         availability_[flat].available;
+}
+
 core::GangOutcome Engine::AttemptGang(const PendingGang& gang, double now) {
   const workload::Job& job = graph_.jobs[gang.job];
   const workload::JobStage& stage = job.stages[gang.stage];
-  // Gang members must start simultaneously *now*: busy cores (queueing
-  // would stagger the starts) and cores reserved by senior waiting gangs
-  // are unavailable on top of the fault/governor/emergency mask.
-  const auto is_free = [&](std::size_t flat) {
-    return !runtime_[flat].busy && reserved_[flat] == 0 &&
-           availability_[flat].available;
-  };
-  // No free core: MapGang would filter an empty candidate set and wait with
-  // nothing to reserve, so wait without building the mask, the chain tail or
-  // the context.
-  const auto flats = std::views::iota(std::size_t{0}, runtime_.size());
-  if (std::ranges::none_of(flats, is_free)) return core::GangOutcome{};
   gang_availability_ = availability_;
-  for (const std::size_t flat : flats) {
-    gang_availability_[flat].available = is_free(flat);
+  for (std::size_t flat = 0; flat < runtime_.size(); ++flat) {
+    gang_availability_[flat].available = GangCoreFree(flat);
   }
   const std::span<const workload::Task> members =
       std::span<const workload::Task>(tasks_).subspan(stage.first_task,

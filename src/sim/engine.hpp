@@ -305,12 +305,15 @@ class Engine : private governor::GovernorHost {
                     double now, double core_watts = -1.0);
   void AdvanceEnergy(double to_time);
   // -- Streaming service mode (src/stream; neutral when disabled) --
-  /// Best achievable on-time probability for `task` over available cores at
-  /// their current P-state floors — the admission stage's rho signal. Idle
-  /// cores are visited first and the scan stops at the first exact 1.0.
-  [[nodiscard]] double BestAdmissionRho(const workload::Task& task,
-                                        double now) const;
-  /// Builds the AdmissionView and runs the configured policy.
+  /// The admission stage's rho oracle for one decision: a resumable scan of
+  /// rho(i,j,k,pi,t,z) over available cores at their current P-state
+  /// floors, idle cores first. It keeps its running max (from 0) across
+  /// questions, answers from it before visiting a core, and stops scanning
+  /// at the first exact 1.0. Under deep validation every answer is checked
+  /// against the full max.
+  class AdmissionScan;
+  /// Builds the AdmissionView around an AdmissionScan and runs the
+  /// configured policy.
   [[nodiscard]] stream::AdmissionVerdict DecideAdmission(
       const workload::Task& task, double now);
   /// The admission stage for an arrival or a fault requeue: kAdmit with no
@@ -357,10 +360,15 @@ class Engine : private governor::GovernorHost {
   /// (or map per-task under the "serial" ablation placement).
   void ReleaseStage(std::size_t job_index, std::size_t stage_index,
                     double now, bool requeued);
+  /// Gang members must start simultaneously *now*: a core is free for a
+  /// gang when it is idle (queueing would stagger the starts), unreserved by
+  /// senior waiting gangs, and available under the fault/governor/emergency
+  /// mask.
+  [[nodiscard]] bool GangCoreFree(std::size_t flat) const;
   /// One placement attempt for a pending gang: builds the gang availability
-  /// mask (dead, busy, and reserved cores excluded) and the remaining-chain
-  /// pmf, then runs the scheduler's joint pipeline. With no core left free
-  /// it waits (no feasible cores) without building either.
+  /// mask (cores not GangCoreFree excluded) and the remaining-chain pmf,
+  /// then runs the scheduler's joint pipeline. The sweep calls it only while
+  /// some core is free.
   [[nodiscard]] core::GangOutcome AttemptGang(const PendingGang& gang,
                                               double now);
   /// Commits a placed gang: every member starts simultaneously on its
@@ -370,7 +378,8 @@ class Engine : private governor::GovernorHost {
   /// FIFO sweep of the pending gangs with reservation-aware backfill: a
   /// still-waiting gang reserves its feasible cores so later (narrower)
   /// gangs in the same sweep cannot steal them; expired and infeasible
-  /// gangs are abandoned.
+  /// gangs are abandoned. Once one gang finds no free core, the rest of the
+  /// sweep waits without scanning (nothing in a sweep frees a core).
   void TryPlacePendingGangs(double now);
   /// End-of-trial drain: with no arrivals, assigned work, or penned tasks
   /// left, one final sweep places what fits; if nothing placed, no future

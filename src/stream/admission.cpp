@@ -1,8 +1,19 @@
 #include "stream/admission.hpp"
 
 #include <algorithm>
+#include <cmath>
+
+#include "util/assert.hpp"
 
 namespace ecdra::stream {
+
+bool RhoOracle::Reaches(double threshold, double scale) const {
+  ECDRA_REQUIRE(std::isfinite(scale) && scale >= 0.0 && !std::isnan(threshold),
+                "rho oracle: scale must be finite and >= 0, and threshold "
+                "a number");
+  if (scan_ != nullptr) return scan_->Reaches(threshold, scale);
+  return scale * best_rho_ >= threshold;
+}
 
 AdmissionRegistryType& AdmissionRegistry() {
   static AdmissionRegistryType registry("admission policy");
@@ -54,8 +65,8 @@ class RhoAdmission final : public AdmissionPolicy {
         view.degraded ? std::max(1.0, options_.degraded_rho_scale) : 1.0;
     const double drop_rho = std::min(1.0, options_.drop_rho * scale);
     const double defer_rho = std::min(1.0, options_.defer_rho * scale);
-    if (view.best_rho < drop_rho) return AdmissionVerdict::kDrop;
-    if (view.best_rho < defer_rho) return AdmissionVerdict::kDefer;
+    if (!view.best_rho.Reaches(drop_rho)) return AdmissionVerdict::kDrop;
+    if (!view.best_rho.Reaches(defer_rho)) return AdmissionVerdict::kDefer;
     return AdmissionVerdict::kAdmit;
   }
 
@@ -94,7 +105,7 @@ class ValueDensityAdmission final : public AdmissionPolicy {
     if (view.value < cheapest_bill) return AdmissionVerdict::kDrop;
     // Expected revenue under the best available core falls short of the
     // cheapest bill: park it until completions improve its odds.
-    if (view.value * view.best_rho < cheapest_bill) {
+    if (!view.best_rho.Reaches(cheapest_bill, view.value)) {
       return AdmissionVerdict::kDefer;
     }
     return AdmissionVerdict::kAdmit;

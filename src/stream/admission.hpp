@@ -7,7 +7,9 @@
 // scheduler does and rules admit / defer (to the holding pen) / drop,
 // using the same rho(i,j,k,pi,t,z) primitive the robustness filter
 // computes — best_rho is the maximum over available cores at their current
-// P-state floors.
+// P-state floors. Policies only compare best_rho with thresholds, so they
+// ask a RhoOracle threshold questions instead of reading the max: the
+// engine's scan stops at the first core that answers yes.
 //
 // Policies are registered by name (ECDRA_REGISTER_ADMISSION) in the
 // registry shape every other policy surface shares: built-ins register at
@@ -43,17 +45,51 @@ enum class AdmissionVerdict {
   kDrop,
 };
 
+/// The engine side of a RhoOracle: a scan over the available cores that
+/// keeps its running max of rho across questions.
+class RhoScan {
+ public:
+  virtual ~RhoScan() = default;
+  /// scale * best_rho >= threshold; the oracle has checked its arguments.
+  [[nodiscard]] virtual bool Reaches(double threshold, double scale) = 0;
+};
+
+/// Threshold questions about best_rho = max(0, rho over available cores at
+/// their current P-state floors). For a finite scale >= 0 rounding keeps
+/// scale * rho monotone in rho, so "some core reaches the threshold" holds
+/// exactly when "the max reaches it" does: a scan can answer yes at the
+/// first core that does, and the verdict is the full max's.
+class RhoOracle {
+ public:
+  /// Answers from best_rho = 0 (no engine: "none", hand-built views).
+  RhoOracle() = default;
+  /// Answers from a fixed best_rho.
+  explicit RhoOracle(double best_rho) noexcept : best_rho_(best_rho) {}
+  /// Answers through `scan`, which must outlive the oracle's use.
+  explicit RhoOracle(RhoScan& scan) noexcept : scan_(&scan) {}
+
+  /// scale * best_rho >= threshold. Requires a finite scale >= 0 and a
+  /// threshold that is not NaN.
+  [[nodiscard]] bool Reaches(double threshold, double scale = 1.0) const;
+
+ private:
+  double best_rho_ = 0.0;
+  RhoScan* scan_ = nullptr;
+};
+
 /// What a policy sees per decision. One view is built per fresh arrival,
 /// per fault-requeued task (satellite: requeues re-enter admission, never
-/// jump the pen), and per pen re-evaluation.
+/// jump the pen), and per pen re-evaluation; it is valid only during the
+/// Decide call it is passed to.
 struct AdmissionView {
   double now = 0.0;
   /// The task's original arrival — now - arrival is its total wait.
   double arrival = 0.0;
   double deadline = 0.0;
   /// Best achievable on-time probability over available cores at their
-  /// current floors.
-  double best_rho = 0.0;
+  /// current floors, asked as threshold questions. The engine's oracle
+  /// evaluates rho only as far as each answer needs.
+  RhoOracle best_rho;
   /// Account balance (may be negative — a deficit).
   double available_energy = 0.0;
   bool emergency = false;
@@ -76,8 +112,8 @@ class AdmissionPolicy {
  public:
   virtual ~AdmissionPolicy() = default;
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
-  /// False ("none") lets the engine skip the per-arrival rho sweep and the
-  /// whole admission path — the streaming baseline pays nothing for it.
+  /// False ("none") lets the engine skip the whole admission path — the
+  /// streaming baseline pays nothing for it.
   [[nodiscard]] virtual bool active() const noexcept { return true; }
   [[nodiscard]] virtual AdmissionVerdict Decide(const AdmissionView& view) = 0;
 };

@@ -267,7 +267,7 @@ stream::AdmissionView EconView() {
   view.now = 10.0;
   view.arrival = 10.0;
   view.deadline = 100.0;
-  view.best_rho = 0.9;
+  view.best_rho = stream::RhoOracle(0.9);
   view.value = 10.0;
   view.cheapest_energy = 2.0;
   view.energy_price = 1.0;
@@ -302,7 +302,8 @@ TEST(ValueDensityAdmission, DefersWhenExpectedValueFallsShort) {
                                                   stream::AdmissionOptions{});
   stream::AdmissionView view = EconView();
   view.value = 3.0;
-  view.best_rho = 0.5;  // expected 1.5 < bill 2.0, but on-time would pay
+  // expected 1.5 < bill 2.0, but on-time would pay
+  view.best_rho = stream::RhoOracle(0.5);
   EXPECT_EQ(policy->Decide(view), stream::AdmissionVerdict::kDefer);
 }
 
@@ -324,7 +325,7 @@ TEST(ValueDensityAdmission, ZeroEconDefaultsAdmitEverything) {
                                                   stream::AdmissionOptions{});
   stream::AdmissionView view;
   view.deadline = 100.0;
-  view.best_rho = 0.4;
+  view.best_rho = stream::RhoOracle(0.4);
   EXPECT_EQ(policy->Decide(view), stream::AdmissionVerdict::kAdmit);
 }
 

@@ -4,8 +4,11 @@
 // reservations against junior gangs, whole-gang requeue after a domain
 // outage, and the demotion guarantee (an all-degenerate job workload takes
 // the exact task-level event path). Counter-exact tests pin the sweep's
-// cost: an attempt that cannot place computes no member rho, and an
-// attempt with no free core runs no pipeline at all.
+// cost: an attempt that cannot place computes no member rho, an attempt
+// with no free core runs no pipeline at all, and the per-core collapse
+// convolves each exec pmf with the chain tail once. A whole-result test
+// pins that a sweep which stops scanning for free cores still abandons
+// expired gangs in order.
 #include "workload/job.hpp"
 
 #include <gtest/gtest.h>
@@ -489,6 +492,39 @@ TEST(MapGang, ShortOfWidthWaitsWithoutComputingMemberRho) {
   EXPECT_EQ(counters.pmf_prob_sum_leq, 0u);
 }
 
+TEST(MapGang, ChainTailRhoConvolvesEachExecPmfOnce) {
+  // A width-2 map stage of a map->reduce job on one idle 3-core node, no
+  // filters: 3 cores x 5 P-states = 15 candidates, each folding the chain
+  // tail into its member rho. The three cores share one exec pmf per
+  // P-state, so the collapse convolves 5 distinct pmfs with the tail, not
+  // 15 candidates; the joint check reads no rho without a rob filter.
+  const cluster::Cluster cluster({test::SimpleNode(1, 3)});
+  const workload::TaskTypeTable table = DeltaTable(cluster, {10.0});
+  std::vector<Task> tasks;
+  AppendStage(tasks, 0, 0, 2, 0.0, 100.0);
+  AppendStage(tasks, 0, 1, 1, 0.0, 100.0);
+  core::ImmediateModeScheduler scheduler(
+      cluster, table, core::MakeHeuristic("SQ", util::RngStream(1)), {}, 1e9,
+      tasks.size());
+  scheduler.ConfigureGangs("pack");
+  const std::vector<robustness::CoreQueueModel> cores(cluster.total_cores());
+  const std::vector<core::CoreAvailability> availability(
+      cluster.total_cores());
+  const pmf::Pmf& tail = table.ExecPmf(0, 0, 0);
+
+  obs::Counters counters;
+  core::GangOutcome outcome;
+  {
+    const obs::CountersScope scope(&counters);
+    outcome = scheduler.MapGang(std::span<const Task>(tasks).first(2), 0.0,
+                                cores, availability, &tail,
+                                /*remap=*/false);
+  }
+  EXPECT_EQ(outcome.status, core::GangStatus::kPlaced);
+  EXPECT_EQ(outcome.members.size(), 2u);
+  EXPECT_EQ(counters.pmf_convolutions, 5u);
+}
+
 TEST_F(JobEngineTest, SweepWithEveryCoreBusyRunsNoPipeline) {
   // Two fillers hold both cores over [0, 10). Three map->reduce gangs
   // released at t = 1, 2, 3 meet only busy cores — six attempts over three
@@ -522,6 +558,55 @@ TEST_F(JobEngineTest, SweepWithEveryCoreBusyRunsNoPipeline) {
   EXPECT_EQ(filter_calls, 2u);
   EXPECT_EQ(result.counters.pmf_max_ops, 0u);
   EXPECT_EQ(result.counters.pmf_convolutions, 0u);
+}
+
+TEST_F(JobEngineTest, SweepPastTheFirstGangWithNoFreeCoreStillAbandonsInOrder) {
+  // Two fillers hold both cores over [0, 10). Gang A (t = 1) waits on busy
+  // cores; gang B (t = 2, deadline 3) waits behind it; at t = 4 gang C's
+  // release sweeps A (no free core), then B, which has expired and is
+  // abandoned in that sweep although no core was free, then C, which waits.
+  // Gang D (t = 5) joins a queue of A, C, D. A sweep stops scanning for free
+  // cores after the first gang that found none, but every later gang must
+  // still be checked for abandonment, in order, and counted as waiting. At
+  // t = 10 A starts on both cores (cheapest state: 10 / 0.4096 =
+  // 24.4140625 s), then C, then D, all before their deadline of 100.
+  const cluster::Cluster cluster({test::SimpleNode(1, 2)});
+  const workload::TaskTypeTable table = DeltaTable(cluster, {10.0});
+  std::vector<Task> tasks = {Task{.id = 0, .arrival = 0.0, .deadline = 100.0},
+                             Task{.id = 1, .arrival = 0.0, .deadline = 100.0}};
+  AppendStage(tasks, 2, 0, 2, 1.0, 100.0);  // A
+  AppendStage(tasks, 3, 0, 2, 2.0, 3.0);    // B
+  AppendStage(tasks, 4, 0, 2, 4.0, 100.0);  // C
+  AppendStage(tasks, 5, 0, 2, 5.0, 100.0);  // D
+
+  const TrialResult result = Run(cluster, table, tasks, JobOptions());
+
+  const double run = 10.0 / 0.4096;
+  JobStats expected;
+  expected.enabled = true;
+  expected.jobs = 6;
+  expected.jobs_on_time = 5;
+  expected.jobs_failed = 1;
+  expected.gangs_placed = 3;
+  expected.gang_waits = 4;
+  expected.gangs_abandoned = 1;
+  expected.pending_peak = 3;
+  EXPECT_DOUBLE_EQ(result.jobs.gang_wait_seconds,
+                   (10.0 - 1.0) + (10.0 + run - 4.0) + (10.0 + 2 * run - 5.0));
+  expected.gang_wait_seconds = result.jobs.gang_wait_seconds;
+  EXPECT_EQ(result.jobs, expected);
+
+  ASSERT_EQ(result.task_records.size(), tasks.size());
+  const std::vector<double> starts = {0.0, 0.0, 10.0, 10.0, 0.0, 0.0,
+                                      10.0 + run, 10.0 + run,
+                                      10.0 + 2 * run, 10.0 + 2 * run};
+  for (std::size_t id = 0; id < tasks.size(); ++id) {
+    const TaskRecord& record = result.task_records[id];
+    const bool abandoned = tasks[id].job == 3;
+    EXPECT_EQ(record.assigned, !abandoned) << id;
+    EXPECT_EQ(record.on_time, !abandoned) << id;
+    EXPECT_DOUBLE_EQ(record.start_time, starts[id]) << id;
+  }
 }
 
 TEST_F(JobEngineTest, GangDecisionRecordsCountCandidatesBeforeTheFilters) {

@@ -1,13 +1,15 @@
 // Streaming service mode: the replenishing energy account (exact clamped
 // net-flow, emergency hysteresis), degraded-mode hysteresis on lost
-// capacity, spec resolution, admission verdicts and the holding pen's
-// priority order, the typed mode/stream refusals, and the engine-level
-// guarantees — deterministic streaming trials, fault requeues re-entering
-// admission, a domain outage+repair cycle flipping degraded mode exactly
-// once, windowed trace records, and bit-identical checkpoint resume
-// mid-stream.
+// capacity, spec resolution, admission verdicts, the rho oracle and the
+// holding pen's priority order, the typed mode/stream refusals, and the
+// engine-level guarantees — deterministic streaming trials, fault requeues
+// re-entering admission, a domain outage+repair cycle flipping degraded
+// mode exactly once, the admission scan's rho counts, its empty-scan
+// answer and its deep-validation audit, windowed trace records, and
+// bit-identical checkpoint resume mid-stream.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -236,22 +238,40 @@ TEST(Admission, RhoVerdictOrdering) {
   view.arrival = 10.0;
   view.deadline = 500.0;
 
-  view.best_rho = 0.80;
+  view.best_rho = stream::RhoOracle(0.80);
   EXPECT_EQ(policy->Decide(view), stream::AdmissionVerdict::kAdmit);
-  view.best_rho = 0.10;  // below defer, above drop
+  view.best_rho = stream::RhoOracle(0.10);  // below defer, above drop
   EXPECT_EQ(policy->Decide(view), stream::AdmissionVerdict::kDefer);
-  view.best_rho = 0.01;  // below drop
+  view.best_rho = stream::RhoOracle(0.01);  // below drop
   EXPECT_EQ(policy->Decide(view), stream::AdmissionVerdict::kDrop);
 
   // Fairness guard outranks the thresholds: a task that has waited past
   // fairness_wait is admitted regardless of rho.
   view.now = 120.0;
-  view.best_rho = 0.01;
+  view.best_rho = stream::RhoOracle(0.01);
   EXPECT_EQ(policy->Decide(view), stream::AdmissionVerdict::kAdmitForced);
 
   // An expired deadline outranks everything, including the guard.
   view.deadline = 110.0;
   EXPECT_EQ(policy->Decide(view), stream::AdmissionVerdict::kDrop);
+}
+
+TEST(Admission, RhoOracleAnswersThresholdQuestions) {
+  // A default oracle answers from best_rho = 0; a fixed one from its value;
+  // scale multiplies best_rho before the comparison.
+  const stream::RhoOracle none;
+  EXPECT_TRUE(none.Reaches(0.0));
+  EXPECT_TRUE(none.Reaches(0.0, 0.0));
+  EXPECT_FALSE(none.Reaches(1e-300));
+  const stream::RhoOracle half(0.5);
+  EXPECT_TRUE(half.Reaches(0.5));
+  EXPECT_FALSE(half.Reaches(0.6));
+  EXPECT_TRUE(half.Reaches(1.0, 2.0));
+  EXPECT_FALSE(half.Reaches(1.5, 2.0));
+  // Monotonicity needs a finite scale >= 0, and NaN answers no question.
+  EXPECT_THROW((void)half.Reaches(0.1, -1.0), std::invalid_argument);
+  EXPECT_THROW((void)half.Reaches(0.1, HUGE_VAL), std::invalid_argument);
+  EXPECT_THROW((void)half.Reaches(std::nan("")), std::invalid_argument);
 }
 
 TEST(Admission, UnknownNameThrowsListingTheRegistry) {
@@ -546,6 +566,21 @@ TEST(StreamEngine, DomainOutageCycleFlipsDegradedModeExactlyOnce) {
   EXPECT_DOUBLE_EQ(result.stream.degraded_seconds, 15.0);  // [5, 20)
 }
 
+/// Counted stream options with a rich account and the named admission
+/// policy.
+sim::TrialOptions AdmissionTrial(std::string admission) {
+  sim::TrialOptions options;
+  options.energy_budget = 1e9;
+  options.collect_counters = true;
+  options.stream.enabled = true;
+  options.stream.energy_rate = 1000.0;
+  options.stream.accrual_cap = 1e9;
+  options.stream.initial_energy = 1e6;
+  options.stream.window_length = 100.0;
+  options.stream.admission = std::move(admission);
+  return options;
+}
+
 TEST(StreamEngine, RhoAdmissionVisitsIdleCoresFirstAndStopsAtCertainty) {
   // rho admission with SQ and no filter: admission is the only rho consumer.
   // Its best rho is a max of values clamped to [0, 1], so it visits idle
@@ -564,18 +599,8 @@ TEST(StreamEngine, RhoAdmissionVisitsIdleCoresFirstAndStopsAtCertainty) {
       cluster, table, core::MakeHeuristic("SQ", util::RngStream(1)), {}, 1e9,
       tasks.size());
 
-  sim::TrialOptions options;
-  options.energy_budget = 1e9;
-  options.collect_counters = true;
-  options.stream.enabled = true;
-  options.stream.energy_rate = 1000.0;
-  options.stream.accrual_cap = 1e9;
-  options.stream.initial_energy = 1e6;
-  options.stream.window_length = 100.0;
-  options.stream.admission = "rho";
-
-  sim::Engine engine(cluster, table, std::move(tasks), scheduler, options,
-                     util::RngStream(7));
+  sim::Engine engine(cluster, table, std::move(tasks), scheduler,
+                     AdmissionTrial("rho"), util::RngStream(7));
   const sim::TrialResult result = engine.Run();
 
   EXPECT_EQ(result.completed, 3u);
@@ -583,6 +608,99 @@ TEST(StreamEngine, RhoAdmissionVisitsIdleCoresFirstAndStopsAtCertainty) {
   EXPECT_EQ(result.stream.admission_dropped, 0u);
   EXPECT_EQ(result.counters.pmf_prob_sum_leq, 3u);
   EXPECT_EQ(result.counters.ready_pmf_misses, 3u);
+}
+
+/// One node of three cores, one task type with a two-point exec pmf:
+/// {10, 20} x time_multiplier(s) with probability 1/2 each.
+workload::TaskTypeTable TwoPointTable(const cluster::Cluster& cluster) {
+  std::vector<pmf::Pmf> pmfs;
+  for (cluster::PStateIndex s = 0; s < cluster::kNumPStates; ++s) {
+    const double m = cluster.node(0).pstates[s].time_multiplier;
+    pmfs.push_back(test::TwoPoint(10.0 * m, 20.0 * m));
+  }
+  return workload::TaskTypeTable(1, 1, std::move(pmfs));
+}
+
+TEST(StreamEngine, RhoAdmissionAsksOnlyAsFarAsItsThresholds) {
+  // rho admission with SQ and no filter: admission is the only rho consumer.
+  // Tasks 0 and 1 arrive on an idle cluster (rho 1 on the first idle core)
+  // and take two of the three cores. Task 2 arrives at t = 1 with deadline
+  // 15: on the idle core it finishes at 11 or 21 (rho 0.5, strictly between
+  // defer_rho 0.3 and 1), on the busy cores at 20 or later (rho 0). Its
+  // two questions, rho >= 0.05 and rho >= 0.3, are both answered by the idle
+  // core, so no busy core's ready pmf is built: one ProbSumLeq and one
+  // ReadyPmf build per admission. Reading the max costs task 2 one of each
+  // per available core (5 and 5 in total).
+  const cluster::Cluster cluster({test::SimpleNode(1, 3)});
+  const workload::TaskTypeTable table = TwoPointTable(cluster);
+  std::vector<workload::Task> tasks = {workload::Task{0, 0, 0.0, 1000.0},
+                                       workload::Task{1, 0, 0.0, 1000.0},
+                                       workload::Task{2, 0, 1.0, 15.0}};
+  core::ImmediateModeScheduler scheduler(
+      cluster, table, core::MakeHeuristic("SQ", util::RngStream(1)), {}, 1e9,
+      tasks.size());
+  sim::Engine engine(cluster, table, std::move(tasks), scheduler,
+                     AdmissionTrial("rho"), util::RngStream(7));
+  const sim::TrialResult result = engine.Run();
+
+  EXPECT_EQ(result.completed, 3u);
+  EXPECT_EQ(result.stream.deferred, 0u);
+  EXPECT_EQ(result.stream.admission_dropped, 0u);
+  EXPECT_EQ(result.counters.pmf_prob_sum_leq, 3u);
+  EXPECT_EQ(result.counters.ready_pmf_misses, 3u);
+}
+
+TEST(StreamEngine, EmptyRhoScanAnswersFromZero) {
+  // Both cores are down when the task arrives, so the scan visits no core
+  // and best_rho is max(0, nothing) = 0. value-density under the all-zero
+  // econ model asks 0 * best_rho >= 0 and admits; rho with both thresholds
+  // at 0 asks best_rho >= 0 and admits. (An "exists a core" oracle would
+  // defer the first and drop the second.) The mapping pipeline then finds
+  // no available core and discards the task.
+  const cluster::Cluster cluster({test::SimpleNode(1, 2)});
+  const workload::TaskTypeTable table = DeltaTable(cluster, 10.0);
+  for (const char* admission : {"value-density", "rho"}) {
+    std::vector<workload::Task> tasks = {workload::Task{0, 0, 1.0, 100.0}};
+    core::ImmediateModeScheduler scheduler(
+        cluster, table, core::MakeHeuristic("SQ", util::RngStream(1)), {},
+        1e9, tasks.size());
+    sim::TrialOptions options = AdmissionTrial(admission);
+    options.stream.admission_options.drop_rho = 0.0;
+    options.stream.admission_options.defer_rho = 0.0;
+    options.fault_schedule.events = {
+        {0.5, fault::FaultEventKind::kCoreFailure, 0, 0, 0},
+        {0.5, fault::FaultEventKind::kCoreFailure, 1, 0, 0}};
+    options.validation = validate::ValidationMode::kDeep;
+    options.validation_fail_fast = true;
+
+    sim::Engine engine(cluster, table, std::move(tasks), scheduler, options,
+                       util::RngStream(7));
+    const sim::TrialResult result = engine.Run();
+
+    EXPECT_EQ(result.stream.deferred, 0u) << admission;
+    EXPECT_EQ(result.stream.admission_dropped, 0u) << admission;
+    EXPECT_EQ(result.discarded, 1u) << admission;
+    EXPECT_TRUE(result.validation.ok()) << admission;
+  }
+}
+
+TEST(StreamEngine, DeepValidationChecksEveryRhoAnswerAgainstTheFullMax) {
+  // Fail-fast deep validation recomputes best_rho over every available core
+  // and checks each oracle answer against it: a clean run executes those
+  // checks and decides exactly like the unvalidated run.
+  const sim::ExperimentSetup setup =
+      sim::BuildExperimentSetup(7, SmallOptions());
+  sim::RunOptions run = StreamRun(setup, 0.5);
+  run.stream.admission = "rho";
+  const sim::TrialResult off =
+      sim::RunSingleTrial(setup, "LL", "en+rob", 0, run);
+  run.validation = validate::ValidationMode::kDeep;
+  run.validation_fail_fast = true;
+  const sim::TrialResult deep =
+      sim::RunSingleTrial(setup, "LL", "en+rob", 0, run);
+  EXPECT_TRUE(deep.validation.ok());
+  EXPECT_GT(deep.stream.deferred + deep.stream.admission_dropped, 0u);
+  ExpectSameTrial(off, deep);
 }
 
 TEST(StreamRunner, RunOptionsFromSpecRefusesFixedTraceWithAStreamBlock) {
