@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
+#include <sstream>
 #include <utility>
 
-#include "core/mapping_context.hpp"
+#include "core/robustness_filter.hpp"
 #include "util/assert.hpp"
+#include "validate/validation.hpp"
 
 namespace ecdra::batch {
 
@@ -25,6 +28,78 @@ BatchScheduler::BatchScheduler(const cluster::Cluster& cluster,
   for (const auto& filter : filters_) {
     ECDRA_REQUIRE(filter != nullptr, "null filter in chain");
   }
+  if (core::RobustnessThreshold(filters_) > 0.0) {
+    min_exec_support_.assign(types_->num_types(),
+                             std::numeric_limits<double>::infinity());
+    for (std::size_t type = 0; type < types_->num_types(); ++type) {
+      for (std::size_t node = 0; node < types_->num_nodes(); ++node) {
+        for (cluster::PStateIndex s = 0; s < cluster::kNumPStates; ++s) {
+          min_exec_support_[type] = std::min(
+              min_exec_support_[type], types_->ExecPmf(type, node, s).Min());
+        }
+      }
+    }
+  }
+}
+
+bool BatchScheduler::Expired(const workload::Task& task, double now) const {
+  // Every batch candidate core is idle, so rho = F_exec(deadline - now), and
+  // CdfAt is exactly 0 below the smallest support value of the task's exec
+  // pmfs. Same subtraction as MappingContext::OnTimeProbability.
+  return !min_exec_support_.empty() &&
+         task.deadline - now < min_exec_support_[task.type];
+}
+
+std::vector<core::Candidate> BatchScheduler::Candidates(
+    const workload::Task& task, const std::vector<bool>& core_idle) const {
+  std::vector<core::Candidate> candidates;
+  for (std::size_t flat = 0; flat < cluster_->total_cores(); ++flat) {
+    if (!core_idle[flat]) continue;
+    const std::size_t node_index = cluster_->NodeIndexOf(flat);
+    const cluster::Node& node = cluster_->node(node_index);
+    for (cluster::PStateIndex s = 0; s < cluster::kNumPStates; ++s) {
+      const double eet = types_->MeanExec(task.type, node_index, s);
+      candidates.push_back(core::Candidate{
+          .assignment = core::Assignment{flat, s},
+          .node = node_index,
+          .exec = &types_->ExecPmf(task.type, node_index, s),
+          .eet = eet,
+          .eec = eet * node.pstates[s].power_watts / node.power_efficiency,
+      });
+    }
+  }
+  return candidates;
+}
+
+void BatchScheduler::ApplyFilters(core::MappingContext& ctx,
+                                  obs::Counters* counters) {
+  for (const auto& filter : filters_) {
+    const std::size_t before = ctx.candidates().size();
+    filter->Apply(ctx);
+    const std::size_t after = ctx.candidates().size();
+    ECDRA_ASSERT(after <= before, "filters may only remove candidates");
+    if (counters != nullptr) {
+      counters->*core::PrunedSlotFor(filter->name()) += before - after;
+    }
+    if (after == 0) return;
+  }
+}
+
+void BatchScheduler::AuditSkip(validate::TrialValidator& validator,
+                               const workload::Task& task,
+                               const std::vector<bool>& core_idle, double now,
+                               double depth, std::size_t tasks_left) {
+  validator.CountChecks();
+  core::MappingContext ctx(*cluster_, task, now, Candidates(task, core_idle),
+                           depth);
+  ctx.SetBudgetView(estimator_.remaining(), tasks_left);
+  ApplyFilters(ctx, nullptr);
+  if (ctx.candidates().empty()) return;
+  std::ostringstream os;
+  os << "task " << task.id << " was skipped at deadline - now = "
+     << task.deadline - now << " but " << ctx.candidates().size()
+     << " candidate(s) pass the filter chain";
+  validator.Fail("batch-expired-skip", now, os.str());
 }
 
 std::vector<BatchAssignment> BatchScheduler::MapEvent(
@@ -61,22 +136,15 @@ std::vector<BatchAssignment> BatchScheduler::MapEvent(
   batch.reserve(pending.size());
   for (std::size_t index = 0; index < pending.size(); ++index) {
     const workload::Task& task = pending[index];
-    std::vector<core::Candidate> candidates;
-    for (std::size_t flat = 0; flat < cluster_->total_cores(); ++flat) {
-      if (!core_idle[flat]) continue;
-      const std::size_t node_index = cluster_->NodeIndexOf(flat);
-      const cluster::Node& node = cluster_->node(node_index);
-      for (cluster::PStateIndex s = 0; s < cluster::kNumPStates; ++s) {
-        const double eet = types_->MeanExec(task.type, node_index, s);
-        candidates.push_back(core::Candidate{
-            .assignment = core::Assignment{flat, s},
-            .node = node_index,
-            .exec = &types_->ExecPmf(task.type, node_index, s),
-            .eet = eet,
-            .eec = eet * node.pstates[s].power_watts / node.power_efficiency,
-        });
+    // The robustness filter would reject every candidate of an expired
+    // task, so its candidates are not built. It stays pending.
+    if (Expired(task, now)) {
+      if (validate::TrialValidator* validator = validate::DeepValidator()) {
+        AuditSkip(*validator, task, core_idle, now, depth, tasks_left);
       }
+      continue;
     }
+    std::vector<core::Candidate> candidates = Candidates(task, core_idle);
     if (counters != nullptr) counters->candidates_generated += candidates.size();
     if (trace != nullptr) generated[index] = candidates.size();
     if (candidates.empty()) continue;
@@ -84,16 +152,7 @@ std::vector<BatchAssignment> BatchScheduler::MapEvent(
     core::MappingContext ctx(*cluster_, task, now, std::move(candidates),
                              depth);
     ctx.SetBudgetView(estimator_.remaining(), tasks_left);
-    for (const auto& filter : filters_) {
-      const std::size_t before = ctx.candidates().size();
-      filter->Apply(ctx);
-      const std::size_t after = ctx.candidates().size();
-      ECDRA_ASSERT(after <= before, "filters may only remove candidates");
-      if (counters != nullptr) {
-        counters->*core::PrunedSlotFor(filter->name()) += before - after;
-      }
-      if (after == 0) break;
-    }
+    ApplyFilters(ctx, counters);
     if (ctx.candidates().empty()) continue;
 
     batch.push_back(

@@ -16,6 +16,7 @@
 #include "core/energy_estimator.hpp"
 #include "core/filter.hpp"
 #include "core/scheduler.hpp"
+#include "validate/validation.hpp"
 #include "workload/task_type_table.hpp"
 
 namespace ecdra::batch {
@@ -36,6 +37,14 @@ class BatchScheduler {
   /// accept work, `in_flight` counts running tasks (pending + in_flight
   /// drive the average queue depth behind the energy filter's zeta_mul).
   /// Charges the estimator for every returned assignment.
+  ///
+  /// When the chain holds a RobustnessFilter with threshold > 0, a pending
+  /// task whose `deadline - now` lies below the smallest support value of
+  /// its type's exec pmfs is skipped before its candidates are built: every
+  /// candidate's rho is exactly 0, so the chain would reject them all.
+  /// Skipped tasks are not counted in candidates_generated or any pruned_*
+  /// counter. Under deep validation the chain is run on them anyway and a
+  /// survivor is reported as `batch-expired-skip`.
   [[nodiscard]] std::vector<BatchAssignment> MapEvent(
       const std::vector<workload::Task>& pending,
       const std::vector<bool>& core_idle, double now, std::size_t in_flight);
@@ -60,6 +69,21 @@ class BatchScheduler {
   }
 
  private:
+  /// True when a robustness filter with a positive threshold is certain to
+  /// reject every candidate of `task` at `now`.
+  [[nodiscard]] bool Expired(const workload::Task& task, double now) const;
+  /// One candidate per idle core and P-state.
+  [[nodiscard]] std::vector<core::Candidate> Candidates(
+      const workload::Task& task, const std::vector<bool>& core_idle) const;
+  /// Runs the chain until it empties, charging `counters` when non-null.
+  void ApplyFilters(core::MappingContext& ctx, obs::Counters* counters);
+  /// Deep validation of one skip: runs the chain on the skipped task's
+  /// candidates and reports `batch-expired-skip` if any survives.
+  void AuditSkip(validate::TrialValidator& validator,
+                 const workload::Task& task,
+                 const std::vector<bool>& core_idle, double now, double depth,
+                 std::size_t tasks_left);
+
   const cluster::Cluster* cluster_;
   const workload::TaskTypeTable* types_;
   std::unique_ptr<BatchHeuristic> heuristic_;
@@ -68,6 +92,10 @@ class BatchScheduler {
   std::size_t window_size_;
   std::size_t tasks_started_ = 0;
   core::SchedulerObservability obs_;
+  /// Per task type, the smallest support value of its exec pmfs over every
+  /// node and P-state; empty when the chain has no robustness threshold
+  /// above 0, which disables the skip.
+  std::vector<double> min_exec_support_;
 };
 
 }  // namespace ecdra::batch

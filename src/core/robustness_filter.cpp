@@ -17,4 +17,15 @@ void RobustnessFilter::Apply(MappingContext& ctx) {
   });
 }
 
+double RobustnessThreshold(
+    std::span<const std::unique_ptr<Filter>> chain) noexcept {
+  double threshold = 0.0;
+  for (const auto& filter : chain) {
+    if (const auto* rob = dynamic_cast<const RobustnessFilter*>(filter.get())) {
+      threshold = std::max(threshold, rob->threshold());
+    }
+  }
+  return threshold;
+}
+
 }  // namespace ecdra::core

@@ -5,6 +5,9 @@
 // every task into the high-power P-states).
 #pragma once
 
+#include <memory>
+#include <span>
+
 #include "core/filter.hpp"
 
 namespace ecdra::core {
@@ -22,5 +25,11 @@ class RobustnessFilter final : public Filter {
  private:
   double threshold_;
 };
+
+/// The largest threshold of any RobustnessFilter in `chain`, or 0 when it
+/// has none. A filter that wraps a RobustnessFilter is not seen, so callers
+/// that act on the threshold fall back to running the chain.
+[[nodiscard]] double RobustnessThreshold(
+    std::span<const std::unique_ptr<Filter>> chain) noexcept;
 
 }  // namespace ecdra::core

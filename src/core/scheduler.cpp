@@ -161,18 +161,10 @@ std::string_view ImmediateModeScheduler::ApplyFilters(
 
 void ImmediateModeScheduler::ConfigureGangs(const std::string& placement) {
   gang_placement_ = MakeGangPlacement(placement);
-  gang_threshold_ = 0.0;
-  gang_energy_check_ = false;
-  for (const auto& filter : filters_) {
-    if (filter->name() == "rob") {
-      if (const auto* rob =
-              dynamic_cast<const RobustnessFilter*>(filter.get())) {
-        gang_threshold_ = rob->threshold();
-      }
-    } else if (filter->name() == "en") {
-      gang_energy_check_ = true;
-    }
-  }
+  gang_threshold_ = RobustnessThreshold(filters_);
+  gang_energy_check_ = std::any_of(
+      filters_.begin(), filters_.end(),
+      [](const auto& filter) { return filter->name() == "en"; });
 }
 
 GangOutcome ImmediateModeScheduler::MapGang(

@@ -23,7 +23,10 @@ struct Counters {
   /// Arrivals discarded because filtering left no feasible candidate.
   std::uint64_t tasks_discarded = 0;
   /// Candidates enumerated before any filter ran (cores x P-states summed
-  /// over all arrivals).
+  /// over all arrivals). In batch mode, summed over the pending tasks of
+  /// every event, except tasks skipped because a positive robustness
+  /// threshold rejects all of them (BatchScheduler::MapEvent); the same
+  /// holds for the pruned_* counters below.
   std::uint64_t candidates_generated = 0;
   /// Candidates pruned by the energy fair-share filter ("en").
   std::uint64_t pruned_energy = 0;

@@ -600,9 +600,8 @@ double Pmf::TruncateBelowInPlace(double t) {
   return retained;
 }
 
-double Pmf::Sample(util::RngStream& rng) const {
+double Pmf::Sample(double u) const {
   ECDRA_REQUIRE(!empty(), "Sample of empty pmf");
-  const double u = rng.UniformReal(0.0, 1.0);
   double acc = 0.0;
   for (const Impulse& imp : impulses_) {
     acc += imp.prob;

@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "pmf/impulse_vec.hpp"
-#include "util/rng.hpp"
 
 namespace ecdra::pmf {
 
@@ -113,8 +112,9 @@ class Pmf {
   /// the retained mass. Same Delta(t) fallback as TruncateBelow.
   double TruncateBelowInPlace(double t);
 
-  /// Draws a sample (an impulse value) using the given stream.
-  [[nodiscard]] double Sample(util::RngStream& rng) const;
+  /// Inverse-CDF sample: the first impulse value whose cumulative mass
+  /// reaches the uniform variate `u` in [0, 1).
+  [[nodiscard]] double Sample(double u) const;
 
   /// Reduces the support to at most `max_impulses` by repeatedly merging the
   /// two adjacent impulses with the smallest value gap into one impulse at

@@ -1462,9 +1462,10 @@ double Engine::SampleActualDuration(const workload::Task& task,
                                     cluster::PStateIndex pstate) {
   // One substream per task id: the underlying uniform draw is shared across
   // heuristic variants (common random numbers), so variants differ only
-  // through their decisions, not through sampling noise.
-  util::RngStream stream = rng_.Substream("exec-u", task.id);
-  return types_->ExecPmf(task.type, node, pstate).Sample(stream);
+  // through their decisions, not through sampling noise. The draw is that
+  // substream's first uniform.
+  return types_->ExecPmf(task.type, node, pstate)
+      .Sample(rng_.SubstreamFirstUniform("exec-u", task.id));
 }
 
 void Engine::HandleJobArrival(std::size_t job_index, double now) {

@@ -32,6 +32,29 @@ namespace ecdra::util {
   return h;
 }
 
+/// The first output of std::mt19937_64 seeded with `seed`, computed without
+/// building the 312-word state. That output reads only state words 0, 1 and
+/// 156: seed them, twist word 0 and temper it. Bit-identical to
+/// `std::mt19937_64(seed)()`.
+[[nodiscard]] constexpr std::uint64_t Mt19937_64FirstOutput(
+    std::uint64_t seed) noexcept {
+  constexpr std::uint64_t kInit = 6364136223846793005ULL;
+  const auto next = [](std::uint64_t x, std::uint64_t i) {
+    return kInit * (x ^ (x >> 62)) + i;
+  };
+  const std::uint64_t x0 = seed;
+  const std::uint64_t x1 = next(x0, 1);
+  std::uint64_t xm = x1;
+  for (std::uint64_t i = 2; i <= 156; ++i) xm = next(xm, i);
+  const std::uint64_t y =
+      (x0 & ~((1ULL << 31) - 1)) | (x1 & ((1ULL << 31) - 1));
+  std::uint64_t z = xm ^ (y >> 1) ^ ((y & 1) != 0 ? 0xB5026F5AA96619E9ULL : 0);
+  z ^= (z >> 29) & 0x5555555555555555ULL;
+  z ^= (z << 17) & 0x71D67FFFEDA60000ULL;
+  z ^= (z << 37) & 0xFFF7EEE000000000ULL;
+  return z ^ (z >> 43);
+}
+
 /// A seeded random stream with convenience samplers. Thin wrapper around
 /// std::mt19937_64; cheap to construct, movable, never shared across threads.
 class RngStream {
@@ -45,10 +68,13 @@ class RngStream {
   /// variates were already drawn from this stream.
   [[nodiscard]] RngStream Substream(std::string_view name,
                                     std::uint64_t index = 0) const {
-    const std::uint64_t child =
-        SplitMix64(base_seed_ ^ HashName(name)) ^ SplitMix64(index + 1);
-    return RngStream(child);
+    return RngStream(ChildSeed(name, index));
   }
+
+  /// `Substream(name, index).UniformReal(0.0, 1.0)`, bit for bit, from one
+  /// Mersenne Twister output instead of a seeded 312-word engine.
+  [[nodiscard]] double SubstreamFirstUniform(std::string_view name,
+                                             std::uint64_t index = 0) const;
 
   [[nodiscard]] std::uint64_t base_seed() const noexcept { return base_seed_; }
 
@@ -66,6 +92,11 @@ class RngStream {
   [[nodiscard]] std::mt19937_64& engine() noexcept { return engine_; }
 
  private:
+  [[nodiscard]] std::uint64_t ChildSeed(std::string_view name,
+                                        std::uint64_t index) const noexcept {
+    return SplitMix64(base_seed_ ^ HashName(name)) ^ SplitMix64(index + 1);
+  }
+
   std::uint64_t base_seed_;
   std::mt19937_64 engine_;
 };

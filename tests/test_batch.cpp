@@ -3,11 +3,16 @@
 // trials on sim::Engine in deterministic scenarios.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <functional>
+#include <memory>
 #include <type_traits>
 
 #include "batch/batch_heuristics.hpp"
 #include "batch/batch_runner.hpp"
 #include "core/factory.hpp"
+#include "core/robustness_filter.hpp"
 #include "experiment/paper_config.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/engine.hpp"
@@ -316,6 +321,224 @@ TEST(BatchScheduler, RejectsInvalidConstruction) {
                std::invalid_argument);
 }
 
+sim::ExperimentSetup SmallSetup() {
+  sim::SetupOptions small;
+  small.cluster.num_nodes = 3;
+  small.cvb.num_task_types = 10;
+  small.workload.arrivals =
+      workload::ArrivalSpec::PaperBursty(15, 30, 1.0 / 8.0, 1.0 / 48.0);
+  return sim::BuildExperimentSetup(3, small);
+}
+
+// ---------------------------------------------------------------------------
+// The expired-task skip: a task whose deadline - now lies below the smallest
+// support of its exec pmfs has rho = 0 on every idle core, so a positive
+// robustness threshold rejects it and MapEvent does not build its candidates.
+
+/// Forwards to an inner filter. core::RobustnessThreshold cannot see a
+/// RobustnessFilter behind it, so a chain that wraps "rob" never skips.
+class PassThroughFilter final : public core::Filter {
+ public:
+  explicit PassThroughFilter(std::unique_ptr<core::Filter> inner)
+      : inner_(std::move(inner)) {}
+  void Apply(core::MappingContext& ctx) override { inner_->Apply(ctx); }
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return inner_->name();
+  }
+
+ private:
+  std::unique_ptr<core::Filter> inner_;
+};
+
+double MinExecSupport(const workload::TaskTypeTable& table, std::size_t type) {
+  double min_support = INFINITY;
+  for (std::size_t node = 0; node < table.num_nodes(); ++node) {
+    for (cluster::PStateIndex s = 0; s < cluster::kNumPStates; ++s) {
+      min_support = std::min(min_support, table.ExecPmf(type, node, s).Min());
+    }
+  }
+  return min_support;
+}
+
+TEST(BatchScheduler, RobustnessThresholdIsTheChainsLargestTheta) {
+  core::FilterChainOptions options;
+  options.robustness_threshold = 0.7;
+  EXPECT_EQ(core::RobustnessThreshold(core::MakeFilterChain("en+rob", options)),
+            0.7);
+  EXPECT_EQ(core::RobustnessThreshold(core::MakeFilterChain("en")), 0.0);
+  EXPECT_EQ(core::RobustnessThreshold(core::MakeFilterChain("none")), 0.0);
+  std::vector<std::unique_ptr<core::Filter>> chain =
+      core::MakeFilterChain("rob+rob", options);
+  chain.front() = std::make_unique<core::RobustnessFilter>(0.9);
+  EXPECT_EQ(core::RobustnessThreshold(chain), 0.9);
+  chain.front() = std::make_unique<PassThroughFilter>(std::move(chain.front()));
+  EXPECT_EQ(core::RobustnessThreshold(chain), 0.7);
+}
+
+TEST(BatchScheduler, SkippedTasksBuildNoCandidates) {
+  const cluster::Cluster cluster({test::SimpleNode(1, 2)});
+  const auto table = DeltaTable(cluster, 10.0);
+  ASSERT_EQ(MinExecSupport(table, 0), 10.0);
+  BatchScheduler scheduler(cluster, table, MakeBatchHeuristic("MinMinCT"),
+                           core::MakeFilterChain("en+rob"), 1e9, 2);
+  obs::Counters counters;
+  scheduler.SetObservability(
+      core::SchedulerObservability{.counters = &counters});
+  const workload::Task expired{0, 0, 0.0, 14.0};  // deadline - now = 9
+  const workload::Task live{1, 0, 0.0, 100.0};
+  const auto assignments =
+      scheduler.MapEvent({expired, live}, {true, true}, 5.0, 0);
+  ASSERT_EQ(assignments.size(), 1u);
+  EXPECT_EQ(assignments[0].pending_index, 1u);
+  // Only the live task's 2 cores x 5 P-states are built; every one of them
+  // passes both filters.
+  EXPECT_EQ(counters.candidates_generated, 2u * cluster::kNumPStates);
+  EXPECT_EQ(counters.pruned_energy, 0u);
+  EXPECT_EQ(counters.pruned_robustness, 0u);
+  EXPECT_EQ(counters.tasks_mapped, 1u);
+}
+
+TEST(BatchScheduler, NoSkipWithoutAPositiveRobustnessThreshold) {
+  // rho = 0 passes a zero threshold, and "none" and "en" never read rho:
+  // an expired task is still mapped under each.
+  const cluster::Cluster cluster({test::SimpleNode(1, 2)});
+  const auto table = DeltaTable(cluster, 10.0);
+  const workload::Task expired{0, 0, 0.0, 5.0};
+  core::FilterChainOptions zero;
+  zero.robustness_threshold = 0.0;
+  const std::vector<std::pair<std::string, core::FilterChainOptions>> chains{
+      {"none", {}}, {"en", {}}, {"rob", zero}, {"en+rob", zero}};
+  for (const auto& [variant, options] : chains) {
+    BatchScheduler scheduler(cluster, table, MakeBatchHeuristic("MinMinCT"),
+                             core::MakeFilterChain(variant, options), 1e9, 1);
+    obs::Counters counters;
+    scheduler.SetObservability(
+        core::SchedulerObservability{.counters = &counters});
+    const auto assignments =
+        scheduler.MapEvent({expired}, {true, true}, 0.0, 0);
+    EXPECT_EQ(assignments.size(), 1u) << variant;
+    EXPECT_EQ(counters.candidates_generated, 2u * cluster::kNumPStates)
+        << variant;
+  }
+}
+
+TEST(BatchScheduler, ATaskAtItsMinimumSupportIsNotSkipped) {
+  const cluster::Cluster cluster({test::SimpleNode(1, 2)});
+  const auto table = DeltaTable(cluster, 10.0);
+  const double min_support = MinExecSupport(table, 0);
+  const double now = 2.5;
+  const workload::Task boundary{0, 0, 0.0, now + min_support};
+  ASSERT_EQ(boundary.deadline - now, min_support);
+  const workload::Task below{1, 0, 0.0, std::nextafter(boundary.deadline, 0.0)};
+  ASSERT_LT(below.deadline - now, min_support);
+
+  BatchScheduler scheduler(cluster, table, MakeBatchHeuristic("MinMinCT"),
+                           core::MakeFilterChain("en+rob"), 1e9, 2);
+  obs::Counters counters;
+  scheduler.SetObservability(
+      core::SchedulerObservability{.counters = &counters});
+  // At the boundary P0 completes exactly at the deadline: rho = 1.
+  const auto assignments =
+      scheduler.MapEvent({below, boundary}, {true, false}, now, 1);
+  ASSERT_EQ(assignments.size(), 1u);
+  EXPECT_EQ(assignments[0].pending_index, 1u);
+  EXPECT_EQ(assignments[0].candidate.assignment.pstate, 0u);
+  EXPECT_EQ(counters.candidates_generated, cluster::kNumPStates);
+}
+
+TEST(BatchScheduler, ExpiredSkipMatchesTheFullChainAtEveryEvent) {
+  // One pool through the same events twice: once with "en+rob", once with
+  // "rob" hidden behind a wrapper so the skip never fires. Every event must
+  // commit the same assignments and leave the same estimator state.
+  const sim::ExperimentSetup setup = SmallSetup();
+  util::RngStream workload_rng = util::RngStream(setup.master_seed)
+                                     .Substream("trial", 0)
+                                     .Substream("workload");
+  const std::vector<workload::Task> tasks =
+      workload::GenerateWorkload(setup.types, setup.workload, workload_rng);
+  double last_deadline = 0.0;
+  for (const workload::Task& task : tasks) {
+    last_deadline = std::max(last_deadline, task.deadline);
+  }
+  for (const std::string& heuristic : BatchHeuristicNames()) {
+    std::vector<std::unique_ptr<core::Filter>> hidden =
+        core::MakeFilterChain("en+rob");
+    hidden.back() =
+        std::make_unique<PassThroughFilter>(std::move(hidden.back()));
+    BatchScheduler skipping(setup.cluster, setup.types,
+                            MakeBatchHeuristic(heuristic),
+                            core::MakeFilterChain("en+rob"),
+                            setup.energy_budget, setup.window_size);
+    BatchScheduler full(setup.cluster, setup.types,
+                        MakeBatchHeuristic(heuristic), std::move(hidden),
+                        setup.energy_budget, setup.window_size);
+    obs::Counters skipping_counters;
+    obs::Counters full_counters;
+    skipping.SetObservability(
+        core::SchedulerObservability{.counters = &skipping_counters});
+    full.SetObservability(
+        core::SchedulerObservability{.counters = &full_counters});
+
+    // Events at every arrival, then evenly spaced until the last deadline
+    // has passed; each core is idle at an event with probability 0.02, so
+    // the pool outlives some deadlines.
+    std::vector<double> times;
+    for (const workload::Task& task : tasks) times.push_back(task.arrival);
+    const double step = (last_deadline - tasks.back().arrival) / 40.0;
+    for (int k = 1; k <= 45; ++k) {
+      times.push_back(tasks.back().arrival + k * step);
+    }
+    util::RngStream idle_rng(11);
+    std::vector<workload::Task> pending;
+    std::size_t next = 0;
+    std::size_t mapped = 0;
+    for (const double now : times) {
+      while (next < tasks.size() && tasks[next].arrival <= now) {
+        pending.push_back(tasks[next++]);
+      }
+      std::vector<bool> idle(setup.cluster.total_cores());
+      std::size_t busy = 0;
+      for (std::size_t flat = 0; flat < idle.size(); ++flat) {
+        idle[flat] = idle_rng.UniformReal(0.0, 1.0) < 0.02;
+        if (!idle[flat]) ++busy;
+      }
+      const auto a = skipping.MapEvent(pending, idle, now, busy);
+      const auto b = full.MapEvent(pending, idle, now, busy);
+      ASSERT_EQ(a.size(), b.size()) << heuristic << " at " << now;
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].pending_index, b[i].pending_index) << heuristic;
+        EXPECT_EQ(a[i].candidate.assignment.flat_core,
+                  b[i].candidate.assignment.flat_core)
+            << heuristic;
+        EXPECT_EQ(a[i].candidate.assignment.pstate,
+                  b[i].candidate.assignment.pstate)
+            << heuristic;
+        EXPECT_EQ(a[i].candidate.exec, b[i].candidate.exec) << heuristic;
+        EXPECT_EQ(a[i].candidate.eec, b[i].candidate.eec) << heuristic;
+      }
+      EXPECT_EQ(skipping.estimator().remaining(), full.estimator().remaining())
+          << heuristic << " at " << now;
+      EXPECT_EQ(skipping.tasks_started(), full.tasks_started()) << heuristic;
+      std::vector<std::size_t> indices;
+      for (const BatchAssignment& assignment : a) {
+        indices.push_back(assignment.pending_index);
+      }
+      std::sort(indices.begin(), indices.end(), std::greater<>());
+      for (const std::size_t index : indices) {
+        pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(index));
+      }
+      mapped += a.size();
+    }
+    // The workload exercised both paths: some tasks mapped, and the skip
+    // spared candidates the full chain built and rejected.
+    EXPECT_GT(mapped, 0u) << heuristic;
+    EXPECT_EQ(skipping_counters.tasks_mapped, full_counters.tasks_mapped);
+    EXPECT_LT(skipping_counters.candidates_generated,
+              full_counters.candidates_generated)
+        << heuristic;
+  }
+}
+
 TEST(BatchRunner, FilterOptionsAreTheImmediateStacksVerbatim) {
   // Both stacks share one source of filter defaults: the same
   // core::FilterChainOptions type, default-constructed. There is no
@@ -420,15 +643,6 @@ TEST_F(BatchTrialTest, AcceptsTheNeutralExtensionInputs) {
 }
 
 /// Three nodes, ten task types, 60 tasks per trial.
-sim::ExperimentSetup SmallSetup() {
-  sim::SetupOptions small;
-  small.cluster.num_nodes = 3;
-  small.cvb.num_task_types = 10;
-  small.workload.arrivals =
-      workload::ArrivalSpec::PaperBursty(15, 30, 1.0 / 8.0, 1.0 / 48.0);
-  return sim::BuildExperimentSetup(3, small);
-}
-
 TEST(BatchRunner, DeterministicAndComparableToImmediate) {
   const sim::ExperimentSetup setup = SmallSetup();
 
@@ -533,6 +747,26 @@ TEST(BatchRunner, BatchTrialsPassTheEnginesDeepValidation) {
     EXPECT_EQ(result.completed + result.missed_deadlines, result.window_size)
         << name;
   }
+}
+
+TEST_F(BatchTrialTest, ExpiredSkipsPassDeepValidation) {
+  // Both cores are busy until 10. Task 2's deadline - now is 5 at every
+  // later event, below the 10 s minimum support, so each event skips it and
+  // deep validation runs the chain on it. Task 3 (20 s left at t = 10) is
+  // live and maps.
+  sim::TrialOptions options;
+  options.energy_budget = 1e9;
+  options.validation = validate::ValidationMode::kDeep;
+  options.validation_fail_fast = true;
+  sim::TrialResult result;
+  ASSERT_NO_THROW(result = Run({workload::Task{0, 0, 0.0, 100.0},
+                                workload::Task{1, 0, 0.0, 100.0},
+                                workload::Task{2, 0, 1.0, 15.0},
+                                workload::Task{3, 0, 1.0, 30.0}},
+                               "MinMinCT", options, "en+rob"));
+  EXPECT_TRUE(result.validation.ok());
+  EXPECT_EQ(result.completed, 3u);
+  EXPECT_EQ(result.discarded, 1u);
 }
 
 // Batch mode has no fault, governor, econ, gang, DVFS-latency, or

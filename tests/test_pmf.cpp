@@ -204,7 +204,7 @@ TEST(Pmf, SampleStaysOnSupportAndFollowsProbabilities) {
   int fives = 0;
   const int n = 10000;
   for (int i = 0; i < n; ++i) {
-    const double v = pmf.Sample(rng);
+    const double v = pmf.Sample(rng.UniformReal(0.0, 1.0));
     ASSERT_TRUE(v == 1.0 || v == 5.0);
     if (v == 5.0) ++fives;
   }

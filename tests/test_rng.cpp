@@ -120,6 +120,41 @@ TEST(RngStream, DiscreteFollowsWeights) {
   EXPECT_NEAR(static_cast<double>(ones) / n, 0.75, 0.03);
 }
 
+TEST(Mt19937_64FirstOutput, MatchesTheStandardEngine) {
+  // std::mt19937_64 default-seeded (5489) starts with this output.
+  static_assert(Mt19937_64FirstOutput(5489) == 14514284786278117030ULL);
+  std::vector<std::uint64_t> seeds{0,
+                                   1,
+                                   5489,
+                                   std::uint64_t{1} << 63,
+                                   ~std::uint64_t{0}};
+  std::uint64_t x = 0;
+  for (int i = 0; i < 100000; ++i) seeds.push_back(x = SplitMix64(x));
+  std::size_t mismatches = 0;
+  for (const std::uint64_t seed : seeds) {
+    std::mt19937_64 engine(seed);
+    if (Mt19937_64FirstOutput(seed) != engine()) {
+      if (mismatches++ == 0) ADD_FAILURE() << "first mismatch at seed " << seed;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(RngStream, SubstreamFirstUniformIsTheSubstreamsFirstDraw) {
+  const RngStream root(14);
+  std::size_t mismatches = 0;
+  for (std::uint64_t index = 0; index < 100000; ++index) {
+    const double fast = root.SubstreamFirstUniform("exec-u", index);
+    const double full = root.Substream("exec-u", index).UniformReal(0.0, 1.0);
+    if (fast != full) {
+      if (mismatches++ == 0) ADD_FAILURE() << "first mismatch at " << index;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(RngStream(3).SubstreamFirstUniform("x"),
+            RngStream(3).Substream("x").UniformReal(0.0, 1.0));
+}
+
 TEST(RngStream, InvalidArgumentsThrow) {
   RngStream rng(1);
   EXPECT_THROW((void)rng.UniformReal(2, 1), std::invalid_argument);
