@@ -71,20 +71,6 @@ std::vector<core::Candidate> BatchScheduler::Candidates(
   return candidates;
 }
 
-void BatchScheduler::ApplyFilters(core::MappingContext& ctx,
-                                  obs::Counters* counters) {
-  for (const auto& filter : filters_) {
-    const std::size_t before = ctx.candidates().size();
-    filter->Apply(ctx);
-    const std::size_t after = ctx.candidates().size();
-    ECDRA_ASSERT(after <= before, "filters may only remove candidates");
-    if (counters != nullptr) {
-      counters->*core::PrunedSlotFor(filter->name()) += before - after;
-    }
-    if (after == 0) return;
-  }
-}
-
 void BatchScheduler::AuditSkip(validate::TrialValidator& validator,
                                const workload::Task& task,
                                const std::vector<bool>& core_idle, double now,
@@ -93,7 +79,7 @@ void BatchScheduler::AuditSkip(validate::TrialValidator& validator,
   core::MappingContext ctx(*cluster_, task, now, Candidates(task, core_idle),
                            depth);
   ctx.SetBudgetView(estimator_.remaining(), tasks_left);
-  ApplyFilters(ctx, nullptr);
+  core::ApplyFilters(filters_, ctx, nullptr, nullptr);
   if (ctx.candidates().empty()) return;
   std::ostringstream os;
   os << "task " << task.id << " was skipped at deadline - now = "
@@ -152,7 +138,7 @@ std::vector<BatchAssignment> BatchScheduler::MapEvent(
     core::MappingContext ctx(*cluster_, task, now, std::move(candidates),
                              depth);
     ctx.SetBudgetView(estimator_.remaining(), tasks_left);
-    ApplyFilters(ctx, counters);
+    core::ApplyFilters(filters_, ctx, counters, nullptr);
     if (ctx.candidates().empty()) continue;
 
     batch.push_back(

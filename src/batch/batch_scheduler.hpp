@@ -75,8 +75,6 @@ class BatchScheduler {
   /// One candidate per idle core and P-state.
   [[nodiscard]] std::vector<core::Candidate> Candidates(
       const workload::Task& task, const std::vector<bool>& core_idle) const;
-  /// Runs the chain until it empties, charging `counters` when non-null.
-  void ApplyFilters(core::MappingContext& ctx, obs::Counters* counters);
   /// Deep validation of one skip: runs the chain on the skipped task's
   /// candidates and reports `batch-expired-skip` if any survives.
   void AuditSkip(validate::TrialValidator& validator,

@@ -9,7 +9,10 @@
 #include "util/assert.hpp"
 
 namespace ecdra::core {
+namespace {
 
+/// Routes a per-filter count into the matching counter slot by the filter's
+/// public name ("en"/"rob"); unknown (custom) filters share one slot.
 std::uint64_t obs::Counters::* PrunedSlotFor(
     std::string_view filter_name) noexcept {
   if (filter_name == "en") return &obs::Counters::pruned_energy;
@@ -22,6 +25,29 @@ std::uint64_t obs::Counters::* DiscardSlotFor(
   if (filter_name == "en") return &obs::Counters::discarded_by_energy;
   if (filter_name == "rob") return &obs::Counters::discarded_by_robustness;
   return &obs::Counters::discarded_by_other;
+}
+
+}  // namespace
+
+std::string_view ApplyFilters(std::span<const std::unique_ptr<Filter>> filters,
+                              MappingContext& ctx, obs::Counters* counters,
+                              std::vector<obs::FilterStageRecord>* stages) {
+  if (stages != nullptr) stages->reserve(filters.size());
+  for (const auto& filter : filters) {
+    const std::size_t before = ctx.candidates().size();
+    filter->Apply(ctx);
+    const std::size_t after = ctx.candidates().size();
+    ECDRA_ASSERT(after <= before, "filters may only remove candidates");
+    if (counters != nullptr) {
+      counters->*PrunedSlotFor(filter->name()) += before - after;
+    }
+    if (stages != nullptr) {
+      stages->push_back(obs::FilterStageRecord{std::string(filter->name()),
+                                               before - after, after});
+    }
+    if (after == 0) return filter->name();
+  }
+  return {};
 }
 
 ImmediateModeScheduler::ImmediateModeScheduler(
@@ -93,8 +119,8 @@ std::optional<Candidate> ImmediateModeScheduler::RunPipeline(
   }
 
   obs::MappingDecisionRecord record;
-  const std::string_view emptying_stage =
-      ApplyFilters(ctx, trace != nullptr ? &record.stages : nullptr);
+  const std::string_view emptying_stage = ApplyFilters(
+      filters_, ctx, counters, trace != nullptr ? &record.stages : nullptr);
 
   std::optional<Candidate> chosen = heuristic_->Select(ctx);
   if (chosen) estimator_.Charge(chosen->eec);
@@ -136,27 +162,6 @@ std::optional<Candidate> ImmediateModeScheduler::RunPipeline(
     }
   }
   return chosen;
-}
-
-std::string_view ImmediateModeScheduler::ApplyFilters(
-    MappingContext& ctx, std::vector<obs::FilterStageRecord>* stages) {
-  obs::Counters* const counters = obs_.counters;
-  if (stages != nullptr) stages->reserve(filters_.size());
-  for (const auto& filter : filters_) {
-    const std::size_t before = ctx.candidates().size();
-    filter->Apply(ctx);
-    const std::size_t after = ctx.candidates().size();
-    ECDRA_ASSERT(after <= before, "filters may only remove candidates");
-    if (counters != nullptr) {
-      counters->*PrunedSlotFor(filter->name()) += before - after;
-    }
-    if (stages != nullptr) {
-      stages->push_back(obs::FilterStageRecord{std::string(filter->name()),
-                                               before - after, after});
-    }
-    if (after == 0) return filter->name();
-  }
-  return {};
 }
 
 void ImmediateModeScheduler::ConfigureGangs(const std::string& placement) {
@@ -205,7 +210,7 @@ GangOutcome ImmediateModeScheduler::MapGang(
     counters->candidates_generated += candidates_generated;
   }
   std::vector<obs::FilterStageRecord> stages;
-  ApplyFilters(ctx, trace != nullptr ? &stages : nullptr);
+  ApplyFilters(filters_, ctx, counters, trace != nullptr ? &stages : nullptr);
 
   const auto finish = [&](GangStatus status) {
     outcome.status = status;

@@ -38,14 +38,16 @@ struct SchedulerObservability {
   std::uint64_t trial = 0;
 };
 
-/// Routes a per-filter count into the matching counter slot by the filter's
-/// public name ("en"/"rob"); unknown (custom) filters share one slot. Shared
-/// by the immediate- and batch-mode schedulers so both report the same
-/// telemetry vocabulary.
-[[nodiscard]] std::uint64_t obs::Counters::* PrunedSlotFor(
-    std::string_view filter_name) noexcept;
-[[nodiscard]] std::uint64_t obs::Counters::* DiscardSlotFor(
-    std::string_view filter_name) noexcept;
+/// Runs `filters` over `ctx` in order until one empties the candidate set.
+/// When non-null, `counters` tallies each filter's prunes (by its public
+/// name: "en", "rob", or the shared slot of custom filters) and `stages`
+/// gets one record per filter applied. Returns the name of the filter that
+/// emptied the set, or "" when candidates survive. The immediate- and
+/// batch-mode schedulers both run their chains through it, so they report
+/// the same telemetry.
+std::string_view ApplyFilters(std::span<const std::unique_ptr<Filter>> filters,
+                              MappingContext& ctx, obs::Counters* counters,
+                              std::vector<obs::FilterStageRecord>* stages);
 
 /// Outcome of one all-or-nothing gang placement attempt (MapGang).
 enum class GangStatus {
@@ -184,13 +186,6 @@ class ImmediateModeScheduler {
       std::span<const robustness::CoreQueueModel> cores,
       std::span<const CoreAvailability> availability, std::size_t tasks_left,
       bool remap);
-  /// Runs the filter chain over `ctx` until it empties the candidate set,
-  /// tallying prunes into the counters and, when `stages` is non-null, one
-  /// record per filter applied. Returns the name of the filter that emptied
-  /// the set, or "" when candidates survive. Shared by MapTask and MapGang
-  /// so both record the same telemetry.
-  std::string_view ApplyFilters(MappingContext& ctx,
-                                std::vector<obs::FilterStageRecord>* stages);
 
   const cluster::Cluster* cluster_;
   const workload::TaskTypeTable* types_;

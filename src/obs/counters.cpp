@@ -5,7 +5,7 @@
 
 namespace ecdra::obs {
 
-thread_local Counters* t_active_counters = nullptr;
+constinit thread_local Counters* t_active_counters = nullptr;
 
 namespace {
 

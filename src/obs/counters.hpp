@@ -133,7 +133,7 @@ struct CounterField {
 std::ostream& operator<<(std::ostream& os, const Counters& counters);
 
 /// The trial's active counters (null when observability is disabled).
-extern thread_local Counters* t_active_counters;
+extern constinit thread_local Counters* t_active_counters;
 
 [[nodiscard]] inline Counters* ActiveCounters() noexcept {
   return t_active_counters;

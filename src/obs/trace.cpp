@@ -7,6 +7,7 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/json.hpp"
 
@@ -147,7 +148,11 @@ void WriteSnapshot(std::ostream& os, const EnergySnapshotRecord& snapshot) {
 
 class SynchronizedSink final : public TraceSink {
  public:
-  explicit SynchronizedSink(TraceSink& inner) : inner_(&inner) {}
+  /// `owned` keeps alive whatever `inner` lives in (null when the caller
+  /// owns `inner`).
+  explicit SynchronizedSink(TraceSink& inner,
+                            std::shared_ptr<void> owned = nullptr)
+      : inner_(&inner), owned_(std::move(owned)) {}
 
   void Record(const MappingDecisionRecord& decision) override {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -181,48 +186,15 @@ class SynchronizedSink final : public TraceSink {
  private:
   std::mutex mutex_;
   TraceSink* inner_;
+  std::shared_ptr<void> owned_;
 };
 
-class JsonlFileSink final : public TraceSink {
- public:
-  explicit JsonlFileSink(const std::string& path) : file_(path) {
-    if (!file_.good()) {
-      throw std::invalid_argument("cannot open trace file: " + path);
-    }
-  }
+/// A JSONL sink over the file stream it writes to.
+struct JsonlFile {
+  explicit JsonlFile(const std::string& path) : file(path), sink(file) {}
 
-  void Record(const MappingDecisionRecord& decision) override {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    WriteDecision(file_, decision);
-  }
-  void Record(const EnergySnapshotRecord& snapshot) override {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    WriteSnapshot(file_, snapshot);
-  }
-  void Record(const FaultEventRecord& fault) override {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    WriteFault(file_, fault);
-  }
-  void Record(const GovernorActionRecord& action) override {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    WriteGovernor(file_, action);
-  }
-  void Record(const StreamWindowRecord& window) override {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    WriteWindow(file_, window);
-  }
-  void Record(const ProfitRecord& profit) override {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    WriteProfit(file_, profit);
-  }
-  void Flush() override {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    file_.flush();
-  }
-
- private:
-  std::mutex mutex_;
-  std::ofstream file_;
+  std::ofstream file;
+  JsonlTraceSink sink;
 };
 
 }  // namespace
@@ -258,7 +230,12 @@ std::unique_ptr<TraceSink> MakeSynchronized(TraceSink& sink) {
 }
 
 std::unique_ptr<TraceSink> OpenJsonlTraceFile(const std::string& path) {
-  return std::make_unique<JsonlFileSink>(path);
+  auto file = std::make_shared<JsonlFile>(path);
+  if (!file->file.good()) {
+    throw std::invalid_argument("cannot open trace file: " + path);
+  }
+  TraceSink& sink = file->sink;
+  return std::make_unique<SynchronizedSink>(sink, std::move(file));
 }
 
 }  // namespace ecdra::obs

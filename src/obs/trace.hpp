@@ -5,7 +5,7 @@
 // record construction when a sink is attached; the default (no sink) costs
 // a null-check per arrival.
 //
-// The JSONL sinks serialize each record as one JSON object per line:
+// JsonlTraceSink serializes each record as one JSON object per line:
 //
 //   {"event":"decision","trial":T,"task":Z,"time":t,"deadline":d,
 //    "assigned":true,"core":F,"pstate":S,"eet":..,"eec":..,"rho":..,
@@ -195,16 +195,16 @@ class TraceSink {
   virtual void Record(const MappingDecisionRecord& decision) = 0;
   virtual void Record(const EnergySnapshotRecord& snapshot) = 0;
   /// Default no-op so sinks predating the fault extension keep compiling;
-  /// the JSONL sinks emit one "fault" line per event.
+  /// JsonlTraceSink emits one "fault" line per event.
   virtual void Record(const FaultEventRecord& fault) { (void)fault; }
   /// Default no-op so sinks predating the governor extension keep compiling;
-  /// the JSONL sinks emit one "governor" line per applied action.
+  /// JsonlTraceSink emits one "governor" line per applied action.
   virtual void Record(const GovernorActionRecord& action) { (void)action; }
   /// Default no-op so sinks predating the streaming extension keep
-  /// compiling; the JSONL sinks emit one "window" line per closed window.
+  /// compiling; JsonlTraceSink emits one "window" line per closed window.
   virtual void Record(const StreamWindowRecord& window) { (void)window; }
   /// Default no-op so sinks predating the econ extension keep compiling;
-  /// the JSONL sinks emit one "profit" line per settled trial.
+  /// JsonlTraceSink emits one "profit" line per settled trial.
   virtual void Record(const ProfitRecord& profit) { (void)profit; }
   virtual void Flush() {}
 };
@@ -234,9 +234,10 @@ class JsonlTraceSink final : public TraceSink {
 /// wrapper.
 [[nodiscard]] std::unique_ptr<TraceSink> MakeSynchronized(TraceSink& sink);
 
-/// Opens `path` for writing and returns a synchronized JSONL sink that owns
-/// the file (flushed and closed on destruction). Throws
-/// std::invalid_argument if the file cannot be opened.
+/// Opens `path` for writing and returns a JsonlTraceSink over the file,
+/// synchronized as MakeSynchronized does, that owns the file (flushed and
+/// closed on destruction). Throws std::invalid_argument if the file cannot
+/// be opened.
 [[nodiscard]] std::unique_ptr<TraceSink> OpenJsonlTraceFile(
     const std::string& path);
 

@@ -64,15 +64,12 @@ struct PolicyGrid {
   std::vector<std::string> batch_heuristics;
 };
 
-/// The result-shaping trial knobs, declared once: ScenarioSpec and
+/// The result-shaping run knobs, declared once: ScenarioSpec and
 /// sim::RunOptions both derive from this struct, so copying the knobs
-/// between them is one slice assignment that cannot forget a field.
-struct RunKnobs {
-  IdlePolicy idle_policy = IdlePolicy::kDeepestPState;
-  CancelPolicy cancel_policy = CancelPolicy::kRunToCompletion;
-  /// DVFS switching delay and stochastic-power CoV (see sim::TrialOptions).
-  double pstate_transition_latency = 0.0;
-  double power_cov = 0.0;
+/// between them is one slice assignment that cannot forget a field. The
+/// TrialKnobs base holds the knobs a trial reads as given; the ones
+/// declared here are resolved per trial before the engine sees them.
+struct RunKnobs : TrialKnobs {
   /// Options for every filter either stack constructs — the one source of
   /// truth for e.g. the robustness threshold.
   core::FilterChainOptions filter_options;
@@ -85,21 +82,12 @@ struct RunKnobs {
   /// ranges (fault::ResolveFaultDomains); empty derives one domain per
   /// cluster node.
   std::string fault_domains;
-  fault::RecoveryPolicy recovery = fault::RecoveryPolicy::kDropQueued;
-  /// Job extension (src/workload/job.hpp): registered gang-placement policy
-  /// used when the workload's job shapes are enabled ("pack" fills node by
-  /// node, "spread" round-robins across nodes, "serial" is the no-gang
-  /// ablation that maps members through the per-task pipeline); inert
-  /// otherwise.
-  std::string gang_placement = "pack";
-  /// Registered governor name (src/governor). "static" is the paper's
-  /// open-loop baseline and leaves the trial bit-identical to a
-  /// pre-governor build; the registry validates the name at trial setup.
-  std::string governor = "static";
   /// Run mode (stream_spec.hpp): the paper's fixed-trace window, or the
   /// streaming service mode. Explicit, never inferred from the stream
   /// block — a mismatch is a typed refusal (RequireStreamCompatible), so a
   /// stream block can never be silently executed under paper semantics.
+  /// kBatch has no spelling, so spec text cannot select it; the batch
+  /// runner (batch::RunBatchTrials) sets it on its own copy.
   RunMode mode = RunMode::kFixedTrace;
   /// Streaming service knobs (src/stream); inert unless mode == kStream.
   StreamSpec stream;

@@ -21,9 +21,10 @@
 namespace ecdra::policy {
 
 /// How a spec's trials execute: the paper's fixed-trace window against
-/// zeta_max, the streaming service mode (src/stream), or the batch-mode
-/// duplex stack (src/batch — never spec-selected, named here so refusals
-/// can say who is refusing).
+/// zeta_max, the streaming service mode (src/stream), or batch mode
+/// (src/batch: sim::RunSingleTrial builds a batch::BatchScheduler instead
+/// of the immediate one). kBatch is never spec-selected; it is named here
+/// so refusals can say who is refusing.
 enum class RunMode { kFixedTrace, kStream, kBatch };
 
 /// The stream block of a ScenarioSpec. Every field is result-shaping (it

@@ -751,7 +751,7 @@ void Engine::FailCores(std::span<const std::size_t> dead_cores, double now,
     }
     running_stranded = std::move(singles);
     const bool requeue_gangs =
-        options_.recovery_policy != fault::RecoveryPolicy::kDropQueued;
+        options_.recovery != fault::RecoveryPolicy::kDropQueued;
     for (const HitStage& h : hit) {
       const workload::JobStage& stage = graph_.jobs[h.job].stages[h.stage];
       JobRuntime& rt = job_runtime_[h.job];
@@ -792,7 +792,7 @@ void Engine::FailCores(std::span<const std::size_t> dead_cores, double now,
   // requeue and migrate they take the requeue path (which re-enters
   // streaming admission like a fresh arrival).
   const bool recover =
-      options_.recovery_policy != fault::RecoveryPolicy::kDropQueued;
+      options_.recovery != fault::RecoveryPolicy::kDropQueued;
   for (const std::size_t task_id : running_stranded) {
     if (recover) {
       RecoverViaRequeue(task_id, now, trace_record);
@@ -800,7 +800,7 @@ void Engine::FailCores(std::span<const std::size_t> dead_cores, double now,
       MarkTaskLost(task_id, now, trace_record);
     }
   }
-  switch (options_.recovery_policy) {
+  switch (options_.recovery) {
     case fault::RecoveryPolicy::kMigrateQueued:
       MigrateQueued(queued_stranded, now, trace_record);
       break;

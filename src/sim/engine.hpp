@@ -95,53 +95,26 @@ class TrialTimeoutError : public std::runtime_error {
 using IdlePolicy = policy::IdlePolicy;
 using CancelPolicy = policy::CancelPolicy;
 
-struct TrialOptions {
-  /// zeta_max: wall-energy budget for the window.
-  double energy_budget = 0.0;
-  IdlePolicy idle_policy = IdlePolicy::kDeepestPState;
-  CancelPolicy cancel_policy = CancelPolicy::kRunToCompletion;
+/// How a trial is observed and checked, declared once: TrialOptions and
+/// RunOptions both derive from this struct. None of it changes what a
+/// trial computes.
+struct TrialMechanics {
   /// Collect the per-task trace (needed by the robustness validation).
   bool collect_task_records = false;
   /// Sample the system robustness rho(t_l) (Eq. 4) at every task arrival
   /// (costs one CoreRobustness sweep per arrival; off by default).
   bool collect_robustness_trace = false;
-  /// Time a core spends switching P-states before a task whose state
-  /// differs from the core's current one can start. The paper assumes this
-  /// is negligible (hundreds of microseconds vs. second-scale tasks); the
-  /// ablation quantifies where that assumption breaks. The switching
-  /// interval draws the *destination* state's power. At *decision* time the
-  /// scheduler's completion model does not anticipate the latency (the
-  /// resource manager believes the paper's assumption), but once a task
-  /// starts, the CoreQueueModel records its true (delayed) start time —
-  /// otherwise every subsequent rho/ReadyPmf/ExpectedReadyTime query would
-  /// be systematically optimistic by the accumulated switching time.
-  double pstate_transition_latency = 0.0;
-  /// Coefficient of variation of per-execution sampled core power (§VIII
-  /// future work: power as a distribution, not a constant). 0 = the paper's
-  /// average-power model. Heuristics keep estimating EEC with the average —
-  /// only the ground truth becomes noisy.
-  double power_cov = 0.0;
-  /// Collect obs::Counters for this trial into TrialResult.counters. While
+  /// Collect obs::Counters for each trial into TrialResult.counters. While
   /// enabled, pmf/queue-model instrumentation points count into the trial's
   /// registry via a thread-local scope; disabled costs one null-check per
   /// instrumentation point.
   bool collect_counters = false;
   /// Optional decision/energy trace sink (unowned; must outlive the trial).
   /// One MappingDecisionRecord per arrival plus one EnergySnapshotRecord
-  /// after each mapping.
+  /// after each mapping. A run shares it across its trials, so it must be
+  /// thread-safe for a parallel fan-out (e.g. via obs::MakeSynchronized);
+  /// RunOptions::trace_path takes precedence over it.
   obs::TraceSink* trace_sink = nullptr;
-  /// Trial index stamped into trace records (trials may share one sink).
-  std::uint64_t trial_index = 0;
-  /// Fault extension (src/fault): this trial's pre-sampled fault schedule.
-  /// Empty (the default) is the paper's fault-free cluster: every core
-  /// stays available at P-state floor 0.
-  fault::FaultSchedule fault_schedule;
-  /// What happens to tasks stranded by a permanent core failure.
-  fault::RecoveryPolicy recovery_policy = fault::RecoveryPolicy::kDropQueued;
-  /// Correlated fault-domain layout the schedule was generated against.
-  /// Required whenever the schedule carries domain events; may stay empty
-  /// for per-core-only schedules.
-  fault::FaultDomainLayout fault_domains;
   /// Invariant validation (src/validate): kOff costs one null-check per
   /// instrumentation point; kCheap adds O(1) engine checks per event;
   /// kDeep audits every pmf operation and the queue-model/engine sync.
@@ -149,14 +122,27 @@ struct TrialOptions {
   /// Throw ValidationError at the first violation (tests) instead of
   /// recording into TrialResult.validation and continuing (sweeps).
   bool validation_fail_fast = false;
-  /// Cooperative wall-clock watchdog for one trial, in real seconds;
-  /// 0 disables. Checked every 64 events; expiry throws TrialTimeoutError.
+  /// Cooperative wall-clock watchdog for one trial attempt, in real
+  /// seconds; 0 disables. Checked every 64 events; expiry throws
+  /// TrialTimeoutError, which a sweep treats like any other trial failure.
   double trial_timeout = 0.0;
-  /// Online energy governor (src/governor), by registered name. "static"
-  /// (the paper baseline) declares an empty cadence, so it is never invoked
-  /// and its floors stay 0. Unknown names throw std::invalid_argument
-  /// listing the registry.
-  std::string governor = "static";
+};
+
+/// One trial's inputs: the knobs it reads as given, how it is observed, and
+/// the six inputs resolved for this trial alone.
+struct TrialOptions : policy::TrialKnobs, TrialMechanics {
+  /// zeta_max: wall-energy budget for the window.
+  double energy_budget = 0.0;
+  /// Trial index stamped into trace records (trials may share one sink).
+  std::uint64_t trial_index = 0;
+  /// Fault extension (src/fault): this trial's pre-sampled fault schedule.
+  /// Empty (the default) is the paper's fault-free cluster: every core
+  /// stays available at P-state floor 0.
+  fault::FaultSchedule fault_schedule;
+  /// Correlated fault-domain layout the schedule was generated against.
+  /// Required whenever the schedule carries domain events; may stay empty
+  /// for per-core-only schedules.
+  fault::FaultDomainLayout fault_domains;
   /// Streaming service mode (src/stream): replenishing energy account,
   /// rolling windowed metrics, and admission-controlled backpressure.
   /// Disabled (the default) reproduces the fixed-budget trial bit-for-bit:
@@ -165,13 +151,6 @@ struct TrialOptions {
   /// caller sets it to the total accrual over the arrival horizon) but the
   /// within-energy test becomes the account balance, not a fixed cutoff.
   stream::StreamConfig stream;
-  /// Job extension (src/workload/job.hpp): the gang-placement policy by
-  /// registered name (core::GangPlacementRegistry): "pack", "spread", or the
-  /// "serial" ablation baseline that maps members through the per-task
-  /// pipeline. Jobs run exactly when some task belongs to a non-degenerate
-  /// job (its job/stage fields); an all-degenerate workload takes the
-  /// task-level path.
-  std::string gang_placement = "pack";
   /// Econ extension (src/econ): value-aware scheduling. Econ runs exactly
   /// when the model is non-trivial; the default all-zero model offers, earns
   /// and bills nothing, and the scheduler never sees an econ view.

@@ -7,6 +7,8 @@
 #include <optional>
 #include <utility>
 
+#include "batch/batch_heuristics.hpp"
+#include "batch/batch_scheduler.hpp"
 #include "core/scheduler.hpp"
 #include "sim/checkpoint.hpp"
 #include "util/assert.hpp"
@@ -93,15 +95,20 @@ TrialResult RunSingleTrial(const ExperimentSetup& setup,
   std::vector<workload::Task> tasks =
       workload::GenerateWorkload(setup.types, setup.workload, workload_rng);
 
+  TrialOptions trial_options;
+  static_cast<policy::TrialKnobs&>(trial_options) = options;
+  static_cast<TrialMechanics&>(trial_options) = options;
+  trial_options.trial_index = trial_index;
+
   // Econ extension: value and SLA tier are workload attributes, assigned
   // from a dedicated substream so enabling the model shifts no workload,
   // heuristic, or sim draw. Econ off runs the all-zero model, and a trivial
   // model skips the draw entirely: the trial is bit-identical to a pre-econ
   // build.
-  const econ::EconModel econ =
-      options.econ_enabled ? options.econ : econ::EconModel{};
-  if (!econ.trivial()) {
-    econ::AssignEconAttributes(tasks, econ, setup.types.num_types(),
+  if (options.econ_enabled) trial_options.econ = options.econ;
+  if (!trial_options.econ.trivial()) {
+    econ::AssignEconAttributes(tasks, trial_options.econ,
+                               setup.types.num_types(),
                                trial_rng.Substream("econ"));
   }
 
@@ -110,48 +117,15 @@ TrialResult RunSingleTrial(const ExperimentSetup& setup,
   // governor's budget schedule then track everything that will ever flow
   // into the account, while the engine's within-energy test is the live
   // account balance.
-  double energy_budget = setup.energy_budget;
-  stream::StreamConfig stream_config;
+  trial_options.energy_budget = setup.energy_budget;
   if (options.mode == policy::RunMode::kStream) {
-    stream_config = stream::ResolveStreamConfig(options.stream, setup.t_avg,
-                                                tasks.back().arrival);
-    energy_budget = stream_config.initial_energy +
-                    stream_config.energy_rate * tasks.back().arrival;
+    trial_options.stream = stream::ResolveStreamConfig(
+        options.stream, setup.t_avg, tasks.back().arrival);
+    trial_options.energy_budget =
+        trial_options.stream.initial_energy +
+        trial_options.stream.energy_rate * tasks.back().arrival;
   }
 
-  // The scheduler's arrival window is the trial's actual task count: with
-  // job shapes each arrival event expands into that job's stage tasks (so
-  // the count varies per trial); without them it equals setup.window_size
-  // exactly.
-  const std::size_t trial_window = tasks.size();
-  core::ImmediateModeScheduler scheduler(
-      setup.cluster, setup.types,
-      core::MakeHeuristic(heuristic, trial_rng.Substream("heuristic")),
-      core::MakeFilterChain(filter_variant, options.filter_options),
-      energy_budget, trial_window);
-
-  TrialOptions trial_options{
-      .energy_budget = energy_budget,
-      .idle_policy = options.idle_policy,
-      .cancel_policy = options.cancel_policy,
-      .collect_task_records = options.collect_task_records,
-      .collect_robustness_trace = options.collect_robustness_trace,
-      .pstate_transition_latency = options.pstate_transition_latency,
-      .power_cov = options.power_cov,
-      .collect_counters = options.collect_counters,
-      .trace_sink = options.trace_sink,
-      .trial_index = trial_index,
-      .fault_schedule = {},
-      .recovery_policy = options.recovery,
-      .fault_domains = {},
-      .validation = options.validation,
-      .validation_fail_fast = options.validation_fail_fast,
-      .trial_timeout = options.trial_timeout,
-      .governor = options.governor,
-      .stream = stream_config,
-      .gang_placement = options.gang_placement,
-      .econ = econ,
-  };
   if (options.fault.enabled()) {
     // The fault schedule draws only from the trial's "fault" substream, so
     // every workload/heuristic/sim draw matches the fault-free run exactly.
@@ -159,15 +133,36 @@ TrialResult RunSingleTrial(const ExperimentSetup& setup,
     if (fault_options.horizon <= 0.0) {
       fault_options.horizon = tasks.back().arrival + 20.0 * setup.t_avg;
     }
-    fault::FaultDomainLayout domains =
+    trial_options.fault_domains =
         fault::ResolveFaultDomains(setup.cluster, options.fault_domains);
     trial_options.fault_schedule = fault::GenerateFaultSchedule(
-        setup.cluster, domains, fault_options, trial_rng.Substream("fault"));
-    trial_options.fault_domains = std::move(domains);
+        setup.cluster, trial_options.fault_domains, fault_options,
+        trial_rng.Substream("fault"));
   }
-  Engine engine(setup.cluster, setup.types, std::move(tasks), scheduler,
-                trial_options, trial_rng.Substream("sim"));
-  return engine.Run();
+
+  // The scheduler's arrival window is the trial's actual task count: with
+  // job shapes each arrival event expands into that job's stage tasks (so
+  // the count varies per trial); without them it equals setup.window_size
+  // exactly.
+  const std::size_t trial_window = tasks.size();
+  const auto run = [&](auto& scheduler) {
+    Engine engine(setup.cluster, setup.types, std::move(tasks), scheduler,
+                  trial_options, trial_rng.Substream("sim"));
+    return engine.Run();
+  };
+  if (options.mode == policy::RunMode::kBatch) {
+    batch::BatchScheduler scheduler(
+        setup.cluster, setup.types, batch::MakeBatchHeuristic(heuristic),
+        core::MakeFilterChain(filter_variant, options.filter_options),
+        trial_options.energy_budget, trial_window);
+    return run(scheduler);
+  }
+  core::ImmediateModeScheduler scheduler(
+      setup.cluster, setup.types,
+      core::MakeHeuristic(heuristic, trial_rng.Substream("heuristic")),
+      core::MakeFilterChain(filter_variant, options.filter_options),
+      trial_options.energy_budget, trial_window);
+  return run(scheduler);
 }
 
 namespace {

@@ -64,40 +64,25 @@ struct ExperimentSetup {
     const policy::ScenarioSpec& spec);
 
 /// How to run the trials of one (heuristic, filter variant) configuration:
-/// the result-shaping knobs (policy::RunKnobs, shared with ScenarioSpec)
-/// plus the execution mechanics below, which never change what a trial
-/// computes.
-struct RunOptions : policy::RunKnobs {
+/// the result-shaping knobs (policy::RunKnobs, shared with ScenarioSpec),
+/// how each trial is observed and checked (TrialMechanics, shared with
+/// TrialOptions), and the sweep mechanics below. Neither of the last two
+/// changes what a trial computes.
+struct RunOptions : policy::RunKnobs, TrialMechanics {
   std::size_t num_trials = 50;
-  bool collect_task_records = false;
-  bool collect_robustness_trace = false;
-  /// Collect per-trial obs::Counters into TrialResult.counters.
-  bool collect_counters = false;
   /// Write one JSONL decision/energy trace covering every trial to this
   /// path (empty = no trace). The file sink is synchronized; records carry
   /// their trial index, so the parallel fan-out interleaves safely.
   std::string trace_path;
-  /// Alternative to trace_path for programmatic consumers: an unowned sink
-  /// shared by all trials (must be thread-safe for num_trials > 1, e.g. via
-  /// obs::MakeSynchronized). Ignored when trace_path is non-empty.
-  obs::TraceSink* trace_sink = nullptr;
   /// Worker threads for the trial fan-out; 0 = hardware concurrency.
   std::size_t num_threads = 0;
 
   // -- Crash-safe sweep extensions (RunSweep; all inert by default) --
-  /// Per-attempt wall-clock watchdog in real seconds (0 = off). A trial
-  /// whose event loop overruns the deadline is aborted with
-  /// TrialTimeoutError and treated like any other trial failure.
-  double trial_timeout = 0.0;
   /// Attempts per trial (>= 1). Retries re-run the *same* substreams — a
   /// retry is a true re-execution, so a deterministic failure fails every
   /// attempt while a transient one (timeout under load, injected test
   /// fault) can succeed on the next try with bit-identical results.
   std::size_t max_attempts = 1;
-  /// Invariant validation (src/validate) for every trial.
-  validate::ValidationMode validation = validate::ValidationMode::kOff;
-  /// Throw at the first violation instead of recording it in the result.
-  bool validation_fail_fast = false;
   /// Append each completed TrialResult to this JSONL checkpoint file
   /// ("" = off). The file starts with a header record pinning the master
   /// seed, config fingerprint, and schema version; every record is flushed
@@ -155,7 +140,10 @@ struct SweepResult {
   [[nodiscard]] bool complete() const noexcept { return failures.empty(); }
 };
 
-/// Runs one deterministic trial.
+/// Runs one deterministic trial. `heuristic` names an immediate-mode
+/// heuristic, or a batch heuristic when options.mode is RunMode::kBatch:
+/// the trial then runs a batch::BatchScheduler on the same substreams,
+/// TrialOptions and engine.
 [[nodiscard]] TrialResult RunSingleTrial(const ExperimentSetup& setup,
                                          const std::string& heuristic,
                                          const std::string& filter_variant,

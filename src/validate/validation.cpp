@@ -5,7 +5,7 @@
 
 namespace ecdra::validate {
 
-thread_local TrialValidator* t_active_validator = nullptr;
+constinit thread_local TrialValidator* t_active_validator = nullptr;
 
 std::optional<ValidationMode> ParseValidationMode(std::string_view name) {
   if (name == "off") return ValidationMode::kOff;

@@ -105,7 +105,7 @@ class TrialValidator {
 };
 
 /// The trial's active validator (null when validation is off).
-extern thread_local TrialValidator* t_active_validator;
+extern constinit thread_local TrialValidator* t_active_validator;
 
 [[nodiscard]] inline TrialValidator* ActiveValidator() noexcept {
   return t_active_validator;

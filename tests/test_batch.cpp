@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <type_traits>
 
 #include "batch/batch_heuristics.hpp"
@@ -708,6 +710,44 @@ TEST(BatchRunner, RefusesAGangWorkloadOnADirectCall) {
     EXPECT_NE(std::string(error.what()).find("task 0 of gang job 0"),
               std::string::npos)
         << error.what();
+  }
+}
+
+TEST(BatchRunner, SpecValidationReachesBatchTrials) {
+  policy::ScenarioSpec spec;
+  spec.validation = validate::ValidationMode::kCheap;
+  const sim::TrialResult result = RunBatchTrial(
+      SmallSetup(), "MinMinCT", 0, BatchRunOptionsFromSpec(spec));
+  EXPECT_GT(result.validation.checks_run, 0u);
+  EXPECT_TRUE(result.validation.ok());
+}
+
+TEST(BatchRunner, RetriedBatchTrialEqualsACleanRun) {
+  // RunBatchTrials is RunTrials in batch mode, so it retries a failed
+  // attempt on the same substreams.
+  const sim::ExperimentSetup setup = SmallSetup();
+  BatchRunOptions options;
+  options.num_trials = 3;
+  options.num_threads = 2;
+  const std::vector<sim::TrialResult> clean =
+      RunBatchTrials(setup, "MaxMaxRob", options);
+
+  std::atomic<int> failures_injected{0};
+  options.max_attempts = 2;
+  options.pre_trial_hook = [&](std::size_t trial, std::size_t attempt) {
+    if (trial == 1 && attempt == 1) {
+      ++failures_injected;
+      throw std::runtime_error("transient");
+    }
+  };
+  const std::vector<sim::TrialResult> retried =
+      RunBatchTrials(setup, "MaxMaxRob", options);
+  EXPECT_EQ(failures_injected.load(), 1);
+  ASSERT_EQ(retried.size(), clean.size());
+  for (std::size_t i = 0; i < clean.size(); ++i) {
+    EXPECT_EQ(sim::TrialResultToJson(retried[i]),
+              sim::TrialResultToJson(clean[i]))
+        << "trial " << i;
   }
 }
 

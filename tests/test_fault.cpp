@@ -382,7 +382,7 @@ class FaultEngineTest : public ::testing::Test {
     if (options.energy_budget <= 0.0) options.energy_budget = 1e9;
     options.collect_task_records = true;
     options.fault_schedule = std::move(schedule);
-    options.recovery_policy = recovery;
+    options.recovery = recovery;
     sim::Engine engine(cluster, table, std::move(tasks), scheduler, options,
                        util::RngStream(7));
     return engine.Run();

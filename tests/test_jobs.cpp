@@ -346,7 +346,7 @@ TEST_F(JobEngineTest, DomainOutageRequeuesTheWholeGang) {
   AppendStage(tasks, 0, 0, 2, 0.0, 50.0);
 
   TrialOptions options = JobOptions();
-  options.recovery_policy = fault::RecoveryPolicy::kRequeueToScheduler;
+  options.recovery = fault::RecoveryPolicy::kRequeueToScheduler;
   options.fault_domains = fault::DeriveNodeDomains(cluster);
   options.fault_schedule.events = {
       {5.0, fault::FaultEventKind::kDomainOutage, 0, 0, 0},
@@ -377,7 +377,7 @@ TEST_F(JobEngineTest, DropRecoveryFailsTheGangJob) {
   AppendStage(tasks, 0, 0, 2, 0.0, 50.0);
 
   TrialOptions options = JobOptions();
-  options.recovery_policy = fault::RecoveryPolicy::kDropQueued;
+  options.recovery = fault::RecoveryPolicy::kDropQueued;
   options.fault_domains = fault::DeriveNodeDomains(cluster);
   options.fault_schedule.events = {
       {5.0, fault::FaultEventKind::kDomainOutage, 0, 0, 0},

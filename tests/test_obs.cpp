@@ -2,6 +2,9 @@
 // activation, pmf-operation instrumentation, the JSON helpers, JSONL trace
 // round-trips, and the scheduler/engine telemetry wiring.
 #include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -17,6 +20,7 @@
 #include "obs/trace.hpp"
 #include "pmf/pmf.hpp"
 #include "sim/engine.hpp"
+#include "sim/experiment_runner.hpp"
 #include "sim/metrics.hpp"
 #include "test_support.hpp"
 
@@ -377,6 +381,69 @@ TEST(Trace, SynchronizedSinkForwardsRecords) {
 TEST(Trace, OpenJsonlTraceFileRejectsBadPaths) {
   EXPECT_THROW((void)obs::OpenJsonlTraceFile("/nonexistent-dir/trace.jsonl"),
                std::invalid_argument);
+}
+
+/// `jsonl` with every decision_us value (a wall-clock reading) blanked.
+std::string WithoutDecisionTimes(std::string jsonl) {
+  const std::string key = "\"decision_us\":";
+  for (std::size_t at = jsonl.find(key); at != std::string::npos;
+       at = jsonl.find(key, at)) {
+    at += key.size();
+    jsonl.erase(at, jsonl.find_first_of(",}", at) - at);
+  }
+  return jsonl;
+}
+
+TEST(Trace, TracePathWritesWhatAJsonlSinkWrites) {
+  // A small trial with faults, a governor, streaming and econ emits all six
+  // record kinds; the trace file RunSweep opens must hold exactly what a
+  // JsonlTraceSink over a string stream writes for the same trial.
+  sim::SetupOptions environment;
+  environment.cluster.num_nodes = 3;
+  environment.workload.arrivals =
+      workload::ArrivalSpec::PaperBursty(15, 30, 1.0 / 8.0, 1.0 / 48.0);
+  const sim::ExperimentSetup setup =
+      sim::BuildExperimentSetup(14, environment);
+  sim::RunOptions run;
+  run.num_trials = 1;
+  run.num_threads = 1;
+  run.governor = "budget-feedback";
+  run.mode = policy::RunMode::kStream;
+  run.stream.energy_rate = 6000.0;
+  run.stream.admission = "value-density";
+  run.fault.mtbf = 2e4;
+  run.fault.repair_time = 500.0;
+  run.fault.throttle_interval = 1e4;
+  run.fault.throttle_duration = 500.0;
+  run.fault.domain_mtbf = 4000.0;
+  run.fault.domain_repair_time = 500.0;
+  run.recovery = fault::RecoveryPolicy::kMigrateQueued;
+  run.econ_enabled = true;
+  run.econ.type_values = {1.0, 5.0, 20.0};
+  run.econ.energy_price = 1e-6;
+
+  std::ostringstream os;
+  obs::JsonlTraceSink sink(os);
+  sim::RunOptions to_stream = run;
+  to_stream.trace_sink = &sink;
+  (void)sim::RunSingleTrial(setup, "LL", "en+rob", 0, to_stream);
+  const std::string expected = os.str();
+  for (const char* kind :
+       {"decision", "energy", "fault", "governor", "window", "profit"}) {
+    EXPECT_NE(expected.find("{\"event\":\"" + std::string(kind) + "\""),
+              std::string::npos)
+        << kind;
+  }
+
+  run.trace_path = testing::TempDir() + "ecdra_obs_trace_path.jsonl";
+  ASSERT_TRUE(sim::RunSweep(setup, "LL", "en+rob", run).complete());
+  std::ifstream is(run.trace_path, std::ios::binary);
+  ASSERT_TRUE(is.good());
+  const std::string written((std::istreambuf_iterator<char>(is)),
+                            std::istreambuf_iterator<char>());
+  is.close();
+  std::remove(run.trace_path.c_str());
+  EXPECT_EQ(WithoutDecisionTimes(written), WithoutDecisionTimes(expected));
 }
 
 // ------------------------- scheduler/engine wiring -------------------------

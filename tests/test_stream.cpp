@@ -546,7 +546,7 @@ TEST(StreamEngine, DomainOutageCycleFlipsDegradedModeExactlyOnce) {
   options.stream.degraded_enter = 0.25;  // one lost core of two is 0.5
   options.stream.degraded_exit = 0.10;
   options.fault_domains = fault::DeriveNodeDomains(cluster);
-  options.recovery_policy = fault::RecoveryPolicy::kRequeueToScheduler;
+  options.recovery = fault::RecoveryPolicy::kRequeueToScheduler;
   options.fault_schedule.events = {
       {5.0, fault::FaultEventKind::kDomainOutage, 0, 0, 0},
       {8.0, fault::FaultEventKind::kCoreFailure, 0, 0, 0},

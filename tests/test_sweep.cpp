@@ -1,12 +1,15 @@
 // Crash-safe sweep runner: per-trial failure isolation, bounded retry on
-// the same substreams, the wall-clock watchdog, and RunTrials' exception
-// transparency (a failing trial is named, never silently abandoned).
+// the same substreams, the wall-clock watchdog, RunTrials' exception
+// transparency (a failing trial is named, never silently abandoned), and
+// the same guarantees for batch-mode sweeps.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <stdexcept>
 #include <string>
 
+#include "sim/checkpoint.hpp"
 #include "sim/experiment_runner.hpp"
 
 namespace ecdra::sim {
@@ -170,6 +173,81 @@ TEST(RunSweep, RejectsZeroAttempts) {
   options.max_attempts = 0;
   EXPECT_THROW((void)RunSweep(setup, "SQ", "en+rob", options),
                std::invalid_argument);
+}
+
+// -- Batch mode: RunMode::kBatch runs batch trials through the same sweep --
+
+RunOptions BatchSweep(std::size_t num_trials) {
+  RunOptions options;
+  options.mode = policy::RunMode::kBatch;
+  options.num_trials = num_trials;
+  options.num_threads = 2;
+  return options;
+}
+
+TEST(RunSweep, BatchModeIsolatesAThrowingTrial) {
+  const ExperimentSetup setup = BuildExperimentSetup(3, SmallOptions());
+  const SweepResult reference =
+      RunSweep(setup, "MinMinCT", "en+rob", BatchSweep(4));
+  ASSERT_TRUE(reference.complete());
+
+  RunOptions options = BatchSweep(4);
+  options.pre_trial_hook = [](std::size_t trial, std::size_t) {
+    if (trial == 1) throw std::runtime_error("injected batch bug");
+  };
+  const SweepResult sweep = RunSweep(setup, "MinMinCT", "en+rob", options);
+  ASSERT_EQ(sweep.failures.size(), 1u);
+  EXPECT_EQ(sweep.failures[0].heuristic, "MinMinCT");
+  EXPECT_EQ(sweep.failures[0].trial_index, 1u);
+  EXPECT_NE(sweep.failures[0].error.find("injected batch bug"),
+            std::string::npos);
+  ASSERT_EQ(sweep.trial_indices, (std::vector<std::size_t>{0, 2, 3}));
+  for (std::size_t i = 0; i < sweep.results.size(); ++i) {
+    EXPECT_EQ(TrialResultToJson(sweep.results[i]),
+              TrialResultToJson(reference.results[sweep.trial_indices[i]]))
+        << "trial " << sweep.trial_indices[i];
+  }
+}
+
+TEST(RunSweep, BatchModeResumesBitIdentical) {
+  const ExperimentSetup setup = BuildExperimentSetup(3, SmallOptions());
+  const std::string path = testing::TempDir() + "ecdra_sweep_batch.jsonl";
+  std::remove(path.c_str());
+
+  const SweepResult reference =
+      RunSweep(setup, "Sufferage", "en+rob", BatchSweep(5));
+  ASSERT_TRUE(reference.complete());
+
+  // "Crashed" run: only the first 2 trials reach the checkpoint.
+  RunOptions partial = BatchSweep(2);
+  partial.checkpoint_path = path;
+  ASSERT_TRUE(RunSweep(setup, "Sufferage", "en+rob", partial).complete());
+
+  const CheckpointStore store = CheckpointStore::Load(path);
+  RunOptions resumed_options = BatchSweep(5);
+  resumed_options.resume = &store;
+  const SweepResult resumed =
+      RunSweep(setup, "Sufferage", "en+rob", resumed_options);
+  std::remove(path.c_str());
+  ASSERT_TRUE(resumed.complete());
+  EXPECT_EQ(resumed.trials_resumed, 2u);
+  ASSERT_EQ(resumed.results.size(), 5u);
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(TrialResultToJson(resumed.results[i]),
+              TrialResultToJson(reference.results[i]))
+        << "trial " << i;
+  }
+}
+
+TEST(RunSweep, BatchAndImmediateSweepsHaveDifferentFingerprints) {
+  // run.mode is fingerprinted, so a store one mode wrote never resumes a
+  // sweep of the other.
+  const ExperimentSetup setup = BuildExperimentSetup(3, SmallOptions());
+  const RunOptions batch = BatchSweep(4);
+  RunOptions immediate = batch;
+  immediate.mode = policy::RunMode::kFixedTrace;
+  EXPECT_NE(ConfigFingerprint(setup, batch),
+            ConfigFingerprint(setup, immediate));
 }
 
 }  // namespace
