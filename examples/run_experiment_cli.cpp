@@ -19,13 +19,17 @@
 //
 // Every flag value is validated up front: a bad spelling or number produces
 // a one-line diagnostic naming the flag and the valid choices and exits
-// with status 2 (trial failures exit with status 1).
+// with status 2, as does a --trace-out or --checkpoint path that cannot be
+// opened. Trial failures and validation violations exit with status 1,
+// after the normal output.
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -45,10 +49,28 @@
 
 namespace {
 
-/// One-line usage diagnostic -> stderr, exit 2 (trial failures use exit 1).
+/// One-line usage diagnostic -> stderr, exit 2 (trial failures and
+/// validation violations use exit 1).
 [[noreturn]] void Fail(const std::string& message) {
   std::cerr << "run_experiment_cli: " << message << "\n";
   std::exit(2);
+}
+
+/// 1 when a trial failed or validation found a violation (one stderr line
+/// gives the violation count), else 0.
+int ExitStatus(const ecdra::sim::SweepResult& sweep) {
+  std::uint64_t violations = 0;
+  std::size_t violating = 0;
+  for (const ecdra::sim::TrialResult& trial : sweep.results) {
+    violations += trial.validation.violations;
+    violating += trial.validation.ok() ? 0 : 1;
+  }
+  if (violations > 0) {
+    std::cerr << "run_experiment_cli: validation found " << violations
+              << (violations == 1 ? " violation" : " violations") << " in "
+              << violating << " of " << sweep.results.size() << " trials\n";
+  }
+  return sweep.complete() && violations == 0 ? 0 : 1;
 }
 
 /// Runs `parse(value)`, turning its std::invalid_argument into a one-line
@@ -372,6 +394,10 @@ int main(int argc, char** argv) {
   } catch (const sim::CheckpointError& error) {
     std::cerr << "run_experiment_cli: " << error.what() << "\n";
     return 2;
+  } catch (const std::invalid_argument& error) {
+    // Inputs only the run can check, e.g. an unwritable --trace-out path.
+    std::cerr << "run_experiment_cli: " << error.what() << "\n";
+    return 2;
   }
 
   for (const sim::TrialFailure& failure : sweep.failures) {
@@ -404,7 +430,7 @@ int main(int argc, char** argv) {
                     stats::Table::Num(trial.makespan, 1)});
     }
     table.PrintCsv(std::cout);
-    return sweep.complete() ? 0 : 1;
+    return ExitStatus(sweep);
   }
 
   std::vector<double> misses;
@@ -437,5 +463,5 @@ int main(int argc, char** argv) {
   if (!run.checkpoint_path.empty()) {
     std::cout << "checkpoint written to " << run.checkpoint_path << "\n";
   }
-  return sweep.complete() ? 0 : 1;
+  return ExitStatus(sweep);
 }

@@ -67,9 +67,9 @@ struct TrialKnobs {
   /// Job extension (src/workload/job.hpp): the gang-placement policy by
   /// registered name (core::GangPlacementRegistry): "pack" fills node by
   /// node, "spread" round-robins across nodes, and the "serial" ablation
-  /// baseline maps members through the per-task pipeline. Jobs run exactly
-  /// when some task belongs to a non-degenerate job (its job/stage fields);
-  /// an all-degenerate workload takes the task-level path.
+  /// baseline maps members through the per-task pipeline. Every
+  /// immediate-mode trial resolves the name, gang or not, so an unknown name
+  /// throws std::invalid_argument listing the registry at trial setup.
   std::string gang_placement = "pack";
   /// Online energy governor (src/governor), by registered name. "static"
   /// (the paper's open-loop baseline) declares an empty cadence, so it is

@@ -562,7 +562,7 @@ constexpr SpecField kFields[] = {
     {"harness.validation", ECDRA_SPEC_CODEC(validation), kHarness,
      "--validate", "MODE", {},
      "off | cheap | deep invariant checks (default\n"
-     "off; violations are recorded, not fatal)"},
+     "off; a violation makes the run exit 1)"},
 };
 
 #undef ECDRA_SPEC_CODEC

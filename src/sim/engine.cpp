@@ -65,7 +65,7 @@ Engine::Engine(const cluster::Cluster& cluster,
       core_views_(cluster.total_cores()),
       horizon_(tasks_.empty() ? 0.0 : tasks_.back().arrival),
       stream_enabled_(options.stream.enabled),
-      jobs_enabled_(!workload::AllTasksDegenerate(tasks_)),
+      reserved_(cluster.total_cores(), 0),
       econ_enabled_(!options.econ.trivial()),
       profit_(options_.econ),
       member_tallied_(tasks_.size(), 0),
@@ -79,6 +79,15 @@ Engine::Engine(const cluster::Cluster& cluster,
   for (std::size_t i = 0; i < tasks_.size(); ++i) {
     ECDRA_REQUIRE(tasks_[i].id == i, "task ids must equal arrival order");
   }
+  // Every task is a member of one job; a task with the default kSelfJob is
+  // its own one-task job. Jobs partition the task ids in order.
+  graph_ = workload::BuildJobGraph(tasks_);
+  job_of_.reserve(tasks_.size());
+  for (std::size_t j = 0; j < graph_.size(); ++j) {
+    job_of_.insert(job_of_.end(), graph_.total_tasks(j),
+                   static_cast<std::uint32_t>(j));
+  }
+  job_runtime_.resize(graph_.size());
   // §III-C: every core records its start-of-workload transition at t = 0
   // into the initial (deepest or gated) P-state.
   const bool gated = options_.idle_policy == IdlePolicy::kPowerGated;
@@ -119,12 +128,11 @@ Engine::Engine(const cluster::Cluster& cluster,
     refuse("governor \"" + options_.governor + "\"");
   }
   if (stream_enabled_) refuse("stream mode");
-  if (jobs_enabled_) {
-    const std::size_t job =
-        std::ranges::find_if_not(tasks_, workload::IsDegenerateJobTask)->job;
-    const auto first = std::ranges::find(tasks_, job, &workload::Task::job);
-    refuse("task " + std::to_string(first->id) + " of gang job " +
-           std::to_string(job));
+  for (std::size_t j = 0; j < graph_.size(); ++j) {
+    if (graph_.total_tasks(j) == 1) continue;
+    refuse("task " + std::to_string(graph_.first_task(j)) + " of gang job " +
+           std::to_string(j));
+    break;
   }
   if (econ_enabled_) refuse("a non-trivial econ model");
   if (!refused.empty()) {
@@ -176,26 +184,10 @@ Engine::Engine(const cluster::Cluster& cluster,
   // an econ view; econ-aware policies read null outside econ mode.
   if (econ_enabled_) scheduler_->SetEconModel(&options_.econ);
 
-  // Job extension (src/workload/job.hpp): derive the JobGraph from the
-  // tasks' job/stage fields. An all-degenerate workload never builds one (it
-  // would hold a Job per task) and takes the task-level path.
-  if (jobs_enabled_) {
-    graph_ = workload::BuildJobGraph(tasks_);
-    job_of_.resize(tasks_.size());
-    job_runtime_.resize(graph_.size());
-    for (std::size_t j = 0; j < graph_.size(); ++j) {
-      const workload::Job& job = graph_.jobs[j];
-      const std::size_t first = job.stages.front().first_task;
-      const std::size_t total = job.total_tasks();
-      job_runtime_[j].tasks_remaining = total;
-      for (std::size_t id = first; id < first + total; ++id) {
-        job_of_[id] = j;
-      }
-    }
-    reserved_.assign(cluster.total_cores(), 0);
-    scheduler_->ConfigureGangs(options_.gang_placement);
-    serializes_ = scheduler_->gang_placement()->Serializes();
-  }
+  // Resolving the gang placement name validates it on every trial, like the
+  // governor's; a workload of one-task jobs never calls MapGang.
+  scheduler_->ConfigureGangs(options_.gang_placement);
+  serializes_ = scheduler_->gang_placement()->Serializes();
 }
 
 TrialResult Engine::Run() {
@@ -224,21 +216,16 @@ TrialResult Engine::Run() {
   // between value_offered and revenue.
   for (const workload::Task& task : tasks_) profit_.Offer(task);
 
-  // Jobs mode seeds one kind-2 event per *job* (event.index is a job index;
-  // every member task shares the job's arrival), and weights the trial by
-  // job priorities — per-job deadline accounting replaces the per-task tally.
-  std::size_t arrivals_pending = jobs_enabled_ ? graph_.size() : tasks_.size();
+  // One kind-2 event per job (event.index is a job index; every member task
+  // shares the job's arrival and priority, read from its first task), and
+  // the trial is weighted by job priorities. In a workload of one-task jobs,
+  // job j is task j.
+  std::size_t arrivals_pending = graph_.size();
   events_.Reserve(arrivals_pending + injector_.events().size() + 1);
-  if (jobs_enabled_) {
-    for (std::size_t j = 0; j < graph_.size(); ++j) {
-      result.weighted_total += graph_.jobs[j].priority;
-      events_.Push(Event{graph_.jobs[j].arrival, 2, j, next_seq_++});
-    }
-  } else {
-    for (std::size_t i = 0; i < tasks_.size(); ++i) {
-      result.weighted_total += tasks_[i].priority;
-      events_.Push(Event{tasks_[i].arrival, 2, i, next_seq_++});
-    }
+  for (std::size_t j = 0; j < graph_.size(); ++j) {
+    const workload::Task& first = tasks_[graph_.first_task(j)];
+    result.weighted_total += first.priority;
+    events_.Push(Event{first.arrival, 2, j, next_seq_++});
   }
   for (std::size_t i = 0; i < injector_.events().size(); ++i) {
     events_.Push(Event{injector_.events()[i].time, 1, i, next_seq_++});
@@ -286,14 +273,7 @@ TrialResult Engine::Run() {
     now = event.time;
     if (event.kind == 2) {
       --arrivals_pending;
-      if (batch_ != nullptr) {
-        batch_pool_.push_back(tasks_[event.index]);
-        SweepBatchPool(now);
-      } else if (jobs_enabled_) {
-        HandleJobArrival(event.index, now);
-      } else {
-        HandleArrival(tasks_[event.index], now);
-      }
+      HandleJobArrival(event.index, now);
       if (cadence_.on_assignment) InvokeGovernor(now);
       if (options_.collect_robustness_trace) {
         // Sampled after the arrival is mapped, so the trace reflects the
@@ -359,9 +339,6 @@ TrialResult Engine::Run() {
         if (ok) {
           ++result.completed;
           ++window_.on_time;
-          // Jobs mode replaces this per-task credit with the per-job one
-          // (OnMemberFinished) when the result is assembled.
-          result.weighted_completed += task.priority;
           if (remapped_[task_id] != 0) ++remapped_on_time_;
           if (migrated_[task_id] != 0) ++migrated_on_time_;
         } else if (!on_time) {
@@ -386,7 +363,7 @@ TrialResult Engine::Run() {
       if (validator && validator->deep()) CheckQueueModelSync(flat, now);
       // Order matters: HandleFinish freed the core (and started any queued
       // successor), so a stage release triggered here sees that capacity.
-      if (jobs_enabled_) OnMemberFinished(task_id, ok, now);
+      OnMemberFinished(task_id, ok, now);
       TryPlacePendingGangs(now);
       // A completion freed capacity: give the most-owed penned task one
       // chance to re-enter (full scans wait for the window boundary).
@@ -445,8 +422,24 @@ TrialResult Engine::Run() {
     // single filter owns the discard and only the total is counted.
     result.discarded = batch_pool_.size();
     counters_.tasks_discarded += batch_pool_.size();
+    for (const workload::Task& task : batch_pool_) {
+      FailJob(job_of_[task.id], now);
+    }
   } else {
     result.discarded = scheduler_->tasks_discarded();
+  }
+  if (validator) {
+    // Cheap invariant: every job settles exactly once, as on time, late or
+    // failed (JobRuntime::counted stops a second count; this catches a
+    // job that never counted).
+    validator->CountChecks();
+    const std::size_t tallied = job_stats_.jobs_on_time +
+                                job_stats_.jobs_late + job_stats_.jobs_failed;
+    if (tallied != graph_.size()) {
+      std::ostringstream os;
+      os << tallied << " of " << graph_.size() << " jobs tallied";
+      validator->Fail("job-tally", now, os.str());
+    }
   }
   result.cancelled = cancelled_;
   result.failures_injected = injector_.failures_applied();
@@ -460,13 +453,13 @@ TrialResult Engine::Run() {
   result.tasks_migrated = tasks_migrated_;
   result.migrated_on_time = migrated_on_time_;
   result.missed_deadlines = result.window_size - result.completed;
+  result.weighted_completed = weighted_jobs_completed_;
   result.weighted_missed = result.weighted_total - result.weighted_completed;
-  if (jobs_enabled_) {
+  // The jobs block is written only when some task is not its own job.
+  if (graph_.size() != tasks_.size()) {
     job_stats_.enabled = true;
     job_stats_.jobs = graph_.size();
     result.jobs = job_stats_;
-    result.weighted_completed = weighted_jobs_completed_;
-    result.weighted_missed = result.weighted_total - result.weighted_completed;
   }
   result.total_energy = post_hoc;
   result.energy_exhausted_at = exhausted_at_;
@@ -537,27 +530,6 @@ void Engine::CheckQueueModelSync(std::size_t flat_core, double now) const {
      << ", queued=" << core.pending.size() << ") vs model (idle="
      << model.idle() << ", queued=" << model.queued().size() << ")";
   validator->Fail("queue-model-sync", now, os.str());
-}
-
-void Engine::HandleArrival(const workload::Task& task, double now) {
-  ++window_.arrivals;
-  // The admission stage rules before the mapping pipeline runs. Deferred and
-  // dropped arrivals still consume their slot in the scheduler's arrival
-  // window (SkipTask) so the energy filter's fair share stays honest; a later
-  // pen release re-enters through the remap pipeline.
-  const stream::AdmissionVerdict verdict = Admit(task, now);
-  if (verdict != stream::AdmissionVerdict::kAdmit) {
-    scheduler_->SkipTask();
-    if (verdict == stream::AdmissionVerdict::kDrop) {
-      DropAtAdmission(task.id, now);
-    }
-    return;
-  }
-  ++window_.admitted;
-  const std::optional<core::Candidate> chosen =
-      scheduler_->MapTask(task, now, models_, availability_);
-  if (!chosen) return;  // discarded; scheduler counted it
-  PlaceOnCore(*chosen, task, now);
 }
 
 void Engine::PlaceOnCore(const core::Candidate& chosen,
@@ -712,16 +684,16 @@ void Engine::FailCores(std::span<const std::size_t> dead_cores, double now,
   }
   active_tasks_ -= running_stranded.size() + queued_stranded.size();
 
-  // Job extension: a dead member pulls back its whole in-flight gang — a
-  // rigid stage's outputs only commit when the entire stage completes, so
+  // A dead gang member pulls back its whole in-flight gang — a rigid
+  // stage's outputs only commit when the entire stage completes, so
   // surviving mates are aborted (their progress is wasted) and the gang
   // re-enters the pending queue under requeue/migrate recovery.
-  // Already-finished members re-run with it; their job counts come back
-  // here and only their first finish tallies at task level. Width-1 stage
+  // Already-finished members re-run with it; the stage's count resets here
+  // and only their first finish tallies at task level. Width-1 stage
   // members stay in running_stranded and take the per-task recovery below.
   // Gang members never sit in a core's FIFO, so queued_stranded is
   // untouched.
-  if (jobs_enabled_ && !serializes_) {
+  if (!serializes_) {
     struct HitStage {
       std::size_t job = 0;
       std::size_t stage = 0;
@@ -735,7 +707,7 @@ void Engine::FailCores(std::span<const std::size_t> dead_cores, double now,
       ECDRA_ASSERT(rt.next_stage > 0,
                    "stranded member of a never-released stage");
       const std::size_t stage_index = rt.next_stage - 1;
-      if (graph_.jobs[job_index].stages[stage_index].width < 2) {
+      if (graph_.stage(job_index, stage_index).width < 2) {
         singles.push_back(task_id);
         continue;
       }
@@ -753,7 +725,7 @@ void Engine::FailCores(std::span<const std::size_t> dead_cores, double now,
     const bool requeue_gangs =
         options_.recovery != fault::RecoveryPolicy::kDropQueued;
     for (const HitStage& h : hit) {
-      const workload::JobStage& stage = graph_.jobs[h.job].stages[h.stage];
+      const workload::JobStage stage = graph_.stage(h.job, h.stage);
       JobRuntime& rt = job_runtime_[h.job];
       // Abort mates still running on live cores; their finish events are
       // stale the moment the gang restarts. (Mates on dead cores were
@@ -771,10 +743,9 @@ void Engine::FailCores(std::span<const std::size_t> dead_cores, double now,
         }
       }
       if (requeue_gangs && !rt.failed) {
-        // Whole-gang restart: every member re-runs, so the finished
-        // members' job counts come back before the gang re-queues.
-        rt.tasks_remaining += stage.width - rt.stage_remaining;
-        rt.stage_remaining = stage.width;
+        // Whole-gang restart: every member re-runs, so the stage counts
+        // all of them again before the gang re-queues.
+        rt.stage_remaining = static_cast<std::uint32_t>(stage.width);
         pending_gangs_.push_back(
             PendingGang{h.job, h.stage, now, /*requeued=*/true});
         ++job_stats_.gangs_requeued;
@@ -891,7 +862,7 @@ void Engine::MarkTaskLost(std::size_t task_id, double now,
     record.finish_time = now;
   }
   // A lost member dooms its whole job: no later stage can complete.
-  FailJobOf(task_id, now);
+  FailJob(job_of_[task_id], now);
 }
 
 void Engine::ApplyExecFloor(std::size_t flat_core, double now) {
@@ -940,7 +911,7 @@ void Engine::HandleFinish(std::size_t flat_core, double now) {
         record.cancelled = true;
         record.finish_time = now;
       }
-      FailJobOf(cancelled_id, now);
+      FailJob(job_of_[cancelled_id], now);
     }
   }
   if (!core.pending.empty()) {
@@ -973,6 +944,7 @@ void Engine::SweepBatchPool(double now) {
         records_[task.id].cancelled = true;
         records_[task.id].finish_time = now;
       }
+      FailJob(job_of_[task.id], now);
       return true;
     });
   }
@@ -1374,7 +1346,7 @@ void Engine::ReleasePen(double now, bool full_scan) {
       // Expired in the pen: a certain miss not worth a mapping attempt.
       pen_.Remove(penned.task_id);
       DropAtAdmission(penned.task_id, now);
-      FailJobOf(penned.task_id, now);
+      FailJob(job_of_[penned.task_id], now);
       continue;
     }
     const stream::AdmissionVerdict verdict = DecideAdmission(task, now);
@@ -1385,7 +1357,7 @@ void Engine::ReleasePen(double now, bool full_scan) {
     pen_.Remove(penned.task_id);
     if (verdict == stream::AdmissionVerdict::kDrop) {
       DropAtAdmission(penned.task_id, now);
-      FailJobOf(penned.task_id, now);
+      FailJob(job_of_[penned.task_id], now);
       continue;
     }
     if (verdict == stream::AdmissionVerdict::kAdmitForced) {
@@ -1397,7 +1369,7 @@ void Engine::ReleasePen(double now, bool full_scan) {
     } else {
       // The mapping pipeline found nothing feasible for it either.
       DropAtAdmission(penned.task_id, now);
-      FailJobOf(penned.task_id, now);
+      FailJob(job_of_[penned.task_id], now);
     }
     // A head-only scan (completion-triggered) releases at most one task.
     if (!full_scan) break;
@@ -1414,7 +1386,7 @@ void Engine::DrainPen(double now) {
       ++window_.released;
     } else {
       DropAtAdmission(penned.task_id, now);
-      FailJobOf(penned.task_id, now);
+      FailJob(job_of_[penned.task_id], now);
     }
   }
 }
@@ -1469,9 +1441,8 @@ double Engine::SampleActualDuration(const workload::Task& task,
 }
 
 void Engine::HandleJobArrival(std::size_t job_index, double now) {
-  const workload::Job& job = graph_.jobs[job_index];
-  const std::size_t first = job.stages.front().first_task;
-  const std::size_t total = job.total_tasks();
+  const std::size_t first = graph_.first_task(job_index);
+  const std::size_t total = graph_.total_tasks(job_index);
   window_.arrivals += total;
   // Admission rules once for the whole job, on its first task as the
   // representative (members share arrival, deadline, and type layout per
@@ -1496,12 +1467,18 @@ void Engine::HandleJobArrival(std::size_t job_index, double now) {
 
 void Engine::ReleaseStage(std::size_t job_index, std::size_t stage_index,
                           double now, bool requeued) {
-  const workload::Job& job = graph_.jobs[job_index];
   JobRuntime& rt = job_runtime_[job_index];
   ECDRA_ASSERT(rt.next_stage == stage_index, "stage released out of order");
-  const workload::JobStage& stage = job.stages[stage_index];
-  rt.next_stage = stage_index + 1;
-  rt.stage_remaining = stage.width;
+  const workload::JobStage stage = graph_.stage(job_index, stage_index);
+  rt.next_stage = static_cast<std::uint32_t>(stage_index + 1);
+  rt.stage_remaining = static_cast<std::uint32_t>(stage.width);
+  if (batch_ != nullptr) {
+    // Batch mode refuses jobs of more than one task, so the stage is one
+    // task; it joins the pool, which is swept against the idle cores now.
+    batch_pool_.push_back(tasks_[stage.first_task]);
+    SweepBatchPool(now);
+    return;
+  }
   // Prepaid jobs (streaming defer/drop consumed every slot at admission)
   // re-enter through the remap pipeline, exactly like a pen release.
   const bool remap = requeued || rt.prepaid;
@@ -1552,9 +1529,9 @@ void Engine::TryPlacePendingGangs(double now) {
   while (!pending_gangs_.empty()) {
     PendingGang gang = pending_gangs_.front();
     pending_gangs_.pop_front();
-    const workload::Job& job = graph_.jobs[gang.job];
-    if (job_runtime_[gang.job].failed || job.deadline < now ||
-        job.stages[gang.stage].width > runtime_.size()) {
+    if (job_runtime_[gang.job].failed ||
+        tasks_[graph_.first_task(gang.job)].deadline < now ||
+        graph_.stage(gang.job, gang.stage).width > runtime_.size()) {
       AbandonGang(gang, now);
       continue;
     }
@@ -1587,8 +1564,7 @@ bool Engine::GangCoreFree(std::size_t flat) const {
 }
 
 core::GangOutcome Engine::AttemptGang(const PendingGang& gang, double now) {
-  const workload::Job& job = graph_.jobs[gang.job];
-  const workload::JobStage& stage = job.stages[gang.stage];
+  const workload::JobStage stage = graph_.stage(gang.job, gang.stage);
   gang_availability_ = availability_;
   for (std::size_t flat = 0; flat < runtime_.size(); ++flat) {
     gang_availability_[flat].available = GangCoreFree(flat);
@@ -1596,7 +1572,7 @@ core::GangOutcome Engine::AttemptGang(const PendingGang& gang, double now) {
   const std::span<const workload::Task> members =
       std::span<const workload::Task>(tasks_).subspan(stage.first_task,
                                                       stage.width);
-  const std::optional<pmf::Pmf> tail = ChainTailPmf(job, gang.stage);
+  const std::optional<pmf::Pmf> tail = ChainTailPmf(gang.job, gang.stage);
   return scheduler_->MapGang(
       members, now, models_, gang_availability_, tail ? &*tail : nullptr,
       gang.requeued || job_runtime_[gang.job].prepaid);
@@ -1604,8 +1580,7 @@ core::GangOutcome Engine::AttemptGang(const PendingGang& gang, double now) {
 
 void Engine::CommitGang(const PendingGang& gang,
                         const core::GangOutcome& outcome, double now) {
-  const workload::JobStage& stage =
-      graph_.jobs[gang.job].stages[gang.stage];
+  const workload::JobStage stage = graph_.stage(gang.job, gang.stage);
   for (std::size_t m = 0; m < stage.width; ++m) {
     const workload::Task& member = tasks_[stage.first_task + m];
     PlaceOnCore(outcome.members[m], member, now);
@@ -1622,8 +1597,7 @@ void Engine::CommitGang(const PendingGang& gang,
 
 void Engine::AbandonGang(const PendingGang& gang, double now) {
   ++job_stats_.gangs_abandoned;
-  const workload::JobStage& stage =
-      graph_.jobs[gang.job].stages[gang.stage];
+  const workload::JobStage stage = graph_.stage(gang.job, gang.stage);
   if (gang.requeued) {
     // A fault pulled the gang back and no placement ever stuck: every
     // member is lost to the failure (MarkTaskLost fails the job).
@@ -1666,50 +1640,42 @@ void Engine::FailJob(std::size_t job_index, double now) {
     ++job_stats_.jobs_failed;
   }
   if (rt.prepaid) return;
-  const workload::Job& job = graph_.jobs[job_index];
   std::size_t unreleased = 0;
-  for (std::size_t s = rt.next_stage; s < job.stages.size(); ++s) {
-    unreleased += job.stages[s].width;
+  for (std::size_t s = rt.next_stage; s < graph_.num_stages(job_index); ++s) {
+    unreleased += graph_.stage(job_index, s).width;
   }
   if (unreleased > 0) scheduler_->DiscardTasks(unreleased);
 }
 
-void Engine::FailJobOf(std::size_t task_id, double now) {
-  if (jobs_enabled_) FailJob(job_of_[task_id], now);
-}
-
 void Engine::OnMemberFinished(std::size_t task_id, bool ok, double now) {
   const std::size_t job_index = job_of_[task_id];
-  const workload::Job& job = graph_.jobs[job_index];
   JobRuntime& rt = job_runtime_[job_index];
-  ECDRA_ASSERT(rt.stage_remaining > 0 && rt.tasks_remaining > 0,
+  ECDRA_ASSERT(rt.stage_remaining > 0,
                "job member finished outside its released stage");
-  --rt.stage_remaining;
-  --rt.tasks_remaining;
-  if (rt.tasks_remaining == 0) {
-    // The job's last finisher settles the per-job verdict: members share
-    // the deadline, so the last one on time implies all were (and budget
-    // exhaustion is monotone, so within-energy carries over too).
-    if (!rt.counted) {
-      rt.counted = true;
-      if (ok && !rt.failed) {
-        ++job_stats_.jobs_on_time;
-        weighted_jobs_completed_ += job.priority;
-      } else {
-        ++job_stats_.jobs_late;
-      }
+  if (--rt.stage_remaining > 0) return;
+  if (rt.next_stage < graph_.num_stages(job_index)) {
+    if (!rt.failed) {
+      ReleaseStage(job_index, rt.next_stage, now, /*requeued=*/false);
     }
     return;
   }
-  if (rt.stage_remaining == 0 && !rt.failed &&
-      rt.next_stage < job.stages.size()) {
-    ReleaseStage(job_index, rt.next_stage, now, /*requeued=*/false);
+  // The job's last finisher settles the per-job verdict: members share the
+  // deadline and priority, so the last one on time implies all were (and
+  // budget exhaustion is monotone, so within-energy carries over too).
+  if (rt.counted) return;
+  rt.counted = true;
+  if (ok && !rt.failed) {
+    ++job_stats_.jobs_on_time;
+    weighted_jobs_completed_ += tasks_[task_id].priority;
+  } else {
+    ++job_stats_.jobs_late;
   }
 }
 
-std::optional<pmf::Pmf> Engine::ChainTailPmf(const workload::Job& job,
+std::optional<pmf::Pmf> Engine::ChainTailPmf(std::size_t job_index,
                                              std::size_t stage_index) const {
-  if (stage_index + 1 >= job.stages.size()) return std::nullopt;
+  const std::size_t stages = graph_.num_stages(job_index);
+  if (stage_index + 1 >= stages) return std::nullopt;
   // Optimistic remaining-chain completion pmf: per later stage, the fastest
   // node's exec pmf at the fastest P-state, max-folded across the stage's
   // siblings, convolved along the chain. Optimism is deliberate — the joint
@@ -1717,8 +1683,8 @@ std::optional<pmf::Pmf> Engine::ChainTailPmf(const workload::Job& job,
   // would have accepted for cause, never reject on pessimistic guesses
   // about unmade placement decisions.
   std::optional<pmf::Pmf> tail;
-  for (std::size_t s = stage_index + 1; s < job.stages.size(); ++s) {
-    const workload::JobStage& stage = job.stages[s];
+  for (std::size_t s = stage_index + 1; s < stages; ++s) {
+    const workload::JobStage stage = graph_.stage(job_index, s);
     const std::size_t type = tasks_[stage.first_task].type;
     std::size_t best_node = 0;
     double best_mean = types_->MeanExec(type, 0, 0);
@@ -1745,7 +1711,6 @@ std::optional<pmf::Pmf> Engine::ChainTailPmf(const workload::Job& job,
 }
 
 bool Engine::ReleasePenned(const workload::Task& task, double now) {
-  if (!jobs_enabled_) return TryRemap(task, now);
   const std::size_t job_index = job_of_[task.id];
   JobRuntime& rt = job_runtime_[job_index];
   if (rt.failed) return false;

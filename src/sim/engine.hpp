@@ -15,8 +15,10 @@
 //
 // An extension that is off holds its neutral state, which the loop reads
 // without a flag: an empty fault schedule, the "static" governor's empty
-// cadence, the all-zero econ model. Only streaming, jobs and econ keep a
-// flag, where they change what the loop does rather than a value it reads.
+// cadence, the all-zero econ model. Only streaming and econ keep a flag,
+// where they change what the loop does rather than a value it reads. Every
+// task arrives as a member of a job (src/workload/job.hpp); the paper's
+// independent task is a one-task job, so there is one arrival path.
 //
 // The engine keeps two synchronized views of every core: the ground-truth
 // runtime state (current P-state, transition log, sampled actual execution
@@ -214,7 +216,6 @@ class Engine : private governor::GovernorHost {
          const core::EnergyEstimator& estimator, const TrialOptions& options,
          util::RngStream rng);
 
-  void HandleArrival(const workload::Task& task, double now);
   /// Frees the core and starts its next queued task; in batch mode sweeps
   /// the pool first. A core still free afterwards takes the idle policy.
   void HandleFinish(std::size_t flat_core, double now);
@@ -336,7 +337,8 @@ class Engine : private governor::GovernorHost {
   void HandleJobArrival(std::size_t job_index, double now);
   /// Stage `stage_index` became ready: width-1 stages map through the
   /// ordinary per-task pipeline, wider stages become an all-or-nothing gang
-  /// (or map per-task under the "serial" ablation placement).
+  /// (or map per-task under the "serial" ablation placement). In batch mode
+  /// the stage's one task joins the pool, which is swept at once.
   void ReleaseStage(std::size_t job_index, std::size_t stage_index,
                     double now, bool requeued);
   /// Gang members must start simultaneously *now*: a core is free for a
@@ -371,8 +373,6 @@ class Engine : private governor::GovernorHost {
   /// consume their arrival-window slots as discards (unless the job's slots
   /// were prepaid by streaming admission).
   void FailJob(std::size_t job_index, double now);
-  /// FailJob on the job of `task_id`; a no-op outside jobs mode.
-  void FailJobOf(std::size_t task_id, double now);
   /// Per-member completion bookkeeping: releases the successor stage when
   /// the released stage drains, and settles the per-job on-time/late
   /// verdict on the job's last finisher.
@@ -382,7 +382,7 @@ class Engine : private governor::GovernorHost {
   /// stage width (siblings), suffix-convolved along the chain. Empty for
   /// the final stage.
   [[nodiscard]] std::optional<pmf::Pmf> ChainTailPmf(
-      const workload::Job& job, std::size_t stage_index) const;
+      std::size_t job_index, std::size_t stage_index) const;
   /// Pen-release hook: a penned id may represent a whole not-yet-started
   /// job (released as stage 0) or a mid-flight member (ordinary remap).
   /// Returns false when nothing was placed or queued (the job failed).
@@ -479,22 +479,21 @@ class Engine : private governor::GovernorHost {
   };
   WindowAccumulator window_;
   StreamStats stream_stats_;
-  // -- Job extension state (empty unless some task is in a gang job) --
-  bool jobs_enabled_ = false;
+  // -- Job state (every task is a member of exactly one job) --
   /// Mirror of the placement policy's Serializes(): gang members take the
   /// ordinary per-task pipeline (the ablation baseline).
   bool serializes_ = false;
   workload::JobGraph graph_;
-  /// Task id -> job index (sized only in jobs mode).
-  std::vector<std::size_t> job_of_;
-  /// Mutable per-job progress.
+  /// Task id -> job index.
+  std::vector<std::uint32_t> job_of_;
+  /// Mutable per-job progress, 12 bytes a job.
   struct JobRuntime {
     /// Unfinished tasks of the currently released stage.
-    std::size_t stage_remaining = 0;
-    /// Stages [0, next_stage) have been released.
-    std::size_t next_stage = 0;
-    /// Unfinished tasks across all stages (0 = the job completed).
-    std::size_t tasks_remaining = 0;
+    std::uint32_t stage_remaining = 0;
+    /// Stages [0, next_stage) have been released. A stage is released only
+    /// once its predecessor drains, so the job completed exactly when
+    /// next_stage is its stage count and stage_remaining is 0.
+    std::uint32_t next_stage = 0;
     bool failed = false;
     /// Tallied into exactly one of jobs_on_time/jobs_late/jobs_failed.
     bool counted = false;
@@ -511,8 +510,8 @@ class Engine : private governor::GovernorHost {
   /// Scratch availability mask handed to MapGang.
   std::vector<core::CoreAvailability> gang_availability_;
   JobStats job_stats_;
-  /// Priority-weighted completed jobs (jobs mode replaces the per-task
-  /// weighted tallies with per-job ones).
+  /// Priority-weighted jobs completed on time (the trial's
+  /// weighted_completed).
   double weighted_jobs_completed_ = 0.0;
   // -- Econ extension state (econ_enabled_: the model is non-trivial) --
   bool econ_enabled_ = false;

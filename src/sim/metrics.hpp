@@ -104,13 +104,12 @@ struct StreamStats {
 };
 
 /// Job-level scalars of one trial (src/workload/job.hpp). `enabled` is set
-/// only when the workload actually contains a non-degenerate job, so
-/// independent-task trials — including job-mode runs with degenerate
-/// {1@1}x{1@1} shapes — keep their result JSON byte-identical to the
-/// pre-jobs format.
+/// only when some task is not its own one-task job, so independent-task
+/// trials — including job-mode runs with {1@1}x{1@1} shapes — keep their
+/// result JSON byte-identical to the pre-jobs format.
 struct JobStats {
   bool enabled = false;
-  /// Jobs in the trial (== arrival events in job mode).
+  /// Jobs in the trial (== arrival events).
   std::size_t jobs = 0;
   /// Jobs whose every task completed, with the last finisher on time and
   /// within budget — the per-job analogue of the paper's success count.

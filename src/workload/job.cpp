@@ -1,5 +1,6 @@
 #include "workload/job.hpp"
 
+#include <limits>
 #include <string>
 
 #include "util/assert.hpp"
@@ -13,53 +14,47 @@ namespace {
 
 }  // namespace
 
-bool AllTasksDegenerate(std::span<const Task> tasks) {
-  for (const Task& task : tasks) {
-    if (!IsDegenerateJobTask(task)) return false;
-  }
-  return true;
-}
-
 JobGraph BuildJobGraph(std::span<const Task> tasks) {
+  ECDRA_REQUIRE(tasks.size() <= std::numeric_limits<std::uint32_t>::max(),
+                "a job graph indexes tasks with 32-bit offsets");
   JobGraph graph;
+  graph.job_begin.reserve(tasks.size() + 1);
+  graph.stage_begin.reserve(tasks.size() + 1);
+  // The last entry of each array is the end of the open job and stage, so
+  // a member extends them and a new job or stage appends an end.
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     const Task& task = tasks[i];
-    const std::size_t job_id = graph.jobs.size();
-    const bool starts_job = graph.jobs.empty() || task.job == kSelfJob ||
+    const auto end = static_cast<std::uint32_t>(i + 1);
+    const bool starts_job = i == 0 || task.job == kSelfJob ||
                             tasks[i - 1].job == kSelfJob ||
                             task.job != tasks[i - 1].job;
     if (starts_job) {
-      if (task.job != kSelfJob && task.job != job_id) {
+      if (task.job != kSelfJob && task.job != graph.size()) {
         BadTask(i, "job ids must be dense over contiguous task ranges");
       }
       if (task.stage != 0) BadTask(i, "a job must begin at stage 0");
-      Job job;
-      job.id = job_id;
-      job.arrival = task.arrival;
-      job.deadline = task.deadline;
-      job.priority = task.priority;
-      job.stages.push_back(JobStage{i, 1});
-      graph.jobs.push_back(std::move(job));
+      graph.stage_begin.push_back(end);
+      graph.job_begin.push_back(
+          static_cast<std::uint32_t>(graph.stage_begin.size() - 1));
       continue;
     }
-    Job& job = graph.jobs.back();
-    if (task.job != job.id) {
-      BadTask(i, "job ids must be dense over contiguous task ranges");
-    }
-    if (task.arrival != job.arrival || task.deadline != job.deadline ||
-        task.priority != job.priority) {
+    const std::size_t job = graph.size() - 1;
+    const Task& first = tasks[graph.first_task(job)];
+    if (task.arrival != first.arrival || task.deadline != first.deadline ||
+        task.priority != first.priority) {
       BadTask(i,
               "every member of a job must share its arrival, deadline, and "
               "priority");
     }
-    JobStage& last = job.stages.back();
-    if (task.stage == job.stages.size() - 1) {
-      if (task.type != tasks[last.first_task].type) {
+    const std::size_t stages = graph.num_stages(job);
+    if (task.stage == stages - 1) {
+      if (task.type != tasks[graph.stage(job, stages - 1).first_task].type) {
         BadTask(i, "every member of a stage must share its task type");
       }
-      ++last.width;
-    } else if (task.stage == job.stages.size()) {
-      job.stages.push_back(JobStage{i, 1});
+      graph.stage_begin.back() = end;
+    } else if (task.stage == stages) {
+      graph.stage_begin.push_back(end);
+      ++graph.job_begin.back();
     } else {
       BadTask(i, "stage indices must be contiguous and non-decreasing");
     }

@@ -1,11 +1,10 @@
 // A dynamically-arriving task (§III-B): known type, arrival time, and
 // execution time pmf keyed by (type, node, P-state) in the TaskTypeTable.
-// Since the job-level refactor a Task is a *view into a Job*: it names the
-// job it belongs to and the stage it sits in, and the degenerate
-// single-stage/width-1 job is exactly the paper's independent task (the
-// defaults below encode that case, so code that never touches jobs is
-// unchanged). Deadlines and priorities are per-job properties that every
-// stage task inherits; see src/workload/job.hpp for the grouping.
+// A Task is a *view into a Job*: it names the job it belongs to and the
+// stage it sits in, and the single-stage/width-1 job is exactly the paper's
+// independent task (the defaults below encode that case). Deadlines and
+// priorities are per-job properties that every stage task inherits; see
+// src/workload/job.hpp for the grouping.
 #pragma once
 
 #include <cstddef>
@@ -13,9 +12,9 @@
 
 namespace ecdra::workload {
 
-/// Sentinel for Task::job: the task is its own (degenerate) job. Using a
-/// sentinel instead of 0 keeps hand-built tasks with arbitrary ids
-/// degenerate by default.
+/// Sentinel for Task::job: the task is its own one-task job. Using a
+/// sentinel instead of 0 keeps hand-built tasks with arbitrary ids one-task
+/// jobs by default.
 inline constexpr std::size_t kSelfJob = SIZE_MAX;
 
 struct Task {
@@ -33,15 +32,15 @@ struct Task {
   /// the job's priority verbatim, and the weighted completion metrics in
   /// TrialResult count each job once. 1.0 everywhere reproduces the paper.
   double priority = 1.0;
-  /// Job this task belongs to (kSelfJob: the task is its own degenerate
-  /// job). Non-degenerate values index the trial's job list.
+  /// Job this task belongs to (kSelfJob: the task is its own one-task job).
+  /// Other values index the trial's job list.
   std::size_t job = kSelfJob;
-  /// Stage index within the job's chain (0 for degenerate tasks; stage s
+  /// Stage index within the job's chain (0 for one-task jobs; stage s
   /// becomes ready when every task of stage s-1 has completed).
   std::size_t stage = 0;
   /// Revenue earned by completing this task on time, already scaled by its
   /// SLA tier's value multiplier (src/econ). 0.0 outside econ mode, which
-  /// keeps every pre-econ artifact (trace columns, hashes) byte-identical.
+  /// keeps every pre-econ result byte-identical.
   double value = 0.0;
   /// Index into the econ model's SLA tier list (0 when the model has no
   /// tiers — the neutral best-effort tier).
@@ -49,12 +48,5 @@ struct Task {
 
   friend bool operator==(const Task&, const Task&) = default;
 };
-
-/// True when the task behaves exactly like a pre-jobs independent task: its
-/// own single-stage width-1 job. Every conditional emission path (trace_io
-/// columns, checkpoint "jobs" block) keys off all tasks being degenerate.
-[[nodiscard]] constexpr bool IsDegenerateJobTask(const Task& task) {
-  return task.stage == 0 && (task.job == kSelfJob || task.job == task.id);
-}
 
 }  // namespace ecdra::workload

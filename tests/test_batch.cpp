@@ -247,11 +247,13 @@ TEST_F(BatchTrialTest, UnmappableTasksEndUpDiscarded) {
 
 TEST_F(BatchTrialTest, CancelPolicyDropsHopelessPendingTasks) {
   // Both cores busy [0, 10); a task with deadline 5 waits in the queue and
-  // is cancelled at the first mapping event after its deadline.
+  // is cancelled at the first mapping event after its deadline. The
+  // cancellation fails the task's job, so the job tally still holds.
   sim::TrialOptions options;
   options.energy_budget = 1e9;
   options.cancel_policy = sim::CancelPolicy::kCancelHopelessQueued;
   options.collect_task_records = true;
+  options.validation = validate::ValidationMode::kCheap;
   const sim::TrialResult result =
       Run({workload::Task{0, 0, 0.0, 100.0}, workload::Task{1, 0, 0.0, 100.0},
            workload::Task{2, 0, 1.0, 5.0}},
@@ -259,6 +261,7 @@ TEST_F(BatchTrialTest, CancelPolicyDropsHopelessPendingTasks) {
   EXPECT_EQ(result.cancelled, 1u);
   EXPECT_TRUE(result.task_records[2].cancelled);
   EXPECT_EQ(result.completed, 2u);
+  EXPECT_TRUE(result.validation.ok()) << result.validation;
 }
 
 TEST_F(BatchTrialTest, EnergyAccountingMatchesImmediateModeSemantics) {
@@ -688,7 +691,7 @@ TEST(BatchRunner, DeterministicAndComparableToImmediate) {
 TEST(BatchRunner, RefusesAGangWorkloadOnADirectCall) {
   // BatchRunOptionsFromSpec refuses a spec with job shapes, but a direct
   // RunBatchTrial on such a setup must not run its gangs as 300 independent
-  // tasks: the engine derives jobs mode from the tasks and refuses it.
+  // tasks: the engine reads the job shapes off the tasks and refuses them.
   sim::SetupOptions gangs;
   gangs.cluster.num_nodes = 3;
   gangs.cvb.num_task_types = 10;

@@ -90,6 +90,18 @@ TEST(Cli, UnknownValidateModeIsRejected) {
       << result.output;
 }
 
+TEST(Cli, UnwritableTraceOutExitsTwoNamingThePath) {
+  // Like an unwritable --checkpoint: one line naming the path, exit 2.
+  const std::string path =
+      testing::TempDir() + "ecdra_cli_no_such_dir/trace.jsonl";
+  const CliResult result =
+      RunCli("--trials 1 --heuristic SQ --variant en --trace-out " + path);
+  EXPECT_EQ(result.exit_code, 2) << result.output;
+  EXPECT_NE(result.output.find("cannot open trace file: " + path),
+            std::string::npos)
+      << result.output;
+}
+
 TEST(Cli, CheckpointThenResumeServesTrialsFromTheFile) {
   const std::string path = TempPath("resume_smoke");
   std::remove(path.c_str());

@@ -2,8 +2,8 @@
 // shapes, and the engine's gang semantics — all-or-nothing simultaneous
 // starts, map->reduce stage precedence with per-job deadline accounting,
 // reservations against junior gangs, whole-gang requeue after a domain
-// outage, and the demotion guarantee (an all-degenerate job workload takes
-// the exact task-level event path). Counter-exact tests pin the sweep's
+// outage, and the one-task-job guarantee (explicit self-jobs run exactly
+// like the kSelfJob defaults). Counter-exact tests pin the sweep's
 // cost: an attempt that cannot place computes no member rho, an attempt
 // with no free core runs no pipeline at all, and the per-core collapse
 // convolves each exec pmf with the chain tail once. A whole-result test
@@ -15,6 +15,7 @@
 
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <string_view>
 #include <vector>
 
@@ -26,6 +27,7 @@
 #include "robustness/core_queue_model.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/engine.hpp"
+#include "sim/experiment_runner.hpp"
 #include "test_support.hpp"
 #include "workload/workload_generator.hpp"
 
@@ -124,25 +126,28 @@ TEST(BuildJobGraph, MapReduceChainParses) {
   AppendStage(tasks, 0, 1, 1, 1.0, 50.0);  // reduce
   const workload::JobGraph graph = workload::BuildJobGraph(tasks);
   ASSERT_EQ(graph.size(), 1u);
-  const workload::Job& job = graph.jobs[0];
-  ASSERT_EQ(job.stages.size(), 2u);
-  EXPECT_EQ(job.stages[0].first_task, 0u);
-  EXPECT_EQ(job.stages[0].width, 2u);
-  EXPECT_EQ(job.stages[1].first_task, 2u);
-  EXPECT_EQ(job.stages[1].width, 1u);
-  EXPECT_EQ(job.total_tasks(), 3u);
-  EXPECT_FALSE(job.degenerate());
-  EXPECT_FALSE(workload::AllTasksDegenerate(tasks));
+  ASSERT_EQ(graph.num_stages(0), 2u);
+  EXPECT_EQ(graph.stage(0, 0).first_task, 0u);
+  EXPECT_EQ(graph.stage(0, 0).width, 2u);
+  EXPECT_EQ(graph.stage(0, 1).first_task, 2u);
+  EXPECT_EQ(graph.stage(0, 1).width, 1u);
+  EXPECT_EQ(graph.first_task(0), 0u);
+  EXPECT_EQ(graph.total_tasks(0), 3u);
+  // Not every job is a lone task.
+  EXPECT_NE(graph.size(), tasks.size());
 }
 
 TEST(BuildJobGraph, SelfJobTasksFormDegenerateJobs) {
   const std::vector<Task> tasks = {Task{.id = 0, .arrival = 0.0},
                                    Task{.id = 1, .arrival = 1.0}};
-  EXPECT_TRUE(workload::AllTasksDegenerate(tasks));
   const workload::JobGraph graph = workload::BuildJobGraph(tasks);
-  ASSERT_EQ(graph.size(), 2u);
-  EXPECT_TRUE(graph.jobs[0].degenerate());
-  EXPECT_TRUE(graph.jobs[1].degenerate());
+  // Every job is a lone task: one stage of width 1.
+  ASSERT_EQ(graph.size(), tasks.size());
+  for (std::size_t j = 0; j < graph.size(); ++j) {
+    ASSERT_EQ(graph.num_stages(j), 1u) << j;
+    EXPECT_EQ(graph.stage(j, 0).first_task, j);
+    EXPECT_EQ(graph.stage(j, 0).width, 1u);
+  }
 }
 
 TEST(BuildJobGraph, RejectsSparseJobIds) {
@@ -198,21 +203,23 @@ TEST(WorkloadGeneratorJobs, ShapesFollowTheConfiguredMix) {
   // The encoding the engine relies on round-trips through the validator.
   const workload::JobGraph graph = workload::BuildJobGraph(tasks);
   ASSERT_GT(graph.size(), 0u);
-  for (const workload::Job& job : graph.jobs) {
+  for (std::size_t j = 0; j < graph.size(); ++j) {
     // depth 2: a width-3 map stage, then the width-1 reduce.
-    ASSERT_EQ(job.stages.size(), 2u);
-    EXPECT_EQ(job.stages[0].width, 3u);
-    EXPECT_EQ(job.stages[1].width, 1u);
+    ASSERT_EQ(graph.num_stages(j), 2u);
+    EXPECT_EQ(graph.stage(j, 0).width, 3u);
+    EXPECT_EQ(graph.stage(j, 1).width, 1u);
     // Arrival, deadline, and priority are per-job single sources.
-    for (const workload::JobStage& stage : job.stages) {
+    const Task& first = tasks[graph.first_task(j)];
+    for (std::size_t s = 0; s < graph.num_stages(j); ++s) {
+      const workload::JobStage stage = graph.stage(j, s);
       for (std::size_t m = 0; m < stage.width; ++m) {
         const Task& task = tasks[stage.first_task + m];
-        EXPECT_EQ(task.arrival, job.arrival);
-        EXPECT_EQ(task.deadline, job.deadline);
-        EXPECT_EQ(task.priority, job.priority);
+        EXPECT_EQ(task.arrival, first.arrival);
+        EXPECT_EQ(task.deadline, first.deadline);
+        EXPECT_EQ(task.priority, first.priority);
       }
     }
-    EXPECT_GT(job.deadline, job.arrival);
+    EXPECT_GT(first.deadline, first.arrival);
   }
 }
 
@@ -238,8 +245,9 @@ TEST(WorkloadGeneratorJobs, DegenerateShapeMatchesIndependentTasksBitwise) {
     EXPECT_EQ(plain[i].arrival, jobs[i].arrival) << i;
     EXPECT_EQ(plain[i].deadline, jobs[i].deadline) << i;
     EXPECT_EQ(plain[i].priority, jobs[i].priority) << i;
-    EXPECT_TRUE(workload::IsDegenerateJobTask(jobs[i])) << i;
   }
+  // Every job is a lone task.
+  EXPECT_EQ(workload::BuildJobGraph(jobs).size(), jobs.size());
 }
 
 // ---------------------------------------------------------------------------
@@ -644,11 +652,10 @@ TEST_F(JobEngineTest, GangDecisionRecordsCountCandidatesBeforeTheFilters) {
   EXPECT_EQ(task.stages, (std::vector<obs::FilterStageRecord>{{"en", 0, 10}}));
 }
 
-TEST_F(JobEngineTest, AllDegenerateWorkloadDemotesToTaskPathBitwise) {
-  // Explicit self-jobs (job == id) are degenerate jobs: the engine derives
-  // no jobs mode from them and takes the exact task-level path of the
-  // kSelfJob defaults — the same result text (no JobStats block) and the
-  // same task records.
+TEST_F(JobEngineTest, ExplicitSelfJobsRunLikeTheDefaultsBitwise) {
+  // Explicit self-jobs (job == id) are one-task jobs, like the kSelfJob
+  // defaults: the same result text (no JobStats block) and the same task
+  // records.
   const cluster::Cluster cluster({test::SimpleNode(1, 2)});
   const workload::TaskTypeTable table = DeltaTable(cluster, {10.0});
   const std::vector<Task> tasks = {
@@ -667,6 +674,21 @@ TEST_F(JobEngineTest, AllDegenerateWorkloadDemotesToTaskPathBitwise) {
   on.task_records.clear();
   off.task_records.clear();
   EXPECT_EQ(TrialResultToJson(on), TrialResultToJson(off));
+}
+
+TEST(Jobs, EngineRejectsUnknownGangPlacement) {
+  // The placement name resolves on every trial, like the governor's, so a
+  // misspelling is refused even when the workload has no gang.
+  SetupOptions setup;
+  setup.cluster.num_nodes = 3;
+  setup.cvb.num_task_types = 10;
+  setup.workload.arrivals =
+      workload::ArrivalSpec::PaperBursty(15, 30, 1.0 / 8.0, 1.0 / 48.0);
+  RunOptions options;
+  options.gang_placement = "no-such-placement";
+  EXPECT_THROW((void)RunSingleTrial(BuildExperimentSetup(7, setup), "LL",
+                                    "en+rob", 0, options),
+               std::invalid_argument);
 }
 
 }  // namespace
