@@ -1,0 +1,24 @@
+# Checks that the ablation driver exits 2 with a one-line diagnostic on bad
+# arguments and bad grid files. Usage: cmake -DHARNESS=<ablation exe>
+# -DGRID=<a good grid> -DWORK=<scratch dir> -P check_usage.cmake
+file(WRITE ${WORK}/bad_value.spec "@title bad\n\nrun.fault.mtbf = -5\n")
+file(WRITE ${WORK}/bad_directive.spec "@tilte typo\n")
+
+function(expect_exit_2 message)
+  execute_process(COMMAND ${HARNESS} ${ARGN} RESULT_VARIABLE status
+                  OUTPUT_QUIET ERROR_VARIABLE stderr)
+  string(FIND "${stderr}" "${message}" at)
+  if(NOT status EQUAL 2 OR at EQUAL -1)
+    message(FATAL_ERROR "ablation ${ARGN}: exit status ${status}, stderr "
+                        "'${stderr}'; expected 2 and '${message}'")
+  endif()
+endfunction()
+
+expect_exit_2("TRIALS: 'abc' is not a non-negative integer" ${GRID} abc)
+expect_exit_2("TRIALS: must be >= 1" ${GRID} 0)
+expect_exit_2("--json: missing path" ${GRID} --json)
+expect_exit_2("cannot read grid" ${WORK}/no_such_grid.spec)
+expect_exit_2("bad_value.spec:3: scenario spec: '-5' must be >= 0"
+              ${WORK}/bad_value.spec)
+expect_exit_2("bad_directive.spec:1: unknown directive '@tilte'"
+              ${WORK}/bad_directive.spec)

@@ -151,8 +151,6 @@ void PrintUsage(std::ostream& os, const char* argv0) {
   PrintFlag(os, "--variant", "NAME",
             "none, or '+'-joined registered filters\n(registered: " +
                 core::FilterRegistry().JoinedNames() + "; default en+rob)");
-  PrintFlag(os, "--budget-scale", "X",
-            "scale zeta_max by X       (default 1.0)");
   for (const policy::SpecField& field : policy::SpecFields()) {
     if (field.flag.empty()) continue;
     std::string help(field.help);
@@ -202,7 +200,6 @@ int main(int argc, char** argv) {
   policy::ScenarioSpec spec = experiment::PaperScenario();
   std::string heuristic = "LL";
   std::string variant = "en+rob";
-  double budget_scale = 1.0;
   bool csv = false;
   bool resume = false;
   bool salvage = false;
@@ -278,9 +275,6 @@ int main(int argc, char** argv) {
         Fail("--variant: " + std::string(error.what()) +
              "; compose filters with '+', e.g. en+rob");
       }
-    } else if (flag == "--budget-scale") {
-      budget_scale = ParseFlag(flag, next(), policy::ParseSpecNumber);
-      if (budget_scale <= 0.0) Fail("--budget-scale: must be > 0");
     } else if (flag == "--csv") {
       csv = true;
     } else if (flag == "--counters") {
@@ -333,7 +327,6 @@ int main(int argc, char** argv) {
     Fail(std::string(salvage ? "--resume-salvage" : "--resume") +
          " requires --checkpoint PATH");
   }
-  spec.environment.budget_task_count *= budget_scale;
 
   if (print_spec) {
     std::cout << policy::CanonicalSpecText(spec);
@@ -441,8 +434,7 @@ int main(int argc, char** argv) {
   std::cout << heuristic << " (" << variant << ")"
             << (run.governor != "static" ? " [" + run.governor + "]" : "")
             << ", seed " << spec.master_seed
-            << ", " << run.num_trials << " trials, budget x" << budget_scale
-            << ":\n";
+            << ", " << run.num_trials << " trials:\n";
   if (!misses.empty()) {
     // Then every mean from the result table, block by block, with the
     // validation totals and (--counters) the counter block.

@@ -18,21 +18,16 @@ FigureResult RunFigure(const sim::ExperimentSetup& setup,
   figure.title = title;
   figure.window_size = setup.window_size;
   for (const SeriesSpec& spec : specs) {
-    sim::RunOptions series_options = options;
-    if (!spec.governor.empty()) series_options.governor = spec.governor;
     // RunSweep isolates per-trial failures instead of aborting the figure;
     // a series with failed trials is summarized over its surviving trials
     // and flagged in PrintFigure's harness-health block.
-    const sim::SweepResult sweep = sim::RunSweep(
-        setup, spec.heuristic, spec.filter_variant, series_options);
+    const sim::SweepResult sweep =
+        sim::RunSweep(setup, spec.heuristic, spec.filter_variant, options);
 
     SeriesResult series;
     series.spec = spec;
     if (series.spec.label.empty()) {
       series.spec.label = spec.heuristic + " (" + spec.filter_variant + ")";
-      if (series_options.governor != "static") {
-        series.spec.label += " [" + series_options.governor + "]";
-      }
     }
     series.missed_deadlines.reserve(sweep.results.size());
     double energy_fraction_sum = 0.0;
@@ -60,7 +55,7 @@ std::vector<SeriesSpec> VariantsOfHeuristic(const std::string& heuristic,
                                             const policy::PolicyGrid& grid) {
   std::vector<SeriesSpec> specs;
   for (const std::string& variant : grid.filter_variants) {
-    specs.push_back(SeriesSpec{heuristic, variant, "", ""});
+    specs.push_back(SeriesSpec{heuristic, variant, ""});
   }
   return specs;
 }
@@ -72,17 +67,7 @@ std::vector<SeriesSpec> BestVariants() {
 std::vector<SeriesSpec> BestVariants(const policy::PolicyGrid& grid) {
   std::vector<SeriesSpec> specs;
   for (const std::string& heuristic : grid.heuristics) {
-    specs.push_back(SeriesSpec{heuristic, "en+rob", "", ""});
-  }
-  return specs;
-}
-
-std::vector<SeriesSpec> GridSeries(const policy::PolicyGrid& grid) {
-  std::vector<SeriesSpec> specs;
-  for (const std::string& heuristic : grid.heuristics) {
-    for (const std::string& variant : grid.filter_variants) {
-      specs.push_back(SeriesSpec{heuristic, variant, "", ""});
-    }
+    specs.push_back(SeriesSpec{heuristic, "en+rob", ""});
   }
   return specs;
 }

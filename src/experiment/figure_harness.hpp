@@ -17,13 +17,8 @@ namespace ecdra::experiment {
 struct SeriesSpec {
   std::string heuristic;
   std::string filter_variant;
-  /// Label in the output (defaults to "<heuristic> (<variant>)", with a
-  /// " [<governor>]" suffix for non-static governors).
+  /// Label in the output (defaults to "<heuristic> (<variant>)").
   std::string label;
-  /// Registered governor name for this series ("" keeps the RunOptions
-  /// governor — normally the "static" paper baseline). Lets one figure plot
-  /// the same policy under several control loops (bench/ablation_governor).
-  std::string governor;
 };
 
 struct SeriesResult {
@@ -65,10 +60,6 @@ struct FigureResult {
 [[nodiscard]] std::vector<SeriesSpec> BestVariants();
 [[nodiscard]] std::vector<SeriesSpec> BestVariants(
     const policy::PolicyGrid& grid);
-
-/// The full grid cross product, in grid order — what a spec-driven study
-/// (run_experiment_cli --spec) executes.
-[[nodiscard]] std::vector<SeriesSpec> GridSeries(const policy::PolicyGrid& grid);
 
 /// Table (min/Q1/median/Q3/max/mean + energy + discards) and ASCII box
 /// plot. When counters were collected, appends an observability table

@@ -11,10 +11,6 @@ GovernorRegistryType& GovernorRegistry() {
   return registry;
 }
 
-std::vector<std::string> GovernorNames() {
-  return GovernorRegistry().Names();
-}
-
 std::unique_ptr<Governor> MakeGovernor(std::string_view name) {
   return GovernorRegistry().Make(name);
 }

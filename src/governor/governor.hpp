@@ -149,9 +149,6 @@ using GovernorRegistryType = policy::Registry<Governor>;
 /// governor.cpp).
 [[nodiscard]] GovernorRegistryType& GovernorRegistry();
 
-/// Every registered governor name in lexicographic order.
-[[nodiscard]] std::vector<std::string> GovernorNames();
-
 /// Creates a governor by registered name. Throws std::invalid_argument
 /// listing the registered names for unknown ones.
 [[nodiscard]] std::unique_ptr<Governor> MakeGovernor(std::string_view name);

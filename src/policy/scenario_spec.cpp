@@ -419,7 +419,11 @@ constexpr SpecField kFields[] = {
      ECDRA_SPEC_CODEC(environment.workload.jobs.deadline_scale, kAtLeastOne),
      0, "--job-deadline-scale", "X", {},
      "stretch job deadlines by X (>= 1; default 1)"},
-    {"env.budget_task_count", ECDRA_SPEC_CODEC(environment.budget_task_count)},
+    {"env.budget_task_count",
+     ECDRA_SPEC_CODEC(environment.budget_task_count, kAtLeastOne), 0,
+     "--budget-tasks", "N", {},
+     "zeta_max as the energy of N average tasks\n"
+     "(>= 1; default 1000)"},
     {"env.exec_cov", ECDRA_SPEC_CODEC(environment.exec_cov)},
     {"run.idle_policy", ECDRA_SPEC_CODEC(idle_policy), 0, "--idle", "POLICY",
      {}, "deepest | stay | gated    (default deepest)"},

@@ -147,7 +147,7 @@ struct SpecField {
 [[nodiscard]] std::span<const SpecField> SpecFields() noexcept;
 
 /// The codecs' scalar parsers, for values that are not spec fields (the
-/// CLI's --budget-scale, say): the whole text must be a finite decimal
+/// CLI's --trial-timeout, say): the whole text must be a finite decimal
 /// number or a non-negative integer. Throw std::invalid_argument naming
 /// the value.
 [[nodiscard]] double ParseSpecNumber(std::string_view text);

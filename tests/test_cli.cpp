@@ -60,7 +60,7 @@ TEST(Cli, UnknownVariantListsValidChoices) {
 TEST(Cli, MalformedNumbersAreRejected) {
   EXPECT_EQ(RunCli("--trials 10x").exit_code, 2);
   EXPECT_EQ(RunCli("--trials -3").exit_code, 2);
-  EXPECT_EQ(RunCli("--budget-scale nan.3").exit_code, 2);
+  EXPECT_EQ(RunCli("--budget-tasks nan.3").exit_code, 2);
   EXPECT_EQ(RunCli("--trial-timeout -1").exit_code, 2);
   const CliResult result = RunCli("--seed 12junk");
   EXPECT_EQ(result.exit_code, 2);
@@ -153,9 +153,21 @@ TEST(Cli, FlagsAndSpecFilesApplyTheSameNumericChecks) {
   EXPECT_NE(result.output.find("--rho-thresh: 'nan' is not a finite number"),
             std::string::npos)
       << result.output;
-  result = RunCli("--budget-scale inf --print-spec");
+  result = RunCli("--budget-tasks inf --print-spec");
   EXPECT_EQ(result.exit_code, 2);
-  EXPECT_NE(result.output.find("--budget-scale"), std::string::npos)
+  EXPECT_NE(result.output.find("--budget-tasks"), std::string::npos)
+      << result.output;
+  for (const std::string bad : {"0", "-600"}) {
+    result = RunCli("--budget-tasks " + bad + " --print-spec");
+    EXPECT_EQ(result.exit_code, 2);
+    EXPECT_NE(result.output.find("--budget-tasks: '" + bad + "' must be >= 1"),
+              std::string::npos)
+        << result.output;
+  }
+  result = RunCli("--budget-tasks 600 --print-spec");
+  EXPECT_EQ(result.exit_code, 0);
+  EXPECT_NE(result.output.find("\nenv.budget_task_count = 600\n"),
+            std::string::npos)
       << result.output;
 
   // A range the flag refuses is refused in a spec file too, naming the line.

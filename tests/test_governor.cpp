@@ -48,7 +48,7 @@ sim::TrialResult RunWithGovernor(const std::string& governor,
 }
 
 TEST(GovernorRegistry, BuiltInsAreRegistered) {
-  const std::vector<std::string> names = governor::GovernorNames();
+  const std::vector<std::string> names = governor::GovernorRegistry().Names();
   for (const std::string expected :
        {"static", "race-to-idle", "budget-feedback", "deadline-aware"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())

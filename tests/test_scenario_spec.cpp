@@ -271,6 +271,7 @@ TEST(ScenarioSpec, RangeChecksRefuseSpecLinesLikeTheirFlags) {
       {"env.econ.values = 1,-2", "'-2' must be >= 0"},
       {"run.governor =", "must not be empty"},
       {"harness.trials = 0", "must be >= 1"},
+      {"env.budget_task_count = 0", "must be >= 1"},
   };
   for (const auto& [line, reason] : cases) {
     SCOPED_TRACE(line);
