@@ -3,20 +3,18 @@
 // heuristic over its unfiltered self, and Random's distance from LL, which
 // together support the paper's headline claim that the filters, not the
 // heuristic, drive performance.
-#include <cstdlib>
 #include <iostream>
 
 #include "experiment/figure_harness.hpp"
 #include "experiment/paper_config.hpp"
 #include "stats/table_writer.hpp"
+#include "trials_arg.hpp"
 
 int main(int argc, char** argv) {
   using namespace ecdra;
 
   sim::RunOptions options = experiment::PaperRunOptions();
-  if (argc > 1) {
-    options.num_trials = static_cast<std::size_t>(std::atoi(argv[1]));
-  }
+  options.num_trials = bench::TrialsArg(argc, argv, options.num_trials);
   const sim::ExperimentSetup setup = experiment::BuildPaperSetup();
   std::cout << "environment: " << setup.cluster.num_nodes() << " nodes / "
             << setup.cluster.total_cores() << " cores, t_avg=" << setup.t_avg
@@ -26,7 +24,8 @@ int main(int argc, char** argv) {
   // Both the unfiltered baselines and the best variants, so the improvement
   // percentages can be computed from one run.
   std::vector<experiment::SeriesSpec> specs;
-  for (const std::string& heuristic : core::HeuristicNames()) {
+  for (const std::string& heuristic :
+       experiment::PaperScenario().grid.heuristics) {
     specs.push_back({heuristic, "none", ""});
   }
   for (const experiment::SeriesSpec& spec : experiment::BestVariants()) {

@@ -19,6 +19,7 @@
 #include "policy/scenario_spec.hpp"
 #include "stats/gnuplot_writer.hpp"
 #include "stats/table_writer.hpp"
+#include "trials_arg.hpp"
 #include "validate/validation.hpp"
 
 namespace ecdra::bench {
@@ -50,9 +51,7 @@ inline int RunFigureBench(int argc, char** argv, const std::string& title,
     }
     options.validation = *mode;
   }
-  if (argc > 1) {
-    options.num_trials = static_cast<std::size_t>(std::atoi(argv[1]));
-  }
+  options.num_trials = TrialsArg(argc, argv, options.num_trials);
 
   const sim::ExperimentSetup setup = sim::BuildExperimentSetup(scenario);
   std::cout << "environment: " << setup.cluster.num_nodes() << " nodes / "

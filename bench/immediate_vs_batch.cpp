@@ -12,7 +12,6 @@
 //
 // Usage: ./immediate_vs_batch [num_trials]   (default 25)
 #include <algorithm>
-#include <cstdlib>
 #include <iostream>
 
 #include "batch/batch_runner.hpp"
@@ -21,12 +20,12 @@
 #include "sim/experiment_runner.hpp"
 #include "stats/summary.hpp"
 #include "stats/table_writer.hpp"
+#include "trials_arg.hpp"
 
 int main(int argc, char** argv) {
   using namespace ecdra;
 
-  const std::size_t num_trials =
-      argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 25;
+  const std::size_t num_trials = bench::TrialsArg(argc, argv, 25);
   const sim::ExperimentSetup setup = experiment::BuildPaperSetup();
   std::cout << "== Immediate-mode vs batch-mode mapping (" << num_trials
             << " trials; both with energy + robustness filtering) ==\n\n";

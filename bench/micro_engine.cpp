@@ -42,8 +42,9 @@ void BM_Trial(benchmark::State& state, const std::string& heuristic,
 }
 
 void RegisterAll() {
-  for (const std::string& heuristic : core::HeuristicNames()) {
-    for (const std::string& variant : core::FilterVariantNames()) {
+  const policy::PolicyGrid grid = experiment::PaperScenario().grid;
+  for (const std::string& heuristic : grid.heuristics) {
+    for (const std::string& variant : grid.filter_variants) {
       benchmark::RegisterBenchmark(
           ("BM_Trial/" + heuristic + "/" + variant).c_str(),
           [heuristic, variant](benchmark::State& state) {

@@ -5,21 +5,20 @@
 // costlier, faster assignments).
 //
 // Usage: ./priority_scheduling [num_trials]   (default 25)
-#include <cstdlib>
 #include <iostream>
 
 #include "experiment/paper_config.hpp"
 #include "sim/experiment_runner.hpp"
 #include "stats/summary.hpp"
 #include "stats/table_writer.hpp"
+#include "trials_arg.hpp"
 #include "util/rng.hpp"
 #include "workload/workload_generator.hpp"
 
 int main(int argc, char** argv) {
   using namespace ecdra;
 
-  const std::size_t num_trials =
-      argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 25;
+  const std::size_t num_trials = bench::TrialsArg(argc, argv, 25);
 
   sim::SetupOptions setup_options = experiment::PaperSetupOptions();
   setup_options.workload.priority_classes = {

@@ -7,19 +7,18 @@
 //
 // Usage: ./robustness_validation [num_trials_per_heuristic]   (default 10)
 #include <cmath>
-#include <cstdlib>
 #include <iostream>
 #include <vector>
 
 #include "experiment/paper_config.hpp"
 #include "sim/experiment_runner.hpp"
 #include "stats/table_writer.hpp"
+#include "trials_arg.hpp"
 
 int main(int argc, char** argv) {
   using namespace ecdra;
 
-  std::size_t trials = 10;
-  if (argc > 1) trials = static_cast<std::size_t>(std::atoi(argv[1]));
+  const std::size_t trials = bench::TrialsArg(argc, argv, 10);
 
   const sim::ExperimentSetup setup = experiment::BuildPaperSetup();
   sim::RunOptions options;
@@ -35,7 +34,8 @@ int main(int argc, char** argv) {
 
   // Pool across heuristics so every region of the rho spectrum is populated
   // (Random explores poor assignments; LL/MECT concentrate on good ones).
-  for (const std::string& heuristic : core::HeuristicNames()) {
+  for (const std::string& heuristic :
+       experiment::PaperScenario().grid.heuristics) {
     for (const sim::TrialResult& trial :
          sim::RunTrials(setup, heuristic, "none", options)) {
       for (const sim::TaskRecord& record : trial.task_records) {

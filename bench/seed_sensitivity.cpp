@@ -9,21 +9,20 @@
 //   C3: filtered Random lands near filtered LL ("filters drive performance")
 //
 // Usage: ./seed_sensitivity [num_trials]   (default 15)
-#include <cstdlib>
+#include <cmath>
 #include <iostream>
 
 #include "experiment/paper_config.hpp"
 #include "sim/experiment_runner.hpp"
 #include "stats/summary.hpp"
 #include "stats/table_writer.hpp"
+#include "trials_arg.hpp"
 
 int main(int argc, char** argv) {
   using namespace ecdra;
 
   sim::RunOptions options;
-  options.num_trials = argc > 1
-                           ? static_cast<std::size_t>(std::atoi(argv[1]))
-                           : 15;
+  options.num_trials = bench::TrialsArg(argc, argv, 15);
   std::cout << "== Seed sensitivity of the headline conclusions ("
             << options.num_trials << " trials per configuration) ==\n\n";
 

@@ -37,13 +37,9 @@ class MinimumEnergyHeuristic final : public core::Heuristic {
  public:
   [[nodiscard]] std::optional<core::Candidate> Select(
       const core::MappingContext& ctx) override {
-    const auto& candidates = ctx.candidates();
-    if (candidates.empty()) return std::nullopt;
-    const core::Candidate* best = &candidates.front();
-    for (const core::Candidate& candidate : candidates) {
-      if (candidate.eec < best->eec) best = &candidate;
-    }
-    return *best;
+    // The first candidate with the smallest key; nullopt when none is left.
+    return core::FirstMinimum(ctx.candidates(),
+                              [](const core::Candidate& c) { return c.eec; });
   }
   [[nodiscard]] std::string_view name() const noexcept override {
     return "MinEnergy";

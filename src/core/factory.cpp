@@ -1,49 +1,14 @@
 #include "core/factory.hpp"
 
 #include <stdexcept>
-#include <utility>
 
-#include "core/econ_greedy.hpp"
-#include "core/kpb.hpp"
-#include "core/lightest_load.hpp"
-#include "core/mect.hpp"
-#include "core/met.hpp"
-#include "core/olb.hpp"
-#include "core/random_heuristic.hpp"
-#include "core/shortest_queue.hpp"
 #include "core/sla_filter.hpp"
 
 namespace ecdra::core {
 
-HeuristicRegistryType& HeuristicRegistry() {
-  static HeuristicRegistryType registry("heuristic");
-  return registry;
-}
-
 FilterRegistryType& FilterRegistry() {
   static FilterRegistryType registry("filter");
   return registry;
-}
-
-const std::vector<std::string>& HeuristicNames() {
-  static const std::vector<std::string> kNames{"SQ", "MECT", "LL", "Random"};
-  return kNames;
-}
-
-const std::vector<std::string>& ExtendedHeuristicNames() {
-  static const std::vector<std::string> kNames{"SQ",  "MECT", "LL",    "OLB",
-                                               "MET", "KPB",  "Random"};
-  return kNames;
-}
-
-const std::vector<std::string>& FilterVariantNames() {
-  static const std::vector<std::string> kNames{"none", "en", "rob", "en+rob"};
-  return kNames;
-}
-
-std::unique_ptr<Heuristic> MakeHeuristic(std::string_view name,
-                                         util::RngStream rng) {
-  return HeuristicRegistry().Make(name, std::move(rng));
 }
 
 std::vector<std::unique_ptr<Filter>> MakeFilterChain(
@@ -65,35 +30,10 @@ std::vector<std::unique_ptr<Filter>> MakeFilterChain(
   return chain;
 }
 
-// -- Built-in registrations. These live here (not in the heuristics' own
-// translation units) because static libraries drop object files nothing
-// references; factory.o is always retained via MakeHeuristic/MakeFilterChain,
-// so the built-ins are guaranteed to exist in any binary that names them. --
-
-ECDRA_REGISTER_HEURISTIC("SQ", [](util::RngStream) {
-  return std::make_unique<ShortestQueueHeuristic>();
-})
-ECDRA_REGISTER_HEURISTIC("MECT", [](util::RngStream) {
-  return std::make_unique<MectHeuristic>();
-})
-ECDRA_REGISTER_HEURISTIC("LL", [](util::RngStream) {
-  return std::make_unique<LightestLoadHeuristic>();
-})
-ECDRA_REGISTER_HEURISTIC("OLB", [](util::RngStream) {
-  return std::make_unique<OlbHeuristic>();
-})
-ECDRA_REGISTER_HEURISTIC("MET", [](util::RngStream) {
-  return std::make_unique<MetHeuristic>();
-})
-ECDRA_REGISTER_HEURISTIC("KPB", [](util::RngStream) {
-  return std::make_unique<KpbHeuristic>();
-})
-ECDRA_REGISTER_HEURISTIC("Random", [](util::RngStream rng) {
-  return std::make_unique<RandomHeuristic>(std::move(rng));
-})
-ECDRA_REGISTER_HEURISTIC("econ-greedy", [](util::RngStream) {
-  return std::make_unique<EconGreedyHeuristic>();
-})
+// -- Built-in filter registrations. These live here (not in the filters'
+// own translation units) because static libraries drop object files nothing
+// references; factory.o is always retained via MakeFilterChain, so the
+// built-ins exist in any binary that names them. --
 
 ECDRA_REGISTER_FILTER("en", [](const FilterChainOptions& options) {
   return std::make_unique<EnergyFilter>(options.energy);

@@ -1,11 +1,13 @@
 // Named construction of heuristics and filter chains — the vocabulary the
 // benches, examples, and the declarative ScenarioSpec use to enumerate the
-// paper's configurations: heuristics {"SQ", "MECT", "LL", "Random"} x filter
-// variants {"none", "en", "rob", "en+rob"}.
+// paper's configurations (policy::PolicyGrid defaults to its heuristics
+// {"SQ", "MECT", "LL", "Random"} x filter variants {"none", "en", "rob",
+// "en+rob"}).
 //
-// Both factories are registry-driven (policy/registry.hpp): the built-ins
-// self-register from factory.cpp, and a downstream user adds a policy with
-// one ECDRA_REGISTER_HEURISTIC / ECDRA_REGISTER_FILTER line in their own
+// Both factories are registry-driven (policy/registry.hpp): the built-in
+// heuristics self-register from heuristics.cpp and the built-in filters from
+// factory.cpp, and a downstream user adds a policy with one
+// ECDRA_REGISTER_HEURISTIC / ECDRA_REGISTER_FILTER line in their own
 // translation unit — see examples/custom_heuristic.cpp. Filter variants
 // compose by name: "a+b" builds the chain [a, b], so a newly registered
 // filter combines with the built-ins for free ("en+slack").
@@ -40,14 +42,6 @@ using FilterRegistryType = policy::Registry<Filter, const FilterChainOptions&>;
 /// choice stream (heuristic) or the shared FilterChainOptions (filter).
 [[nodiscard]] HeuristicRegistryType& HeuristicRegistry();
 [[nodiscard]] FilterRegistryType& FilterRegistry();
-
-/// The paper's four heuristics, in presentation order.
-[[nodiscard]] const std::vector<std::string>& HeuristicNames();
-/// The paper's four plus the extra [MaA99] immediate-mode baselines this
-/// library implements (OLB, MET, KPB).
-[[nodiscard]] const std::vector<std::string>& ExtendedHeuristicNames();
-/// The paper's filter-variant grid: none, en, rob, en+rob.
-[[nodiscard]] const std::vector<std::string>& FilterVariantNames();
 
 /// Creates a heuristic by registered name (case-sensitive). `rng` seeds the
 /// Random heuristic's choice stream (other heuristics ignore it). Throws

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string_view>
 
 #include "core/assignment.hpp"
@@ -22,5 +23,26 @@ class Heuristic {
 
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 };
+
+/// The argmin every minimizing heuristic is: the first candidate, in
+/// candidate order, whose `key` is smallest; nullopt for an empty set. A
+/// later candidate wins only when its key is strictly smaller, so a
+/// std::pair key breaks ties lexicographically and equal keys keep
+/// candidate order. `key` runs exactly once per candidate, in order.
+template <typename Key>
+[[nodiscard]] std::optional<Candidate> FirstMinimum(
+    std::span<const Candidate> candidates, Key&& key) {
+  if (candidates.empty()) return std::nullopt;
+  const Candidate* best = &candidates.front();
+  auto best_key = key(*best);
+  for (const Candidate& candidate : candidates.subspan(1)) {
+    auto candidate_key = key(candidate);
+    if (candidate_key < best_key) {
+      best = &candidate;
+      best_key = candidate_key;
+    }
+  }
+  return *best;
+}
 
 }  // namespace ecdra::core

@@ -21,25 +21,15 @@ std::optional<Candidate> KpbHeuristic::Select(const MappingContext& ctx) {
   const std::size_t keep = std::max<std::size_t>(
       1, static_cast<std::size_t>(std::ceil(
              static_cast<double>(candidates.size()) * percent_ / 100.0)));
-  std::vector<const Candidate*> by_eet;
-  by_eet.reserve(candidates.size());
-  for (const Candidate& candidate : candidates) by_eet.push_back(&candidate);
+  std::vector<Candidate> by_eet(candidates);
   std::nth_element(by_eet.begin(), by_eet.begin() + (keep - 1), by_eet.end(),
-                   [](const Candidate* a, const Candidate* b) {
-                     return a->eet < b->eet;
+                   [](const Candidate& a, const Candidate& b) {
+                     return a.eet < b.eet;
                    });
   by_eet.resize(keep);
-
-  const Candidate* best = nullptr;
-  double best_ect = 0.0;
-  for (const Candidate* candidate : by_eet) {
-    const double ect = ctx.ExpectedCompletionTime(*candidate);
-    if (best == nullptr || ect < best_ect) {
-      best = candidate;
-      best_ect = ect;
-    }
-  }
-  return *best;
+  return FirstMinimum(by_eet, [&ctx](const Candidate& candidate) {
+    return ctx.ExpectedCompletionTime(candidate);
+  });
 }
 
 }  // namespace ecdra::core

@@ -124,18 +124,18 @@ class MappingContext {
   }
 
   /// Econ extension (src/econ): read-only view of the run's EconModel for
-  /// value-aware heuristics and the SLA filter. Null (the default) outside
-  /// econ mode — econ-aware policies must degrade gracefully on null.
+  /// value-aware heuristics and the SLA filter. Never null: the default is
+  /// econ::TrivialModel(), whose zero value and price and neutral tier make
+  /// every econ-aware rule vacuous. `model` must outlive the context.
   void SetEconView(const econ::EconModel* model) noexcept { econ_ = model; }
-  [[nodiscard]] const econ::EconModel* econ() const noexcept { return econ_; }
+  [[nodiscard]] const econ::EconModel& econ() const noexcept { return *econ_; }
 
   /// The task's SLA-tier multiplier on the energy filter's fair share: gold
   /// traffic may claim a larger slice of the remaining budget. Exactly 1.0
-  /// outside econ mode (and for neutral tiers), so multiplying by it is an
-  /// IEEE identity and the baseline filter is bit-identical.
-  [[nodiscard]] double TierShareMultiplier() const noexcept {
-    return econ_ == nullptr ? 1.0
-                            : econ_->TierOf(task_->tier).share_multiplier;
+  /// for neutral tiers (every task under a trivial model), so multiplying by
+  /// it is an IEEE identity and the baseline filter is bit-identical.
+  [[nodiscard]] double TierShareMultiplier() const {
+    return econ_->TierOf(task_->tier).share_multiplier;
   }
 
  private:
@@ -150,7 +150,7 @@ class MappingContext {
   double remaining_energy_estimate_ = 0.0;
   std::size_t tasks_left_ = 1;
   double fair_share_scale_ = 1.0;
-  const econ::EconModel* econ_ = nullptr;
+  const econ::EconModel* econ_ = &econ::TrivialModel();
   /// Memoized ExpectedReadyTime per core (NaN = not yet computed).
   mutable std::vector<double> expected_ready_;
   /// Memoized rho, indexed flat_core * kNumPStates + pstate; exec is null

@@ -161,9 +161,9 @@ class ImmediateModeScheduler {
 
   /// Econ extension (src/econ): attaches the run's EconModel so value-aware
   /// heuristics and the SLA filter can read per-task value, tier, and the
-  /// energy price through the MappingContext. Null (the default) keeps
-  /// every mapping decision on the pre-econ path. `model` must outlive the
-  /// scheduler's use.
+  /// energy price through the MappingContext. The default is
+  /// econ::TrivialModel(), which keeps every mapping decision on the
+  /// pre-econ path. `model` must be non-null and outlive the scheduler's use.
   void SetEconModel(const econ::EconModel* model) noexcept { econ_ = model; }
 
   [[nodiscard]] const EnergyEstimator& estimator() const noexcept {
@@ -197,7 +197,7 @@ class ImmediateModeScheduler {
   std::size_t tasks_discarded_ = 0;
   SchedulerObservability obs_;
   double fair_share_scale_ = 1.0;
-  const econ::EconModel* econ_ = nullptr;
+  const econ::EconModel* econ_ = &econ::TrivialModel();
   // -- Job extension (null / inert until ConfigureGangs) --
   std::unique_ptr<GangPlacement> gang_placement_;
   /// Robustness filter's threshold for the joint gang check; 0 (no "rob"

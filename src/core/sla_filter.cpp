@@ -5,9 +5,7 @@
 namespace ecdra::core {
 
 void SlaFilter::Apply(MappingContext& ctx) {
-  const econ::EconModel* model = ctx.econ();
-  if (model == nullptr) return;
-  const double floor = model->TierOf(ctx.task().tier).rho_floor;
+  const double floor = ctx.econ().TierOf(ctx.task().tier).rho_floor;
   if (floor <= 0.0) return;
   std::erase_if(ctx.candidates(), [&ctx, floor](const Candidate& candidate) {
     return ctx.OnTimeProbability(candidate) < floor;

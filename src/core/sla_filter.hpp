@@ -5,8 +5,8 @@
 // its SLA; best-effort tiers carry a zero floor and pass untouched.
 //
 // Composes with the paper's chain through the ordinary '+' syntax
-// ("en+rob+sla"). Without an econ view the filter is a structural no-op, so
-// naming it outside econ mode changes nothing.
+// ("en+rob+sla"). Under the trivial model every task has the neutral tier's
+// zero floor, so naming it outside econ mode changes nothing.
 #pragma once
 
 #include "core/filter.hpp"

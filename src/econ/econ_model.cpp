@@ -55,6 +55,11 @@ const SlaTier& NeutralTier() noexcept {
   return kNeutral;
 }
 
+const EconModel& TrivialModel() noexcept {
+  static const EconModel kTrivial{};
+  return kTrivial;
+}
+
 void AssignEconAttributes(std::vector<workload::Task>& tasks,
                           const EconModel& model, std::size_t num_types,
                           util::RngStream rng) {

@@ -4,8 +4,9 @@
 // and its slice of the energy filter's fair share. The model is attached to
 // the workload after generation (AssignEconAttributes) so the task stream,
 // arrival process, and every existing RNG substream stay bit-identical; a
-// trivial (all-zeros) model is never attached at all, which is what keeps the
-// golden paper grid byte-for-byte unchanged.
+// trivial (all-zeros) model stamps nothing and reads as zero value, zero
+// price and neutral tiers, which is what keeps the golden paper grid
+// byte-for-byte unchanged.
 #pragma once
 
 #include <cstddef>
@@ -68,6 +69,9 @@ struct EconModel {
 
 /// The neutral best-effort tier returned by TierOf on an empty tier list.
 [[nodiscard]] const SlaTier& NeutralTier() noexcept;
+
+/// The all-zero model, what a run without economics reads.
+[[nodiscard]] const EconModel& TrivialModel() noexcept;
 
 /// Stamps value and SLA tier onto generated tasks. Draws tiers from the
 /// caller's dedicated substream (one draw per job, shared by every stage task

@@ -104,30 +104,6 @@ void PrintFigure(std::ostream& os, const FigureResult& figure) {
   }
   os << stats::RenderBoxPlot(plot) << '\n';
 
-  // Profit table (econ extension): only rendered when at least one series
-  // ran with a non-trivial EconModel, so pre-econ figures look as before.
-  const bool have_econ = std::any_of(
-      figure.series.begin(), figure.series.end(),
-      [](const SeriesResult& series) { return series.summary.econ_trials > 0; });
-  if (have_econ) {
-    os << "\neconomics (per-trial means; net = revenue - energy cost):\n";
-    stats::Table econ_table({"series", "revenue", "energy cost", "net profit",
-                             "offered", "capture %"});
-    for (const SeriesResult& series : figure.series) {
-      const sim::SummaryStatistics& s = series.summary;
-      const double offered = std::max(s.mean_value_offered, 1e-12);
-      econ_table.AddRow({
-          series.spec.label,
-          stats::Table::Num(s.mean_revenue, 2),
-          stats::Table::Num(s.mean_energy_cost, 2),
-          stats::Table::Num(s.mean_net_profit, 2),
-          stats::Table::Num(s.mean_value_offered, 2),
-          stats::Table::Num(100.0 * s.mean_revenue / offered, 1) + "%",
-      });
-    }
-    econ_table.PrintText(os);
-  }
-
   // Harness health: only rendered when a sweep actually failed, retried, or
   // timed out a trial, or when invariant validation flagged a violation —
   // healthy figures look exactly as before.

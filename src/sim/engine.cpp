@@ -66,7 +66,6 @@ Engine::Engine(const cluster::Cluster& cluster,
       horizon_(tasks_.empty() ? 0.0 : tasks_.back().arrival),
       stream_enabled_(options.stream.enabled),
       reserved_(cluster.total_cores(), 0),
-      econ_enabled_(!options.econ.trivial()),
       profit_(options_.econ),
       member_tallied_(tasks_.size(), 0),
       idle_pstate_(cluster::kNumPStates - 1) {
@@ -134,7 +133,7 @@ Engine::Engine(const cluster::Cluster& cluster,
            std::to_string(j));
     break;
   }
-  if (econ_enabled_) refuse("a non-trivial econ model");
+  if (!options_.econ.trivial()) refuse("a non-trivial econ model");
   if (!refused.empty()) {
     throw std::invalid_argument("batch mode cannot run " + refused +
                                 " (use the immediate-mode engine)");
@@ -180,9 +179,9 @@ Engine::Engine(const cluster::Cluster& cluster,
     }
   }
 
-  // Econ extension (src/econ): only a non-trivial model gives the scheduler
-  // an econ view; econ-aware policies read null outside econ mode.
-  if (econ_enabled_) scheduler_->SetEconModel(&options_.econ);
+  // Econ extension (src/econ): the scheduler always reads the run's model;
+  // the default all-zero model makes every econ-aware rule vacuous.
+  scheduler_->SetEconModel(&options_.econ);
 
   // Resolving the gang placement name validates it on every trial, like the
   // governor's; a workload of one-task jobs never calls MapGang.
@@ -476,7 +475,7 @@ TrialResult Engine::Run() {
     stream_stats_.final_available = account_.available();
     result.stream = stream_stats_;
   }
-  if (econ_enabled_) {
+  if (!options_.econ.trivial()) {
     profit_.Settle(post_hoc);
     result.econ.enabled = true;
     result.econ.revenue = profit_.revenue();
@@ -1300,14 +1299,12 @@ stream::AdmissionVerdict Engine::DecideAdmission(const workload::Task& task,
   view.emergency = account_.emergency();
   view.degraded = degraded_.active();
   view.pen_depth = pen_.size();
-  if (econ_enabled_) {
-    // Econ signals for value-aware policies; the defaults (all zero) keep
-    // the rho policy's inputs untouched outside econ mode.
-    view.value = task.value;
-    view.cheapest_energy =
-        stream::CheapestExpectedEnergy(*cluster_, *types_, task.type);
-    view.energy_price = options_.econ.energy_price;
-  }
+  // Econ signals for value-aware policies: a trivial model gives value and
+  // price 0, which makes every econ-aware rule vacuous.
+  view.value = task.value;
+  view.cheapest_energy =
+      stream::CheapestExpectedEnergy(*cluster_, *types_, task.type);
+  view.energy_price = options_.econ.energy_price;
   return admission_->Decide(view);
 }
 

@@ -15,10 +15,11 @@
 //
 // An extension that is off holds its neutral state, which the loop reads
 // without a flag: an empty fault schedule, the "static" governor's empty
-// cadence, the all-zero econ model. Only streaming and econ keep a flag,
-// where they change what the loop does rather than a value it reads. Every
-// task arrives as a member of a job (src/workload/job.hpp); the paper's
-// independent task is a one-task job, so there is one arrival path.
+// cadence, the all-zero econ model (the scheduler reads it, and a trivial
+// model adds no result block). Only streaming keeps a flag, where it changes
+// what the loop does rather than a value it reads. Every task arrives as a
+// member of a job (src/workload/job.hpp); the paper's independent task is a
+// one-task job, so there is one arrival path.
 //
 // The engine keeps two synchronized views of every core: the ground-truth
 // runtime state (current P-state, transition log, sampled actual execution
@@ -153,9 +154,10 @@ struct TrialOptions : policy::TrialKnobs, TrialMechanics {
   /// caller sets it to the total accrual over the arrival horizon) but the
   /// within-energy test becomes the account balance, not a fixed cutoff.
   stream::StreamConfig stream;
-  /// Econ extension (src/econ): value-aware scheduling. Econ runs exactly
-  /// when the model is non-trivial; the default all-zero model offers, earns
-  /// and bills nothing, and the scheduler never sees an econ view.
+  /// Econ extension (src/econ): value-aware scheduling. The immediate-mode
+  /// scheduler always reads this model; the default all-zero model offers,
+  /// earns and bills nothing, and the result carries an econ block only for
+  /// a non-trivial model.
   econ::EconModel econ;
 };
 
@@ -513,8 +515,7 @@ class Engine : private governor::GovernorHost {
   /// Priority-weighted jobs completed on time (the trial's
   /// weighted_completed).
   double weighted_jobs_completed_ = 0.0;
-  // -- Econ extension state (econ_enabled_: the model is non-trivial) --
-  bool econ_enabled_ = false;
+  // -- Econ extension state --
   /// Per-trial profit accounting against options_.econ.
   econ::ProfitMeter profit_;
   /// Task ids already tallied into the task-level result buckets: a gang

@@ -79,9 +79,9 @@ class RhoAdmission final : public AdmissionPolicy {
 /// tier-scaled value cannot cover that bill even when it certainly finishes
 /// on time (rho = 1) is dropped outright, and one whose *expected* revenue
 /// (value * best_rho) falls short is deferred to the pen in the hope that
-/// draining queues raise its odds. With no econ model attached every view
-/// field defaults to zero, both rules are vacuous, and the policy admits
-/// everything — streaming baselines are unchanged.
+/// draining queues raise its odds. Under a trivial model value and price
+/// are zero, both rules are vacuous, and the policy admits everything —
+/// streaming baselines are unchanged.
 class ValueDensityAdmission final : public AdmissionPolicy {
  public:
   explicit ValueDensityAdmission(const AdmissionOptions& options)

@@ -97,12 +97,12 @@ struct AdmissionView {
   /// cores to cross the degraded hysteresis — policies tighten under it.
   bool degraded = false;
   std::size_t pen_depth = 0;
-  /// Econ extension (src/econ), populated only when a non-trivial EconModel
-  /// runs — the zero defaults make every econ-aware rule vacuous, so
-  /// pre-econ policies and runs decide exactly as before. `value` is the
-  /// task's tier-scaled revenue; `cheapest_energy` the minimum expected
-  /// joules any core/P-state could spend on it; `energy_price` the model's
-  /// price per joule.
+  /// Econ extension (src/econ), read from the run's EconModel: under a
+  /// trivial model `value` and `energy_price` are 0, which makes every
+  /// econ-aware rule vacuous, so pre-econ policies and runs decide exactly
+  /// as before. `value` is the task's tier-scaled revenue; `cheapest_energy`
+  /// the minimum expected joules any core/P-state could spend on it;
+  /// `energy_price` the model's price per joule.
   double value = 0.0;
   double cheapest_energy = 0.0;
   double energy_price = 0.0;

@@ -14,7 +14,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/econ_greedy.hpp"
+#include "core/factory.hpp"
 #include "core/mapping_context.hpp"
 #include "core/sla_filter.hpp"
 #include "econ/profit_meter.hpp"
@@ -352,9 +352,10 @@ class EconMappingTest : public ::testing::Test {
 };
 
 TEST_F(EconMappingTest, EconGreedyWithoutAModelPicksTheCheapestCandidate) {
-  core::EconGreedyHeuristic heuristic;
+  const auto heuristic =
+      core::MakeHeuristic("econ-greedy", util::RngStream(1));
   core::MappingContext ctx = Context(400.0);
-  const auto chosen = heuristic.Select(ctx);
+  const auto chosen = heuristic->Select(ctx);
   ASSERT_TRUE(chosen.has_value());
   const auto cheapest = std::min_element(
       ctx.candidates().begin(), ctx.candidates().end(),
@@ -368,11 +369,12 @@ TEST_F(EconMappingTest, EconGreedyMaximizesProfitDensity) {
   econ::EconModel model;
   model.type_values = {1.0};
   model.energy_price = 0.001;
-  core::EconGreedyHeuristic heuristic;
+  const auto heuristic =
+      core::MakeHeuristic("econ-greedy", util::RngStream(1));
   core::MappingContext ctx = Context(400.0);
   ctx.SetEconView(&model);
   task_.value = 5.0;
-  const auto chosen = heuristic.Select(ctx);
+  const auto chosen = heuristic->Select(ctx);
   ASSERT_TRUE(chosen.has_value());
   // The winner's (value * rho - price * EEC) / EEC must top every candidate.
   const double eec = std::max(chosen->eec, 1e-12);
@@ -390,10 +392,11 @@ TEST_F(EconMappingTest, EconGreedyMaximizesProfitDensity) {
 }
 
 TEST_F(EconMappingTest, EconGreedyReturnsNulloptOnEmptyCandidates) {
-  core::EconGreedyHeuristic heuristic;
+  const auto heuristic =
+      core::MakeHeuristic("econ-greedy", util::RngStream(1));
   core::MappingContext ctx = Context(400.0);
   ctx.candidates().clear();
-  EXPECT_FALSE(heuristic.Select(ctx).has_value());
+  EXPECT_FALSE(heuristic->Select(ctx).has_value());
 }
 
 TEST_F(EconMappingTest, SlaFilterIsANoOpOutsideEconMode) {

@@ -63,8 +63,9 @@ TEST(RunSingleTrial, TrialsDifferByIndex) {
 
 TEST(RunSingleTrial, ResultInvariantsHold) {
   const ExperimentSetup setup = BuildExperimentSetup(3, SmallOptions());
-  for (const std::string& heuristic : core::HeuristicNames()) {
-    for (const std::string& variant : core::FilterVariantNames()) {
+  const policy::PolicyGrid grid = experiment::PaperScenario().grid;
+  for (const std::string& heuristic : grid.heuristics) {
+    for (const std::string& variant : grid.filter_variants) {
       const TrialResult result =
           RunSingleTrial(setup, heuristic, variant, 2);
       EXPECT_EQ(result.window_size, 60u);

@@ -4,9 +4,6 @@
 #include "core/factory.hpp"
 #include "core/kpb.hpp"
 #include "core/mapping_context.hpp"
-#include "core/mect.hpp"
-#include "core/met.hpp"
-#include "core/olb.hpp"
 #include "test_support.hpp"
 #include "workload/task_type_table.hpp"
 
@@ -43,9 +40,9 @@ TEST_F(ExtendedHeuristicTest, MetIgnoresQueuesEntirely) {
   // The globally fastest assignment is node 0 at P0 (EET 100) even when its
   // core is deeply backed up.
   MakeBusy(0, 10000.0, 0.0);
-  MetHeuristic met;
+  const auto met = MakeHeuristic("MET", util::RngStream(1));
   MappingContext ctx = Context();
-  const auto chosen = met.Select(ctx);
+  const auto chosen = met->Select(ctx);
   ASSERT_TRUE(chosen.has_value());
   EXPECT_EQ(chosen->assignment.flat_core, 0u);
   EXPECT_EQ(chosen->assignment.pstate, 0u);
@@ -55,18 +52,18 @@ TEST_F(ExtendedHeuristicTest, OlbPicksSoonestReadyCore) {
   MakeBusy(0, 10.0, 0.0);
   MakeBusy(1, 100.0, 0.0);
   MakeBusy(2, 50.0, 0.0);
-  OlbHeuristic olb;
+  const auto olb = MakeHeuristic("OLB", util::RngStream(1));
   MappingContext ctx = Context();
-  const auto chosen = olb.Select(ctx);
+  const auto chosen = olb->Select(ctx);
   ASSERT_TRUE(chosen.has_value());
   EXPECT_EQ(chosen->assignment.flat_core, 0u);  // ready at 10
 }
 
 TEST_F(ExtendedHeuristicTest, OlbBreaksReadyTiesTowardLowPower) {
   // All cores idle (ready now): OLB prefers the lowest-power P-state.
-  OlbHeuristic olb;
+  const auto olb = MakeHeuristic("OLB", util::RngStream(1));
   MappingContext ctx = Context();
-  const auto chosen = olb.Select(ctx);
+  const auto chosen = olb->Select(ctx);
   ASSERT_TRUE(chosen.has_value());
   EXPECT_EQ(chosen->assignment.pstate, cluster::kNumPStates - 1);
 }
@@ -74,11 +71,11 @@ TEST_F(ExtendedHeuristicTest, OlbBreaksReadyTiesTowardLowPower) {
 TEST_F(ExtendedHeuristicTest, KpbWithFullPercentEqualsMect) {
   MakeBusy(0, 200.0, 0.0);
   KpbHeuristic kpb(100.0);
-  MectHeuristic mect;
+  const auto mect = MakeHeuristic("MECT", util::RngStream(1));
   MappingContext ctx1 = Context();
   MappingContext ctx2 = Context();
   const auto a = kpb.Select(ctx1);
-  const auto b = mect.Select(ctx2);
+  const auto b = mect->Select(ctx2);
   ASSERT_TRUE(a && b);
   EXPECT_EQ(a->assignment, b->assignment);
 }
@@ -86,11 +83,11 @@ TEST_F(ExtendedHeuristicTest, KpbWithFullPercentEqualsMect) {
 TEST_F(ExtendedHeuristicTest, KpbWithTinyPercentEqualsMet) {
   MakeBusy(0, 200.0, 0.0);
   KpbHeuristic kpb(1.0);  // keeps only the single fastest assignment
-  MetHeuristic met;
+  const auto met = MakeHeuristic("MET", util::RngStream(1));
   MappingContext ctx1 = Context();
   MappingContext ctx2 = Context();
   const auto a = kpb.Select(ctx1);
-  const auto b = met.Select(ctx2);
+  const auto b = met->Select(ctx2);
   ASSERT_TRUE(a && b);
   EXPECT_EQ(a->assignment, b->assignment);
 }
@@ -113,17 +110,19 @@ TEST_F(ExtendedHeuristicTest, KpbRejectsInvalidPercent) {
 }
 
 TEST_F(ExtendedHeuristicTest, FactoryKnowsExtendedNames) {
-  for (const std::string& name : ExtendedHeuristicNames()) {
+  for (const std::string& name : HeuristicRegistry().Names()) {
     auto heuristic = MakeHeuristic(name, util::RngStream(1));
     EXPECT_EQ(heuristic->name(), name);
     MappingContext ctx = Context();
     EXPECT_TRUE(heuristic->Select(ctx).has_value()) << name;
   }
-  EXPECT_EQ(ExtendedHeuristicNames().size(), 7u);
+  EXPECT_EQ(HeuristicRegistry().Names(),
+            (std::vector<std::string>{"KPB", "LL", "MECT", "MET", "OLB",
+                                      "Random", "SQ", "econ-greedy"}));
 }
 
 TEST_F(ExtendedHeuristicTest, AllExtendedHandleEmptyCandidates) {
-  for (const std::string& name : ExtendedHeuristicNames()) {
+  for (const std::string& name : HeuristicRegistry().Names()) {
     auto heuristic = MakeHeuristic(name, util::RngStream(1));
     MappingContext ctx = Context();
     ctx.candidates().clear();

@@ -36,6 +36,7 @@ using GoldenKey = std::tuple<std::string, std::string, std::string,
 
 std::map<GoldenKey, std::string> ComputeGrid() {
   const sim::ExperimentSetup setup = experiment::BuildPaperSetup();
+  const policy::PolicyGrid grid = experiment::PaperScenario().grid;
   std::map<GoldenKey, std::string> hashes;
 
   sim::RunOptions run;
@@ -44,8 +45,8 @@ std::map<GoldenKey, std::string> ComputeGrid() {
   // existed, so the "static" (all-off cadence) governor reproducing it
   // bit-for-bit proves the layer is inert until opted into.
   run.governor = "static";
-  for (const std::string& heuristic : core::HeuristicNames()) {
-    for (const std::string& variant : core::FilterVariantNames()) {
+  for (const std::string& heuristic : grid.heuristics) {
+    for (const std::string& variant : grid.filter_variants) {
       const std::vector<sim::TrialResult> trials =
           sim::RunTrials(setup, heuristic, variant, run);
       for (std::size_t t = 0; t < trials.size(); ++t) {
@@ -56,7 +57,7 @@ std::map<GoldenKey, std::string> ComputeGrid() {
   }
 
   for (const std::string& heuristic : batch::BatchHeuristicNames()) {
-    for (const std::string& variant : core::FilterVariantNames()) {
+    for (const std::string& variant : grid.filter_variants) {
       batch::BatchRunOptions options;
       options.num_trials = kTrialsPerCell;
       options.filter_variant = variant;
@@ -128,24 +129,26 @@ TEST(GoldenRegression, PaperGridTrialResultsAreBitIdentical) {
 }
 
 // Enabling the econ layer with an all-zeros model must not move a single
-// hash: a zero-valued EconModel is detected as trivial and never attached,
-// so the per-trial results stay byte-identical to the pre-econ fixture.
+// hash: a zero-valued EconModel is detected as trivial (it stamps nothing and
+// reads as zero value and price), so the per-trial results stay
+// byte-identical to the pre-econ fixture.
 // Covers the immediate grid (the batch path takes no RunOptions and cannot
 // carry an econ model, so it is structurally unaffected).
 TEST(GoldenRegression, ZeroValuedEconModelReproducesThePaperGrid) {
   const std::string path = ECDRA_GOLDEN_PATH;
   const std::map<GoldenKey, std::string> golden = LoadFixture(path, nullptr);
   const sim::ExperimentSetup setup = experiment::BuildPaperSetup();
+  const policy::PolicyGrid grid = experiment::PaperScenario().grid;
 
   sim::RunOptions run;
   run.num_trials = kTrialsPerCell;
   run.governor = "static";
   run.econ_enabled = true;
-  run.econ = econ::EconModel{};  // all zeros -> trivial -> never attached
+  run.econ = econ::EconModel{};  // all zeros -> trivial -> no econ block
   ASSERT_TRUE(run.econ.trivial());
 
-  for (const std::string& heuristic : core::HeuristicNames()) {
-    for (const std::string& variant : core::FilterVariantNames()) {
+  for (const std::string& heuristic : grid.heuristics) {
+    for (const std::string& variant : grid.filter_variants) {
       const std::vector<sim::TrialResult> trials =
           sim::RunTrials(setup, heuristic, variant, run);
       for (std::size_t t = 0; t < trials.size(); ++t) {

@@ -3,11 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "core/factory.hpp"
-#include "core/lightest_load.hpp"
 #include "core/mapping_context.hpp"
-#include "core/mect.hpp"
-#include "core/random_heuristic.hpp"
-#include "core/shortest_queue.hpp"
+#include "experiment/paper_config.hpp"
 #include "test_support.hpp"
 #include "workload/task_type_table.hpp"
 
@@ -66,18 +63,18 @@ TEST_F(HeuristicTest, ContextComputesEetAndEec) {
 TEST_F(HeuristicTest, ShortestQueuePrefersEmptyCore) {
   MakeBusy(0, 50.0, 0.0);
   MakeBusy(1, 50.0, 0.0);
-  ShortestQueueHeuristic sq;
+  const auto sq = MakeHeuristic("SQ", util::RngStream(1));
   MappingContext ctx = Context();
-  const auto chosen = sq.Select(ctx);
+  const auto chosen = sq->Select(ctx);
   ASSERT_TRUE(chosen.has_value());
   EXPECT_EQ(chosen->assignment.flat_core, 2u);
 }
 
 TEST_F(HeuristicTest, ShortestQueueBreaksTiesByEet) {
   // All cores empty: minimum EET overall is node 0 (mean 100) at P0.
-  ShortestQueueHeuristic sq;
+  const auto sq = MakeHeuristic("SQ", util::RngStream(1));
   MappingContext ctx = Context();
-  const auto chosen = sq.Select(ctx);
+  const auto chosen = sq->Select(ctx);
   ASSERT_TRUE(chosen.has_value());
   EXPECT_EQ(chosen->assignment.flat_core, 0u);
   EXPECT_EQ(chosen->assignment.pstate, 0u);
@@ -91,9 +88,9 @@ TEST_F(HeuristicTest, ShortestQueueCountsWholeQueue) {
   MakeBusy(2, 50.0, 0.0);
   // Core 0 has 2 assigned; cores 1-2 have 1; min-EET among cores 1-2 is the
   // candidate with smaller EET: both on node 1 (mean 150) -> first found.
-  ShortestQueueHeuristic sq;
+  const auto sq = MakeHeuristic("SQ", util::RngStream(1));
   MappingContext ctx = Context();
-  const auto chosen = sq.Select(ctx);
+  const auto chosen = sq->Select(ctx);
   ASSERT_TRUE(chosen.has_value());
   EXPECT_NE(chosen->assignment.flat_core, 0u);
   EXPECT_EQ(chosen->assignment.pstate, 0u);
@@ -103,9 +100,9 @@ TEST_F(HeuristicTest, MectPicksMinimumExpectedCompletion) {
   // Core 0 busy until t = 200; cores 1-2 idle. Node 1 P0 EET = 150 beats
   // waiting for node 0 (200 + 100).
   MakeBusy(0, 200.0, 0.0);
-  MectHeuristic mect;
+  const auto mect = MakeHeuristic("MECT", util::RngStream(1));
   MappingContext ctx = Context();
-  const auto chosen = mect.Select(ctx);
+  const auto chosen = mect->Select(ctx);
   ASSERT_TRUE(chosen.has_value());
   EXPECT_NE(chosen->assignment.flat_core, 0u);
   EXPECT_EQ(chosen->assignment.pstate, 0u);  // P0 always fastest
@@ -113,16 +110,16 @@ TEST_F(HeuristicTest, MectPicksMinimumExpectedCompletion) {
 
 TEST_F(HeuristicTest, MectAlwaysChoosesP0WithoutFilters) {
   // §VII: MECT automatically chooses the highest P-state, whatever the load.
-  MectHeuristic mect;
+  const auto mect = MakeHeuristic("MECT", util::RngStream(1));
   MappingContext idle_ctx = Context();
-  ASSERT_TRUE(mect.Select(idle_ctx).has_value());
-  EXPECT_EQ(mect.Select(idle_ctx)->assignment.pstate, 0u);
+  ASSERT_TRUE(mect->Select(idle_ctx).has_value());
+  EXPECT_EQ(mect->Select(idle_ctx)->assignment.pstate, 0u);
 
   MakeBusy(0, 30.0, 0.0);
   MakeBusy(1, 120.0, 0.0);
   MakeBusy(2, 120.0, 0.0);
   MappingContext busy_ctx = Context();
-  const auto chosen = mect.Select(busy_ctx);
+  const auto chosen = mect->Select(busy_ctx);
   ASSERT_TRUE(chosen.has_value());
   EXPECT_EQ(chosen->assignment.pstate, 0u);
 }
@@ -131,17 +128,17 @@ TEST_F(HeuristicTest, MectPrefersShortQueueOverFastNode) {
   // Node 0's core queued deep; the expected completion on an idle node-1
   // core wins even though node 0 is faster per task.
   MakeBusy(0, 500.0, 0.0);
-  MectHeuristic mect;
+  const auto mect = MakeHeuristic("MECT", util::RngStream(1));
   MappingContext ctx = Context();
-  const auto chosen = mect.Select(ctx);
+  const auto chosen = mect->Select(ctx);
   ASSERT_TRUE(chosen.has_value());
   EXPECT_EQ(cluster_.NodeIndexOf(chosen->assignment.flat_core), 1u);
 }
 
 TEST_F(HeuristicTest, LightestLoadMinimizesEecTimesInverseRobustness) {
-  LightestLoadHeuristic ll;
+  const auto ll = MakeHeuristic("LL", util::RngStream(1));
   MappingContext ctx = Context();
-  const auto chosen = ll.Select(ctx);
+  const auto chosen = ll->Select(ctx);
   ASSERT_TRUE(chosen.has_value());
   // Verify the chosen candidate's load is the global minimum.
   const double chosen_load =
@@ -159,20 +156,20 @@ TEST_F(HeuristicTest, LightestLoadPrefersCheapCertaintyOverExpensive) {
   // first such candidate wins. With a tight deadline, low P-states lose
   // their certainty and LL moves away from the slowest states.
   task_.deadline = 130.0;  // only fast assignments certain
-  LightestLoadHeuristic ll;
+  const auto ll = MakeHeuristic("LL", util::RngStream(1));
   MappingContext ctx = Context();
-  const auto chosen = ll.Select(ctx);
+  const auto chosen = ll->Select(ctx);
   ASSERT_TRUE(chosen.has_value());
   const double rho = ctx.OnTimeProbability(*chosen);
   EXPECT_GT(rho, 0.5);
 }
 
 TEST_F(HeuristicTest, RandomChoosesWithinCandidatesUniformly) {
-  RandomHeuristic random(util::RngStream(42));
+  const auto random = MakeHeuristic("Random", util::RngStream(42));
   std::set<std::pair<std::size_t, std::size_t>> seen;
   for (int i = 0; i < 600; ++i) {
     MappingContext ctx = Context();
-    const auto chosen = random.Select(ctx);
+    const auto chosen = random->Select(ctx);
     ASSERT_TRUE(chosen.has_value());
     seen.insert({chosen->assignment.flat_core, chosen->assignment.pstate});
   }
@@ -181,7 +178,8 @@ TEST_F(HeuristicTest, RandomChoosesWithinCandidatesUniformly) {
 }
 
 TEST_F(HeuristicTest, AllHeuristicsReturnNulloptOnEmptyCandidates) {
-  for (const std::string& name : HeuristicNames()) {
+  for (const std::string& name :
+       experiment::PaperScenario().grid.heuristics) {
     auto heuristic = MakeHeuristic(name, util::RngStream(1));
     MappingContext ctx = Context();
     ctx.candidates().clear();
