@@ -1,8 +1,9 @@
-# Checks that a bench harness exits 2 with a one-line diagnostic on bad
-# arguments. Usage: cmake -DHARNESS=<exe> [-DGRID=<a good grid>
-# -DWORK=<scratch dir>] -P check_usage.cmake. Every harness gets the
-# trial-count cases; the ablation driver (GRID set) also gets its flag and
-# grid-file cases.
+# Checks that a bench harness or example exits 2 with a one-line diagnostic
+# on bad arguments. Usage: cmake -DHARNESS=<exe> [-DGRID=<a good grid>
+# -DWORK=<scratch dir>] [-DLEAD=<args before a trial index>]
+# -P check_usage.cmake. Every harness gets the trial-count cases; the
+# ablation driver (GRID set) also gets its flag and grid-file cases. With
+# LEAD set, the argument after LEAD is a trial index (>= 0) instead.
 function(expect_exit_2 message)
   execute_process(COMMAND ${HARNESS} ${ARGN} RESULT_VARIABLE status
                   OUTPUT_QUIET ERROR_VARIABLE stderr)
@@ -12,6 +13,13 @@ function(expect_exit_2 message)
                         "'${stderr}'; expected 2 and '${message}'")
   endif()
 endfunction()
+
+if(DEFINED LEAD)
+  separate_arguments(lead UNIX_COMMAND "${LEAD}")
+  expect_exit_2("TRIAL: 'abc' is not a non-negative integer" ${lead} abc)
+  expect_exit_2("TRIAL: '-3' is not a non-negative integer" ${lead} -3)
+  return()
+endif()
 
 expect_exit_2("TRIALS: 'abc' is not a non-negative integer" ${GRID} abc)
 expect_exit_2("TRIALS: must be >= 1" ${GRID} 0)

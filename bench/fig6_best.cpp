@@ -7,14 +7,15 @@
 
 #include "experiment/figure_harness.hpp"
 #include "experiment/paper_config.hpp"
+#include "policy/count_arg.hpp"
 #include "stats/table_writer.hpp"
-#include "trials_arg.hpp"
 
 int main(int argc, char** argv) {
   using namespace ecdra;
 
   sim::RunOptions options = experiment::PaperRunOptions();
-  options.num_trials = bench::TrialsArg(argc, argv, options.num_trials);
+  options.num_trials =
+      policy::CountArg(argc, argv, 1, "TRIALS", 1, options.num_trials);
   const sim::ExperimentSetup setup = experiment::BuildPaperSetup();
   std::cout << "environment: " << setup.cluster.num_nodes() << " nodes / "
             << setup.cluster.total_cores() << " cores, t_avg=" << setup.t_avg

@@ -16,10 +16,10 @@
 
 #include "experiment/figure_harness.hpp"
 #include "experiment/paper_config.hpp"
+#include "policy/count_arg.hpp"
 #include "policy/scenario_spec.hpp"
 #include "stats/gnuplot_writer.hpp"
 #include "stats/table_writer.hpp"
-#include "trials_arg.hpp"
 #include "validate/validation.hpp"
 
 namespace ecdra::bench {
@@ -51,7 +51,8 @@ inline int RunFigureBench(int argc, char** argv, const std::string& title,
     }
     options.validation = *mode;
   }
-  options.num_trials = TrialsArg(argc, argv, options.num_trials);
+  options.num_trials =
+      policy::CountArg(argc, argv, 1, "TRIALS", 1, options.num_trials);
 
   const sim::ExperimentSetup setup = sim::BuildExperimentSetup(scenario);
   std::cout << "environment: " << setup.cluster.num_nodes() << " nodes / "

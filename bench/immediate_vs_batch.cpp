@@ -17,15 +17,16 @@
 #include "batch/batch_runner.hpp"
 #include "experiment/paper_config.hpp"
 #include "obs/counters.hpp"
+#include "policy/count_arg.hpp"
 #include "sim/experiment_runner.hpp"
 #include "stats/summary.hpp"
 #include "stats/table_writer.hpp"
-#include "trials_arg.hpp"
 
 int main(int argc, char** argv) {
   using namespace ecdra;
 
-  const std::size_t num_trials = bench::TrialsArg(argc, argv, 25);
+  const std::size_t num_trials =
+      policy::CountArg(argc, argv, 1, "TRIALS", 1, 25);
   const sim::ExperimentSetup setup = experiment::BuildPaperSetup();
   std::cout << "== Immediate-mode vs batch-mode mapping (" << num_trials
             << " trials; both with energy + robustness filtering) ==\n\n";

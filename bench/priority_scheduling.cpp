@@ -8,17 +8,18 @@
 #include <iostream>
 
 #include "experiment/paper_config.hpp"
+#include "policy/count_arg.hpp"
 #include "sim/experiment_runner.hpp"
 #include "stats/summary.hpp"
 #include "stats/table_writer.hpp"
-#include "trials_arg.hpp"
 #include "util/rng.hpp"
 #include "workload/workload_generator.hpp"
 
 int main(int argc, char** argv) {
   using namespace ecdra;
 
-  const std::size_t num_trials = bench::TrialsArg(argc, argv, 25);
+  const std::size_t num_trials =
+      policy::CountArg(argc, argv, 1, "TRIALS", 1, 25);
 
   sim::SetupOptions setup_options = experiment::PaperSetupOptions();
   setup_options.workload.priority_classes = {

@@ -11,14 +11,14 @@
 #include <vector>
 
 #include "experiment/paper_config.hpp"
+#include "policy/count_arg.hpp"
 #include "sim/experiment_runner.hpp"
 #include "stats/table_writer.hpp"
-#include "trials_arg.hpp"
 
 int main(int argc, char** argv) {
   using namespace ecdra;
 
-  const std::size_t trials = bench::TrialsArg(argc, argv, 10);
+  const std::size_t trials = policy::CountArg(argc, argv, 1, "TRIALS", 1, 10);
 
   const sim::ExperimentSetup setup = experiment::BuildPaperSetup();
   sim::RunOptions options;

@@ -13,16 +13,16 @@
 #include <iostream>
 
 #include "experiment/paper_config.hpp"
+#include "policy/count_arg.hpp"
 #include "sim/experiment_runner.hpp"
 #include "stats/summary.hpp"
 #include "stats/table_writer.hpp"
-#include "trials_arg.hpp"
 
 int main(int argc, char** argv) {
   using namespace ecdra;
 
   sim::RunOptions options;
-  options.num_trials = bench::TrialsArg(argc, argv, 15);
+  options.num_trials = policy::CountArg(argc, argv, 1, "TRIALS", 1, 15);
   std::cout << "== Seed sensitivity of the headline conclusions ("
             << options.num_trials << " trials per configuration) ==\n\n";
 

@@ -20,7 +20,6 @@
 // guarantees that, not the governor.
 //
 //   ./examples/custom_governor [num_trials]   (default 10)
-#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <string_view>
@@ -28,6 +27,7 @@
 
 #include "experiment/paper_config.hpp"
 #include "governor/governor.hpp"
+#include "policy/count_arg.hpp"
 #include "sim/experiment_runner.hpp"
 #include "stats/summary.hpp"
 #include "stats/table_writer.hpp"
@@ -76,7 +76,7 @@ ECDRA_REGISTER_GOVERNOR("step-down",
 
 int main(int argc, char** argv) {
   const std::size_t num_trials =
-      argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 10;
+      policy::CountArg(argc, argv, 1, "TRIALS", 1, 10);
 
   const sim::ExperimentSetup setup = experiment::BuildPaperSetup();
   std::cout << "== Custom governor vs the open-loop baseline (" << num_trials

@@ -16,7 +16,6 @@
 // exactly like a built-in. Registration is the whole integration surface.
 //
 //   ./examples/custom_heuristic [num_trials]   (default 10)
-#include <cstdlib>
 #include <iostream>
 #include <memory>
 
@@ -24,6 +23,7 @@
 #include "core/filter.hpp"
 #include "core/heuristic.hpp"
 #include "experiment/paper_config.hpp"
+#include "policy/count_arg.hpp"
 #include "sim/experiment_runner.hpp"
 #include "stats/summary.hpp"
 #include "stats/table_writer.hpp"
@@ -81,7 +81,7 @@ ECDRA_REGISTER_FILTER("slack", [](const core::FilterChainOptions&) {
 
 int main(int argc, char** argv) {
   const std::size_t num_trials =
-      argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 10;
+      policy::CountArg(argc, argv, 1, "TRIALS", 1, 10);
 
   const sim::ExperimentSetup setup = experiment::BuildPaperSetup();
   std::cout << "== Custom policies vs the paper's filtered LL (" << num_trials

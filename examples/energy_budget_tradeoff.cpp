@@ -8,10 +8,10 @@
 // shrinks, while the oblivious one falls off a cliff.
 //
 //   ./examples/energy_budget_tradeoff [num_trials]   (default 10)
-#include <cstdlib>
 #include <iostream>
 
 #include "experiment/paper_config.hpp"
+#include "policy/count_arg.hpp"
 #include "sim/experiment_runner.hpp"
 #include "stats/summary.hpp"
 #include "stats/table_writer.hpp"
@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   using namespace ecdra;
 
   const std::size_t num_trials =
-      argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 10;
+      policy::CountArg(argc, argv, 1, "TRIALS", 1, 10);
 
   std::cout << "== Missed deadlines vs energy budget (" << num_trials
             << " trials per point) ==\n\n";

@@ -8,11 +8,11 @@
 // number of on-time completions among in-flight tasks.
 //
 //   ./examples/oversubscribed_burst [heuristic] [variant] [trial]
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
 #include "experiment/paper_config.hpp"
+#include "policy/count_arg.hpp"
 #include "sim/experiment_runner.hpp"
 #include "stats/table_writer.hpp"
 
@@ -21,8 +21,7 @@ int main(int argc, char** argv) {
 
   const std::string heuristic = argc > 1 ? argv[1] : "LL";
   const std::string variant = argc > 2 ? argv[2] : "en+rob";
-  const std::size_t trial =
-      argc > 3 ? static_cast<std::size_t>(std::atoi(argv[3])) : 0;
+  const std::size_t trial = policy::CountArg(argc, argv, 3, "TRIAL", 0, 0);
 
   const sim::ExperimentSetup setup = experiment::BuildPaperSetup();
   sim::RunOptions options;

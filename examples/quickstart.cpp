@@ -2,17 +2,17 @@
 // the filtered Lightest Load scheduler, and print what happened.
 //
 //   ./examples/quickstart [num_trials]
-#include <cstdlib>
 #include <iostream>
 
 #include "experiment/paper_config.hpp"
+#include "policy/count_arg.hpp"
 #include "sim/experiment_runner.hpp"
 
 int main(int argc, char** argv) {
   using namespace ecdra;
 
-  std::size_t num_trials = 3;
-  if (argc > 1) num_trials = static_cast<std::size_t>(std::atoi(argv[1]));
+  const std::size_t num_trials =
+      policy::CountArg(argc, argv, 1, "TRIALS", 1, 3);
 
   // One-time environment construction: 8-node heterogeneous cluster, CVB
   // execution-time pmfs, deadlines, and the energy budget zeta_max.

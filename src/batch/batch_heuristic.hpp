@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -26,7 +27,9 @@ struct BatchTask {
   /// Index into the engine's pending queue.
   std::size_t pending_index = 0;
   const workload::Task* task = nullptr;
-  std::vector<core::Candidate> candidates;
+  /// A view of storage that outlives the MapBatch call: BatchScheduler's
+  /// per-event arena, valid until its next MapEvent.
+  std::span<const core::Candidate> candidates;
 };
 
 struct BatchAssignment {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <utility>
 
@@ -50,40 +51,33 @@ bool BatchScheduler::Expired(const workload::Task& task, double now) const {
          task.deadline - now < min_exec_support_[task.type];
 }
 
-std::vector<core::Candidate> BatchScheduler::Candidates(
-    const workload::Task& task, const std::vector<bool>& core_idle) const {
-  std::vector<core::Candidate> candidates;
-  for (std::size_t flat = 0; flat < cluster_->total_cores(); ++flat) {
-    if (!core_idle[flat]) continue;
-    const std::size_t node_index = cluster_->NodeIndexOf(flat);
-    const cluster::Node& node = cluster_->node(node_index);
-    for (cluster::PStateIndex s = 0; s < cluster::kNumPStates; ++s) {
-      const double eet = types_->MeanExec(task.type, node_index, s);
-      candidates.push_back(core::Candidate{
-          .assignment = core::Assignment{flat, s},
-          .node = node_index,
-          .exec = &types_->ExecPmf(task.type, node_index, s),
-          .eet = eet,
-          .eec = eet * node.pstates[s].power_watts / node.power_efficiency,
-      });
-    }
+void BatchScheduler::Candidates(const workload::Task& task) {
+  scratch_.clear();
+  for (const IdleCore& core : idle_) {
+    core::AppendCoreCandidates(scratch_, *cluster_, *types_, task.type,
+                               core.flat, core.node);
   }
-  return candidates;
+}
+
+void BatchScheduler::FilterScratch(const workload::Task& task, double now,
+                                   double depth, std::size_t tasks_left,
+                                   obs::Counters* counters) {
+  core::MappingContext ctx(*cluster_, task, now, std::move(scratch_), depth);
+  ctx.SetBudgetView(estimator_.remaining(), tasks_left);
+  core::ApplyFilters(filters_, ctx, counters, nullptr);
+  scratch_ = std::move(ctx.candidates());
 }
 
 void BatchScheduler::AuditSkip(validate::TrialValidator& validator,
-                               const workload::Task& task,
-                               const std::vector<bool>& core_idle, double now,
+                               const workload::Task& task, double now,
                                double depth, std::size_t tasks_left) {
   validator.CountChecks();
-  core::MappingContext ctx(*cluster_, task, now, Candidates(task, core_idle),
-                           depth);
-  ctx.SetBudgetView(estimator_.remaining(), tasks_left);
-  core::ApplyFilters(filters_, ctx, nullptr, nullptr);
-  if (ctx.candidates().empty()) return;
+  Candidates(task);
+  FilterScratch(task, now, depth, tasks_left, nullptr);
+  if (scratch_.empty()) return;
   std::ostringstream os;
   os << "task " << task.id << " was skipped at deadline - now = "
-     << task.deadline - now << " but " << ctx.candidates().size()
+     << task.deadline - now << " but " << scratch_.size()
      << " candidate(s) pass the filter chain";
   validator.Fail("batch-expired-skip", now, os.str());
 }
@@ -94,9 +88,11 @@ std::vector<BatchAssignment> BatchScheduler::MapEvent(
   ECDRA_REQUIRE(core_idle.size() == cluster_->total_cores(),
                 "one idle flag per core required");
   if (pending.empty()) return {};
-  const bool any_idle =
-      std::any_of(core_idle.begin(), core_idle.end(), [](bool b) { return b; });
-  if (!any_idle) return {};
+  idle_.clear();
+  for (std::size_t flat = 0; flat < core_idle.size(); ++flat) {
+    if (core_idle[flat]) idle_.push_back({flat, cluster_->NodeIndexOf(flat)});
+  }
+  if (idle_.empty()) return {};
 
   obs::Counters* const counters = obs_.counters;
   obs::TraceSink* const trace = obs_.trace;
@@ -118,35 +114,40 @@ std::vector<BatchAssignment> BatchScheduler::MapEvent(
   std::vector<std::size_t> generated;
   if (trace != nullptr) generated.assign(pending.size(), 0);
 
-  std::vector<BatchTask> batch;
-  batch.reserve(pending.size());
+  batch_.clear();
+  arena_.clear();
+  starts_.clear();
   for (std::size_t index = 0; index < pending.size(); ++index) {
     const workload::Task& task = pending[index];
     // The robustness filter would reject every candidate of an expired
     // task, so its candidates are not built. It stays pending.
     if (Expired(task, now)) {
       if (validate::TrialValidator* validator = validate::DeepValidator()) {
-        AuditSkip(*validator, task, core_idle, now, depth, tasks_left);
+        AuditSkip(*validator, task, now, depth, tasks_left);
       }
       continue;
     }
-    std::vector<core::Candidate> candidates = Candidates(task, core_idle);
-    if (counters != nullptr) counters->candidates_generated += candidates.size();
-    if (trace != nullptr) generated[index] = candidates.size();
-    if (candidates.empty()) continue;
+    Candidates(task);
+    if (counters != nullptr) counters->candidates_generated += scratch_.size();
+    if (trace != nullptr) generated[index] = scratch_.size();
+    FilterScratch(task, now, depth, tasks_left, counters);
+    if (scratch_.empty()) continue;
 
-    core::MappingContext ctx(*cluster_, task, now, std::move(candidates),
-                             depth);
-    ctx.SetBudgetView(estimator_.remaining(), tasks_left);
-    core::ApplyFilters(filters_, ctx, counters, nullptr);
-    if (ctx.candidates().empty()) continue;
-
-    batch.push_back(
-        BatchTask{index, &task, std::move(ctx.candidates())});
+    batch_.push_back(BatchTask{index, &task, {}});
+    starts_.push_back(arena_.size());
+    arena_.insert(arena_.end(), scratch_.begin(), scratch_.end());
+  }
+  // The spans are set only after the last append: an append that grows the
+  // arena moves it, which would leave earlier spans dangling.
+  starts_.push_back(arena_.size());
+  const std::span<const core::Candidate> arena(arena_);
+  for (std::size_t i = 0; i < batch_.size(); ++i) {
+    batch_[i].candidates =
+        arena.subspan(starts_[i], starts_[i + 1] - starts_[i]);
   }
 
   std::vector<BatchAssignment> assignments;
-  if (!batch.empty()) assignments = heuristic_->MapBatch(batch, now);
+  if (!batch_.empty()) assignments = heuristic_->MapBatch(batch_, now);
   for (const BatchAssignment& assignment : assignments) {
     ECDRA_ASSERT(assignment.pending_index < pending.size(),
                  "batch heuristic returned an invalid pending index");

@@ -5,6 +5,11 @@
 // idle-core closed forms — and lets a two-phase BatchHeuristic commit
 // assignments. The energy estimate is charged exactly as in the
 // immediate-mode scheduler (§V-F): the EEC of every assignment made.
+//
+// An event lists the idle cores once, builds each task's candidates from
+// that list into one reused buffer, and appends the filter survivors to a
+// per-event arena the BatchTask spans view, so a steady-state event
+// allocates nothing for candidates.
 #pragma once
 
 #include <memory>
@@ -72,14 +77,17 @@ class BatchScheduler {
   /// True when a robustness filter with a positive threshold is certain to
   /// reject every candidate of `task` at `now`.
   [[nodiscard]] bool Expired(const workload::Task& task, double now) const;
-  /// One candidate per idle core and P-state.
-  [[nodiscard]] std::vector<core::Candidate> Candidates(
-      const workload::Task& task, const std::vector<bool>& core_idle) const;
+  /// Refills scratch_ with one candidate per idle core (idle_, ascending
+  /// flat index) and P-state.
+  void Candidates(const workload::Task& task);
+  /// Runs the filter chain on scratch_ through a batch-shaped context and
+  /// leaves the survivors in scratch_; the buffer moves in and back out.
+  void FilterScratch(const workload::Task& task, double now, double depth,
+                     std::size_t tasks_left, obs::Counters* counters);
   /// Deep validation of one skip: runs the chain on the skipped task's
   /// candidates and reports `batch-expired-skip` if any survives.
   void AuditSkip(validate::TrialValidator& validator,
-                 const workload::Task& task,
-                 const std::vector<bool>& core_idle, double now, double depth,
+                 const workload::Task& task, double now, double depth,
                  std::size_t tasks_left);
 
   const cluster::Cluster* cluster_;
@@ -94,6 +102,19 @@ class BatchScheduler {
   /// node and P-state; empty when the chain has no robustness threshold
   /// above 0, which disables the skip.
   std::vector<double> min_exec_support_;
+
+  /// Per-event buffers, kept across events so their capacity is reused.
+  struct IdleCore {
+    std::size_t flat;
+    std::size_t node;
+  };
+  std::vector<IdleCore> idle_;
+  std::vector<core::Candidate> scratch_;
+  /// Every mapped-to-be task's surviving candidates, back to back; batch_[i]
+  /// views [starts_[i], starts_[i + 1]).
+  std::vector<core::Candidate> arena_;
+  std::vector<std::size_t> starts_;
+  std::vector<BatchTask> batch_;
 };
 
 }  // namespace ecdra::batch

@@ -31,19 +31,8 @@ MappingContext::MappingContext(
       if (!availability[flat].available) continue;
       first_pstate = availability[flat].pstate_floor;
     }
-    const std::size_t node_index = cluster.NodeIndexOf(flat);
-    const cluster::Node& node = cluster.node(node_index);
-    for (cluster::PStateIndex s = first_pstate; s < cluster::kNumPStates;
-         ++s) {
-      const double eet = types.MeanExec(task.type, node_index, s);
-      candidates_.push_back(Candidate{
-          .assignment = Assignment{flat, s},
-          .node = node_index,
-          .exec = &types.ExecPmf(task.type, node_index, s),
-          .eet = eet,
-          .eec = eet * node.pstates[s].power_watts / node.power_efficiency,
-      });
-    }
+    AppendCoreCandidates(candidates_, cluster, types, task.type, flat,
+                         cluster.NodeIndexOf(flat), first_pstate);
   }
 }
 

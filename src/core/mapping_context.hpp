@@ -34,6 +34,30 @@ struct CoreAvailability {
   cluster::PStateIndex pstate_floor = 0;
 };
 
+/// Appends a task's candidates on core `flat` of node `node_index`, one per
+/// P-state from `first_pstate` on. Exec pmf and EET are read in place from
+/// the task type's table rows; EEC = EET * mu(i, pi) / epsilon(i) (§V-A).
+/// Both MappingContext shapes build their candidates here.
+inline void AppendCoreCandidates(std::vector<Candidate>& out,
+                                 const cluster::Cluster& cluster,
+                                 const workload::TaskTypeTable& types,
+                                 std::size_t type, std::size_t flat,
+                                 std::size_t node_index,
+                                 cluster::PStateIndex first_pstate = 0) {
+  const cluster::Node& node = cluster.node(node_index);
+  const pmf::Pmf* const exec = types.ExecRow(type, node_index);
+  const double* const eet = types.MeanRow(type, node_index);
+  for (cluster::PStateIndex s = first_pstate; s < cluster::kNumPStates; ++s) {
+    out.push_back(Candidate{
+        .assignment = Assignment{flat, s},
+        .node = node_index,
+        .exec = exec + s,
+        .eet = eet[s],
+        .eec = eet[s] * node.pstates[s].power_watts / node.power_efficiency,
+    });
+  }
+}
+
 class MappingContext {
  public:
   /// Builds the full candidate list (every available core x every allowed

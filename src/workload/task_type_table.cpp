@@ -71,14 +71,6 @@ TaskTypeTable::TaskTypeTable(std::size_t num_types, std::size_t num_nodes,
   grand_mean_ = grand_sum / static_cast<double>(num_types_);
 }
 
-std::size_t TaskTypeTable::Index(std::size_t type, std::size_t node,
-                                 cluster::PStateIndex pstate) const {
-  RequireTypeInRange("task-type table", type, num_types_);
-  ECDRA_REQUIRE(node < num_nodes_, "node out of range");
-  ECDRA_REQUIRE(pstate < cluster::kNumPStates, "P-state out of range");
-  return (type * num_nodes_ + node) * cluster::kNumPStates + pstate;
-}
-
 const pmf::Pmf& TaskTypeTable::ExecPmf(std::size_t type, std::size_t node,
                                        cluster::PStateIndex pstate) const {
   return pmfs_[Index(type, node, pstate)];

@@ -14,7 +14,9 @@
 #include "cluster/cluster.hpp"
 #include "pmf/distribution_factory.hpp"
 #include "pmf/pmf.hpp"
+#include "util/assert.hpp"
 #include "workload/etc_matrix.hpp"
+#include "workload/type_bounds.hpp"
 
 namespace ecdra::workload {
 
@@ -44,6 +46,20 @@ class TaskTypeTable {
   [[nodiscard]] double MeanExec(std::size_t type, std::size_t node,
                                 cluster::PStateIndex pstate) const;
 
+  /// The kNumPStates exec pmfs of `type` on `node`, in P-state order:
+  /// ExecRow(type, node) + s is &ExecPmf(type, node, s). Read in place.
+  [[nodiscard]] const pmf::Pmf* ExecRow(std::size_t type,
+                                        std::size_t node) const {
+    return &pmfs_[Index(type, node, 0)];
+  }
+
+  /// The kNumPStates means of `type` on `node`, in P-state order:
+  /// MeanRow(type, node)[s] is MeanExec(type, node, s).
+  [[nodiscard]] const double* MeanRow(std::size_t type,
+                                      std::size_t node) const {
+    return &means_[Index(type, node, 0)];
+  }
+
   /// Mean execution time of `type` over all nodes and all P-states — the
   /// deadline's per-type term (§VI).
   [[nodiscard]] double TypeMeanOverAll(std::size_t type) const;
@@ -53,7 +69,12 @@ class TaskTypeTable {
 
  private:
   [[nodiscard]] std::size_t Index(std::size_t type, std::size_t node,
-                                  cluster::PStateIndex pstate) const;
+                                  cluster::PStateIndex pstate) const {
+    RequireTypeInRange("task-type table", type, num_types_);
+    ECDRA_REQUIRE(node < num_nodes_, "node out of range");
+    ECDRA_REQUIRE(pstate < cluster::kNumPStates, "P-state out of range");
+    return (type * num_nodes_ + node) * cluster::kNumPStates + pstate;
+  }
 
   std::size_t num_types_;
   std::size_t num_nodes_;

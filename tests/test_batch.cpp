@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <stdexcept>
@@ -24,28 +25,29 @@
 namespace ecdra::batch {
 namespace {
 
-/// Builds a BatchTask with one candidate per (core, pmf) pair.
-BatchTask MakeTask(std::size_t pending_index, const workload::Task& task,
-                   const std::vector<std::pair<std::size_t, const pmf::Pmf*>>&
-                       core_pmfs,
-                   double power = 1.0) {
-  BatchTask entry;
-  entry.pending_index = pending_index;
-  entry.task = &task;
-  for (const auto& [flat, exec] : core_pmfs) {
-    entry.candidates.push_back(core::Candidate{
-        .assignment = core::Assignment{flat, 0},
-        .node = 0,
-        .exec = exec,
-        .eet = exec->Expectation(),
-        .eec = exec->Expectation() * power,
-    });
-  }
-  return entry;
-}
-
 class BatchHeuristicTest : public ::testing::Test {
  protected:
+  /// Builds a BatchTask with one candidate per (core, pmf) pair. Its span
+  /// views storage_, which lives as long as the test.
+  BatchTask MakeTask(
+      std::size_t pending_index, const workload::Task& task,
+      const std::vector<std::pair<std::size_t, const pmf::Pmf*>>& core_pmfs,
+      double power = 1.0) {
+    std::vector<core::Candidate>& candidates = storage_.emplace_back();
+    for (const auto& [flat, exec] : core_pmfs) {
+      candidates.push_back(core::Candidate{
+          .assignment = core::Assignment{flat, 0},
+          .node = 0,
+          .exec = exec,
+          .eet = exec->Expectation(),
+          .eec = exec->Expectation() * power,
+      });
+    }
+    return BatchTask{pending_index, &task,
+                     {candidates.begin(), candidates.end()}};
+  }
+
+  std::deque<std::vector<core::Candidate>> storage_;
   pmf::Pmf fast_ = pmf::Pmf::Delta(10.0);
   pmf::Pmf slow_ = pmf::Pmf::Delta(30.0);
   workload::Task task_a_{0, 0, 0.0, 100.0};
@@ -365,6 +367,45 @@ double MinExecSupport(const workload::TaskTypeTable& table, std::size_t type) {
   return min_support;
 }
 
+/// Trial 0's workload of `setup`, drawn as the runner draws it.
+std::vector<workload::Task> TrialZeroWorkload(
+    const sim::ExperimentSetup& setup) {
+  util::RngStream workload_rng = util::RngStream(setup.master_seed)
+                                     .Substream("trial", 0)
+                                     .Substream("workload");
+  return workload::GenerateWorkload(setup.types, setup.workload,
+                                    workload_rng);
+}
+
+/// Mapping-event times: every arrival, then 45 even steps past the last
+/// arrival that reach beyond the last deadline.
+std::vector<double> EventTimes(const std::vector<workload::Task>& tasks) {
+  double last_deadline = 0.0;
+  for (const workload::Task& task : tasks) {
+    last_deadline = std::max(last_deadline, task.deadline);
+  }
+  std::vector<double> times;
+  for (const workload::Task& task : tasks) times.push_back(task.arrival);
+  const double step = (last_deadline - tasks.back().arrival) / 40.0;
+  for (int k = 1; k <= 45; ++k) {
+    times.push_back(tasks.back().arrival + k * step);
+  }
+  return times;
+}
+
+/// Removes the tasks an event assigned from the pool.
+void RemoveAssigned(std::vector<workload::Task>& pending,
+                    const std::vector<BatchAssignment>& assignments) {
+  std::vector<std::size_t> indices;
+  for (const BatchAssignment& assignment : assignments) {
+    indices.push_back(assignment.pending_index);
+  }
+  std::sort(indices.begin(), indices.end(), std::greater<>());
+  for (const std::size_t index : indices) {
+    pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(index));
+  }
+}
+
 TEST(BatchScheduler, RobustnessThresholdIsTheChainsLargestTheta) {
   core::FilterChainOptions options;
   options.robustness_threshold = 0.7;
@@ -456,15 +497,7 @@ TEST(BatchScheduler, ExpiredSkipMatchesTheFullChainAtEveryEvent) {
   // "rob" hidden behind a wrapper so the skip never fires. Every event must
   // commit the same assignments and leave the same estimator state.
   const sim::ExperimentSetup setup = SmallSetup();
-  util::RngStream workload_rng = util::RngStream(setup.master_seed)
-                                     .Substream("trial", 0)
-                                     .Substream("workload");
-  const std::vector<workload::Task> tasks =
-      workload::GenerateWorkload(setup.types, setup.workload, workload_rng);
-  double last_deadline = 0.0;
-  for (const workload::Task& task : tasks) {
-    last_deadline = std::max(last_deadline, task.deadline);
-  }
+  const std::vector<workload::Task> tasks = TrialZeroWorkload(setup);
   for (const std::string& heuristic : BatchHeuristicNames()) {
     std::vector<std::unique_ptr<core::Filter>> hidden =
         core::MakeFilterChain("en+rob");
@@ -484,20 +517,13 @@ TEST(BatchScheduler, ExpiredSkipMatchesTheFullChainAtEveryEvent) {
     full.SetObservability(
         core::SchedulerObservability{.counters = &full_counters});
 
-    // Events at every arrival, then evenly spaced until the last deadline
-    // has passed; each core is idle at an event with probability 0.02, so
-    // the pool outlives some deadlines.
-    std::vector<double> times;
-    for (const workload::Task& task : tasks) times.push_back(task.arrival);
-    const double step = (last_deadline - tasks.back().arrival) / 40.0;
-    for (int k = 1; k <= 45; ++k) {
-      times.push_back(tasks.back().arrival + k * step);
-    }
+    // Each core is idle at an event with probability 0.02, so the pool
+    // outlives some deadlines.
     util::RngStream idle_rng(11);
     std::vector<workload::Task> pending;
     std::size_t next = 0;
     std::size_t mapped = 0;
-    for (const double now : times) {
+    for (const double now : EventTimes(tasks)) {
       while (next < tasks.size() && tasks[next].arrival <= now) {
         pending.push_back(tasks[next++]);
       }
@@ -524,14 +550,7 @@ TEST(BatchScheduler, ExpiredSkipMatchesTheFullChainAtEveryEvent) {
       EXPECT_EQ(skipping.estimator().remaining(), full.estimator().remaining())
           << heuristic << " at " << now;
       EXPECT_EQ(skipping.tasks_started(), full.tasks_started()) << heuristic;
-      std::vector<std::size_t> indices;
-      for (const BatchAssignment& assignment : a) {
-        indices.push_back(assignment.pending_index);
-      }
-      std::sort(indices.begin(), indices.end(), std::greater<>());
-      for (const std::size_t index : indices) {
-        pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(index));
-      }
+      RemoveAssigned(pending, a);
       mapped += a.size();
     }
     // The workload exercised both paths: some tasks mapped, and the skip
@@ -541,6 +560,144 @@ TEST(BatchScheduler, ExpiredSkipMatchesTheFullChainAtEveryEvent) {
     EXPECT_LT(skipping_counters.candidates_generated,
               full_counters.candidates_generated)
         << heuristic;
+  }
+}
+
+/// Copies every task's candidate list MapBatch receives, then maps like
+/// MinMinCT.
+class RecordingHeuristic final : public BatchHeuristic {
+ public:
+  using Lists =
+      std::vector<std::pair<std::size_t, std::vector<core::Candidate>>>;
+  explicit RecordingHeuristic(Lists& lists) : lists_(&lists) {}
+
+  [[nodiscard]] std::vector<BatchAssignment> MapBatch(
+      const std::vector<BatchTask>& tasks, double now) override {
+    for (const BatchTask& task : tasks) {
+      lists_->emplace_back(task.pending_index,
+                           std::vector<core::Candidate>(
+                               task.candidates.begin(), task.candidates.end()));
+    }
+    return inner_.MapBatch(tasks, now);
+  }
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "Recording";
+  }
+
+ private:
+  Lists* lists_;
+  MinMinCompletionTime inner_;
+};
+
+TEST(BatchScheduler, EveryCandidateListIsTheIdleCoresTimesPStates) {
+  // Each list MapBatch receives must be, field for field, the task's idle
+  // cores in ascending flat order x P-states 0-4 built from the table (under
+  // "none"), or that list after the same chain on a fresh batch context.
+  // Idle fractions from 2% to 100% make every event's lists differ in size,
+  // so the scheduler's buffers shrink and grow across tasks and events.
+  const sim::ExperimentSetup setup = SmallSetup();
+  const cluster::Cluster& cluster = setup.cluster;
+  const workload::TaskTypeTable& types = setup.types;
+  const std::vector<workload::Task> tasks = TrialZeroWorkload(setup);
+  const std::vector<double> times = EventTimes(tasks);
+  for (const double idle_probability : {0.02, 0.3, 1.0}) {
+    for (const std::string variant : {"none", "en", "rob", "en+rob"}) {
+      const std::string where =
+          variant + " at idle probability " + std::to_string(idle_probability);
+      RecordingHeuristic::Lists lists;
+      BatchScheduler scheduler(cluster, types,
+                               std::make_unique<RecordingHeuristic>(lists),
+                               core::MakeFilterChain(variant),
+                               setup.energy_budget, setup.window_size);
+      obs::Counters counters;
+      scheduler.SetObservability(
+          core::SchedulerObservability{.counters = &counters});
+      const std::vector<std::unique_ptr<core::Filter>> chain =
+          core::MakeFilterChain(variant);
+      const bool skips = core::RobustnessThreshold(chain) > 0.0;
+
+      util::RngStream idle_rng(11);
+      std::vector<workload::Task> pending;
+      std::size_t next = 0;
+      std::size_t generated = 0;
+      std::size_t events_mapped = 0;
+      for (const double now : times) {
+        while (next < tasks.size() && tasks[next].arrival <= now) {
+          pending.push_back(tasks[next++]);
+        }
+        std::vector<bool> idle(cluster.total_cores());
+        std::size_t busy = 0;
+        for (std::size_t flat = 0; flat < idle.size(); ++flat) {
+          idle[flat] = idle_rng.UniformReal(0.0, 1.0) < idle_probability;
+          if (!idle[flat]) ++busy;
+        }
+
+        // The lists MapBatch should see, from the state before the event.
+        RecordingHeuristic::Lists expected;
+        if (busy < idle.size()) {
+          const double depth =
+              static_cast<double>(busy + pending.size()) /
+              static_cast<double>(cluster.total_cores());
+          const std::size_t tasks_left = std::max<std::size_t>(
+              1, setup.window_size - scheduler.tasks_started());
+          for (std::size_t index = 0; index < pending.size(); ++index) {
+            const workload::Task& task = pending[index];
+            std::vector<core::Candidate> all;
+            for (std::size_t flat = 0; flat < idle.size(); ++flat) {
+              if (!idle[flat]) continue;
+              const std::size_t node_index = cluster.NodeIndexOf(flat);
+              const cluster::Node& node = cluster.node(node_index);
+              for (cluster::PStateIndex s = 0; s < cluster::kNumPStates; ++s) {
+                const double eet = types.MeanExec(task.type, node_index, s);
+                all.push_back(core::Candidate{
+                    .assignment = core::Assignment{flat, s},
+                    .node = node_index,
+                    .exec = &types.ExecPmf(task.type, node_index, s),
+                    .eet = eet,
+                    .eec = eet * node.pstates[s].power_watts /
+                           node.power_efficiency,
+                });
+              }
+            }
+            const bool skipped =
+                skips && task.deadline - now < MinExecSupport(types, task.type);
+            if (!skipped) generated += all.size();
+            core::MappingContext ctx(cluster, task, now, std::move(all),
+                                     depth);
+            ctx.SetBudgetView(scheduler.estimator().remaining(), tasks_left);
+            core::ApplyFilters(chain, ctx, nullptr, nullptr);
+            if (!ctx.candidates().empty()) {
+              expected.emplace_back(index, std::move(ctx.candidates()));
+            }
+          }
+        }
+
+        lists.clear();
+        const std::vector<BatchAssignment> assignments =
+            scheduler.MapEvent(pending, idle, now, busy);
+        ASSERT_EQ(lists.size(), expected.size()) << where << " at " << now;
+        for (std::size_t i = 0; i < lists.size(); ++i) {
+          EXPECT_EQ(lists[i].first, expected[i].first) << where;
+          const std::vector<core::Candidate>& got = lists[i].second;
+          const std::vector<core::Candidate>& want = expected[i].second;
+          ASSERT_EQ(got.size(), want.size()) << where << " at " << now;
+          for (std::size_t c = 0; c < got.size(); ++c) {
+            EXPECT_EQ(got[c].assignment.flat_core, want[c].assignment.flat_core)
+                << where;
+            EXPECT_EQ(got[c].assignment.pstate, want[c].assignment.pstate)
+                << where;
+            EXPECT_EQ(got[c].node, want[c].node) << where;
+            EXPECT_EQ(got[c].exec, want[c].exec) << where;
+            EXPECT_EQ(got[c].eet, want[c].eet) << where;
+            EXPECT_EQ(got[c].eec, want[c].eec) << where;
+          }
+        }
+        if (!lists.empty()) ++events_mapped;
+        RemoveAssigned(pending, assignments);
+      }
+      EXPECT_EQ(counters.candidates_generated, generated) << where;
+      EXPECT_GE(events_mapped, 30u) << where;
+    }
   }
 }
 

@@ -86,6 +86,23 @@ TEST_F(TaskTypeTableTest, RejectsOutOfRange) {
   EXPECT_THROW((void)table_.TypeMeanOverAll(2), std::invalid_argument);
 }
 
+TEST_F(TaskTypeTableTest, RowsAreThePerPStateEntriesInPlace) {
+  for (std::size_t type = 0; type < 2; ++type) {
+    for (std::size_t node = 0; node < 2; ++node) {
+      for (cluster::PStateIndex s = 0; s < cluster::kNumPStates; ++s) {
+        EXPECT_EQ(table_.ExecRow(type, node) + s,
+                  &table_.ExecPmf(type, node, s));
+        EXPECT_EQ(table_.MeanRow(type, node)[s],
+                  table_.MeanExec(type, node, s));
+      }
+    }
+  }
+  EXPECT_THROW((void)table_.ExecRow(2, 0), std::invalid_argument);
+  EXPECT_THROW((void)table_.ExecRow(0, 2), std::invalid_argument);
+  EXPECT_THROW((void)table_.MeanRow(2, 0), std::invalid_argument);
+  EXPECT_THROW((void)table_.MeanRow(0, 2), std::invalid_argument);
+}
+
 TEST_F(TaskTypeTableTest, OutOfRangeTypeNamesTheOffenderInTheDiagnostic) {
   try {
     (void)table_.ExecPmf(9, 0, 0);
