@@ -19,13 +19,15 @@ struct Scored {
   double second_core_score = kInf;  // best score achieved on another core
 };
 
-template <typename ScoreFn>
-Scored ScoreTask(const BatchTask& task, const std::vector<bool>& core_taken,
-                 ScoreFn&& score) {
+/// The best and second-core scores among `task`'s candidates on cores not
+/// yet taken; `scores[k]` is the score of `task.candidates[k]`.
+Scored BestRemaining(const BatchTask& task, const double* scores,
+                     const std::vector<bool>& core_taken) {
   Scored result;
-  for (const core::Candidate& candidate : task.candidates) {
+  for (std::size_t k = 0; k < task.candidates.size(); ++k) {
+    const core::Candidate& candidate = task.candidates[k];
     if (core_taken[candidate.assignment.flat_core]) continue;
-    const double s = score(task, candidate);
+    const double s = scores[k];
     if (s < result.best_score) {
       if (result.best != nullptr &&
           result.best->assignment.flat_core != candidate.assignment.flat_core) {
@@ -43,17 +45,22 @@ Scored ScoreTask(const BatchTask& task, const std::vector<bool>& core_taken,
   return result;
 }
 
-/// Generic two-phase greedy: repeatedly score every unassigned task's best
+/// Generic two-phase greedy: repeatedly find every unassigned task's best
 /// remaining candidate, pick the task minimizing `select(scored)`, commit,
-/// repeat until no task has a feasible core left.
+/// repeat until no task has a feasible core left. A score does not change
+/// within the call, so each candidate is scored once, into `scores` (the
+/// heuristic's buffer, reused across events), task by task in order.
 template <typename ScoreFn, typename SelectFn>
 std::vector<BatchAssignment> TwoPhaseGreedy(const std::vector<BatchTask>& tasks,
+                                            std::vector<double>& scores,
                                             ScoreFn&& score,
                                             SelectFn&& select) {
   std::size_t max_core = 0;
+  scores.clear();
   for (const BatchTask& task : tasks) {
     for (const core::Candidate& candidate : task.candidates) {
       max_core = std::max(max_core, candidate.assignment.flat_core);
+      scores.push_back(score(task, candidate));
     }
   }
   std::vector<bool> core_taken(max_core + 1, false);
@@ -64,9 +71,12 @@ std::vector<BatchAssignment> TwoPhaseGreedy(const std::vector<BatchTask>& tasks,
     const core::Candidate* chosen_candidate = nullptr;
     std::size_t chosen_task = 0;
     double chosen_priority = kInf;
+    const double* task_scores = scores.data();
     for (std::size_t i = 0; i < tasks.size(); ++i) {
+      const double* const own = task_scores;
+      task_scores += tasks[i].candidates.size();
       if (task_done[i]) continue;
-      const Scored scored = ScoreTask(tasks[i], core_taken, score);
+      const Scored scored = BestRemaining(tasks[i], own, core_taken);
       if (scored.best == nullptr) continue;  // no feasible core left
       const double priority = select(scored);
       if (priority < chosen_priority) {
@@ -90,7 +100,7 @@ std::vector<BatchAssignment> MinMinCompletionTime::MapBatch(
     const std::vector<BatchTask>& tasks, double now) {
   if (tasks.empty()) return {};
   return TwoPhaseGreedy(
-      tasks,
+      tasks, scores_,
       [now](const BatchTask&, const core::Candidate& c) { return now + c.eet; },
       [](const Scored& s) { return s.best_score; });
 }
@@ -99,7 +109,7 @@ std::vector<BatchAssignment> Sufferage::MapBatch(
     const std::vector<BatchTask>& tasks, double now) {
   if (tasks.empty()) return {};
   return TwoPhaseGreedy(
-      tasks,
+      tasks, scores_,
       [now](const BatchTask&, const core::Candidate& c) { return now + c.eet; },
       [](const Scored& s) {
         // Largest sufferage first; tasks with only one feasible core have
@@ -115,7 +125,7 @@ std::vector<BatchAssignment> MaxMaxRobustness::MapBatch(
     const std::vector<BatchTask>& tasks, double now) {
   if (tasks.empty()) return {};
   return TwoPhaseGreedy(
-      tasks,
+      tasks, scores_,
       [now](const BatchTask& task, const core::Candidate& c) {
         // Lower score = higher rho.
         return -BatchOnTimeProbability(c, *task.task, now);
@@ -127,7 +137,7 @@ std::vector<BatchAssignment> MinMinEnergy::MapBatch(
     const std::vector<BatchTask>& tasks, double /*now*/) {
   if (tasks.empty()) return {};
   return TwoPhaseGreedy(
-      tasks,
+      tasks, scores_,
       [](const BatchTask&, const core::Candidate& c) { return c.eec; },
       [](const Scored& s) { return s.best_score; });
 }

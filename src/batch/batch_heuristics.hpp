@@ -13,6 +13,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "batch/batch_heuristic.hpp"
 #include "policy/registry.hpp"
@@ -26,6 +27,9 @@ class MinMinCompletionTime final : public BatchHeuristic {
   [[nodiscard]] std::string_view name() const noexcept override {
     return "MinMinCT";
   }
+
+ private:
+  std::vector<double> scores_;  // TwoPhaseGreedy's per-candidate scores
 };
 
 class Sufferage final : public BatchHeuristic {
@@ -35,6 +39,9 @@ class Sufferage final : public BatchHeuristic {
   [[nodiscard]] std::string_view name() const noexcept override {
     return "Sufferage";
   }
+
+ private:
+  std::vector<double> scores_;  // TwoPhaseGreedy's per-candidate scores
 };
 
 class MaxMaxRobustness final : public BatchHeuristic {
@@ -44,6 +51,9 @@ class MaxMaxRobustness final : public BatchHeuristic {
   [[nodiscard]] std::string_view name() const noexcept override {
     return "MaxMaxRob";
   }
+
+ private:
+  std::vector<double> scores_;  // TwoPhaseGreedy's per-candidate scores
 };
 
 class MinMinEnergy final : public BatchHeuristic {
@@ -53,6 +63,9 @@ class MinMinEnergy final : public BatchHeuristic {
   [[nodiscard]] std::string_view name() const noexcept override {
     return "MinMinEnergy";
   }
+
+ private:
+  std::vector<double> scores_;  // TwoPhaseGreedy's per-candidate scores
 };
 
 using BatchHeuristicRegistryType = policy::Registry<BatchHeuristic>;

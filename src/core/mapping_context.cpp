@@ -1,12 +1,38 @@
 #include "core/mapping_context.hpp"
 
 #include <cmath>
+#include <iomanip>
 #include <limits>
+#include <optional>
+#include <sstream>
 
+#include "obs/counters.hpp"
 #include "robustness/robustness.hpp"
 #include "util/assert.hpp"
+#include "validate/validation.hpp"
 
 namespace ecdra::core {
+namespace {
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+/// Deep validation: a decided RhoBelow answer must equal the exact
+/// comparison it stands for.
+void AuditRhoBound(validate::TrialValidator& validator,
+                   const MappingContext& ctx, const Candidate& candidate,
+                   double threshold, bool below) {
+  const double rho = ctx.OnTimeProbability(candidate);
+  validator.CountChecks();
+  if ((rho < threshold) == below) return;
+  std::ostringstream os;
+  os << std::setprecision(17) << "task " << ctx.task().id << " on core "
+     << candidate.assignment.flat_core << " P"
+     << static_cast<int>(candidate.assignment.pstate) << ": the bound answered "
+     << (below ? "rho < " : "rho >= ") << threshold << " but rho is " << rho;
+  validator.Fail("rho-bound", ctx.now(), os.str());
+}
+
+}  // namespace
 
 MappingContext::MappingContext(
     const cluster::Cluster& cluster, const workload::TaskTypeTable& types,
@@ -14,11 +40,11 @@ MappingContext::MappingContext(
     const workload::Task& task, double now,
     std::span<const CoreAvailability> availability)
     : cluster_(&cluster),
+      types_(&types),
       task_(&task),
       now_(now),
       cores_(cores),
-      expected_ready_(cores.size(),
-                      std::numeric_limits<double>::quiet_NaN()) {
+      expected_ready_(cores.size(), robustness::Moments{kNaN, kNaN}) {
   ECDRA_REQUIRE(cores.size() == cluster.total_cores(),
                 "one CoreQueueModel per core required");
   ECDRA_REQUIRE(
@@ -54,10 +80,9 @@ double MappingContext::ExpectedCompletionTime(
   // Batch shape: every candidate core is idle, so it is ready now.
   if (cores_.empty()) return now_ + candidate.eet;
   const std::size_t flat = candidate.assignment.flat_core;
-  if (std::isnan(expected_ready_[flat])) {
-    expected_ready_[flat] = cores_[flat].ExpectedReadyTime(now_);
-  }
-  return expected_ready_[flat] + candidate.eet;
+  double& mean = expected_ready_[flat].mean;
+  if (std::isnan(mean)) mean = cores_[flat].ExpectedReadyTime(now_);
+  return mean + candidate.eet;
 }
 
 double MappingContext::OnTimeProbability(const Candidate& candidate) const {
@@ -75,6 +100,37 @@ double MappingContext::OnTimeProbability(const Candidate& candidate) const {
   ECDRA_ASSERT(entry.exec == candidate.exec,
                "an assignment fixes the exec pmf within one context");
   return entry.rho;
+}
+
+bool MappingContext::QueuedRhoBelow(const Candidate& candidate,
+                                    double threshold) const {
+  const Assignment& at = candidate.assignment;
+  if (!rho_.empty()) {
+    const RhoEntry& known =
+        rho_[at.flat_core * cluster::kNumPStates + at.pstate];
+    if (known.exec != nullptr) return known.rho < threshold;
+  }
+  ECDRA_ASSERT(types_->ExecRow(task_->type, candidate.node) + at.pstate ==
+                   candidate.exec,
+               "a candidate's exec pmf comes from the context's table");
+  robustness::Moments& ready = expected_ready_[at.flat_core];
+  if (std::isnan(ready.variance)) {
+    ready = cores_[at.flat_core].ReadyMoments(now_);
+  }
+  // The candidate's exec pmf is independent of the ready time, so the
+  // completion time's mean and variance are the sums.
+  const std::optional<bool> below = robustness::RhoBelowBound(
+      ready.mean + candidate.eet,
+      ready.variance +
+          types_->VarianceRow(task_->type, candidate.node)[at.pstate],
+      task_->deadline, threshold);
+  if (!below) return OnTimeProbability(candidate) < threshold;
+  obs::Bump(*below ? &obs::Counters::rho_bound_pruned
+                   : &obs::Counters::rho_bound_kept);
+  if (validate::TrialValidator* validator = validate::DeepValidator()) {
+    AuditRhoBound(*validator, *this, candidate, threshold, *below);
+  }
+  return *below;
 }
 
 double MappingContext::GangOnTimeProbability(

@@ -9,6 +9,9 @@
 // across arrivals while its running task's truncation cut holds: a mapping
 // step convolves only for cores whose cut moved or whose queue changed since
 // they were last queried, regardless of how many candidates touch rho.
+// Filters ask only whether rho falls below a threshold (RhoBelow), which the
+// completion time's mean and variance bound usually answer without any ready
+// pmf at all.
 #pragma once
 
 #include <limits>
@@ -109,6 +112,20 @@ class MappingContext {
   /// under this candidate assignment.
   [[nodiscard]] double OnTimeProbability(const Candidate& candidate) const;
 
+  /// OnTimeProbability(candidate) < threshold: the question the rob and sla
+  /// filters ask. The immediate shape answers from the completion time's
+  /// mean and variance bound (the core's ReadyMoments plus the candidate's
+  /// exec moments, robustness::RhoBelowBound) and computes rho only when
+  /// that cannot decide, so a core whose every candidate is decided builds
+  /// no ready pmf. Decided answers equal the exact comparison; deep
+  /// validation re-checks each one (check "rho-bound"). The batch shape
+  /// compares its closed form, one CdfAt, inline.
+  [[nodiscard]] bool RhoBelow(const Candidate& candidate,
+                              double threshold) const {
+    if (cores_.empty()) return OnTimeProbability(candidate) < threshold;
+    return QueuedRhoBelow(candidate, threshold);
+  }
+
   /// Joint on-time probability of a rigid gang (src/workload/job.hpp)
   /// started simultaneously at now() on idle cores: the stage finishes at
   /// the max of the sibling exec times (MaxInto fold), successor stages add
@@ -164,6 +181,9 @@ class MappingContext {
 
  private:
   const cluster::Cluster* cluster_;
+  /// The exec-pmf table of the immediate shape (its variances feed
+  /// RhoBelow); null in the batch shape.
+  const workload::TaskTypeTable* types_ = nullptr;
   const workload::Task* task_;
   double now_;
   std::span<const robustness::CoreQueueModel> cores_;
@@ -175,8 +195,14 @@ class MappingContext {
   std::size_t tasks_left_ = 1;
   double fair_share_scale_ = 1.0;
   const econ::EconModel* econ_ = &econ::TrivialModel();
-  /// Memoized ExpectedReadyTime per core (NaN = not yet computed).
-  mutable std::vector<double> expected_ready_;
+
+  /// RhoBelow in the immediate shape.
+  [[nodiscard]] bool QueuedRhoBelow(const Candidate& candidate,
+                                    double threshold) const;
+
+  /// Memoized ready-time moments per core: the mean (ExpectedReadyTime) and
+  /// the variance bound (ReadyMoments), each NaN until first needed.
+  mutable std::vector<robustness::Moments> expected_ready_;
   /// Memoized rho, indexed flat_core * kNumPStates + pstate; exec is null
   /// until computed. Allocated on the first rho query, so scalar-only
   /// heuristics pay nothing.

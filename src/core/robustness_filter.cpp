@@ -13,7 +13,7 @@ RobustnessFilter::RobustnessFilter(double threshold) : threshold_(threshold) {
 
 void RobustnessFilter::Apply(MappingContext& ctx) {
   std::erase_if(ctx.candidates(), [this, &ctx](const Candidate& candidate) {
-    return ctx.OnTimeProbability(candidate) < threshold_;
+    return ctx.RhoBelow(candidate, threshold_);
   });
 }
 

@@ -22,6 +22,8 @@ constexpr std::array kFields{
     CounterField{"discarded_by_other", &Counters::discarded_by_other},
     CounterField{"ready_pmf_hits", &Counters::ready_pmf_hits},
     CounterField{"ready_pmf_misses", &Counters::ready_pmf_misses},
+    CounterField{"rho_bound_pruned", &Counters::rho_bound_pruned},
+    CounterField{"rho_bound_kept", &Counters::rho_bound_kept},
     CounterField{"pmf_convolutions", &Counters::pmf_convolutions},
     CounterField{"pmf_compactions", &Counters::pmf_compactions},
     CounterField{"pmf_prob_sum_leq", &Counters::pmf_prob_sum_leq},

@@ -44,6 +44,10 @@ struct Counters {
   /// vs. rebuilt.
   std::uint64_t ready_pmf_hits = 0;
   std::uint64_t ready_pmf_misses = 0;
+  /// MappingContext::RhoBelow answers decided by the mean/variance bound
+  /// without rho: "below the threshold" (pruned) and "not below" (kept).
+  std::uint64_t rho_bound_pruned = 0;
+  std::uint64_t rho_bound_kept = 0;
 
   // -- pmf operations --
   std::uint64_t pmf_convolutions = 0;

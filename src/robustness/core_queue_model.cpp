@@ -1,6 +1,8 @@
 #include "robustness/core_queue_model.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "obs/counters.hpp"
 #include "util/assert.hpp"
@@ -25,6 +27,7 @@ void CoreQueueModel::RefreshTruncated(double now, std::size_t cut) const {
   truncated_ = running_completion_;
   const double retained = truncated_.TruncateBelowInPlace(now);
   truncated_mean_ = truncated_.Expectation();
+  truncated_variance_ = std::numeric_limits<double>::quiet_NaN();
   // TruncateBelowInPlace's Delta(now) fallback depends on now itself.
   const bool fallback = cut == running_completion_.size() ||
                         retained <= pmf::Pmf::kMassTolerance;
@@ -62,6 +65,16 @@ double CoreQueueModel::ExpectedReadyTime(double now) const {
   return truncated_mean_ + queued_mean_sum_;
 }
 
+Moments CoreQueueModel::ReadyMoments(double now) const {
+  if (!running_) return Moments{now, 0.0};
+  RefreshTruncated(now, CutAt(now));
+  if (std::isnan(truncated_variance_)) {
+    truncated_variance_ = truncated_.Variance();
+  }
+  return Moments{truncated_mean_ + queued_mean_sum_,
+                 truncated_variance_ + queued_variance_sum_};
+}
+
 void CoreQueueModel::StartTask(const ModeledTask& task, double now) {
   ECDRA_REQUIRE(task.exec != nullptr, "modeled task needs an exec pmf");
   ECDRA_REQUIRE(!running_, "StartTask on a busy core; use Enqueue");
@@ -73,6 +86,7 @@ void CoreQueueModel::Enqueue(const ModeledTask& task) {
   ECDRA_REQUIRE(running_, "Enqueue on an idle core; use StartTask");
   queued_.push_back(task);
   queued_mean_sum_ += task.exec->Expectation();
+  queued_variance_sum_ += task.exec->Variance();
   if (queued_.size() == 1) {
     queued_suffix_ = *task.exec;
   } else {
@@ -94,7 +108,6 @@ void CoreQueueModel::StartNext(double now) {
   ECDRA_REQUIRE(!queued_.empty(), "StartNext with an empty queue");
   const ModeledTask next = queued_.front();
   queued_.pop_front();
-  queued_mean_sum_ -= next.exec->Expectation();
   RebuildSuffix();
   SetRunning(next, now);
 }
@@ -102,7 +115,6 @@ void CoreQueueModel::StartNext(double now) {
 void CoreQueueModel::DropNext() {
   ECDRA_REQUIRE(!running_, "DropNext while a task is running");
   ECDRA_REQUIRE(!queued_.empty(), "DropNext with an empty queue");
-  queued_mean_sum_ -= queued_.front().exec->Expectation();
   queued_.pop_front();
   RebuildSuffix();
   ready_key_.valid = false;
@@ -113,6 +125,7 @@ void CoreQueueModel::Reset() noexcept {
   queued_.clear();
   queued_suffix_ = pmf::Pmf();
   queued_mean_sum_ = 0.0;
+  queued_variance_sum_ = 0.0;
   InvalidateRunning();
 }
 
@@ -135,16 +148,20 @@ void CoreQueueModel::RebuildSuffix() {
   if (queued_.empty()) {
     queued_suffix_ = pmf::Pmf();
     queued_mean_sum_ = 0.0;  // clear accumulated floating-point drift
+    queued_variance_sum_ = 0.0;
     return;
   }
   queued_suffix_ = *queued_.front().exec;
   double mean_sum = queued_.front().exec->Expectation();
+  double variance_sum = queued_.front().exec->Variance();
   for (std::size_t i = 1; i < queued_.size(); ++i) {
     pmf::ConvolveInto(queued_suffix_, *queued_[i].exec,
                       pmf::Pmf::kDefaultMaxImpulses, queued_suffix_);
     mean_sum += queued_[i].exec->Expectation();
+    variance_sum += queued_[i].exec->Variance();
   }
   queued_mean_sum_ = mean_sum;
+  queued_variance_sum_ = variance_sum;
 }
 
 }  // namespace ecdra::robustness

@@ -17,12 +17,17 @@
 // exact query time: the idle core's Delta(t_l) and the truncation's
 // Delta(t_l) fallback (every impulse past, or too little mass left).
 //
+// The ready pmf's mean and an upper bound on its variance come without any
+// convolution (ReadyMoments): the truncated pmf's own moments plus running
+// sums over the queued exec pmfs.
+//
 // Pmf pointers reference the TaskTypeTable (or any equally stable storage)
 // and must outlive the model.
 #pragma once
 
 #include <cstddef>
 #include <deque>
+#include <limits>
 #include <optional>
 
 #include "pmf/pmf.hpp"
@@ -35,6 +40,12 @@ struct ModeledTask {
   /// Execution-time pmf at the task's assigned (node, P-state).
   const pmf::Pmf* exec = nullptr;
   double deadline = 0.0;
+};
+
+/// The mean of a ready pmf and an upper bound on its variance.
+struct Moments {
+  double mean = 0.0;
+  double variance = 0.0;
 };
 
 class CoreQueueModel {
@@ -61,6 +72,14 @@ class CoreQueueModel {
   /// Expectation of ReadyPmf(now), computed without any convolution
   /// (expectation is additive over the queue).
   [[nodiscard]] double ExpectedReadyTime(double now) const;
+
+  /// ExpectedReadyTime(now), and an upper bound on ReadyPmf(now)'s variance,
+  /// both without convolving. Compaction merges each run of impulses at its
+  /// weighted mean, so it keeps a pmf's mean and never raises its variance,
+  /// and convolution adds variances: the ready pmf's variance is at most the
+  /// truncated running pmf's variance plus the queued exec variances. The
+  /// bound is exact when nothing was compacted; {now, 0} on an idle core.
+  [[nodiscard]] Moments ReadyMoments(double now) const;
 
   /// The simulator started `task` on this (previously idle) core at `now`.
   void StartTask(const ModeledTask& task, double now);
@@ -111,13 +130,17 @@ class CoreQueueModel {
   std::deque<ModeledTask> queued_;
   /// Convolution of all queued (not running) exec pmfs; empty when none.
   pmf::Pmf queued_suffix_;
-  /// Sum of queued exec-pmf means, for the scalar fast path.
+  /// Sums of queued exec-pmf means and variances, for the scalar fast path
+  /// and the variance bound; recomputed front to back by RebuildSuffix.
   double queued_mean_sum_ = 0.0;
+  double queued_variance_sum_ = 0.0;
 
-  /// running_completion_ truncated at truncated_key_, and its expectation;
-  /// shared by ReadyPmf and ExpectedReadyTime and kept across Enqueue.
+  /// running_completion_ truncated at truncated_key_, its expectation and
+  /// its variance (NaN until ReadyMoments asks); shared by ReadyPmf,
+  /// ExpectedReadyTime and ReadyMoments and kept across Enqueue.
   mutable pmf::Pmf truncated_;
   mutable double truncated_mean_ = 0.0;
+  mutable double truncated_variance_ = std::numeric_limits<double>::quiet_NaN();
   mutable MemoKey truncated_key_;
   /// truncated_ (x) queued_suffix_, valid for ready_key_.
   mutable pmf::Pmf cached_ready_;

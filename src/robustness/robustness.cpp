@@ -1,10 +1,30 @@
 #include "robustness/robustness.hpp"
 
+#include <cmath>
+
 namespace ecdra::robustness {
 
 double OnTimeProbability(const CoreQueueModel& core, double now,
                          const pmf::Pmf& exec, double deadline) {
   return pmf::ProbSumLeq(core.ReadyPmf(now), exec, deadline);
+}
+
+std::optional<bool> RhoBelowBound(double mean, double variance,
+                                  double deadline, double threshold) {
+  if (threshold <= 0.0) return false;
+  const double slack_seconds =
+      kRhoBoundSlack * (std::abs(mean) + std::abs(deadline));
+  const double a = std::abs(mean - deadline) - slack_seconds;
+  if (!(a > 0.0)) return std::nullopt;  // also catches NaN
+  const double sigma =
+      std::sqrt(variance * (1.0 + kRhoBoundSlack)) + slack_seconds;
+  const double far_mass = sigma * sigma / (sigma * sigma + a * a);
+  if (mean > deadline) {
+    if (far_mass + kRhoBoundSlack < threshold) return true;
+  } else if (far_mass + kRhoBoundSlack <= 1.0 - threshold) {
+    return false;
+  }
+  return std::nullopt;
 }
 
 double CoreRobustness(const CoreQueueModel& core, double now) {

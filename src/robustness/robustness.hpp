@@ -9,6 +9,7 @@
 // the robustness filter consume.
 #pragma once
 
+#include <optional>
 #include <span>
 
 #include "pmf/pmf.hpp"
@@ -21,6 +22,31 @@ namespace ecdra::robustness {
 /// by `deadline` if appended to `core`'s queue at time `now`.
 [[nodiscard]] double OnTimeProbability(const CoreQueueModel& core, double now,
                                        const pmf::Pmf& exec, double deadline);
+
+/// Answers "rho < threshold?" for a completion time C with mean `mean` and
+/// variance at most `variance`, where rho = P(C <= deadline), without C's
+/// pmf. Cantelli's one-sided inequality gives, for a = |mean - deadline| > 0,
+/// rho <= var / (var + a^2) when the mean misses the deadline by a and
+/// 1 - rho <= var / (var + a^2) when it beats it by a. nullopt when that
+/// cannot decide; every threshold <= 0 answers false (rho >= 0).
+///
+/// Decided answers equal `ProbSumLeq(ready, exec, deadline) < threshold` as
+/// computed, given `mean` and `variance` from CoreQueueModel::ReadyMoments
+/// plus the exec pmf's: a shrinks and the standard deviation grows by
+/// kRhoBoundSlack x (|mean| + |deadline|) seconds, the variance is inflated
+/// by (1 + kRhoBoundSlack), and the probability comparison keeps
+/// kRhoBoundSlack clear of the threshold (docs/ARCHITECTURE.md,
+/// "robustness").
+[[nodiscard]] std::optional<bool> RhoBelowBound(double mean, double variance,
+                                                double deadline,
+                                                double threshold);
+
+/// The relative floating-point slack of RhoBelowBound. Stored pmfs may carry
+/// mass 1 +- Pmf::kMassTolerance, which moves an unnormalized mean by that
+/// fraction of its magnitude, a variance by that fraction of itself and a
+/// ProbSumLeq result by twice that; the rounding of convolution, compaction
+/// and the running sums stays orders of magnitude below.
+inline constexpr double kRhoBoundSlack = 16.0 * pmf::Pmf::kMassTolerance;
 
 /// rho(i,j,k,t_l), Eq. 3: expected number of on-time completions among the
 /// tasks currently assigned to `core`.

@@ -15,6 +15,7 @@ TaskTypeTable::TaskTypeTable(const cluster::Cluster& cluster,
 
   pmfs_.reserve(num_types_ * num_nodes_ * cluster::kNumPStates);
   means_.reserve(pmfs_.capacity());
+  variances_.reserve(pmfs_.capacity());
   type_means_.reserve(num_types_);
 
   double grand_sum = 0.0;
@@ -31,6 +32,7 @@ TaskTypeTable::TaskTypeTable(const cluster::Cluster& cluster,
             cluster.node(node).pstates[s].time_multiplier;
         pmf::Pmf scaled = base.ScaleValues(multiplier);
         const double mean = scaled.Expectation();
+        variances_.push_back(scaled.Variance());
         pmfs_.push_back(std::move(scaled));
         means_.push_back(mean);
         type_sum += mean;
@@ -52,6 +54,7 @@ TaskTypeTable::TaskTypeTable(std::size_t num_types, std::size_t num_nodes,
   ECDRA_REQUIRE(pmfs_.size() == num_types_ * num_nodes_ * cluster::kNumPStates,
                 "need one pmf per (type, node, P-state)");
   means_.reserve(pmfs_.size());
+  variances_.reserve(pmfs_.size());
   type_means_.reserve(num_types_);
   double grand_sum = 0.0;
   const double per_type =
@@ -63,6 +66,7 @@ TaskTypeTable::TaskTypeTable(std::size_t num_types, std::size_t num_nodes,
       ECDRA_REQUIRE(!pmf.empty(), "explicit pmfs must be non-empty");
       const double mean = pmf.Expectation();
       means_.push_back(mean);
+      variances_.push_back(pmf.Variance());
       type_sum += mean;
     }
     type_means_.push_back(type_sum / per_type);
@@ -79,6 +83,11 @@ const pmf::Pmf& TaskTypeTable::ExecPmf(std::size_t type, std::size_t node,
 double TaskTypeTable::MeanExec(std::size_t type, std::size_t node,
                                cluster::PStateIndex pstate) const {
   return means_[Index(type, node, pstate)];
+}
+
+double TaskTypeTable::ExecVariance(std::size_t type, std::size_t node,
+                                   cluster::PStateIndex pstate) const {
+  return variances_[Index(type, node, pstate)];
 }
 
 double TaskTypeTable::TypeMeanOverAll(std::size_t type) const {

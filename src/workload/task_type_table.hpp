@@ -46,6 +46,10 @@ class TaskTypeTable {
   [[nodiscard]] double MeanExec(std::size_t type, std::size_t node,
                                 cluster::PStateIndex pstate) const;
 
+  /// Variance of the pmf above (cached).
+  [[nodiscard]] double ExecVariance(std::size_t type, std::size_t node,
+                                    cluster::PStateIndex pstate) const;
+
   /// The kNumPStates exec pmfs of `type` on `node`, in P-state order:
   /// ExecRow(type, node) + s is &ExecPmf(type, node, s). Read in place.
   [[nodiscard]] const pmf::Pmf* ExecRow(std::size_t type,
@@ -58,6 +62,13 @@ class TaskTypeTable {
   [[nodiscard]] const double* MeanRow(std::size_t type,
                                       std::size_t node) const {
     return &means_[Index(type, node, 0)];
+  }
+
+  /// The kNumPStates variances of `type` on `node`, in P-state order:
+  /// VarianceRow(type, node)[s] is ExecVariance(type, node, s).
+  [[nodiscard]] const double* VarianceRow(std::size_t type,
+                                          std::size_t node) const {
+    return &variances_[Index(type, node, 0)];
   }
 
   /// Mean execution time of `type` over all nodes and all P-states — the
@@ -80,6 +91,7 @@ class TaskTypeTable {
   std::size_t num_nodes_;
   std::vector<pmf::Pmf> pmfs_;        // [type][node][pstate]
   std::vector<double> means_;         // parallel to pmfs_
+  std::vector<double> variances_;     // parallel to pmfs_
   std::vector<double> type_means_;    // [type]
   double grand_mean_ = 0.0;
 };

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "obs/counters.hpp"
+#include "robustness/robustness.hpp"
 #include "test_support.hpp"
 #include "util/rng.hpp"
 
@@ -162,7 +163,9 @@ class RandomizedQueueModel : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RandomizedQueueModel, ExpectationShortcutAlwaysMatches) {
   // Property: under random enqueue/finish sequences, the scalar
-  // ExpectedReadyTime always equals the full ReadyPmf expectation.
+  // ExpectedReadyTime always equals the full ReadyPmf expectation, and
+  // ReadyMoments carries that mean and a variance no smaller than the ready
+  // pmf's (up to the relative slack RhoBelowBound allows for rounding).
   util::RngStream rng(GetParam());
   std::vector<pmf::Pmf> execs;
   for (int i = 0; i < 8; ++i) {
@@ -172,6 +175,7 @@ TEST_P(RandomizedQueueModel, ExpectationShortcutAlwaysMatches) {
   CoreQueueModel core;
   double now = 0.0;
   std::size_t next_id = 0;
+  bool compacted = false;
   for (int step = 0; step < 60; ++step) {
     now += rng.UniformReal(0.0, 5.0);
     const bool arrive = rng.UniformReal(0, 1) < 0.6 || core.idle();
@@ -189,7 +193,16 @@ TEST_P(RandomizedQueueModel, ExpectationShortcutAlwaysMatches) {
     }
     EXPECT_NEAR(core.ExpectedReadyTime(now), core.ReadyPmf(now).Expectation(),
                 1e-6 * (1.0 + now));
+    const Moments moments = core.ReadyMoments(now);
+    EXPECT_EQ(moments.mean, core.ExpectedReadyTime(now));
+    const double variance = core.ReadyPmf(now).Variance();
+    EXPECT_GE(moments.variance * (1.0 + kRhoBoundSlack), variance)
+        << "step " << step << " queued " << core.queued().size();
+    compacted |= moments.variance > variance * (1.0 + 1e-6);
   }
+  // Long queues outgrow the impulse bound, so compaction shrinks some
+  // variances below the bound.
+  EXPECT_TRUE(compacted);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomizedQueueModel,
@@ -330,6 +343,13 @@ TEST_P(MemoBitIdentity, ReadyPmfAndExpectationMatchFromScratch) {
           << "step " << step << " now " << now;
       EXPECT_EQ(core.ExpectedReadyTime(now),
                 ReferenceExpectedReadyTime(core, now, mean_sum))
+          << "step " << step << " now " << now;
+      // Reset, DropNext and StartNext reset the variance sum with the mean
+      // sum, so the bound holds across every mutation.
+      const Moments moments = core.ReadyMoments(now);
+      EXPECT_EQ(moments.mean, core.ExpectedReadyTime(now));
+      EXPECT_GE(moments.variance * (1.0 + kRhoBoundSlack),
+                ReferenceReadyPmf(core, now).Variance())
           << "step " << step << " now " << now;
     }
   }

@@ -1,11 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <iterator>
+#include <vector>
+
 #include "core/energy_filter.hpp"
 #include "core/factory.hpp"
 #include "core/mapping_context.hpp"
 #include "core/robustness_filter.hpp"
 #include "obs/counters.hpp"
+#include "robustness/robustness.hpp"
 #include "test_support.hpp"
+#include "util/rng.hpp"
+#include "validate/validation.hpp"
 #include "workload/task_type_table.hpp"
 
 namespace ecdra::core {
@@ -198,8 +206,8 @@ TEST_F(FilterTest, RhoIsComputedOncePerCandidate) {
   const std::size_t en_survivors = ctx.candidates().size();
   ASSERT_GT(en_survivors, 0u);
 
-  // rob queries every en survivor; LL and the trace record re-read rho for
-  // candidates rob already scored.
+  // rob asks about every en survivor; LL and the trace record re-read rho
+  // for candidates rob already scored.
   obs::Counters counters;
   {
     const obs::CountersScope scope(&counters);
@@ -210,8 +218,196 @@ TEST_F(FilterTest, RhoIsComputedOncePerCandidate) {
     (void)ctx.OnTimeProbability(*chosen);
   }
   EXPECT_LT(ctx.candidates().size(), en_survivors);
+  // rob keeps one survivor on the mean/variance bound alone and computes
+  // rho for the other two; LL then computes rho for the kept one, once.
+  EXPECT_EQ(counters.rho_bound_kept, 1u);
+  EXPECT_EQ(counters.rho_bound_pruned, 0u);
   EXPECT_EQ(counters.pmf_prob_sum_leq, en_survivors);
 }
+
+// --------------------------- RhoBelow property -------------------------------
+
+/// Exec pmfs for the property below, laid out [type][node][P-state]: type 0
+/// deltas, type 1 two-point pmfs, type 2 random supports of 1-24 impulses.
+workload::TaskTypeTable PropertyTable(util::RngStream& rng,
+                                      std::size_t num_nodes) {
+  std::vector<pmf::Pmf> pmfs;
+  for (std::size_t type = 0; type < 3; ++type) {
+    for (std::size_t node = 0; node < num_nodes; ++node) {
+      for (cluster::PStateIndex s = 0; s < cluster::kNumPStates; ++s) {
+        const double scale = 1.0 + 0.25 * s;
+        if (type == 0) {
+          pmfs.push_back(pmf::Pmf::Delta(rng.UniformReal(5.0, 40.0) * scale));
+        } else if (type == 1) {
+          pmfs.push_back(test::TwoPoint(rng.UniformReal(2.0, 10.0) * scale,
+                                        rng.UniformReal(10.0, 60.0) * scale));
+        } else {
+          std::vector<pmf::Impulse> impulses;
+          const auto n = rng.UniformInt(1, 24);
+          for (std::int64_t j = 0; j < n; ++j) {
+            impulses.push_back({rng.UniformReal(1.0, 50.0) * scale,
+                                rng.UniformReal(0.01, 1.0)});
+          }
+          pmfs.push_back(pmf::Pmf::FromImpulses(std::move(impulses)));
+        }
+      }
+    }
+  }
+  return workload::TaskTypeTable(3, num_nodes, std::move(pmfs));
+}
+
+class RhoBelowProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(RhoBelowProperty, DecidedAnswersMatchTheExactComparison) {
+  // Random queues of 0-40 tasks on four cores, queried at times that sit on
+  // a running impulse, past the running task's last one (the Delta(now)
+  // fallback) or in between; deadlines near the completion mean, far from
+  // it, or exactly on a sum of a ready and an exec impulse. Every RhoBelow
+  // answer must equal OnTimeProbability < theta; the bound must decide a
+  // share of them and leave a share to the exact path. A deep validator
+  // runs the "rho-bound" audit on every decided answer.
+  util::RngStream rng(GetParam());
+  const cluster::Cluster cluster(
+      {test::SimpleNode(1, 2, 1.0), test::SimpleNode(2, 1, 0.9)});
+  const workload::TaskTypeTable table = PropertyTable(rng, 2);
+  std::vector<robustness::CoreQueueModel> cores(cluster.total_cores());
+  obs::Counters counters;
+  const obs::CountersScope counters_scope(&counters);
+  validate::TrialValidator validator(validate::ValidationMode::kDeep);
+  const validate::ValidatorScope validator_scope(&validator);
+
+  const auto random_exec = [&](std::size_t flat) {
+    return &table.ExecPmf(
+        static_cast<std::size_t>(rng.UniformInt(0, 2)),
+        cluster.NodeIndexOf(flat),
+        static_cast<cluster::PStateIndex>(rng.UniformInt(0, 4)));
+  };
+  constexpr double kThetas[] = {0.0, 1e-9, 0.3, 0.5, 0.9, 1.0};
+  std::uint64_t decided[std::size(kThetas)] = {};
+  std::uint64_t exact[std::size(kThetas)] = {};
+  bool saw_idle = false;
+  bool saw_fallback = false;
+  bool saw_on_impulse = false;
+  std::size_t longest_queue = 0;
+  double now = 0.0;
+  std::size_t next_id = 0;
+  for (int step = 0; step < 600; ++step) {
+    const std::size_t flat = static_cast<std::size_t>(
+        rng.UniformInt(0, static_cast<std::int64_t>(cores.size()) - 1));
+    robustness::CoreQueueModel& core = cores[flat];
+    const double op = rng.UniformReal(0.0, 1.0);
+    if (op < 0.005) {
+      core.Reset();
+    } else if (core.idle()) {
+      if (op < 0.9) {
+        core.StartTask(robustness::ModeledTask{next_id++, random_exec(flat)},
+                       now);
+      }
+    } else if (op < 0.7) {
+      if (core.queued().size() < 40) {
+        core.Enqueue(robustness::ModeledTask{next_id++, random_exec(flat)});
+      }
+    } else if (op < 0.9) {
+      core.FinishRunning();
+      if (!core.queued().empty() && op < 0.75) core.DropNext();
+      if (!core.queued().empty()) core.StartNext(now);
+    }
+    longest_queue = std::max(longest_queue, core.queued().size());
+
+    // Query time: unchanged, forward, on a running impulse, or past it.
+    const double pick = rng.UniformReal(0.0, 1.0);
+    if (pick < 0.3) {
+      now += rng.UniformReal(0.0, 5.0);
+    } else if (pick < 0.6 && !core.idle()) {
+      const pmf::Pmf& exec = *core.running()->exec;
+      const double at =
+          core.running_start() +
+          exec.impulses()[static_cast<std::size_t>(rng.UniformInt(
+                              0, static_cast<std::int64_t>(exec.size()) - 1))]
+              .value;
+      now = std::max(now, at);
+    } else if (pick < 0.7 && !core.idle()) {
+      now = std::max(now, core.running_start() + core.running()->exec->Max() +
+                              rng.UniformReal(0.0, 2.0));
+    }
+    for (const robustness::CoreQueueModel& model : cores) {
+      saw_idle |= model.idle();
+      saw_fallback |= !model.idle() &&
+                      model.running_start() + model.running()->exec->Max() <
+                          now;
+    }
+
+    // Deadline: around the mean of one candidate's completion, far from
+    // it, or exactly on an impulse sum of its ready and exec pmfs.
+    workload::Task task{next_id, static_cast<std::size_t>(rng.UniformInt(0, 2)),
+                        now, 0.0};
+    const cluster::PStateIndex pstate =
+        static_cast<cluster::PStateIndex>(rng.UniformInt(0, 4));
+    const pmf::Pmf& exec =
+        table.ExecPmf(task.type, cluster.NodeIndexOf(flat), pstate);
+    const pmf::Pmf& ready = core.ReadyPmf(now);
+    const double shape = rng.UniformReal(0.0, 1.0);
+    if (shape < 0.3) {
+      const auto any = [&](const pmf::Pmf& p) {
+        return p.impulses()[static_cast<std::size_t>(
+                                rng.UniformInt(0, static_cast<std::int64_t>(
+                                                      p.size()) -
+                                                      1))]
+            .value;
+      };
+      task.deadline = any(ready) + any(exec);
+      saw_on_impulse = true;
+    } else {
+      const double spread =
+          std::sqrt(ready.Variance() + exec.Variance()) + 1.0;
+      const double z = shape < 0.8 ? rng.UniformReal(-4.0, 4.0)
+                                   : rng.UniformReal(-40.0, 40.0);
+      task.deadline = ready.Expectation() + exec.Expectation() + z * spread;
+    }
+
+    for (std::size_t t = 0; t < std::size(kThetas); ++t) {
+      const MappingContext ctx(cluster, table, cores, task, now);
+      for (const Candidate& candidate : ctx.candidates()) {
+        const std::uint64_t before =
+            counters.rho_bound_pruned + counters.rho_bound_kept;
+        const bool below = ctx.RhoBelow(candidate, kThetas[t]);
+        const bool by_bound =
+            counters.rho_bound_pruned + counters.rho_bound_kept > before;
+        const double rho = robustness::OnTimeProbability(
+            cores[candidate.assignment.flat_core], now, *candidate.exec,
+            task.deadline);
+        ASSERT_EQ(below, rho < kThetas[t])
+            << "step " << step << " theta " << kThetas[t] << " core "
+            << candidate.assignment.flat_core << " P"
+            << int(candidate.assignment.pstate) << " rho " << rho
+            << (by_bound ? " (decided by the bound)" : " (exact)");
+        ++(by_bound ? decided : exact)[t];
+      }
+    }
+  }
+  EXPECT_TRUE(saw_idle);
+  EXPECT_TRUE(saw_fallback);
+  EXPECT_TRUE(saw_on_impulse);
+  EXPECT_EQ(longest_queue, 40u);
+  EXPECT_EQ(exact[0], 0u);  // rho >= 0 answers theta = 0 outright
+  for (std::size_t t = 0; t < std::size(kThetas); ++t) {
+    EXPECT_GT(decided[t], 0u) << "theta " << kThetas[t];
+    if (t > 0) {
+      EXPECT_GT(exact[t], 0u) << "theta " << kThetas[t];
+    }
+  }
+  EXPECT_GT(counters.rho_bound_pruned, 0u);
+  EXPECT_GT(counters.rho_bound_kept, 0u);
+  // Only the audit's own check matters here: chains of two-point pmfs can
+  // trip the unrelated "pmf-support" check in compaction.
+  for (const validate::Violation& violation : validator.report().by_check) {
+    EXPECT_NE(violation.check, "rho-bound") << validator.report();
+  }
+  EXPECT_GT(validator.report().checks_run, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RhoBelowProperty,
+                         ::testing::Range<std::uint64_t>(1, 9));
 
 }  // namespace
 }  // namespace ecdra::core

@@ -500,11 +500,14 @@ TEST_F(ObsEngineTest, CountersStayZeroWhenCollectionIsOff) {
 TEST_F(ObsEngineTest, CountersRecordMappingsSwitchesAndPmfWork) {
   sim::TrialOptions options;
   options.collect_counters = true;
-  // The "rob" filter evaluates every candidate's on-time probability, which
-  // drives the ProbSumLeq hot path; with delta pmfs and loose deadlines it
-  // prunes nothing.
+  // The "rob" filter asks whether each candidate's on-time probability
+  // reaches 0.5. With delta pmfs the mean/variance bound decides every
+  // candidate whose completion is not within rounding slack of the deadline,
+  // so the first task's deadline sits just past its P4 completion: that
+  // candidate alone takes the ProbSumLeq hot path. Nothing is pruned.
+  const double tight = 1.0 + table_.MeanExec(0, 0, 4) + 1e-9;
   const sim::TrialResult result =
-      Run({workload::Task{0, 0, 1.0, 100.0}, workload::Task{1, 0, 2.0, 100.0}},
+      Run({workload::Task{0, 0, 1.0, tight}, workload::Task{1, 0, 2.0, 100.0}},
           options, core::MakeFilterChain("rob"));
   const obs::Counters& counters = result.counters;
   EXPECT_EQ(counters.tasks_mapped, 2u);
@@ -518,6 +521,9 @@ TEST_F(ObsEngineTest, CountersRecordMappingsSwitchesAndPmfWork) {
   EXPECT_GE(counters.pstate_switches, 1u);
   // Candidate evaluation exercises the pmf hot path.
   EXPECT_GT(counters.pmf_prob_sum_leq, 0u);
+  EXPECT_EQ(counters.pmf_prob_sum_leq, 1u);
+  EXPECT_EQ(counters.rho_bound_kept, 9u);
+  EXPECT_EQ(counters.rho_bound_pruned, 0u);
   EXPECT_GE(counters.decision_seconds, 0.0);
   EXPECT_EQ(counters.decisions(), 2u);
 }

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <optional>
+
 #include "test_support.hpp"
 
 namespace ecdra::robustness {
@@ -91,6 +95,52 @@ TEST(OnTimeProbability, ImprovesWithEarlierReadyCore) {
   const double p_idle = OnTimeProbability(idle_core, 0.0, exec, 25.0);
   const double p_busy = OnTimeProbability(busy_core, 0.0, exec, 25.0);
   EXPECT_GT(p_idle, p_busy);
+}
+
+// ----------------------------- RhoBelowBound --------------------------------
+
+TEST(RhoBelowBound, CantelliDecidesBothSides) {
+  // Mean 10, variance 1: a deadline 5 early leaves rho <= 1 / (1 + 25).
+  EXPECT_EQ(RhoBelowBound(10.0, 1.0, 5.0, 0.5), std::optional<bool>(true));
+  EXPECT_EQ(RhoBelowBound(10.0, 1.0, 5.0, 0.04), std::optional<bool>(true));
+  EXPECT_EQ(RhoBelowBound(10.0, 1.0, 5.0, 0.03), std::nullopt);
+  // A deadline 5 late leaves 1 - rho <= 1 / 26, so rho >= 25 / 26.
+  EXPECT_EQ(RhoBelowBound(10.0, 1.0, 15.0, 0.5), std::optional<bool>(false));
+  EXPECT_EQ(RhoBelowBound(10.0, 1.0, 15.0, 0.96), std::optional<bool>(false));
+  EXPECT_EQ(RhoBelowBound(10.0, 1.0, 15.0, 0.97), std::nullopt);
+  // Near the mean the bound is too weak either way.
+  EXPECT_EQ(RhoBelowBound(10.0, 1.0, 10.5, 0.5), std::nullopt);
+  EXPECT_EQ(RhoBelowBound(10.0, 1.0, 9.5, 0.5), std::nullopt);
+}
+
+TEST(RhoBelowBound, ThresholdsAtTheEndsOfTheUnitInterval) {
+  // rho >= 0 always: no threshold <= 0 is ever missed, even far past the
+  // mean and with no variance at all.
+  EXPECT_EQ(RhoBelowBound(10.0, 0.0, 10.0, 0.0), std::optional<bool>(false));
+  EXPECT_EQ(RhoBelowBound(1e6, 4.0, 0.0, 0.0), std::optional<bool>(false));
+  // Theta = 1: only "below" can be decided; "rho reaches 1" never is.
+  EXPECT_EQ(RhoBelowBound(10.0, 1.0, 5.0, 1.0), std::optional<bool>(true));
+  EXPECT_EQ(RhoBelowBound(10.0, 0.0, 1e3, 1.0), std::nullopt);
+  // Theta = 1e-9 is inside the probability slack: "below" is never decided.
+  EXPECT_EQ(RhoBelowBound(10.0, 0.0, 5.0, 1e-9), std::nullopt);
+  EXPECT_EQ(RhoBelowBound(10.0, 1.0, 15.0, 1e-9), std::optional<bool>(false));
+}
+
+TEST(RhoBelowBound, SlackScalesWithTheMagnitudeOfTheTimes) {
+  // A point mass exactly on, or a rounding error away from, the deadline is
+  // never decided; one clearly away from it is.
+  EXPECT_EQ(RhoBelowBound(10.0, 0.0, 10.0, 0.5), std::nullopt);
+  EXPECT_EQ(RhoBelowBound(10.0, 0.0, 10.0 + 1e-12, 0.5), std::nullopt);
+  EXPECT_EQ(RhoBelowBound(10.0, 0.0, 10.001, 0.5), std::optional<bool>(false));
+  EXPECT_EQ(RhoBelowBound(10.0, 0.0, 9.999, 0.5), std::optional<bool>(true));
+  // The same 1 ms gap at 1e6 s is within the slack (1.6e-8 x 2e6 s = 32 ms).
+  EXPECT_EQ(RhoBelowBound(1e6, 0.0, 1e6 + 1e-3, 0.5), std::nullopt);
+  EXPECT_EQ(RhoBelowBound(1e6, 0.0, 1e6 + 1.0, 0.5),
+            std::optional<bool>(false));
+  // Non-finite inputs are never decided.
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(RhoBelowBound(10.0, 1.0, inf, 0.5), std::nullopt);
+  EXPECT_EQ(RhoBelowBound(std::nan(""), 1.0, 5.0, 0.5), std::nullopt);
 }
 
 }  // namespace

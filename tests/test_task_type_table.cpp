@@ -103,6 +103,33 @@ TEST_F(TaskTypeTableTest, RowsAreThePerPStateEntriesInPlace) {
   EXPECT_THROW((void)table_.MeanRow(0, 2), std::invalid_argument);
 }
 
+TEST_F(TaskTypeTableTest, VarianceRowsAreTheCachedExecVariances) {
+  for (std::size_t type = 0; type < 2; ++type) {
+    for (std::size_t node = 0; node < 2; ++node) {
+      for (cluster::PStateIndex s = 0; s < cluster::kNumPStates; ++s) {
+        EXPECT_EQ(table_.VarianceRow(type, node)[s],
+                  table_.ExecVariance(type, node, s));
+        EXPECT_EQ(table_.ExecVariance(type, node, s),
+                  table_.ExecPmf(type, node, s).Variance());
+        EXPECT_GT(table_.ExecVariance(type, node, s), 0.0);
+      }
+    }
+  }
+  EXPECT_THROW((void)table_.VarianceRow(2, 0), std::invalid_argument);
+  EXPECT_THROW((void)table_.VarianceRow(0, 2), std::invalid_argument);
+  EXPECT_THROW((void)table_.ExecVariance(0, 0, cluster::kNumPStates),
+               std::invalid_argument);
+
+  // The explicit-pmf constructor caches them too; a delta has none.
+  std::vector<pmf::Pmf> pmfs;
+  for (cluster::PStateIndex s = 0; s < cluster::kNumPStates; ++s) {
+    pmfs.push_back(s == 0 ? pmf::Pmf::Delta(3.0) : test::TwoPoint(1.0, 5.0));
+  }
+  const TaskTypeTable explicit_table(1, 1, std::move(pmfs));
+  EXPECT_EQ(explicit_table.ExecVariance(0, 0, 0), 0.0);
+  EXPECT_EQ(explicit_table.VarianceRow(0, 0)[1], 4.0);
+}
+
 TEST_F(TaskTypeTableTest, OutOfRangeTypeNamesTheOffenderInTheDiagnostic) {
   try {
     (void)table_.ExecPmf(9, 0, 0);
