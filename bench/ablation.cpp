@@ -1,7 +1,8 @@
-// One driver for every ablation: ./ablation GRID [TRIALS | --smoke]
-// [--json PATH]. A grid file (bench/grids/<name>.spec) holds the knob
-// values an ablation sweeps as ScenarioSpec lines; the driver reads only
-// the grid's structure, in '@' lines (EXPERIMENTS.md, "Ablations"):
+// One driver for every grid of runs, the paper's figures and every
+// ablation: ./ablation GRID [TRIALS | --smoke] [--json PATH]
+// [--gnuplot BASE]. A grid file (bench/grids/<name>.spec) holds the knob
+// values it sweeps as ScenarioSpec lines; the driver reads only the grid's
+// structure, in '@' lines (EXPERIMENTS.md, "Ablations"):
 //
 //   @title TEXT                 printed as "== TEXT (N trials) =="
 //   @axis NAME                  an axis; the @level blocks below it are
@@ -9,11 +10,16 @@
 //   @cell NAME [key = value]    a single cell, run before the cross product
 //   @column LABEL = STAT SOURCE [JSON_KEY]
 //   @gate CELL >=|> CELL on LABEL
+//   @plot SOURCE                a box plot of every row's SOURCE values
 //
 // A cell's spec is the paper scenario's canonical text, the base lines,
-// then the cell's block lines, so a later line wins. STAT mean sums the
-// SOURCE row in trial order over the trial count, bit for bit as
-// SummarizeTrials does. A failing gate exits 1; bad input exits 2.
+// then the cell's block lines, so a later line wins. Its rows are the
+// grid.heuristics x grid.filter_variants pairs, then the
+// grid.batch_heuristics x grid.filter_variants pairs in batch mode. STAT
+// mean sums the SOURCE row in trial order over the trial count, bit for
+// bit as SummarizeTrials does. --gnuplot writes the @plot boxes to
+// BASE.{dat,gp}. A failing gate, trial or validation exits 1; bad input
+// exits 2.
 #include <algorithm>
 #include <array>
 #include <cstdlib>
@@ -32,6 +38,8 @@
 #include "obs/counters.hpp"
 #include "policy/scenario_spec.hpp"
 #include "sim/experiment_runner.hpp"
+#include "stats/ascii_plot.hpp"
+#include "stats/gnuplot_writer.hpp"
 #include "stats/summary.hpp"
 #include "stats/table_writer.hpp"
 
@@ -58,10 +66,31 @@ struct Axis {
 constexpr std::string_view kStats[] = {"mean", "median", "q1",  "q3",
                                        "min",  "max",    "sum", "share"};
 
-struct Column {
-  std::string label, stat, json_key;
+/// A per-trial value: a result row or a counter.
+struct Source {
   const sim::ResultField* field = nullptr;          // a result row, or
   std::uint64_t obs::Counters::*counter = nullptr;  // a counter
+};
+
+/// The source named `name` (a result row, "block.key" outside the top
+/// block, or a counter); nullopt for an unknown name.
+std::optional<Source> FindSource(const std::string& name) {
+  for (const sim::ResultBlock& result : sim::ResultBlocks()) {
+    for (const sim::ResultField& field : result.fields) {
+      const std::string prefix =
+          result.key.empty() ? "" : std::string(result.key) + ".";
+      if (prefix + std::string(field.key) == name) return Source{&field};
+    }
+  }
+  for (const obs::CounterField& slot : obs::CounterFields()) {
+    if (slot.name == name) return Source{nullptr, slot.slot};
+  }
+  return std::nullopt;
+}
+
+struct Column {
+  std::string label, stat, json_key;
+  Source source;
 };
 
 struct Grid {
@@ -70,6 +99,8 @@ struct Grid {
   std::vector<Axis> axes;
   std::vector<Column> columns;
   std::vector<std::string> gates;  // "CELL OP CELL on LABEL"
+  std::string plot;                // the @plot SOURCE ("" = no plot)
+  Source plot_source;
 };
 
 Grid ReadGrid(const std::string& path) {
@@ -116,25 +147,23 @@ Grid ReadGrid(const std::string& path) {
       const std::size_t eq = rest.find(" = ");
       Column column;
       column.label = rest.substr(0, eq);
-      std::string source;
+      std::string name;
       std::istringstream(eq == rest.npos ? "" : rest.substr(eq + 3)) >>
-          column.stat >> source >> column.json_key;
-      for (const sim::ResultBlock& result : sim::ResultBlocks()) {
-        for (const sim::ResultField& field : result.fields) {
-          const std::string prefix =
-              result.key.empty() ? "" : std::string(result.key) + ".";
-          if (prefix + std::string(field.key) == source) column.field = &field;
-        }
-      }
-      for (const obs::CounterField& slot : obs::CounterFields()) {
-        if (slot.name == source) column.counter = slot.slot;
-      }
+          column.stat >> name >> column.json_key;
+      const std::optional<Source> source = FindSource(name);
       if (std::ranges::find(kStats, column.stat) == std::end(kStats) ||
-          (column.field == nullptr && column.counter == nullptr)) {
+          !source) {
         Fail(where + "expected '@column LABEL = STAT SOURCE [JSON_KEY]' "
                      "with a known STAT and SOURCE");
       }
+      column.source = *source;
       grid.columns.push_back(column);
+      block = nullptr;
+    } else if (directive == "@plot") {
+      const std::optional<Source> source = FindSource(rest);
+      if (!source) Fail(where + "expected '@plot SOURCE' with a known SOURCE");
+      grid.plot = rest;
+      grid.plot_source = *source;
       block = nullptr;
     } else if (directive == "@gate") {
       grid.gates.push_back(rest);
@@ -153,6 +182,9 @@ struct Row {
   policy::ScenarioSpec environment;
   sim::RunOptions run;
   std::vector<std::optional<double>> values;  // one per column
+  std::vector<double> plot;                   // the @plot SOURCE per trial
+  std::uint64_t violations = 0;               // validation, over all trials
+  std::size_t violating_trials = 0;
 };
 
 std::vector<Row> Expand(const Grid& grid, const std::string& base) {
@@ -182,45 +214,63 @@ std::vector<Row> Expand(const Grid& grid, const std::string& base) {
   for (const Block& cell : cells) {
     const policy::ScenarioSpec spec =
         policy::ParseScenarioSpec(base + cell.lines);
+    const policy::PolicyGrid& pairs = spec.grid;
     Row row;
     row.name = row.cell = cell.label;
     try {
       row.run = sim::RunOptionsFromSpec(spec);
+      if (!pairs.batch_heuristics.empty()) {
+        policy::RequireBatchCompatible(spec);
+      }
     } catch (const std::invalid_argument& error) {
       Fail(cell.label + ": " + error.what());
     }
     row.environment.master_seed = spec.master_seed;
     row.environment.environment = spec.environment;
-    const policy::PolicyGrid& pairs = spec.grid;
-    for (const std::string& heuristic : pairs.heuristics) {
-      for (const std::string& variant : pairs.filter_variants) {
-        row.heuristic = heuristic;
-        row.variant = variant;
-        if (pairs.heuristics.size() * pairs.filter_variants.size() > 1) {
-          row.name = cell.label + "/" + heuristic + "/" + variant;
+    const std::size_t count =
+        (pairs.heuristics.size() + pairs.batch_heuristics.size()) *
+        pairs.filter_variants.size();
+    const auto add = [&](const std::vector<std::string>& heuristics) {
+      for (const std::string& heuristic : heuristics) {
+        for (const std::string& variant : pairs.filter_variants) {
+          row.heuristic = heuristic;
+          row.variant = variant;
+          if (count > 1) {
+            row.name = cell.label + "/" + heuristic + "/" + variant;
+          }
+          rows.push_back(row);
         }
-        rows.push_back(row);
       }
-    }
+    };
+    add(pairs.heuristics);
+    row.run.mode = policy::RunMode::kBatch;
+    add(pairs.batch_heuristics);
   }
   return rows;
 }
 
-/// The column's statistic over the trials' values (nullopt: no value).
-std::optional<double> Statistic(const Column& column,
-                                const std::vector<sim::TrialResult>& trials,
-                                double energy_budget) {
+/// The source's value in every trial that has one, in trial order.
+std::vector<double> Values(const Source& source,
+                           const std::vector<sim::TrialResult>& trials) {
   std::vector<double> values;
   for (const sim::TrialResult& trial : trials) {
     const sim::ResultValue value =
-        column.counter ? sim::ResultValue(trial.counters.*column.counter)
-                       : column.field->codec.get(trial);
+        source.counter ? sim::ResultValue(trial.counters.*source.counter)
+                       : source.field->codec.get(trial);
     if (const auto* count = std::get_if<std::uint64_t>(&value)) {
       values.push_back(static_cast<double>(*count));
     } else if (const auto* number = std::get_if<double>(&value)) {
       values.push_back(*number);
     }
   }
+  return values;
+}
+
+/// The column's statistic over the trials' values (nullopt: no value).
+std::optional<double> Statistic(const Column& column,
+                                const std::vector<sim::TrialResult>& trials,
+                                double energy_budget) {
+  std::vector<double> values = Values(column.source, trials);
   if (values.empty()) return std::nullopt;
   if (column.stat == "mean" || column.stat == "sum" ||
       column.stat == "share") {
@@ -247,7 +297,7 @@ std::string Show(const Column& column, const std::optional<double>& value) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string grid_path, json_path;
+  std::string grid_path, json_path, gnuplot_path;
   std::optional<std::uint64_t> trials;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -256,6 +306,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--json") {
       if (++i == argc) Fail("--json: missing path");
       json_path = argv[i];
+    } else if (arg == "--gnuplot") {
+      if (++i == argc) Fail("--gnuplot: missing path");
+      gnuplot_path = argv[i];
     } else if (grid_path.empty()) {
       grid_path = arg;
     } else {
@@ -268,10 +321,14 @@ int main(int argc, char** argv) {
     }
   }
   if (grid_path.empty()) {
-    Fail("usage: ablation GRID [TRIALS | --smoke] [--json PATH]");
+    Fail("usage: ablation GRID [TRIALS | --smoke] [--json PATH] "
+         "[--gnuplot BASE]");
   }
 
   const Grid grid = ReadGrid(grid_path);
+  if (!gnuplot_path.empty() && grid.plot.empty()) {
+    Fail("--gnuplot: the grid has no @plot line");
+  }
   const std::string base =
       policy::CanonicalSpecText(experiment::PaperScenario()) + grid.base;
   std::vector<Row> rows = Expand(grid, base);
@@ -297,8 +354,11 @@ int main(int argc, char** argv) {
 
   std::cout << "== " << grid.title << " (" << num_trials << " trials) ==\n\n"
             << std::flush;
-  const bool counters = std::ranges::any_of(
-      grid.columns, [](const Column& column) { return column.counter; });
+  const bool counters =
+      grid.plot_source.counter ||
+      std::ranges::any_of(grid.columns, [](const Column& column) {
+        return column.source.counter;
+      });
   std::map<std::string, sim::ExperimentSetup> setups;
   for (Row& row : rows) {
     const std::string key = policy::CanonicalSpecText(row.environment);
@@ -309,11 +369,22 @@ int main(int argc, char** argv) {
     }
     row.run.num_trials = num_trials;
     row.run.collect_counters = counters;
-    const std::vector<sim::TrialResult> results =
-        sim::RunTrials(setup->second, row.heuristic, row.variant, row.run);
+    std::vector<sim::TrialResult> results;
+    try {
+      results =
+          sim::RunTrials(setup->second, row.heuristic, row.variant, row.run);
+    } catch (const std::exception& error) {
+      std::cerr << "ablation: " << row.name << ": " << error.what() << "\n";
+      return 1;
+    }
     for (const Column& column : grid.columns) {
       row.values.push_back(
           Statistic(column, results, setup->second.energy_budget));
+    }
+    if (!grid.plot.empty()) row.plot = Values(grid.plot_source, results);
+    for (const sim::TrialResult& trial : results) {
+      row.violations += trial.validation.violations;
+      row.violating_trials += trial.validation.ok() ? 0 : 1;
     }
   }
 
@@ -346,6 +417,24 @@ int main(int argc, char** argv) {
   }
   table.PrintText(std::cout);
 
+  std::vector<stats::BoxPlotSeries> boxes;
+  for (const Row& row : rows) {
+    if (row.plot.empty()) continue;
+    boxes.push_back({row.name, stats::Summarize(row.plot)});
+  }
+  if (!boxes.empty()) {
+    std::cout << "\n" << grid.plot << " per trial:\n"
+              << stats::RenderBoxPlot(boxes);
+  }
+  if (!gnuplot_path.empty()) {
+    try {
+      stats::WriteGnuplotFigure(gnuplot_path, grid.title, grid.plot, boxes);
+    } catch (const std::invalid_argument& error) {
+      Fail(std::string("--gnuplot: ") + error.what());
+    }
+    std::cout << "gnuplot files written to " << gnuplot_path << ".{dat,gp}\n";
+  }
+
   if (!json_path.empty()) {
     std::ofstream os(json_path, std::ios::trunc);
     os << benchio::BenchReportJson(
@@ -366,6 +455,14 @@ int main(int argc, char** argv) {
               << Show(grid.columns[c], lhs) << " vs "
               << Show(grid.columns[c], rhs) << "\n";
     if (!holds) status = 1;
+  }
+  for (const Row& row : rows) {
+    if (row.violations == 0) continue;
+    std::cerr << "ablation: " << row.name << ": validation found "
+              << row.violations
+              << (row.violations == 1 ? " violation" : " violations") << " in "
+              << row.violating_trials << " of " << num_trials << " trials\n";
+    status = 1;
   }
   return status;
 }

@@ -3,7 +3,7 @@
 // the paper leaves open: the static fair-share filter budgets energy once
 // per assignment, then the run burns open-loop. Registering a governor
 // under a string name (ECDRA_REGISTER_GOVERNOR) makes it reachable from
-// every stock harness — RunTrials, the figure benches, the CLI --governor
+// every stock harness — RunTrials, the grid driver, the CLI --governor
 // flag, and the ScenarioSpec `run.governor` key.
 //
 // Here we write StepDownGovernor, a deliberately simple two-mode

@@ -70,7 +70,7 @@ class DeadlineSlackFilter final : public core::Filter {
 
 // The whole integration: after these two lines, "MinEnergy" and "slack" are
 // first-class citizens of every harness that takes policy names — RunTrials,
-// RunSweep, the figure benches, the CLI. Composite variants like "en+slack"
+// RunSweep, the grid driver, the CLI. Composite variants like "en+slack"
 // compose the custom filter with the paper's energy filter for free.
 ECDRA_REGISTER_HEURISTIC("MinEnergy", [](util::RngStream) {
   return std::make_unique<MinimumEnergyHeuristic>();

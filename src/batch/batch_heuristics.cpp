@@ -94,63 +94,55 @@ std::vector<BatchAssignment> TwoPhaseGreedy(const std::vector<BatchTask>& tasks,
   return assignments;
 }
 
+/// A built-in batch heuristic: TwoPhaseGreedy with `score(task, candidate,
+/// now)` (lower is better) and `select(scored)` (the task with the lowest
+/// value maps first). Both are lambda types, so they inline into the loop.
+template <typename Score, typename Select>
+class TwoPhaseHeuristic final : public BatchHeuristic {
+ public:
+  TwoPhaseHeuristic(std::string_view name, Score score, Select select)
+      : name_(name), score_(score), select_(select) {}
+
+  [[nodiscard]] std::vector<BatchAssignment> MapBatch(
+      const std::vector<BatchTask>& tasks, double now) override {
+    if (tasks.empty()) return {};
+    return TwoPhaseGreedy(
+        tasks, scores_,
+        [this, now](const BatchTask& task, const core::Candidate& c) {
+          return score_(task, c, now);
+        },
+        select_);
+  }
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return name_;
+  }
+
+ private:
+  std::string_view name_;
+  [[no_unique_address]] Score score_;
+  [[no_unique_address]] Select select_;
+  std::vector<double> scores_;  // TwoPhaseGreedy's per-candidate scores
+};
+
+/// Registers `name` (a string literal) as a TwoPhaseHeuristic.
+template <typename Score, typename Select>
+void RegisterTwoPhase(std::string_view name, Score score, Select select) {
+  BatchHeuristicRegistry().Register(std::string(name), [=] {
+    return std::make_unique<TwoPhaseHeuristic<Score, Select>>(name, score,
+                                                              select);
+  });
+}
+
+/// ECT = now + EET: every candidate core is idle.
+constexpr auto kCompletionTime = [](const BatchTask&, const core::Candidate& c,
+                                    double now) { return now + c.eet; };
+constexpr auto kBestScore = [](const Scored& s) { return s.best_score; };
+
 }  // namespace
-
-std::vector<BatchAssignment> MinMinCompletionTime::MapBatch(
-    const std::vector<BatchTask>& tasks, double now) {
-  if (tasks.empty()) return {};
-  return TwoPhaseGreedy(
-      tasks, scores_,
-      [now](const BatchTask&, const core::Candidate& c) { return now + c.eet; },
-      [](const Scored& s) { return s.best_score; });
-}
-
-std::vector<BatchAssignment> Sufferage::MapBatch(
-    const std::vector<BatchTask>& tasks, double now) {
-  if (tasks.empty()) return {};
-  return TwoPhaseGreedy(
-      tasks, scores_,
-      [now](const BatchTask&, const core::Candidate& c) { return now + c.eet; },
-      [](const Scored& s) {
-        // Largest sufferage first; tasks with only one feasible core have
-        // infinite sufferage and are mapped before anything else.
-        const double sufferage = s.second_core_score == kInf
-                                     ? kInf
-                                     : s.second_core_score - s.best_score;
-        return -sufferage;
-      });
-}
-
-std::vector<BatchAssignment> MaxMaxRobustness::MapBatch(
-    const std::vector<BatchTask>& tasks, double now) {
-  if (tasks.empty()) return {};
-  return TwoPhaseGreedy(
-      tasks, scores_,
-      [now](const BatchTask& task, const core::Candidate& c) {
-        // Lower score = higher rho.
-        return -BatchOnTimeProbability(c, *task.task, now);
-      },
-      [](const Scored& s) { return s.best_score; });
-}
-
-std::vector<BatchAssignment> MinMinEnergy::MapBatch(
-    const std::vector<BatchTask>& tasks, double /*now*/) {
-  if (tasks.empty()) return {};
-  return TwoPhaseGreedy(
-      tasks, scores_,
-      [](const BatchTask&, const core::Candidate& c) { return c.eec; },
-      [](const Scored& s) { return s.best_score; });
-}
 
 BatchHeuristicRegistryType& BatchHeuristicRegistry() {
   static BatchHeuristicRegistryType registry("batch heuristic");
   return registry;
-}
-
-const std::vector<std::string>& BatchHeuristicNames() {
-  static const std::vector<std::string> kNames{"MinMinCT", "Sufferage",
-                                               "MaxMaxRob", "MinMinEnergy"};
-  return kNames;
 }
 
 std::unique_ptr<BatchHeuristic> MakeBatchHeuristic(std::string_view name) {
@@ -160,17 +152,36 @@ std::unique_ptr<BatchHeuristic> MakeBatchHeuristic(std::string_view name) {
 // Built-ins register here (this object file is always retained via
 // MakeBatchHeuristic), not in per-heuristic translation units a static
 // library could drop.
-ECDRA_REGISTER_BATCH_HEURISTIC("MinMinCT", [] {
-  return std::make_unique<MinMinCompletionTime>();
-})
-ECDRA_REGISTER_BATCH_HEURISTIC("Sufferage", [] {
-  return std::make_unique<Sufferage>();
-})
-ECDRA_REGISTER_BATCH_HEURISTIC("MaxMaxRob", [] {
-  return std::make_unique<MaxMaxRobustness>();
-})
-ECDRA_REGISTER_BATCH_HEURISTIC("MinMinEnergy", [] {
-  return std::make_unique<MinMinEnergy>();
-})
+
+// Min-Min completion time: the task that can finish soonest maps first.
+ECDRA_POLICY_REGISTRATION(RegisterTwoPhase("MinMinCT", kCompletionTime,
+                                           kBestScore))
+
+// Sufferage: the task that would lose most without its best core maps
+// first.
+ECDRA_POLICY_REGISTRATION(RegisterTwoPhase(
+    "Sufferage", kCompletionTime, [](const Scored& s) {
+      // Largest sufferage first; tasks with only one feasible core have
+      // infinite sufferage and are mapped before anything else.
+      const double sufferage = s.second_core_score == kInf
+                                   ? kInf
+                                   : s.second_core_score - s.best_score;
+      return -sufferage;
+    }))
+
+// Max-Max robustness: the task with the highest achievable rho maps first
+// (lower score = higher rho).
+ECDRA_POLICY_REGISTRATION(RegisterTwoPhase(
+    "MaxMaxRob",
+    [](const BatchTask& task, const core::Candidate& c, double now) {
+      return -BatchOnTimeProbability(c, *task.task, now);
+    },
+    kBestScore))
+
+// Min-Min energy: the task with the cheapest assignment maps first.
+ECDRA_POLICY_REGISTRATION(RegisterTwoPhase(
+    "MinMinEnergy",
+    [](const BatchTask&, const core::Candidate& c, double) { return c.eec; },
+    kBestScore))
 
 }  // namespace ecdra::batch

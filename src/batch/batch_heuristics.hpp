@@ -1,81 +1,31 @@
-// The classic two-phase greedy batch heuristics, adapted to this
-// environment (candidates carry a P-state dimension and stochastic
-// quantities):
+// The batch-heuristic registry. Its four built-ins are the classic
+// two-phase greedy batch heuristics, adapted to this environment
+// (candidates carry a P-state dimension and stochastic quantities):
 //
-//  * Min-Min completion time [MaA99]: map the task that can finish soonest.
+//  * MinMinCT, Min-Min completion time [MaA99]: map the task that can
+//    finish soonest.
 //  * Sufferage [MaA99 family]: map the task that would suffer most from not
 //    getting its best core (largest best-vs-second-best-core ECT gap).
-//  * Max-Max robustness [SmA10 flavour]: map the task with the highest
-//    achievable on-time probability, at its most robust assignment.
-//  * Min-Min energy: map the task with the cheapest achievable assignment —
-//    the batch analogue of greedy energy minimization.
+//  * MaxMaxRob, Max-Max robustness [SmA10 flavour]: map the task with the
+//    highest achievable on-time probability, at its most robust assignment.
+//  * MinMinEnergy, Min-Min energy: map the task with the cheapest
+//    achievable assignment — the batch analogue of greedy energy
+//    minimization.
 #pragma once
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "batch/batch_heuristic.hpp"
 #include "policy/registry.hpp"
 
 namespace ecdra::batch {
 
-class MinMinCompletionTime final : public BatchHeuristic {
- public:
-  [[nodiscard]] std::vector<BatchAssignment> MapBatch(
-      const std::vector<BatchTask>& tasks, double now) override;
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "MinMinCT";
-  }
-
- private:
-  std::vector<double> scores_;  // TwoPhaseGreedy's per-candidate scores
-};
-
-class Sufferage final : public BatchHeuristic {
- public:
-  [[nodiscard]] std::vector<BatchAssignment> MapBatch(
-      const std::vector<BatchTask>& tasks, double now) override;
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "Sufferage";
-  }
-
- private:
-  std::vector<double> scores_;  // TwoPhaseGreedy's per-candidate scores
-};
-
-class MaxMaxRobustness final : public BatchHeuristic {
- public:
-  [[nodiscard]] std::vector<BatchAssignment> MapBatch(
-      const std::vector<BatchTask>& tasks, double now) override;
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "MaxMaxRob";
-  }
-
- private:
-  std::vector<double> scores_;  // TwoPhaseGreedy's per-candidate scores
-};
-
-class MinMinEnergy final : public BatchHeuristic {
- public:
-  [[nodiscard]] std::vector<BatchAssignment> MapBatch(
-      const std::vector<BatchTask>& tasks, double now) override;
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "MinMinEnergy";
-  }
-
- private:
-  std::vector<double> scores_;  // TwoPhaseGreedy's per-candidate scores
-};
-
 using BatchHeuristicRegistryType = policy::Registry<BatchHeuristic>;
 
 /// The process-wide batch-heuristic registry; the four built-ins above
 /// self-register from batch_heuristics.cpp.
 [[nodiscard]] BatchHeuristicRegistryType& BatchHeuristicRegistry();
-
-/// The built-in batch heuristic names, in presentation order.
-[[nodiscard]] const std::vector<std::string>& BatchHeuristicNames();
 
 /// Factory by registered name; throws std::invalid_argument listing the
 /// registered names for unknown ones.

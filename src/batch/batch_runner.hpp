@@ -34,8 +34,8 @@ struct BatchRunOptions : sim::RunOptions {
     const policy::ScenarioSpec& spec);
 
 /// Runs one deterministic batch-mode trial; `heuristic` is a registered
-/// batch heuristic (BatchHeuristicNames() lists the built-ins). Throws the
-/// trial's own exception.
+/// batch heuristic (BatchHeuristicRegistry().Names() lists them). Throws
+/// the trial's own exception.
 [[nodiscard]] sim::TrialResult RunBatchTrial(const sim::ExperimentSetup& setup,
                                              const std::string& heuristic,
                                              std::size_t trial_index,

@@ -87,7 +87,8 @@ struct RunKnobs : TrialKnobs {
   /// block — a mismatch is a typed refusal (RequireStreamCompatible), so a
   /// stream block can never be silently executed under paper semantics.
   /// kBatch has no spelling, so spec text cannot select it; the batch
-  /// runner (batch::RunBatchTrials) sets it on its own copy.
+  /// runner (batch::RunBatchTrials) and the grid driver's
+  /// grid.batch_heuristics rows set it on their own copy.
   RunMode mode = RunMode::kFixedTrace;
   /// Streaming service knobs (src/stream); inert unless mode == kStream.
   StreamSpec stream;

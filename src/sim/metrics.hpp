@@ -248,9 +248,8 @@ struct TrialResult {
 std::ostream& operator<<(std::ostream& os, const TrialResult& result);
 
 /// Cross-trial aggregation of one configuration's results: headline means
-/// plus the summed observability counters — the hook figure_harness, the
-/// CLI, and the bench harnesses use to dump telemetry next to the paper
-/// metrics.
+/// plus the summed observability counters — the hook the CLI uses to dump
+/// telemetry next to the paper metrics.
 struct SummaryStatistics {
   std::size_t trials = 0;
   double mean_missed = 0.0;

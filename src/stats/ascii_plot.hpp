@@ -1,4 +1,4 @@
-// Terminal rendering of box-and-whiskers plots, so each bench binary can
+// Terminal rendering of box-and-whiskers plots, so a grid's @plot can
 // reproduce the *look* of the paper's Figures 2-6 directly in its output:
 //
 //   SQ (none)    |      o   |-----[  =====  ]-------|
@@ -13,11 +13,6 @@
 #include "stats/summary.hpp"
 
 namespace ecdra::stats {
-
-struct BoxPlotSeries {
-  std::string label;
-  BoxWhisker box;
-};
 
 /// Renders all series against a shared horizontal axis of `width` columns,
 /// with an axis legend line at the bottom.

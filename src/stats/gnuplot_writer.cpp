@@ -8,7 +8,7 @@
 namespace ecdra::stats {
 
 void WriteGnuplotData(std::ostream& os,
-                      const std::vector<GnuplotSeries>& series) {
+                      const std::vector<BoxPlotSeries>& series) {
   ECDRA_REQUIRE(!series.empty(), "gnuplot figure needs at least one series");
   os << "# x q1 whisker_low whisker_high q3 median label\n";
   for (std::size_t i = 0; i < series.size(); ++i) {
@@ -21,7 +21,7 @@ void WriteGnuplotData(std::ostream& os,
 
 void WriteGnuplotScript(std::ostream& os, const std::string& title,
                         const std::string& ylabel,
-                        const std::vector<GnuplotSeries>& series,
+                        const std::vector<BoxPlotSeries>& series,
                         const std::string& data_path,
                         const std::string& output_png) {
   ECDRA_REQUIRE(!series.empty(), "gnuplot figure needs at least one series");
@@ -48,7 +48,7 @@ void WriteGnuplotScript(std::ostream& os, const std::string& title,
 
 void WriteGnuplotFigure(const std::string& basename, const std::string& title,
                         const std::string& ylabel,
-                        const std::vector<GnuplotSeries>& series) {
+                        const std::vector<BoxPlotSeries>& series) {
   const std::string data_path = basename + ".dat";
   std::ofstream data(data_path);
   ECDRA_REQUIRE(data.good(), "cannot write " + data_path);

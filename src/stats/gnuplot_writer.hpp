@@ -3,7 +3,7 @@
 // box_max(Q3), median) plus a ready-to-run .gp script, so every regenerated
 // figure can also be rendered as a real plot:
 //
-//   gnuplot fig2.gp   ->  fig2.png
+//   gnuplot paper_figures.gp   ->  paper_figures.png
 #pragma once
 
 #include <iosfwd>
@@ -14,20 +14,15 @@
 
 namespace ecdra::stats {
 
-struct GnuplotSeries {
-  std::string label;
-  BoxWhisker box;
-};
-
 /// Writes the candlestick data rows (one per series).
 void WriteGnuplotData(std::ostream& os,
-                      const std::vector<GnuplotSeries>& series);
+                      const std::vector<BoxPlotSeries>& series);
 
 /// Writes a self-contained gnuplot script that reads `data_path` and renders
 /// `output_png`. `title` and `ylabel` annotate the plot.
 void WriteGnuplotScript(std::ostream& os, const std::string& title,
                         const std::string& ylabel,
-                        const std::vector<GnuplotSeries>& series,
+                        const std::vector<BoxPlotSeries>& series,
                         const std::string& data_path,
                         const std::string& output_png);
 
@@ -35,6 +30,6 @@ void WriteGnuplotScript(std::ostream& os, const std::string& title,
 /// other; the script renders `<basename>.png`.
 void WriteGnuplotFigure(const std::string& basename, const std::string& title,
                         const std::string& ylabel,
-                        const std::vector<GnuplotSeries>& series);
+                        const std::vector<BoxPlotSeries>& series);
 
 }  // namespace ecdra::stats

@@ -6,6 +6,7 @@
 
 #include <cstddef>
 #include <iosfwd>
+#include <string>
 #include <vector>
 
 namespace ecdra::stats {
@@ -24,6 +25,13 @@ struct BoxWhisker {
   std::vector<double> outliers;
 
   [[nodiscard]] double iqr() const noexcept { return q3 - q1; }
+};
+
+/// One labelled box of a figure: what RenderBoxPlot (ascii_plot.hpp) and
+/// the gnuplot writer (gnuplot_writer.hpp) both draw.
+struct BoxPlotSeries {
+  std::string label;
+  BoxWhisker box;
 };
 
 /// Summarizes a sample (at least one value required).

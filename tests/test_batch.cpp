@@ -60,8 +60,8 @@ TEST_F(BatchHeuristicTest, MinMinMapsFastestTaskFirst) {
       MakeTask(0, task_a_, {{0, &fast_}, {1, &slow_}}),
       MakeTask(1, task_b_, {{0, &slow_}, {1, &slow_}}),
   };
-  MinMinCompletionTime minmin;
-  const auto assignments = minmin.MapBatch(tasks, 0.0);
+  const auto assignments =
+      MakeBatchHeuristic("MinMinCT")->MapBatch(tasks, 0.0);
   ASSERT_EQ(assignments.size(), 2u);
   // Task a goes first to its fast core; task b takes the other.
   EXPECT_EQ(assignments[0].pending_index, 0u);
@@ -80,8 +80,8 @@ TEST_F(BatchHeuristicTest, SufferagePrioritizesTheTaskWithMostToLose) {
       MakeTask(0, task_a_, {{0, &fast_}, {1, &slightly_slow}}),
       MakeTask(1, task_b_, {{0, &fast_}, {1, &slow_}}),
   };
-  Sufferage sufferage;
-  const auto assignments = sufferage.MapBatch(tasks, 0.0);
+  const auto assignments =
+      MakeBatchHeuristic("Sufferage")->MapBatch(tasks, 0.0);
   ASSERT_EQ(assignments.size(), 2u);
   EXPECT_EQ(assignments[0].pending_index, 1u);  // task b first
   EXPECT_EQ(assignments[0].candidate.assignment.flat_core, 0u);
@@ -97,8 +97,8 @@ TEST_F(BatchHeuristicTest, MaxMaxRobustnessMapsTheMostCertainTaskFirst) {
       MakeTask(0, task_a_, {{0, &fast_}, {1, &slow_}}),
       MakeTask(1, tight, {{0, &fast_}, {1, &slow_}}),
   };
-  MaxMaxRobustness maxmax;
-  const auto assignments = maxmax.MapBatch(tasks, 0.0);
+  const auto assignments =
+      MakeBatchHeuristic("MaxMaxRob")->MapBatch(tasks, 0.0);
   ASSERT_EQ(assignments.size(), 2u);
   // Task a (rho = 1 anywhere) maps first by greedy max-rho; it must NOT
   // steal the fast core that task b needs... greedy MaxMax does take core 0
@@ -112,8 +112,8 @@ TEST_F(BatchHeuristicTest, MinMinEnergyPicksCheapestAssignments) {
   const std::vector<BatchTask> tasks{
       MakeTask(0, task_a_, {{0, &fast_}, {1, &slow_}}),  // eec 10 vs 30
   };
-  MinMinEnergy minmin;
-  const auto assignments = minmin.MapBatch(tasks, 0.0);
+  const auto assignments =
+      MakeBatchHeuristic("MinMinEnergy")->MapBatch(tasks, 0.0);
   ASSERT_EQ(assignments.size(), 1u);
   EXPECT_EQ(assignments[0].candidate.assignment.flat_core, 0u);
 }
@@ -126,7 +126,7 @@ TEST_F(BatchHeuristicTest, NoTwoTasksShareACore) {
       MakeTask(1, task_b_, {{0, &fast_}, {1, &fast_}}),
       MakeTask(2, task_c, {{0, &slow_}, {1, &fast_}}),
   };
-  for (const std::string& name : BatchHeuristicNames()) {
+  for (const std::string& name : BatchHeuristicRegistry().Names()) {
     const auto heuristic = MakeBatchHeuristic(name);
     const auto assignments = heuristic->MapBatch(tasks, 0.0);
     ASSERT_EQ(assignments.size(), 2u) << name;
@@ -139,7 +139,7 @@ TEST_F(BatchHeuristicTest, NoTwoTasksShareACore) {
 }
 
 TEST_F(BatchHeuristicTest, EmptyInputsYieldNoAssignments) {
-  for (const std::string& name : BatchHeuristicNames()) {
+  for (const std::string& name : BatchHeuristicRegistry().Names()) {
     const auto heuristic = MakeBatchHeuristic(name);
     EXPECT_TRUE(heuristic->MapBatch({}, 0.0).empty()) << name;
   }
@@ -148,7 +148,7 @@ TEST_F(BatchHeuristicTest, EmptyInputsYieldNoAssignments) {
 TEST(BatchFactory, RejectsUnknownNames) {
   EXPECT_THROW((void)MakeBatchHeuristic("NotAHeuristic"),
                std::invalid_argument);
-  EXPECT_EQ(BatchHeuristicNames().size(), 4u);
+  EXPECT_EQ(BatchHeuristicRegistry().Names().size(), 4u);
 }
 
 // ---------------------------------------------------------------------------
@@ -498,7 +498,7 @@ TEST(BatchScheduler, ExpiredSkipMatchesTheFullChainAtEveryEvent) {
   // commit the same assignments and leave the same estimator state.
   const sim::ExperimentSetup setup = SmallSetup();
   const std::vector<workload::Task> tasks = TrialZeroWorkload(setup);
-  for (const std::string& heuristic : BatchHeuristicNames()) {
+  for (const std::string& heuristic : BatchHeuristicRegistry().Names()) {
     std::vector<std::unique_ptr<core::Filter>> hidden =
         core::MakeFilterChain("en+rob");
     hidden.back() =
@@ -578,7 +578,7 @@ class RecordingHeuristic final : public BatchHeuristic {
                            std::vector<core::Candidate>(
                                task.candidates.begin(), task.candidates.end()));
     }
-    return inner_.MapBatch(tasks, now);
+    return inner_->MapBatch(tasks, now);
   }
   [[nodiscard]] std::string_view name() const noexcept override {
     return "Recording";
@@ -586,7 +586,7 @@ class RecordingHeuristic final : public BatchHeuristic {
 
  private:
   Lists* lists_;
-  MinMinCompletionTime inner_;
+  std::unique_ptr<BatchHeuristic> inner_ = MakeBatchHeuristic("MinMinCT");
 };
 
 TEST(BatchScheduler, EveryCandidateListIsTheIdleCoresTimesPStates) {
@@ -913,7 +913,7 @@ TEST(BatchRunner, RetriedBatchTrialEqualsACleanRun) {
 
 TEST(BatchRunner, AllHeuristicsSatisfyInvariantsOnPaperWorkload) {
   const sim::ExperimentSetup setup = SmallSetup();
-  for (const std::string& name : BatchHeuristicNames()) {
+  for (const std::string& name : BatchHeuristicRegistry().Names()) {
     const sim::TrialResult result = RunBatchTrial(setup, name, 1);
     EXPECT_EQ(result.completed + result.missed_deadlines, 60u) << name;
     EXPECT_GT(result.total_energy, 0.0) << name;
@@ -925,7 +925,7 @@ TEST(BatchRunner, BatchTrialsPassTheEnginesDeepValidation) {
   // event order, the budget cutoff, queue-model/engine sync and every pmf
   // operation. The workload is the runner's trial 0.
   const sim::ExperimentSetup setup = SmallSetup();
-  for (const std::string& name : BatchHeuristicNames()) {
+  for (const std::string& name : BatchHeuristicRegistry().Names()) {
     const util::RngStream trial_rng =
         util::RngStream(setup.master_seed).Substream("trial", 0);
     util::RngStream workload_rng = trial_rng.Substream("workload");

@@ -56,7 +56,8 @@ std::map<GoldenKey, std::string> ComputeGrid() {
     }
   }
 
-  for (const std::string& heuristic : batch::BatchHeuristicNames()) {
+  for (const std::string& heuristic :
+       batch::BatchHeuristicRegistry().Names()) {
     for (const std::string& variant : grid.filter_variants) {
       batch::BatchRunOptions options;
       options.num_trials = kTrialsPerCell;

@@ -1,13 +1,11 @@
 // End-to-end integration tests over a reduced §VI environment: every
 // heuristic x filter variant runs a full trial; cross-module invariants
 // (counting identities, energy reconciliation, robustness prediction
-// quality, figure harness plumbing) are asserted on the outcome.
+// quality) are asserted on the outcome.
 #include <algorithm>
-#include <sstream>
 
 #include <gtest/gtest.h>
 
-#include "experiment/figure_harness.hpp"
 #include "experiment/paper_config.hpp"
 #include "sim/experiment_runner.hpp"
 
@@ -152,36 +150,6 @@ TEST_F(IntegrationTest, EnergyFilteringReducesEnergyConsumption) {
     filtered_energy += filtered[i].total_energy;
   }
   EXPECT_LT(filtered_energy, unfiltered_energy);
-}
-
-TEST_F(IntegrationTest, FigureHarnessProducesOneSeriesPerSpec) {
-  sim::RunOptions options;
-  options.num_trials = 2;
-  const experiment::FigureResult figure = experiment::RunFigure(
-      *setup_, "Test figure", experiment::VariantsOfHeuristic("SQ"), options);
-  ASSERT_EQ(figure.series.size(), 4u);
-  EXPECT_EQ(figure.window_size, 200u);
-  for (const experiment::SeriesResult& series : figure.series) {
-    EXPECT_EQ(series.missed_deadlines.size(), 2u);
-    EXPECT_EQ(series.box.n, 2u);
-    EXPECT_GT(series.mean_energy_fraction, 0.0);
-  }
-  EXPECT_EQ(figure.series[0].spec.label, "SQ (none)");
-  EXPECT_EQ(figure.series[3].spec.label, "SQ (en+rob)");
-
-  std::ostringstream os;
-  experiment::PrintFigure(os, figure);
-  EXPECT_NE(os.str().find("Test figure"), std::string::npos);
-  EXPECT_NE(os.str().find("SQ (en+rob)"), std::string::npos);
-  EXPECT_NE(os.str().find("median"), std::string::npos);
-}
-
-TEST_F(IntegrationTest, BestVariantsCoversAllHeuristics) {
-  const std::vector<experiment::SeriesSpec> specs = experiment::BestVariants();
-  ASSERT_EQ(specs.size(), 4u);
-  for (const experiment::SeriesSpec& spec : specs) {
-    EXPECT_EQ(spec.filter_variant, "en+rob");
-  }
 }
 
 TEST_F(IntegrationTest, StayAtLastIdlePolicyBurnsMoreEnergy) {

@@ -675,7 +675,7 @@ TEST(SummaryStatistics, EconTrialsCountsOnlyMeteredTrials) {
   // A sweep mixing econ-on and econ-off trials (e.g. a resume across a
   // config change would be refused, but a grid can mix series): the means
   // average over all trials, while econ_trials reports how many actually
-  // metered — the figure harness keys its profit table off it.
+  // metered — the summary printer keys its econ block off it.
   sim::TrialResult metered;
   metered.econ.enabled = true;
   metered.econ.revenue = 30.0;
