@@ -25,6 +25,7 @@
 namespace {
 
 using ecdra::pmf::Convolve;
+using ecdra::pmf::ConvolveInto;
 using ecdra::pmf::DiscretizedGamma;
 using ecdra::pmf::Pmf;
 using ecdra::pmf::ProbSumLeq;
@@ -80,6 +81,27 @@ void BM_Convolve(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_Convolve)->Arg(8)->Arg(16)->Arg(24)->Arg(32)->Arg(64)->Complexity();
+
+/// The convolution a trial's ReadyPmf rebuild runs: the running task's
+/// 24-impulse exec pmf (the paper's CVB mean and CoV), truncated below its
+/// impulse `cut`, convolved with a 32-impulse chain of three queued exec
+/// pmfs. Gamma pmfs have sparse tails, where the widest gaps of the cross
+/// product sit; BM_Convolve's uniform supports do not.
+void BM_ConvolveReadyShape(benchmark::State& state) {
+  const auto cut = static_cast<std::size_t>(state.range(0));
+  const Pmf exec = DiscretizedGamma(750.0, 0.25);
+  const Pmf running = exec.TruncateBelow(exec.impulses()[cut].value).pmf;
+  Pmf chain = DiscretizedGamma(600.0, 0.25);
+  chain = Convolve(chain, DiscretizedGamma(900.0, 0.25));
+  chain = Convolve(chain, DiscretizedGamma(750.0, 0.25));
+  Pmf out;
+  const PmfOpCounters ops(state);
+  for (auto _ : state) {
+    ConvolveInto(running, chain, Pmf::kDefaultMaxImpulses, out);
+    benchmark::DoNotOptimize(out);
+  }
+}
+BENCHMARK(BM_ConvolveReadyShape)->Arg(0)->Arg(8)->Arg(16);
 
 void BM_ProbSumLeq(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

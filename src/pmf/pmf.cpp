@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <ostream>
 #include <span>
 #include <sstream>
@@ -92,29 +93,15 @@ inline void DeepCheck(const Pmf& pmf, const char* op) {
 /// Reusable per-thread buffers for the convolve/compact kernels, so the hot
 /// path performs no heap allocation once warm. Trials are single-threaded
 /// (one engine per thread), matching the obs/validate thread-local pattern.
-/// A support gap and the index it sits at, for boundary selection.
-struct GapIdx {
-  double gap;
-  std::uint32_t index;
-};
-
-/// Min-heap order for boundary selection: the root is the weakest kept
-/// candidate. a outranks b on a larger gap, or on a smaller index at an
-/// equal gap.
-inline bool GapWeaker(const GapIdx& a, const GapIdx& b) {
-  return a.gap < b.gap || (a.gap == b.gap && a.index > b.index);
-}
-inline bool GapStronger(const GapIdx& a, const GapIdx& b) {
-  return GapWeaker(b, a);
-}
-
 struct PmfScratch {
-  std::vector<double> vals;           // cross-product values, sorted ascending
-  std::vector<double> probs;          // matching probabilities
-  std::vector<std::uint32_t> hist;  // bucket counts, then scatter offsets
-  std::vector<Impulse> pairs;         // std::sort fallback workspace
-  std::vector<GapIdx> top_gaps;       // compaction: the keep largest gaps
-  std::vector<std::uint32_t> bounds;  // compaction: run end positions
+  std::vector<double> vals;   // cross-product values, sorted ascending
+  std::vector<double> probs;  // matching probabilities
+  // Bucket counts, then scatter offsets. Once the values are sorted,
+  // compaction reuses it for the indices of its candidate gaps and then of
+  // the kept ones (SelectBoundaries).
+  std::vector<std::uint32_t> hist;
+  std::vector<Impulse> pairs;  // std::sort fallback workspace
+  std::vector<double> gaps;    // compaction: the gaps SelectBoundaries ranks
 };
 
 PmfScratch& Scratch() {
@@ -122,43 +109,85 @@ PmfScratch& Scratch() {
   return scratch;
 }
 
-/// FoldAndCheck fused with compaction boundary selection, for the dominant
-/// convolve-then-compact case: the gap stream and bounded min-heap (see
-/// CompactSoA) ride the same pass over vals that the fold and defect checks
-/// already make, instead of re-streaming the arrays afterwards. The heap
-/// sees the exact gap sequence, in the exact order, that the standalone
-/// selection would produce, so the kept boundary set is bit-identical.
-/// Requires 1 <= keep < n - 1; `top` must hold keep entries. If the result
-/// flags needs_coalesce the heap indices refer to pre-coalesce positions
-/// and the caller must discard them and reselect after coalescing.
-FoldResult FoldCheckSelect(const double* vals, const double* probs,
-                           std::size_t n, std::size_t keep, GapIdx* top) {
+/// Compaction boundary selection, the one routine every compaction uses.
+/// The boundaries are the `keep` strongest gaps vals[i + 1] - vals[i], a gap
+/// being stronger when it is larger or, at an equal gap, when its index is
+/// lower. Earlier kernels kept the same set (an nth_element threshold with
+/// a tie budget, then a bounded min-heap), so every compacted pmf keeps its
+/// bits. Three steps:
+///
+/// 1. τ is the keep-th largest of the first and last `keep` gaps (of every
+///    gap when there are fewer than 2·keep). A subset's keep-th largest
+///    never exceeds the whole set's, so every boundary gap is >= τ. The
+///    wide gaps of a trial pmf sit in its sparse tails, at both ends, so τ
+///    lands near the final cut.
+/// 2. One pass over vals writes the index of every gap >= τ into s.hist
+///    without a branch: the store is unconditional, and only the count
+///    depends on the compare. With kFold, the same pass does FoldAndCheck's
+///    mass fold and defect checks, whose serial add chain leaves the issue
+///    slots for the rest.
+/// 3. The keep-th largest candidate gap is the cut. Every candidate above
+///    it is kept, and of the ties at it the lowest indices, written back in
+///    index order to s.hist[0, keep): they are the sorted run boundaries.
+///
+/// Requires 1 <= keep < n - 1 and finite vals, so no gap is NaN. If kFold
+/// flags needs_coalesce, step 3 is skipped: the caller coalesces the
+/// arrays and selects again.
+template <bool kFold>
+FoldResult SelectBoundaries(const double* vals, const double* probs,
+                            std::size_t n, std::size_t keep, PmfScratch& s) {
+  const std::size_t num_gaps = n - 1;
+  const std::size_t sampled = std::min(num_gaps, 2 * keep);
+  if (s.gaps.size() < sampled) s.gaps.resize(sampled);
+  double* gaps = s.gaps.data();
+  for (std::size_t i = 0; i < sampled; ++i) {
+    const std::size_t at = i < keep ? i : num_gaps - sampled + i;
+    gaps[i] = vals[at + 1] - vals[at];
+  }
+  std::nth_element(gaps, gaps + (keep - 1), gaps + sampled, std::greater<>());
+  const double tau = gaps[keep - 1];
+
+  if (s.hist.size() < n) s.hist.resize(n);
+  std::uint32_t* const cand = s.hist.data();
+  std::size_t count = 0;
   double mass = probs[0];  // == 0.0 + probs[0] bitwise for positive probs
   unsigned bad = !(probs[0] > 0.0);
-  for (std::size_t k = 1; k <= keep; ++k) {
-    mass += probs[k];
-    bad |= static_cast<unsigned>(!(probs[k] > 0.0)) |
-           static_cast<unsigned>(vals[k - 1] == vals[k]);
-    top[k - 1] = GapIdx{vals[k] - vals[k - 1],
-                        static_cast<std::uint32_t>(k - 1)};
+  for (std::size_t k = 1; k < n; ++k) {
+    if constexpr (kFold) {
+      mass += probs[k];
+      bad |= static_cast<unsigned>(!(probs[k] > 0.0)) |
+             static_cast<unsigned>(vals[k - 1] == vals[k]);
+    }
+    cand[count] = static_cast<std::uint32_t>(k - 1);
+    count += static_cast<std::size_t>(vals[k] - vals[k - 1] >= tau);
   }
-  std::make_heap(top, top + keep, GapStronger);
-  // The root (weakest kept gap) is cached in locals so the hot compare does
-  // not reload it through memory on every iteration.
-  GapIdx root = top[0];
-  for (std::size_t k = keep + 1; k < n; ++k) {
-    mass += probs[k];
-    bad |= static_cast<unsigned>(!(probs[k] > 0.0)) |
-           static_cast<unsigned>(vals[k - 1] == vals[k]);
-    const GapIdx g{vals[k] - vals[k - 1], static_cast<std::uint32_t>(k - 1)};
-    if (GapWeaker(root, g)) [[unlikely]] {
-      std::pop_heap(top, top + keep, GapStronger);
-      top[keep - 1] = g;
-      std::push_heap(top, top + keep, GapStronger);
-      root = top[0];
+  if (kFold && bad != 0) return FoldResult{mass, true};
+
+  if (count > keep) {
+    if (s.gaps.size() < count) s.gaps.resize(count);
+    gaps = s.gaps.data();
+    for (std::size_t i = 0; i < count; ++i) {
+      gaps[i] = vals[cand[i] + 1] - vals[cand[i]];
+    }
+    std::nth_element(gaps, gaps + (keep - 1), gaps + count, std::greater<>());
+    const double cut = gaps[keep - 1];
+    std::size_t ties = keep;  // how many gaps equal to the cut are kept
+    for (std::size_t i = 0; i < count; ++i) {
+      ties -= static_cast<std::size_t>(gaps[i] > cut);
+    }
+    std::size_t kept = 0;
+    for (std::size_t i = 0; kept < keep; ++i) {
+      const std::uint32_t at = cand[i];
+      const double gap = vals[at + 1] - vals[at];
+      if (gap > cut) {
+        cand[kept++] = at;
+      } else if (gap == cut && ties > 0) {
+        --ties;
+        cand[kept++] = at;
+      }
     }
   }
-  return FoldResult{mass, bad != 0};
+  return FoldResult{mass, false};
 }
 
 /// Per-bucket occupancy bound for the distribution sort below: past this,
@@ -335,64 +364,43 @@ std::size_t CoalesceSortedSoA(double* vals, double* probs, std::size_t n) {
 /// arithmetic matches the pre-fusion Pmf::Compact exactly, which the golden
 /// paper-grid fixture depends on.
 ///
-/// Boundary selection streams the gaps through a bounded min-heap of
-/// (gap, index), ordered ascending by gap and, for equal gaps, descending
-/// by index. The kept set is therefore every gap strictly above the old
-/// nth_element threshold plus the first (by index) ties at it — exactly the
-/// boundaries the old threshold + tie-budget walk chose, without
-/// materializing and re-scanning a gap array. Only the selected set feeds
-/// the arithmetic, so bit-identity is preserved.
-/// The compaction back half: turns the (max_impulses - 1) selected gaps
-/// sitting in Scratch().top_gaps into sorted run boundaries and folds each
-/// run into one impulse, in order. Callers fill top_gaps either via
-/// CompactSoA below or via the fused FoldCheckSelect pass.
+/// This is the back half: it folds each run between the boundaries that
+/// SelectBoundaries left in Scratch().hist (ascending; none when
+/// max_impulses is 1) into one impulse, in order. A run of one impulse
+/// merges to (q·v)/q, which can round onto or past the neighbouring double,
+/// so when a boundary sits on a one-ulp gap a merged value can be equal to,
+/// or just below, the one before it. Such an impulse joins the one before
+/// it, probabilities summed in order, so the support stays strictly
+/// increasing; nothing else changes.
 template <bool kNormalize>
 void CompactFromTopGaps(const double* vals, const double* probs,
                         std::size_t n, std::size_t max_impulses,
                         ImpulseVec& out, double divisor) {
   obs::Bump(&obs::Counters::pmf_compactions);
   out.clear();
-  PmfScratch& s = Scratch();
-  const std::size_t keep = max_impulses - 1;
-  s.bounds.resize(keep);
-  for (std::size_t i = 0; i < keep; ++i) s.bounds[i] = s.top_gaps[i].index + 1;
-  std::sort(s.bounds.begin(), s.bounds.end());
   out.reserve(max_impulses);
+  const std::uint32_t* const kept = Scratch().hist.data();
   std::size_t run_start = 0;
-  for (const std::uint32_t run_end : s.bounds) {
-    out.push_back(
-        MergeRun<kNormalize>(vals, probs, run_start, run_end, divisor));
+  for (std::size_t b = 0; b < max_impulses; ++b) {
+    const std::size_t run_end = b + 1 < max_impulses ? kept[b] + 1 : n;
+    const Impulse merged =
+        MergeRun<kNormalize>(vals, probs, run_start, run_end, divisor);
+    if (b > 0 && merged.value <= out.back().value) [[unlikely]] {
+      out.back().prob += merged.prob;
+    } else {
+      out.push_back(merged);
+    }
     run_start = run_end;
   }
-  out.push_back(MergeRun<kNormalize>(vals, probs, run_start, n, divisor));
   ECDRA_ASSERT(out.size() <= max_impulses, "compaction overshot its bound");
 }
 
 template <bool kNormalize>
 void CompactSoA(const double* vals, const double* probs, std::size_t n,
                 std::size_t max_impulses, ImpulseVec& out, double divisor) {
-  if (max_impulses == 1) {
-    obs::Bump(&obs::Counters::pmf_compactions);
-    out.clear();
-    out.push_back(MergeRun<kNormalize>(vals, probs, 0, n, divisor));
-    return;
-  }
-
-  PmfScratch& s = Scratch();
-  const std::size_t keep = max_impulses - 1;  // keep < n - 1 == gap count
-  s.top_gaps.resize(keep);
-  GapIdx* const top = s.top_gaps.data();
-  for (std::size_t i = 0; i < keep; ++i) {
-    top[i] = GapIdx{vals[i + 1] - vals[i], static_cast<std::uint32_t>(i)};
-  }
-  std::make_heap(top, top + keep, GapStronger);
-  for (std::size_t i = keep; i + 1 < n; ++i) {
-    const GapIdx g{vals[i + 1] - vals[i], static_cast<std::uint32_t>(i)};
-    if (GapWeaker(top[0], g)) {
-      std::pop_heap(top, top + keep, GapStronger);
-      top[keep - 1] = g;
-      std::push_heap(top, top + keep, GapStronger);
-    }
+  if (max_impulses >= 2) {
+    (void)SelectBoundaries<false>(vals, probs, n, max_impulses - 1,
+                                  Scratch());
   }
   CompactFromTopGaps<kNormalize>(vals, probs, n, max_impulses, out, divisor);
 }
@@ -632,16 +640,17 @@ void ConvolveInto(const Pmf& x, const Pmf& y, std::size_t max_impulses,
   // positive, so a defect only appears when floating-point addition collapsed
   // two sums to the same value — rare enough to pay for a recoalesce + refold.
   // When the result will be compacted (the dominant case), the same pass
-  // also runs the boundary-selection heap, saving a re-stream of vals.
-  const bool fuse_select = n > max_impulses && max_impulses >= 2;
-  FoldResult fold;
-  if (fuse_select) {
-    s.top_gaps.resize(max_impulses - 1);
-    fold = FoldCheckSelect(s.vals.data(), s.probs.data(), n, max_impulses - 1,
-                           s.top_gaps.data());
-  } else {
-    fold = FoldAndCheck(s.vals.data(), s.probs.data(), n);
-  }
+  // also collects the boundary candidates, saving a re-stream of vals.
+  // Selection needs finite gaps, and a sum that overflowed makes an
+  // inf - inf gap, so a cross product with an infinite endpoint takes the
+  // plain fold and the finiteness check below.
+  const bool fuse_select = n > max_impulses && max_impulses >= 2 &&
+                           std::isfinite(s.vals[0]) &&
+                           std::isfinite(s.vals[n - 1]);
+  FoldResult fold =
+      fuse_select ? SelectBoundaries<true>(s.vals.data(), s.probs.data(), n,
+                                           max_impulses - 1, s)
+                  : FoldAndCheck(s.vals.data(), s.probs.data(), n);
   bool preselected = fuse_select;
   if (fold.needs_coalesce) [[unlikely]] {
     n = CoalesceSortedSoA(s.vals.data(), s.probs.data(), n);

@@ -1,11 +1,16 @@
 #include "pmf/pmf.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <numeric>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "pmf/distribution_factory.hpp"
 #include "util/rng.hpp"
 #include "validate/validation.hpp"
 
@@ -382,6 +387,250 @@ TEST(Convolve, KWayMergeMatchesSortBasedCrossProduct) {
     const Pmf via_sort = Pmf::FromImpulses(std::move(cross), 32);
     EXPECT_EQ(Convolve(x, y, 32), via_sort);
   }
+}
+
+TEST(Convolve, TwoPointChainsKeepTheSupportStrictlyIncreasing) {
+  // Chains over a pool of three two-point pmfs add the same values in
+  // different orders, so their cross products hold clusters of sums one
+  // ulp apart. When fewer than 31 gaps are wider than that, a compaction
+  // boundary falls on a one-ulp gap, and a run of one impulse, merged to
+  // (q·v)/q, can round onto or past its neighbour. Such an impulse must
+  // join its neighbour: every result keeps a strictly increasing support
+  // and passes the deep audit.
+  validate::TrialValidator validator(validate::ValidationMode::kDeep);
+  std::size_t convolutions = 0;
+  {
+    const validate::ValidatorScope scope(&validator);
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+      util::RngStream rng(seed);
+      const auto two_point = [&rng] {
+        return Pmf::FromImpulses(
+            {{rng.UniformReal(10.0, 20.0), rng.UniformReal(0.01, 1.0)},
+             {rng.UniformReal(10.0, 20.0), rng.UniformReal(0.01, 1.0)}});
+      };
+      const Pmf pool[] = {two_point(), two_point(), two_point()};
+      for (int chain = 0; chain < 38; ++chain) {
+        Pmf acc = pool[rng.UniformInt(0, 2)];
+        for (int depth = 0; depth < 12; ++depth) {
+          const Pmf& next = pool[rng.UniformInt(0, 2)];
+          ConvolveInto(acc, next, Pmf::kDefaultMaxImpulses, acc);
+          ++convolutions;
+          const auto impulses = acc.impulses();
+          for (std::size_t i = 1; i < impulses.size(); ++i) {
+            ASSERT_LT(impulses[i - 1].value, impulses[i].value)
+                << "seed " << seed << " chain " << chain << " depth "
+                << depth << " impulse " << i;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(convolutions, 4560u);
+  EXPECT_TRUE(validator.report().ok()) << validator.report();
+}
+
+TEST(Convolve, OverflowingSumsThrow) {
+  // Sums past the largest double overflow to +inf, and inf - inf is a NaN
+  // gap that compaction must never rank.
+  util::RngStream rng(31);
+  const auto huge = [&rng](std::size_t n) {
+    std::vector<Impulse> impulses;
+    for (std::size_t i = 0; i < n; ++i) {
+      impulses.push_back(
+          Impulse{rng.UniformReal(0.5e308, 1.5e308), rng.UniformReal(0.01, 1.0)});
+    }
+    return Pmf::FromImpulses(std::move(impulses), n);
+  };
+  const Pmf x = huge(24);
+  const Pmf y = huge(32);
+  for (const std::size_t m : {1u, 2u, 32u, 1u << 20}) {
+    EXPECT_THROW((void)Convolve(x, y, m), std::invalid_argument) << "m " << m;
+  }
+}
+
+// -- Compaction boundaries against an independent reference --
+
+/// Reference compaction: ranks every gap by a full sort on (gap descending,
+/// index ascending), keeps the m - 1 strongest as run boundaries and folds
+/// each run left to right as MergeRun does, joining a merged impulse that
+/// does not lie above the one before it. `sorted` holds normalized
+/// impulses in ascending value order.
+std::vector<Impulse> ReferenceCompact(std::vector<Impulse> sorted,
+                                      std::size_t m) {
+  const std::size_t n = sorted.size();
+  if (n <= m) return sorted;
+  const auto gap = [&sorted](std::size_t i) {
+    return sorted[i + 1].value - sorted[i].value;
+  };
+  std::vector<std::size_t> order(n - 1);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&gap](std::size_t a, std::size_t b) {
+    return gap(a) > gap(b) || (gap(a) == gap(b) && a < b);
+  });
+  std::vector<std::size_t> ends;
+  for (std::size_t k = 0; k + 1 < m; ++k) ends.push_back(order[k] + 1);
+  std::sort(ends.begin(), ends.end());
+  ends.push_back(n);
+  std::vector<Impulse> out;
+  std::size_t start = 0;
+  for (const std::size_t end : ends) {
+    double mass = 0.0;
+    double weighted = 0.0;
+    for (std::size_t i = start; i < end; ++i) {
+      mass += sorted[i].prob;
+      weighted += sorted[i].prob * sorted[i].value;
+    }
+    const Impulse merged{weighted / mass, mass};
+    if (!out.empty() && merged.value <= out.back().value) {
+      out.back().prob += merged.prob;
+    } else {
+      out.push_back(merged);
+    }
+    start = end;
+  }
+  return out;
+}
+
+/// Reference cross product of X + Y: every (x_i + y_j, p_i q_j) in
+/// generation order, stably sorted by value, equal values joined (their
+/// probabilities folded in order), then divided by the left-folded mass.
+std::vector<Impulse> ReferenceCross(const Pmf& x, const Pmf& y) {
+  std::vector<Impulse> cross;
+  for (const Impulse& xi : x.impulses()) {
+    for (const Impulse& yj : y.impulses()) {
+      cross.push_back(Impulse{xi.value + yj.value, xi.prob * yj.prob});
+    }
+  }
+  std::stable_sort(
+      cross.begin(), cross.end(),
+      [](const Impulse& a, const Impulse& b) { return a.value < b.value; });
+  std::vector<Impulse> joined;
+  for (const Impulse& imp : cross) {
+    if (!joined.empty() && joined.back().value == imp.value) {
+      joined.back().prob += imp.prob;
+    } else {
+      joined.push_back(imp);
+    }
+  }
+  double mass = 0.0;
+  for (const Impulse& imp : joined) mass += imp.prob;
+  for (Impulse& imp : joined) imp.prob /= mass;
+  return joined;
+}
+
+std::vector<Impulse> ImpulsesOf(const Pmf& pmf) {
+  return {pmf.impulses().begin(), pmf.impulses().end()};
+}
+
+enum class Family { kUniform, kGammaChain, kIntegerTies, kTwoPointChain };
+
+/// A pmf of exactly `size` impulses. kIntegerTies places them `step`
+/// apart from 0: X = {0, 1, ..., a-1} (step 1) and Y = {0, a, 2a, ...}
+/// (step a) have sums that cover consecutive integers, so every gap of the
+/// cross product is 1 and selection rests on the index order alone.
+Pmf FamilyPmf(Family family, util::RngStream& rng, std::size_t size,
+              double step) {
+  const auto random_prob = [&rng] { return rng.UniformReal(0.01, 1.0); };
+  switch (family) {
+    case Family::kUniform: {
+      std::vector<Impulse> impulses;
+      for (std::size_t i = 0; i < size; ++i) {
+        impulses.push_back(Impulse{rng.UniformReal(500.0, 1500.0),
+                                   random_prob()});
+      }
+      return Pmf::FromImpulses(std::move(impulses), size);
+    }
+    case Family::kGammaChain: {
+      const auto gamma = [&rng] {
+        return DiscretizedGamma(rng.UniformReal(100.0, 2000.0),
+                                rng.UniformReal(0.1, 1.0));
+      };
+      Pmf chain = gamma();
+      for (int i = 0; i < 3; ++i) chain = Convolve(chain, gamma(), size);
+      return chain;
+    }
+    case Family::kIntegerTies: {
+      std::vector<Impulse> impulses;
+      for (std::size_t i = 0; i < size; ++i) {
+        impulses.push_back(
+            Impulse{step * static_cast<double>(i), random_prob()});
+      }
+      return Pmf::FromImpulses(std::move(impulses), size);
+    }
+    case Family::kTwoPointChain: {
+      const auto two_point = [&] {
+        return Pmf::FromImpulses(
+            {{rng.UniformReal(10.0, 20.0), random_prob()},
+             {rng.UniformReal(10.0, 20.0), random_prob()}});
+      };
+      if (size == 1) return Pmf::Delta(rng.UniformReal(10.0, 20.0));
+      Pmf chain = two_point();
+      while (chain.size() < size) chain = Convolve(chain, two_point(), size);
+      return chain;
+    }
+  }
+  return Pmf{};
+}
+
+using Shapes = std::vector<std::pair<std::size_t, std::size_t>>;
+
+TEST(CompactionReference, EveryCompactionKeepsTheStrongestGaps) {
+  // ConvolveInto, MaxInto, Compact and FromImpulses must each equal, bit
+  // for bit, the reference above applied to their uncompacted result.
+  constexpr std::size_t kExact = std::size_t{1} << 20;
+  util::RngStream rng(2011);
+  std::size_t cases = 0;
+  for (const Family family : {Family::kUniform, Family::kGammaChain,
+                              Family::kIntegerTies, Family::kTwoPointChain}) {
+    // Per m, operand sizes whose cross products have m + 1 and 2m terms,
+    // then 24x32 and 64x64.
+    const std::vector<std::pair<std::size_t, Shapes>> plan = {
+        {1, {{1, 2}, {2, 1}, {24, 32}, {64, 64}}},
+        {2, {{1, 3}, {2, 2}, {24, 32}, {64, 64}}},
+        {3, {{2, 2}, {2, 3}, {24, 32}, {64, 64}}},
+        {32, {{3, 11}, {8, 8}, {24, 32}, {64, 64}}}};
+    for (const auto& [m, shapes] : plan) {
+      for (const auto& [a, b] : shapes) {
+        const std::string label = "family " +
+                                  std::to_string(static_cast<int>(family)) +
+                                  " m " + std::to_string(m) + " shape " +
+                                  std::to_string(a) + "x" + std::to_string(b);
+        const Pmf x = FamilyPmf(family, rng, a, 1.0);
+        const Pmf y = FamilyPmf(family, rng, b, static_cast<double>(a));
+        ASSERT_EQ(x.size(), a) << label;
+        ASSERT_EQ(y.size(), b) << label;
+
+        const std::vector<Impulse> cross = ReferenceCross(x, y);
+        const Pmf exact = Convolve(x, y, kExact);
+        ASSERT_EQ(ImpulsesOf(exact), cross) << label;
+        if (family == Family::kIntegerTies) {
+          ASSERT_EQ(cross.size(), a * b) << label;
+        }
+        Pmf conv;
+        ConvolveInto(x, y, m, conv);
+        EXPECT_EQ(ImpulsesOf(conv), ReferenceCompact(cross, m)) << label;
+
+        EXPECT_EQ(ImpulsesOf(exact.Compact(m)),
+                  ReferenceCompact(ImpulsesOf(exact), m))
+            << label;
+
+        std::vector<Impulse> shuffled = ImpulsesOf(exact);
+        std::reverse(shuffled.begin(), shuffled.end());
+        EXPECT_EQ(ImpulsesOf(Pmf::FromImpulses(shuffled, m)),
+                  ReferenceCompact(
+                      ImpulsesOf(Pmf::FromImpulses(shuffled, kExact)), m))
+            << label;
+
+        Pmf max;
+        MaxInto(x, y, m, max);
+        EXPECT_EQ(ImpulsesOf(max),
+                  ReferenceCompact(ImpulsesOf(MaxOf(x, y, kExact)), m))
+            << label;
+        ++cases;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 64u);
 }
 
 TEST(ProbSumLeq, ExtremeThresholds) {
