@@ -234,9 +234,9 @@ void BM_CoreRobustness(benchmark::State& state) {
 }
 BENCHMARK(BM_CoreRobustness)->Arg(4)->Arg(8);
 
-/// Enqueue/dequeue churn: every StartNext/DropNext rebuilds the queued
-/// suffix convolution from scratch (RebuildSuffix), the other pmf-op-bound
-/// loop of the queue model.
+/// Enqueue/dequeue churn with no reads: the queued suffix is folded only
+/// when a ReadyPmf reads it, so this times the bookkeeping alone (no
+/// convolution; convolve_ops 0).
 void BM_QueueChurn(benchmark::State& state) {
   const std::vector<Pmf>& execs = ExecPmfs();
   const PmfOpCounters ops(state);
@@ -256,6 +256,31 @@ void BM_QueueChurn(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_QueueChurn);
+
+/// BM_QueueChurn with one ReadyPmf read after every mutation: each read
+/// folds the tasks queued since the last one (after a StartNext, the whole
+/// queue again) and convolves the ready pmf.
+void BM_QueueChurnQueried(benchmark::State& state) {
+  const std::vector<Pmf>& execs = ExecPmfs();
+  const PmfOpCounters ops(state);
+  for (auto _ : state) {
+    CoreQueueModel model;
+    model.StartTask(ModeledTask{0, &execs[0], 1e9}, 0.0);
+    benchmark::DoNotOptimize(model.ReadyPmf(0.0));
+    for (std::size_t i = 1; i <= 7; ++i) {
+      model.Enqueue(ModeledTask{i, &execs[i], 1e9});
+      benchmark::DoNotOptimize(model.ReadyPmf(0.0));
+    }
+    double now = 1000.0;
+    for (std::size_t i = 0; i < 7; ++i) {
+      model.FinishRunning();
+      model.StartNext(now);
+      benchmark::DoNotOptimize(model.ReadyPmf(now));
+      now += 1000.0;
+    }
+  }
+}
+BENCHMARK(BM_QueueChurnQueried);
 
 void BM_Expectation(benchmark::State& state) {
   const Pmf pmf = MakePmf(32, 7);

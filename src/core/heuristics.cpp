@@ -7,7 +7,9 @@
 // libraries always keep this object file and the registrations in it.
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "core/factory.hpp"
@@ -18,17 +20,22 @@ namespace ecdra::core {
 namespace {
 
 /// A heuristic that is one FirstMinimum call; `Key` maps
-/// (const MappingContext&, const Candidate&) to the value minimized.
+/// (const MappingContext&, const Candidate&) to the value minimized, and
+/// `floor`, when set, is a value no key falls below.
 template <typename Key>
 class KeyedHeuristic final : public Heuristic {
  public:
-  KeyedHeuristic(std::string_view name, Key key) : name_(name), key_(key) {}
+  using Value = std::invoke_result_t<const Key&, const MappingContext&,
+                                     const Candidate&>;
+
+  KeyedHeuristic(std::string_view name, Key key, std::optional<Value> floor)
+      : name_(name), key_(key), floor_(floor) {}
 
   [[nodiscard]] std::optional<Candidate> Select(
       const MappingContext& ctx) override {
-    return FirstMinimum(ctx.candidates(), [this, &ctx](const Candidate& c) {
-      return key_(ctx, c);
-    });
+    return FirstMinimum(
+        ctx.candidates(),
+        [this, &ctx](const Candidate& c) { return key_(ctx, c); }, floor_);
   }
   [[nodiscard]] std::string_view name() const noexcept override {
     return name_;
@@ -37,14 +44,18 @@ class KeyedHeuristic final : public Heuristic {
  private:
   std::string_view name_;
   [[no_unique_address]] Key key_;
+  std::optional<Value> floor_;
 };
 
-/// Registers `name` (a string literal) as the heuristic minimizing `key`.
+/// Registers `name` (a string literal) as the heuristic minimizing `key`,
+/// whose values never fall below `floor` when one is given.
 template <typename Key>
-void RegisterKeyed(std::string_view name, Key key) {
+void RegisterKeyed(
+    std::string_view name, Key key,
+    std::optional<typename KeyedHeuristic<Key>::Value> floor = std::nullopt) {
   HeuristicRegistry().Register(
-      std::string(name), [name, key](util::RngStream) {
-        return std::make_unique<KeyedHeuristic<Key>>(name, key);
+      std::string(name), [name, key, floor](util::RngStream) {
+        return std::make_unique<KeyedHeuristic<Key>>(name, key, floor);
       });
 }
 
@@ -100,11 +111,15 @@ ECDRA_POLICY_REGISTRATION(RegisterKeyed(
 // Lightest Load (LL, §V-D, the paper's heuristic, inspired by [BaM09]): the
 // smallest load L(i,j,k,pi,t_l) = EEC(i,j,k,pi,z) * (1 - rho(i,j,k,pi,t_l,z))
 // (Eq. 5), expected energy times inverse robustness, which balances energy
-// use against the probability of finishing by the deadline.
+// use against the probability of finishing by the deadline. EEC >= 0 and
+// rho <= 1, so no load is below 0: once a candidate's load is exactly 0,
+// LL takes it without computing rho for the rest.
 ECDRA_POLICY_REGISTRATION(RegisterKeyed(
-    "LL", [](const MappingContext& ctx, const Candidate& c) {
+    "LL",
+    [](const MappingContext& ctx, const Candidate& c) {
       return c.eec * (1.0 - ctx.OnTimeProbability(c));
-    }))
+    },
+    /*floor=*/0.0))
 
 // Opportunistic Load Balancing (OLB, [MaA99]): the core that becomes ready
 // soonest (expected ready time = ECT - EET), ignoring the task's own

@@ -17,11 +17,12 @@ namespace {
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 /// Deep validation: a decided RhoBelow answer must equal the exact
-/// comparison it stands for.
+/// comparison it stands for. `rho` is computed outside the context's memo,
+/// so an audit leaves every later answer, and its counters, as they would
+/// be without it.
 void AuditRhoBound(validate::TrialValidator& validator,
                    const MappingContext& ctx, const Candidate& candidate,
-                   double threshold, bool below) {
-  const double rho = ctx.OnTimeProbability(candidate);
+                   double threshold, bool below, double rho) {
   validator.CountChecks();
   if ((rho < threshold) == below) return;
   std::ostringstream os;
@@ -38,26 +39,31 @@ MappingContext::MappingContext(
     const cluster::Cluster& cluster, const workload::TaskTypeTable& types,
     std::span<const robustness::CoreQueueModel> cores,
     const workload::Task& task, double now,
-    std::span<const CoreAvailability> availability)
+    std::span<const CoreAvailability> availability, Buffers* lent)
     : cluster_(&cluster),
       types_(&types),
       task_(&task),
       now_(now),
       cores_(cores),
-      expected_ready_(cores.size(), robustness::Moments{kNaN, kNaN}) {
+      lent_(lent) {
   ECDRA_REQUIRE(cores.size() == cluster.total_cores(),
                 "one CoreQueueModel per core required");
   ECDRA_REQUIRE(
       availability.empty() || availability.size() == cluster.total_cores(),
       "availability span must cover every core or be empty");
-  candidates_.reserve(cluster.total_cores() * cluster::kNumPStates);
+  Buffers& memo = buffers();
+  memo.ready.assign(cores.size(), robustness::Moments{kNaN, kNaN});
+  memo.rho.clear();
+  std::vector<Candidate>& candidates = memo.candidates;
+  candidates.clear();
+  candidates.reserve(cluster.total_cores() * cluster::kNumPStates);
   for (std::size_t flat = 0; flat < cluster.total_cores(); ++flat) {
     cluster::PStateIndex first_pstate = 0;
     if (!availability.empty()) {
       if (!availability[flat].available) continue;
       first_pstate = availability[flat].pstate_floor;
     }
-    AppendCoreCandidates(candidates_, cluster, types, task.type, flat,
+    AppendCoreCandidates(candidates, cluster, types, task.type, flat,
                          cluster.NodeIndexOf(flat), first_pstate);
   }
 }
@@ -69,7 +75,7 @@ MappingContext::MappingContext(const cluster::Cluster& cluster,
     : cluster_(&cluster),
       task_(&task),
       now_(now),
-      candidates_(std::move(candidates)),
+      own_{.candidates = std::move(candidates), .ready = {}, .rho = {}},
       queue_depth_override_(average_queue_depth) {
   ECDRA_REQUIRE(average_queue_depth >= 0.0,
                 "average queue depth must be non-negative");
@@ -80,7 +86,7 @@ double MappingContext::ExpectedCompletionTime(
   // Batch shape: every candidate core is idle, so it is ready now.
   if (cores_.empty()) return now_ + candidate.eet;
   const std::size_t flat = candidate.assignment.flat_core;
-  double& mean = expected_ready_[flat].mean;
+  double& mean = buffers().ready[flat].mean;
   if (std::isnan(mean)) mean = cores_[flat].ExpectedReadyTime(now_);
   return mean + candidate.eet;
 }
@@ -88,14 +94,17 @@ double MappingContext::ExpectedCompletionTime(
 double MappingContext::OnTimeProbability(const Candidate& candidate) const {
   // Batch shape: no queue ahead of the task, rho = F_exec(deadline - now).
   if (cores_.empty()) return candidate.exec->CdfAt(task_->deadline - now_);
-  if (rho_.empty()) rho_.resize(cores_.size() * cluster::kNumPStates);
-  const Assignment& at = candidate.assignment;
-  RhoEntry& entry = rho_[at.flat_core * cluster::kNumPStates + at.pstate];
+  std::vector<Buffers::Rho>& memo = buffers().rho;
+  if (memo.empty()) {
+    memo.resize((cores_.size() + cluster_->num_nodes()) *
+                cluster::kNumPStates);
+  }
+  Buffers::Rho& entry = memo[RhoSlot(candidate)];
   if (entry.exec == nullptr) {
-    entry = RhoEntry{candidate.exec,
-                     robustness::OnTimeProbability(cores_[at.flat_core], now_,
-                                                   *candidate.exec,
-                                                   task_->deadline)};
+    entry = Buffers::Rho{
+        candidate.exec,
+        robustness::OnTimeProbability(cores_[candidate.assignment.flat_core],
+                                      now_, *candidate.exec, task_->deadline)};
   }
   ECDRA_ASSERT(entry.exec == candidate.exec,
                "an assignment fixes the exec pmf within one context");
@@ -105,15 +114,14 @@ double MappingContext::OnTimeProbability(const Candidate& candidate) const {
 bool MappingContext::QueuedRhoBelow(const Candidate& candidate,
                                     double threshold) const {
   const Assignment& at = candidate.assignment;
-  if (!rho_.empty()) {
-    const RhoEntry& known =
-        rho_[at.flat_core * cluster::kNumPStates + at.pstate];
+  if (!buffers().rho.empty()) {
+    const Buffers::Rho& known = buffers().rho[RhoSlot(candidate)];
     if (known.exec != nullptr) return known.rho < threshold;
   }
   ECDRA_ASSERT(types_->ExecRow(task_->type, candidate.node) + at.pstate ==
                    candidate.exec,
                "a candidate's exec pmf comes from the context's table");
-  robustness::Moments& ready = expected_ready_[at.flat_core];
+  robustness::Moments& ready = buffers().ready[at.flat_core];
   if (std::isnan(ready.variance)) {
     ready = cores_[at.flat_core].ReadyMoments(now_);
   }
@@ -128,7 +136,10 @@ bool MappingContext::QueuedRhoBelow(const Candidate& candidate,
   obs::Bump(*below ? &obs::Counters::rho_bound_pruned
                    : &obs::Counters::rho_bound_kept);
   if (validate::TrialValidator* validator = validate::DeepValidator()) {
-    AuditRhoBound(*validator, *this, candidate, threshold, *below);
+    AuditRhoBound(*validator, *this, candidate, threshold, *below,
+                  robustness::OnTimeProbability(cores_[at.flat_core], now_,
+                                                *candidate.exec,
+                                                task_->deadline));
   }
   return *below;
 }

@@ -4,14 +4,20 @@
 // the on-time probability rho).
 //
 // rho is memoized per candidate (core, P-state), so every filter and
-// heuristic after the first reads the value the first one computed. It is
-// evaluated through each CoreQueueModel's ready pmf, which the model keeps
-// across arrivals while its running task's truncation cut holds: a mapping
-// step convolves only for cores whose cut moved or whose queue changed since
-// they were last queried, regardless of how many candidates touch rho.
-// Filters ask only whether rho falls below a threshold (RhoBelow), which the
-// completion time's mean and variance bound usually answer without any ready
-// pmf at all.
+// heuristic after the first reads the value the first one computed. An idle
+// core's ready pmf is Delta(now) on every idle core, so idle cores share one
+// memo slot per (node, P-state): their candidates on one node ask the same
+// ProbSumLeq question. rho is evaluated through each CoreQueueModel's ready
+// pmf, which the model keeps across arrivals while its running task's
+// truncation cut holds: a mapping step convolves only for cores whose cut
+// moved or whose queue changed since they were last queried, regardless of
+// how many candidates touch rho. Filters ask only whether rho falls below a
+// threshold (RhoBelow), which the completion time's mean and variance bound
+// usually answer without any ready pmf at all.
+//
+// The candidates and memos live in a Buffers object. The immediate-mode
+// scheduler keeps one and lends it to every context it builds, which clears
+// it and keeps its capacity, so a warm decision allocates nothing.
 #pragma once
 
 #include <limits>
@@ -63,15 +69,37 @@ inline void AppendCoreCandidates(std::vector<Candidate>& out,
 
 class MappingContext {
  public:
+  /// A decision's candidate list and memos. Contents are meaningful only to
+  /// the context that last used it.
+  struct Buffers {
+    /// A memoized rho; exec is null until computed.
+    struct Rho {
+      const pmf::Pmf* exec = nullptr;
+      double rho = 0.0;
+    };
+    std::vector<Candidate> candidates;
+    /// Per-core ready-time moments: the mean (ExpectedReadyTime) and the
+    /// variance bound (ReadyMoments), each NaN until first needed.
+    std::vector<robustness::Moments> ready;
+    /// rho per (busy core, P-state) at flat_core * kNumPStates + pstate,
+    /// then per (node, P-state) of idle cores at (total_cores + node) *
+    /// kNumPStates + pstate. Sized on the first rho query, so scalar-only
+    /// heuristics pay nothing.
+    std::vector<Rho> rho;
+  };
+
   /// Builds the full candidate list (every available core x every allowed
   /// P-state) for `task` arriving at `now`. `cores` is indexed by flat core
   /// index and must outlive the context; `availability`, when non-empty,
-  /// must be indexed the same way.
+  /// must be indexed the same way. `lent`, when given, holds the
+  /// candidates and memos (cleared here) and must outlive the context;
+  /// otherwise the context uses its own.
   MappingContext(const cluster::Cluster& cluster,
                  const workload::TaskTypeTable& types,
                  std::span<const robustness::CoreQueueModel> cores,
                  const workload::Task& task, double now,
-                 std::span<const CoreAvailability> availability = {});
+                 std::span<const CoreAvailability> availability = {},
+                 Buffers* lent = nullptr);
 
   /// Batch-shaped context (BatchScheduler): the candidate set is supplied
   /// explicitly (idle cores only) and there are no queue models — every
@@ -92,10 +120,10 @@ class MappingContext {
 
   /// The mutable candidate set filters prune and heuristics choose from.
   [[nodiscard]] std::vector<Candidate>& candidates() noexcept {
-    return candidates_;
+    return buffers().candidates;
   }
   [[nodiscard]] const std::vector<Candidate>& candidates() const noexcept {
-    return candidates_;
+    return buffers().candidates;
   }
 
   /// |MQ(i,j,k,t_l)|: tasks currently assigned to the candidate's core.
@@ -187,7 +215,13 @@ class MappingContext {
   const workload::Task* task_;
   double now_;
   std::span<const robustness::CoreQueueModel> cores_;
-  std::vector<Candidate> candidates_;
+  /// Candidates and memos: *lent_ when the caller lent buffers, else own_.
+  /// Mutable because the memos fill in from const queries.
+  Buffers* lent_ = nullptr;
+  mutable Buffers own_;
+  [[nodiscard]] Buffers& buffers() const noexcept {
+    return lent_ != nullptr ? *lent_ : own_;
+  }
   /// NaN in the immediate shape (depth comes from the queue models); the
   /// scheduler-supplied depth in the batch shape.
   double queue_depth_override_ = std::numeric_limits<double>::quiet_NaN();
@@ -200,17 +234,13 @@ class MappingContext {
   [[nodiscard]] bool QueuedRhoBelow(const Candidate& candidate,
                                     double threshold) const;
 
-  /// Memoized ready-time moments per core: the mean (ExpectedReadyTime) and
-  /// the variance bound (ReadyMoments), each NaN until first needed.
-  mutable std::vector<robustness::Moments> expected_ready_;
-  /// Memoized rho, indexed flat_core * kNumPStates + pstate; exec is null
-  /// until computed. Allocated on the first rho query, so scalar-only
-  /// heuristics pay nothing.
-  struct RhoEntry {
-    const pmf::Pmf* exec = nullptr;
-    double rho = 0.0;
-  };
-  mutable std::vector<RhoEntry> rho_;
+  /// Index of `candidate`'s slot in Buffers::rho (immediate shape).
+  [[nodiscard]] std::size_t RhoSlot(const Candidate& candidate) const {
+    const std::size_t row = cores_[candidate.assignment.flat_core].idle()
+                                ? cores_.size() + candidate.node
+                                : candidate.assignment.flat_core;
+    return row * cluster::kNumPStates + candidate.assignment.pstate;
+  }
 };
 
 }  // namespace ecdra::core

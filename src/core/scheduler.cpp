@@ -108,7 +108,8 @@ std::optional<Candidate> ImmediateModeScheduler::RunPipeline(
   std::chrono::steady_clock::time_point decision_start;
   if (timed) decision_start = std::chrono::steady_clock::now();
 
-  MappingContext ctx(*cluster_, *types_, cores, task, now, availability);
+  MappingContext ctx(*cluster_, *types_, cores, task, now, availability,
+                     &buffers_);
   ctx.SetBudgetView(estimator_.remaining(), tasks_left);
   ctx.SetFairShareScale(fair_share_scale_);
   ctx.SetEconView(econ_);
@@ -193,7 +194,8 @@ GangOutcome ImmediateModeScheduler::MapGang(
   // one task type with one shared deadline, and `availability` already
   // restricts candidates to cores that can start a member right now.
   const workload::Task& rep = members.front();
-  MappingContext ctx(*cluster_, *types_, cores, rep, now, availability);
+  MappingContext ctx(*cluster_, *types_, cores, rep, now, availability,
+                     &buffers_);
   // T_left counts the in-hand members: a fresh gang has not advanced the
   // window yet, so they are inside window - seen; a requeued gang was
   // already counted, so they come back in on top (mirroring RemapTask's

@@ -198,6 +198,8 @@ class ImmediateModeScheduler {
   SchedulerObservability obs_;
   double fair_share_scale_ = 1.0;
   const econ::EconModel* econ_ = &econ::TrivialModel();
+  /// Lent to every MappingContext the scheduler builds, one at a time.
+  MappingContext::Buffers buffers_;
   // -- Job extension (null / inert until ConfigureGangs) --
   std::unique_ptr<GangPlacement> gang_placement_;
   /// Robustness filter's threshold for the joint gang check; 0 (no "rob"

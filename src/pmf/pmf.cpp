@@ -1,10 +1,10 @@
 #include "pmf/pmf.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <ostream>
 #include <span>
 #include <sstream>
@@ -130,9 +130,10 @@ PmfScratch& Scratch() {
 ///    it is kept, and of the ties at it the lowest indices, written back in
 ///    index order to s.hist[0, keep): they are the sorted run boundaries.
 ///
-/// Requires 1 <= keep < n - 1 and finite vals, so no gap is NaN. If kFold
-/// flags needs_coalesce, step 3 is skipped: the caller coalesces the
-/// arrays and selects again.
+/// Steps 1 and 3 rank with SelectKthLargest in s.gaps. Requires
+/// 1 <= keep < n - 1 and finite vals, so no gap is NaN. If kFold flags
+/// needs_coalesce, step 3 is skipped: the caller coalesces the arrays and
+/// selects again.
 template <bool kFold>
 FoldResult SelectBoundaries(const double* vals, const double* probs,
                             std::size_t n, std::size_t keep, PmfScratch& s) {
@@ -144,8 +145,7 @@ FoldResult SelectBoundaries(const double* vals, const double* probs,
     const std::size_t at = i < keep ? i : num_gaps - sampled + i;
     gaps[i] = vals[at + 1] - vals[at];
   }
-  std::nth_element(gaps, gaps + (keep - 1), gaps + sampled, std::greater<>());
-  const double tau = gaps[keep - 1];
+  const double tau = SelectKthLargest({gaps, sampled}, keep).value;
 
   if (s.hist.size() < n) s.hist.resize(n);
   std::uint32_t* const cand = s.hist.data();
@@ -169,19 +169,15 @@ FoldResult SelectBoundaries(const double* vals, const double* probs,
     for (std::size_t i = 0; i < count; ++i) {
       gaps[i] = vals[cand[i] + 1] - vals[cand[i]];
     }
-    std::nth_element(gaps, gaps + (keep - 1), gaps + count, std::greater<>());
-    const double cut = gaps[keep - 1];
-    std::size_t ties = keep;  // how many gaps equal to the cut are kept
-    for (std::size_t i = 0; i < count; ++i) {
-      ties -= static_cast<std::size_t>(gaps[i] > cut);
-    }
+    const KthLargest cut = SelectKthLargest({gaps, count}, keep);
+    std::size_t ties = cut.ties;  // how many gaps equal to the cut are kept
     std::size_t kept = 0;
     for (std::size_t i = 0; kept < keep; ++i) {
       const std::uint32_t at = cand[i];
       const double gap = vals[at + 1] - vals[at];
-      if (gap > cut) {
+      if (gap > cut.value) {
         cand[kept++] = at;
-      } else if (gap == cut && ties > 0) {
+      } else if (gap == cut.value && ties > 0) {
         --ties;
         cand[kept++] = at;
       }
@@ -454,6 +450,53 @@ void CoalesceEqualValuesInPlace(ImpulseVec& impulses) {
 }
 
 }  // namespace
+
+KthLargest SelectKthLargest(std::span<double> values, std::size_t k) {
+  ECDRA_ASSERT(k >= 1 && k <= values.size(), "rank out of range");
+  // Clearing the sign bit orders -0.0 with +0.0.
+  const auto key = [](double v) {
+    return std::bit_cast<std::uint64_t>(v) & ~(std::uint64_t{1} << 63);
+  };
+  double* const data = values.data();
+  std::size_t n = values.size();
+  std::uint64_t low = ~std::uint64_t{0};
+  std::uint64_t high = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    low = std::min(low, key(data[i]));
+    high = std::max(high, key(data[i]));
+  }
+  // Invariant: the answer is the rank-th largest of data[0, n), whose keys
+  // all lie in [low, high]. Each pass buckets key - low by its eight bits
+  // from the highest bit of high - low down, so the first pass spreads over
+  // the whole range even when it crosses a power of two, and keeps the
+  // bucket that holds the answer: the range shrinks at least 128-fold.
+  std::size_t rank = k;
+  while (low != high) {
+    const int shift =
+        std::max(static_cast<int>(std::bit_width(high - low)) - 8, 0);
+    std::array<std::uint32_t, 256> count{};
+    for (std::size_t i = 0; i < n; ++i) ++count[(key(data[i]) - low) >> shift];
+    // The largest value's digit is the highest non-empty one.
+    std::uint64_t digit = (high - low) >> shift;
+    while (count[digit] < rank) rank -= count[digit--];
+    // Keep the values in that digit, without a branch: which ones match is
+    // data-dependent, so a branch would mispredict about half the time.
+    const std::uint64_t base = low;
+    std::size_t m = 0;
+    low = ~std::uint64_t{0};
+    high = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t bits = key(data[i]);
+      const bool match = (bits - base) >> shift == digit;
+      data[m] = data[i];
+      m += static_cast<std::size_t>(match);
+      low = std::min(low, match ? bits : ~std::uint64_t{0});
+      high = std::max(high, match ? bits : 0);
+    }
+    n = m;
+  }
+  return KthLargest{std::bit_cast<double>(high), rank};
+}
 
 Pmf Pmf::Delta(double value) {
   ImpulseVec one;

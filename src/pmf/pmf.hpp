@@ -178,6 +178,22 @@ void MaxInto(const Pmf& x, const Pmf& y, std::size_t max_impulses, Pmf& out);
 /// convolution. This is the hot path of the robustness computation ρ(...).
 [[nodiscard]] double ProbSumLeq(const Pmf& x, const Pmf& y, double t);
 
+/// The k-th largest of `values` and how many of the k largest equal it.
+struct KthLargest {
+  double value;
+  std::size_t ties;
+};
+
+/// The k-th largest (1 <= k <= values.size()) of `values`, which must be
+/// non-negative and not NaN (-0.0 ranks as 0.0). Non-negative doubles order
+/// like their bit patterns, so it is a radix select: eight bits at a time
+/// of each pattern's offset from the smallest, starting at the highest bit
+/// where the largest and smallest differ, narrowing `values` in place (its
+/// contents are clobbered). Every compaction ranks its gaps with it; public
+/// so tests can pin it against std::nth_element.
+[[nodiscard]] KthLargest SelectKthLargest(std::span<double> values,
+                                          std::size_t k);
+
 /// Deep-validation hook: audits `pmf` against the class invariants — total
 /// mass within Pmf::kMassTolerance of 1, strictly increasing support,
 /// strictly positive finite probabilities — and reports any breach to the

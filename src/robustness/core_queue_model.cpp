@@ -10,13 +10,21 @@
 namespace ecdra::robustness {
 
 std::size_t CoreQueueModel::CutAt(double now) const {
-  const auto impulses = running_completion_.impulses();
-  return static_cast<std::size_t>(
-      std::lower_bound(impulses.begin(), impulses.end(), now,
-                       [](const pmf::Impulse& imp, double t) {
-                         return imp.value < t;
-                       }) -
-      impulses.begin());
+  if (now <= cut_low_ || now > cut_high_) {
+    const auto impulses = running_completion_.impulses();
+    cut_ = static_cast<std::size_t>(
+        std::lower_bound(impulses.begin(), impulses.end(), now,
+                         [](const pmf::Impulse& imp, double t) {
+                           return imp.value < t;
+                         }) -
+        impulses.begin());
+    cut_low_ = cut_ > 0 ? impulses[cut_ - 1].value
+                        : -std::numeric_limits<double>::infinity();
+    cut_high_ = cut_ < impulses.size()
+                    ? impulses[cut_].value
+                    : std::numeric_limits<double>::infinity();
+  }
+  return cut_;
 }
 
 void CoreQueueModel::RefreshTruncated(double now, std::size_t cut) const {
@@ -52,11 +60,23 @@ const pmf::Pmf& CoreQueueModel::ReadyPmf(double now) const {
   if (queued_.empty()) {
     cached_ready_ = truncated_;
   } else {
-    pmf::ConvolveInto(truncated_, queued_suffix_, pmf::Pmf::kDefaultMaxImpulses,
-                      cached_ready_);
+    pmf::ConvolveInto(truncated_, QueuedSuffix(),
+                      pmf::Pmf::kDefaultMaxImpulses, cached_ready_);
   }
   ready_key_ = truncated_key_;
   return cached_ready_;
+}
+
+const pmf::Pmf& CoreQueueModel::QueuedSuffix() const {
+  if (folded_ == 0) {
+    queued_suffix_ = *queued_.front().exec;
+    folded_ = 1;
+  }
+  for (; folded_ < queued_.size(); ++folded_) {
+    pmf::ConvolveInto(queued_suffix_, *queued_[folded_].exec,
+                      pmf::Pmf::kDefaultMaxImpulses, queued_suffix_);
+  }
+  return queued_suffix_;
 }
 
 double CoreQueueModel::ExpectedReadyTime(double now) const {
@@ -87,13 +107,8 @@ void CoreQueueModel::Enqueue(const ModeledTask& task) {
   queued_.push_back(task);
   queued_mean_sum_ += task.exec->Expectation();
   queued_variance_sum_ += task.exec->Variance();
-  if (queued_.size() == 1) {
-    queued_suffix_ = *task.exec;
-  } else {
-    pmf::ConvolveInto(queued_suffix_, *task.exec, pmf::Pmf::kDefaultMaxImpulses,
-                      queued_suffix_);
-  }
-  // The running task's truncation is unchanged; only the suffix moved.
+  // The running task's truncation is unchanged, and so is the fold of the
+  // tasks ahead of this one; only the ready pmf is stale.
   ready_key_.valid = false;
 }
 
@@ -108,7 +123,7 @@ void CoreQueueModel::StartNext(double now) {
   ECDRA_REQUIRE(!queued_.empty(), "StartNext with an empty queue");
   const ModeledTask next = queued_.front();
   queued_.pop_front();
-  RebuildSuffix();
+  ResetSuffix();
   SetRunning(next, now);
 }
 
@@ -116,14 +131,14 @@ void CoreQueueModel::DropNext() {
   ECDRA_REQUIRE(!running_, "DropNext while a task is running");
   ECDRA_REQUIRE(!queued_.empty(), "DropNext with an empty queue");
   queued_.pop_front();
-  RebuildSuffix();
+  ResetSuffix();
   ready_key_.valid = false;
 }
 
 void CoreQueueModel::Reset() noexcept {
   running_.reset();
   queued_.clear();
-  queued_suffix_ = pmf::Pmf();
+  folded_ = 0;
   queued_mean_sum_ = 0.0;
   queued_variance_sum_ = 0.0;
   InvalidateRunning();
@@ -134,31 +149,28 @@ void CoreQueueModel::SetRunning(const ModeledTask& task, double now) {
   start_time_ = now;
   running_completion_ = *task.exec;
   running_completion_.ShiftInPlace(now);
-  truncated_key_.valid = false;
-  ready_key_.valid = false;
+  InvalidateCut();
 }
 
 void CoreQueueModel::InvalidateRunning() noexcept {
   running_completion_ = pmf::Pmf();
+  InvalidateCut();
+}
+
+void CoreQueueModel::InvalidateCut() noexcept {
+  cut_low_ = std::numeric_limits<double>::infinity();
+  cut_high_ = -std::numeric_limits<double>::infinity();
   truncated_key_.valid = false;
   ready_key_.valid = false;
 }
 
-void CoreQueueModel::RebuildSuffix() {
-  if (queued_.empty()) {
-    queued_suffix_ = pmf::Pmf();
-    queued_mean_sum_ = 0.0;  // clear accumulated floating-point drift
-    queued_variance_sum_ = 0.0;
-    return;
-  }
-  queued_suffix_ = *queued_.front().exec;
-  double mean_sum = queued_.front().exec->Expectation();
-  double variance_sum = queued_.front().exec->Variance();
-  for (std::size_t i = 1; i < queued_.size(); ++i) {
-    pmf::ConvolveInto(queued_suffix_, *queued_[i].exec,
-                      pmf::Pmf::kDefaultMaxImpulses, queued_suffix_);
-    mean_sum += queued_[i].exec->Expectation();
-    variance_sum += queued_[i].exec->Variance();
+void CoreQueueModel::ResetSuffix() {
+  folded_ = 0;
+  double mean_sum = 0.0;  // a fresh sum clears accumulated drift
+  double variance_sum = 0.0;
+  for (const ModeledTask& task : queued_) {
+    mean_sum += task.exec->Expectation();
+    variance_sum += task.exec->Variance();
   }
   queued_mean_sum_ = mean_sum;
   queued_variance_sum_ = variance_sum;

@@ -8,18 +8,24 @@
 //     (x) exec_q1 (x) ... (x) exec_qm
 //
 // where (x) is convolution. The running task's shifted pmf is stored once
-// when it starts, and the suffix convolution of queued-task pmfs is cached
-// (rebuilt on dequeue). The truncation depends on t_l only through its cut
-// — how many of the shifted impulses lie strictly below t_l — so the ready
-// pmf is memoized per cut: successive arrivals reuse it until an impulse
-// crosses t_l or the queue mutates, and a rebuild costs one truncation plus
-// one convolution. Two results depend on t_l itself and stay keyed on the
+// when it starts. The suffix convolution of queued-task pmfs is folded on
+// read: mutations only record how many front tasks the fold still holds
+// (Enqueue keeps it, StartNext and DropNext restart it), and ReadyPmf
+// extends it front to back, so a queue that nobody queries never convolves
+// and every suffix read has the bits an eager fold would have. The
+// truncation depends on t_l only through its cut — how many of the shifted
+// impulses lie strictly below t_l — and the model keeps the window
+// (v[c-1], v[c]] of its last cut c, so it searches again only after t_l
+// crosses an impulse. The ready pmf is memoized per cut: successive arrivals
+// reuse it until an impulse crosses t_l or the queue mutates, and a rebuild
+// costs one truncation plus one convolution (plus the fold of any newly
+// queued tasks). Two results depend on t_l itself and stay keyed on the
 // exact query time: the idle core's Delta(t_l) and the truncation's
 // Delta(t_l) fallback (every impulse past, or too little mass left).
 //
 // The ready pmf's mean and an upper bound on its variance come without any
 // convolution (ReadyMoments): the truncated pmf's own moments plus running
-// sums over the queued exec pmfs.
+// sums over the queued exec pmfs, which every mutation keeps current.
 //
 // Pmf pointers reference the TaskTypeTable (or any equally stable storage)
 // and must outlive the model.
@@ -115,25 +121,42 @@ class CoreQueueModel {
   };
 
   /// Number of running_completion_ impulses with value < now — the same
-  /// strict comparison TruncateBelowInPlace uses. 0 when idle.
+  /// strict comparison TruncateBelowInPlace uses. 0 when idle. Served from
+  /// the window of the last answer while `now` stays inside it.
   [[nodiscard]] std::size_t CutAt(double now) const;
   /// Brings truncated_/truncated_mean_ up to date for `now` at `cut`.
   void RefreshTruncated(double now, std::size_t cut) const;
+  /// The convolution of every queued exec pmf, front to back: extends the
+  /// fold over the tasks queued since it was last read. Queue not empty.
+  [[nodiscard]] const pmf::Pmf& QueuedSuffix() const;
   void SetRunning(const ModeledTask& task, double now);
-  void RebuildSuffix();
+  /// The queue's head changed: restarts the suffix fold and recomputes the
+  /// mean and variance sums front to back.
+  void ResetSuffix();
   void InvalidateRunning() noexcept;
+  /// The running pmf changed: forgets the cut window and both memos.
+  void InvalidateCut() noexcept;
 
   std::optional<ModeledTask> running_;
   double start_time_ = 0.0;
   /// The running task's exec pmf shifted by its start time; empty when idle.
   pmf::Pmf running_completion_;
   std::deque<ModeledTask> queued_;
-  /// Convolution of all queued (not running) exec pmfs; empty when none.
-  pmf::Pmf queued_suffix_;
+  /// Convolution of the first folded_ queued exec pmfs; QueuedSuffix
+  /// extends it to the whole queue.
+  mutable pmf::Pmf queued_suffix_;
+  mutable std::size_t folded_ = 0;
   /// Sums of queued exec-pmf means and variances, for the scalar fast path
-  /// and the variance bound; recomputed front to back by RebuildSuffix.
+  /// and the variance bound; += on Enqueue, recomputed front to back by
+  /// ResetSuffix.
   double queued_mean_sum_ = 0.0;
   double queued_variance_sum_ = 0.0;
+
+  /// CutAt's last answer and its window: every `now` in (cut_low_,
+  /// cut_high_] has that cut. An empty window (low +inf) forces a search.
+  mutable std::size_t cut_ = 0;
+  mutable double cut_low_ = std::numeric_limits<double>::infinity();
+  mutable double cut_high_ = -std::numeric_limits<double>::infinity();
 
   /// running_completion_ truncated at truncated_key_, its expectation and
   /// its variance (NaN until ReadyMoments asks); shared by ReadyPmf,

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <deque>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "obs/counters.hpp"
@@ -359,6 +363,232 @@ TEST_P(MemoBitIdentity, ReadyPmfAndExpectationMatchFromScratch) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MemoBitIdentity,
                          ::testing::Range<std::uint64_t>(1, 9));
+
+// ------------------ folds on read and the cut window -----------------------
+
+/// The queue model with nothing kept lazily: the suffix folded on every
+/// mutation, and the truncation, its cut and the ready pmf rebuilt on every
+/// query. CoreQueueModel must answer every query with these bits.
+class EagerQueueModel {
+ public:
+  [[nodiscard]] bool idle() const { return !running_; }
+  [[nodiscard]] std::size_t queued() const { return queued_.size(); }
+  /// The running task's shifted support; empty when idle.
+  [[nodiscard]] std::span<const pmf::Impulse> running_impulses() const {
+    return completion_.impulses();
+  }
+
+  void StartTask(const ModeledTask& task, double now) {
+    running_ = true;
+    completion_ = *task.exec;
+    completion_.ShiftInPlace(now);
+  }
+  void Enqueue(const ModeledTask& task) {
+    queued_.push_back(task);
+    mean_sum_ += task.exec->Expectation();
+    variance_sum_ += task.exec->Variance();
+    Fold(queued_.size() - 1);
+  }
+  void FinishRunning() {
+    running_ = false;
+    completion_ = pmf::Pmf();
+  }
+  void StartNext(double now) {
+    const ModeledTask next = queued_.front();
+    DropNext();
+    StartTask(next, now);
+  }
+  void DropNext() {
+    queued_.pop_front();
+    mean_sum_ = 0.0;
+    variance_sum_ = 0.0;
+    for (std::size_t i = 0; i < queued_.size(); ++i) {
+      mean_sum_ += queued_[i].exec->Expectation();
+      variance_sum_ += queued_[i].exec->Variance();
+      Fold(i);
+    }
+  }
+  void Reset() {
+    FinishRunning();
+    queued_.clear();
+    mean_sum_ = 0.0;
+    variance_sum_ = 0.0;
+  }
+
+  [[nodiscard]] pmf::Pmf ReadyPmf(double now) const {
+    if (!running_) return pmf::Pmf::Delta(now);
+    pmf::Pmf ready = Truncated(now);
+    if (!queued_.empty()) {
+      pmf::ConvolveInto(ready, suffix_, pmf::Pmf::kDefaultMaxImpulses, ready);
+    }
+    return ready;
+  }
+  [[nodiscard]] double ExpectedReadyTime(double now) const {
+    return running_ ? Truncated(now).Expectation() + mean_sum_ : now;
+  }
+  [[nodiscard]] Moments ReadyMoments(double now) const {
+    if (!running_) return Moments{now, 0.0};
+    const pmf::Pmf truncated = Truncated(now);
+    return Moments{truncated.Expectation() + mean_sum_,
+                   truncated.Variance() + variance_sum_};
+  }
+
+ private:
+  /// Extends the suffix with queued_[i], the fold's next task.
+  void Fold(std::size_t i) {
+    if (i == 0) {
+      suffix_ = *queued_.front().exec;
+    } else {
+      pmf::ConvolveInto(suffix_, *queued_[i].exec,
+                        pmf::Pmf::kDefaultMaxImpulses, suffix_);
+    }
+  }
+  /// The running pmf cut at the impulses below `now`, found afresh.
+  [[nodiscard]] pmf::Pmf Truncated(double now) const {
+    pmf::Pmf truncated = completion_;
+    truncated.TruncateBelowInPlace(now);
+    return truncated;
+  }
+
+  bool running_ = false;
+  pmf::Pmf completion_;
+  std::deque<ModeledTask> queued_;
+  pmf::Pmf suffix_;
+  double mean_sum_ = 0.0;
+  double variance_sum_ = 0.0;
+};
+
+/// A query time on, one ulp below or one ulp above a running impulse, or
+/// between two, before the first or past the last; it may move backwards.
+double AnyQueryTime(util::RngStream& rng, const EagerQueueModel& eager,
+                    double now) {
+  const auto impulses = eager.running_impulses();
+  if (impulses.empty()) return now + rng.UniformReal(-3.0, 3.0);
+  const auto at = [&](std::int64_t k) {
+    return impulses[static_cast<std::size_t>(k)].value;
+  };
+  const auto last = static_cast<std::int64_t>(impulses.size()) - 1;
+  const std::int64_t k = rng.UniformInt(0, last);
+  const double v = at(k);
+  const double pick = rng.UniformReal(0.0, 1.0);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  if (pick < 0.3) return v;
+  if (pick < 0.5) return std::nextafter(v, -kInf);
+  if (pick < 0.7) return std::nextafter(v, kInf);
+  if (pick < 0.85) return k < last ? 0.5 * (v + at(k + 1)) : v + 1.0;
+  if (pick < 0.92) return at(0) - rng.UniformReal(0.0, 5.0);
+  return at(last) + rng.UniformReal(0.0, 5.0);
+}
+
+class LazyQueueModel : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(LazyQueueModel, MatchesAnEagerModelOnEveryQuery) {
+  // Random StartTask / Enqueue / FinishRunning / StartNext / DropNext /
+  // Reset sequences, each followed by queries in random order at times on,
+  // just below and just above running impulses, in both directions. The
+  // lazy suffix fold and the kept cut window must answer every query with
+  // the eager model's bits.
+  util::RngStream rng(GetParam());
+  std::vector<pmf::Pmf> execs;
+  for (int i = 0; i < 6; ++i) {
+    std::vector<pmf::Impulse> impulses;
+    const auto n = rng.UniformInt(1, 16);
+    for (std::int64_t j = 0; j < n; ++j) {
+      impulses.push_back({rng.UniformReal(1.0, 40.0), rng.UniformReal(0.1, 1)});
+    }
+    execs.push_back(pmf::Pmf::FromImpulses(std::move(impulses)));
+  }
+  // A tail too light to renormalize, for the Delta(now) fallback.
+  execs.push_back(pmf::Pmf::FromImpulses({{10.0, 1.0}, {30.0, 1e-12}}));
+  const auto random_exec = [&] {
+    return &execs[static_cast<std::size_t>(
+        rng.UniformInt(0, static_cast<std::int64_t>(execs.size()) - 1))];
+  };
+
+  CoreQueueModel lazy;
+  EagerQueueModel eager;
+  double now = 500.0;
+  std::size_t next_id = 0;
+  std::size_t folds_restarted = 0;
+  for (int step = 0; step < 400; ++step) {
+    const double op = rng.UniformReal(0.0, 1.0);
+    if (op < 0.03) {
+      lazy.Reset();
+      eager.Reset();
+    } else if (eager.idle()) {
+      if (eager.queued() > 0 && op < 0.5) {
+        lazy.DropNext();
+        eager.DropNext();
+      } else if (eager.queued() > 0) {
+        lazy.StartNext(now);
+        eager.StartNext(now);
+        ++folds_restarted;
+      } else {
+        const ModeledTask task{next_id++, random_exec(), 0.0};
+        lazy.StartTask(task, now);
+        eager.StartTask(task, now);
+      }
+    } else if (op < 0.6) {
+      const ModeledTask task{next_id++, random_exec(), 0.0};
+      lazy.Enqueue(task);
+      eager.Enqueue(task);
+    } else if (op < 0.85) {
+      lazy.FinishRunning();
+      eager.FinishRunning();
+    }
+    // Between FinishRunning and StartNext/DropNext a queue has no running
+    // task, a state nobody queries.
+    if (eager.idle() && eager.queued() > 0) continue;
+    const auto queries = rng.UniformInt(1, 4);
+    for (std::int64_t q = 0; q < queries; ++q) {
+      now = AnyQueryTime(rng, eager, now);
+      const double kind = rng.UniformReal(0.0, 1.0);
+      if (kind < 0.4) {
+        ASSERT_EQ(lazy.ReadyPmf(now), eager.ReadyPmf(now))
+            << "step " << step << " now " << now;
+      } else if (kind < 0.7) {
+        ASSERT_EQ(lazy.ExpectedReadyTime(now), eager.ExpectedReadyTime(now))
+            << "step " << step << " now " << now;
+      } else {
+        const Moments got = lazy.ReadyMoments(now);
+        const Moments want = eager.ReadyMoments(now);
+        ASSERT_EQ(got.mean, want.mean) << "step " << step << " now " << now;
+        ASSERT_EQ(got.variance, want.variance)
+            << "step " << step << " now " << now;
+      }
+    }
+  }
+  EXPECT_GT(folds_restarted, 20u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LazyQueueModel,
+                         ::testing::Range<std::uint64_t>(1, 9));
+
+TEST(LazyQueueModel, MutationsNeverConvolve) {
+  const pmf::Pmf exec_a = test::TwoPoint(10.0, 20.0);
+  const pmf::Pmf exec_b = test::TwoPoint(1.0, 3.0);
+  obs::Counters counters;
+  const obs::CountersScope scope(&counters);
+  CoreQueueModel core;
+  core.StartTask(ModeledTask{0, &exec_a, 0.0}, 0.0);
+  for (std::size_t i = 1; i <= 4; ++i) {
+    core.Enqueue(ModeledTask{i, &exec_b, 0.0});
+  }
+  core.FinishRunning();
+  core.StartNext(5.0);
+  core.FinishRunning();
+  core.DropNext();
+  core.StartNext(6.0);
+  EXPECT_EQ(counters.pmf_convolutions, 0u);
+  // One task queued: the suffix is its exec pmf, one convolution for the
+  // ready pmf.
+  (void)core.ReadyPmf(6.0);
+  EXPECT_EQ(counters.pmf_convolutions, 1u);
+  // A second task: one fold step, then the ready pmf again.
+  core.Enqueue(ModeledTask{9, &exec_b, 0.0});
+  (void)core.ReadyPmf(6.0);
+  EXPECT_EQ(counters.pmf_convolutions, 3u);
+}
 
 // ---------------------------- memo edge cases -------------------------------
 

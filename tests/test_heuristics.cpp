@@ -1,10 +1,17 @@
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <optional>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/factory.hpp"
 #include "core/mapping_context.hpp"
 #include "experiment/paper_config.hpp"
+#include "obs/counters.hpp"
+#include "robustness/robustness.hpp"
 #include "test_support.hpp"
 #include "workload/task_type_table.hpp"
 
@@ -162,6 +169,103 @@ TEST_F(HeuristicTest, LightestLoadPrefersCheapCertaintyOverExpensive) {
   ASSERT_TRUE(chosen.has_value());
   const double rho = ctx.OnTimeProbability(*chosen);
   EXPECT_GT(rho, 0.5);
+}
+
+TEST_F(HeuristicTest, LightestLoadStopsAtTheFirstZeroLoad) {
+  // Hand-built loads [5, 1e-13, 0, 0, 0, 0]: cores 0 and 1 finish long
+  // past the deadline (rho 0, load = EEC) and idle core 2 meets it surely
+  // at every P-state (rho exactly 1, load 0). LL must pick what an
+  // unfloored FirstMinimum picks, the first zero, without computing rho for
+  // any candidate after it.
+  task_.deadline = 1e6;
+  MakeBusy(0, 1e7, 0.0);
+  MakeBusy(1, 1e7, 0.0);
+  const auto at = [](std::size_t flat, cluster::PStateIndex pstate) {
+    return flat * cluster::kNumPStates + pstate;
+  };
+  const auto hand_built = [&](MappingContext& ctx) {
+    const std::vector<Candidate> all = ctx.candidates();
+    ctx.candidates() = {all[at(0, 0)], all[at(1, 0)], all[at(2, 0)],
+                        all[at(2, 1)], all[at(2, 2)], all[at(2, 3)]};
+    ctx.candidates()[0].eec = 5.0;
+    ctx.candidates()[1].eec = 1e-13;
+  };
+  const auto load = [](const MappingContext& ctx, const Candidate& c) {
+    return c.eec * (1.0 - ctx.OnTimeProbability(c));
+  };
+
+  MappingContext unfloored = Context();
+  hand_built(unfloored);
+  const std::optional<Candidate> want = FirstMinimum(
+      unfloored.candidates(),
+      [&](const Candidate& c) { return load(unfloored, c); });
+  ASSERT_TRUE(want.has_value());
+  EXPECT_EQ(load(unfloored, unfloored.candidates()[1]), 1e-13);
+  for (std::size_t i = 2; i < unfloored.candidates().size(); ++i) {
+    ASSERT_EQ(load(unfloored, unfloored.candidates()[i]), 0.0) << i;
+  }
+
+  MappingContext ctx = Context();
+  hand_built(ctx);
+  obs::Counters counters;
+  const obs::CountersScope scope(&counters);
+  const auto chosen = MakeHeuristic("LL", util::RngStream(1))->Select(ctx);
+  ASSERT_TRUE(chosen.has_value());
+  EXPECT_EQ(chosen->assignment, want->assignment);
+  EXPECT_EQ(chosen->assignment, (Assignment{2, 0}));
+  EXPECT_EQ(counters.pmf_prob_sum_leq, 3u);
+}
+
+TEST_F(HeuristicTest, IdleCoresOfANodeShareOneRhoPerPState) {
+  // Cores 1 and 2 are node 1's, both idle: their ready pmf is Delta(now),
+  // so one ProbSumLeq per P-state serves both, with the direct call's bits.
+  MakeBusy(0, 50.0, 0.0);
+  task_.deadline = 180.0;
+  MappingContext ctx = Context(10.0);
+  obs::Counters counters;
+  const obs::CountersScope scope(&counters);
+  std::vector<double> rho;
+  for (const Candidate& candidate : ctx.candidates()) {
+    if (candidate.node == 1) rho.push_back(ctx.OnTimeProbability(candidate));
+  }
+  ASSERT_EQ(rho.size(), 2u * cluster::kNumPStates);
+  EXPECT_EQ(counters.pmf_prob_sum_leq, cluster::kNumPStates);
+  EXPECT_EQ(counters.ready_pmf_misses + counters.ready_pmf_hits,
+            cluster::kNumPStates);
+  std::size_t i = 0;
+  for (const Candidate& candidate : ctx.candidates()) {
+    if (candidate.node != 1) continue;
+    const double direct = robustness::OnTimeProbability(
+        cores_[candidate.assignment.flat_core], 10.0, *candidate.exec,
+        task_.deadline);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(rho[i++]),
+              std::bit_cast<std::uint64_t>(direct));
+  }
+  // Certain and hopeless P-states both occur, so the shared values differ.
+  EXPECT_GT(*std::max_element(rho.begin(), rho.end()),
+            *std::min_element(rho.begin(), rho.end()));
+}
+
+TEST_F(HeuristicTest, LentBuffersAreClearedAndKeepTheirStorage) {
+  MakeBusy(0, 50.0, 0.0);
+  MappingContext::Buffers buffers;
+  const Candidate* storage = nullptr;
+  for (const double now : {0.0, 10.0, 60.0}) {
+    const MappingContext lent(cluster_, table_, cores_, task_, now, {},
+                              &buffers);
+    const MappingContext own = Context(now);
+    ASSERT_EQ(lent.candidates().size(), own.candidates().size());
+    if (storage != nullptr) {
+      EXPECT_EQ(lent.candidates().data(), storage);
+    }
+    storage = lent.candidates().data();
+    for (std::size_t i = 0; i < own.candidates().size(); ++i) {
+      const Candidate& c = lent.candidates()[i];
+      EXPECT_EQ(c.assignment, own.candidates()[i].assignment);
+      EXPECT_EQ(lent.OnTimeProbability(c), own.OnTimeProbability(c));
+      EXPECT_EQ(lent.ExpectedCompletionTime(c), own.ExpectedCompletionTime(c));
+    }
+  }
 }
 
 TEST_F(HeuristicTest, RandomChoosesWithinCandidatesUniformly) {

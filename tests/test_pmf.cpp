@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <limits>
 #include <numeric>
 #include <sstream>
@@ -827,6 +829,67 @@ TEST(MaxOf, MaxIntoMatchesMaxOfAndAllowsAliasing) {
   Pmf acc_rhs = y;
   MaxInto(x, acc_rhs, Pmf::kDefaultMaxImpulses, acc_rhs);
   EXPECT_EQ(acc_rhs, reference);
+}
+
+// ------------------- SelectKthLargest (compaction ranks) --------------------
+
+/// Gaps as compaction sees them: ties, zeros of both signs, one-ulp
+/// neighbours, values across many binades, subnormals and an overflowed +inf.
+std::vector<double> AwkwardGaps(util::RngStream& rng, std::size_t n) {
+  std::vector<double> pool = {0.0, -0.0, 1.0, std::nextafter(1.0, 2.0),
+                              std::nextafter(1.0, 0.0), 0.5, 1e-300,
+                              std::numeric_limits<double>::denorm_min(),
+                              std::numeric_limits<double>::infinity()};
+  std::vector<double> gaps;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double pick = rng.UniformReal(0.0, 1.0);
+    if (pick < 0.4) {
+      gaps.push_back(pool[static_cast<std::size_t>(rng.UniformInt(
+          0, static_cast<std::int64_t>(pool.size()) - 1))]);
+    } else if (pick < 0.6 && !gaps.empty()) {
+      const double near = gaps[static_cast<std::size_t>(rng.UniformInt(
+          0, static_cast<std::int64_t>(gaps.size()) - 1))];
+      gaps.push_back(std::isinf(near) ? near : std::nextafter(near, 4.0));
+    } else {
+      gaps.push_back(std::ldexp(rng.UniformReal(0.5, 1.0),
+                                static_cast<int>(rng.UniformInt(-60, 60))));
+    }
+  }
+  return gaps;
+}
+
+TEST(SelectKthLargest, AgreesWithNthElementOnAwkwardGaps) {
+  util::RngStream rng(31);
+  for (int round = 0; round < 300; ++round) {
+    const auto n = static_cast<std::size_t>(rng.UniformInt(1, 120));
+    const std::vector<double> gaps = AwkwardGaps(rng, n);
+    std::vector<double> descending = gaps;
+    std::sort(descending.begin(), descending.end(), std::greater<>());
+    for (std::size_t k = 1; k <= n; ++k) {
+      std::vector<double> by_nth = gaps;
+      std::nth_element(by_nth.begin(), by_nth.begin() + (k - 1), by_nth.end(),
+                       std::greater<>());
+      std::vector<double> scratch = gaps;
+      const KthLargest got = SelectKthLargest(scratch, k);
+      ASSERT_EQ(got.value, by_nth[k - 1]) << "round " << round << " k " << k;
+      const auto ties = static_cast<std::size_t>(
+          std::count(descending.begin(), descending.begin() + k, got.value));
+      ASSERT_EQ(got.ties, ties) << "round " << round << " k " << k;
+    }
+  }
+}
+
+TEST(SelectKthLargest, AllEqualAndSingleValues) {
+  std::vector<double> same(7, 2.5);
+  const KthLargest all = SelectKthLargest(same, 4);
+  EXPECT_EQ(all.value, 2.5);
+  EXPECT_EQ(all.ties, 4u);
+  std::vector<double> one = {3.0};
+  EXPECT_EQ(SelectKthLargest(one, 1).value, 3.0);
+  std::vector<double> zeros = {-0.0, 0.0, 1.0};
+  const KthLargest zero = SelectKthLargest(zeros, 3);
+  EXPECT_EQ(zero.value, 0.0);
+  EXPECT_EQ(zero.ties, 2u);
 }
 
 }  // namespace
