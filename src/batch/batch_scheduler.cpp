@@ -23,7 +23,8 @@ BatchScheduler::BatchScheduler(const cluster::Cluster& cluster,
       heuristic_(std::move(heuristic)),
       filters_(std::move(filters)),
       estimator_(energy_budget),
-      window_size_(window_size) {
+      window_size_(window_size),
+      quantiles_(types) {
   ECDRA_REQUIRE(heuristic_ != nullptr, "batch scheduler needs a heuristic");
   ECDRA_REQUIRE(window_size_ >= 1, "window must contain at least one task");
   for (const auto& filter : filters_) {
@@ -62,7 +63,8 @@ void BatchScheduler::Candidates(const workload::Task& task) {
 void BatchScheduler::FilterScratch(const workload::Task& task, double now,
                                    double depth, std::size_t tasks_left,
                                    obs::Counters* counters) {
-  core::MappingContext ctx(*cluster_, task, now, std::move(scratch_), depth);
+  core::MappingContext ctx(*cluster_, task, now, std::move(scratch_), depth,
+                           &quantiles_);
   ctx.SetBudgetView(estimator_.remaining(), tasks_left);
   core::ApplyFilters(filters_, ctx, counters, nullptr);
   scratch_ = std::move(ctx.candidates());

@@ -9,7 +9,9 @@
 // An event lists the idle cores once, builds each task's candidates from
 // that list into one reused buffer, and appends the filter survivors to a
 // per-event arena the BatchTask spans view, so a steady-state event
-// allocates nothing for candidates.
+// allocates nothing for candidates. The filters' "rho < theta?" is one
+// comparison per candidate against a per-trial table of exec-pmf quantiles
+// (core::MappingContext::RhoQuantiles) the scheduler lends each context.
 #pragma once
 
 #include <memory>
@@ -20,6 +22,7 @@
 #include "cluster/cluster.hpp"
 #include "core/energy_estimator.hpp"
 #include "core/filter.hpp"
+#include "core/mapping_context.hpp"
 #include "core/scheduler.hpp"
 #include "validate/validation.hpp"
 #include "workload/task_type_table.hpp"
@@ -102,6 +105,10 @@ class BatchScheduler {
   /// node and P-state; empty when the chain has no robustness threshold
   /// above 0, which disables the skip.
   std::vector<double> min_exec_support_;
+  /// The rob filter's answers for the whole trial, lent to every batch
+  /// context: one quantile per exec pmf of types_ for the first threshold
+  /// the chain asks.
+  core::MappingContext::RhoQuantiles quantiles_;
 
   /// Per-event buffers, kept across events so their capacity is reused.
   struct IdleCore {

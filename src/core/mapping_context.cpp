@@ -71,12 +71,14 @@ MappingContext::MappingContext(
 MappingContext::MappingContext(const cluster::Cluster& cluster,
                                const workload::Task& task, double now,
                                std::vector<Candidate> candidates,
-                               double average_queue_depth)
+                               double average_queue_depth,
+                               RhoQuantiles* quantiles)
     : cluster_(&cluster),
       task_(&task),
       now_(now),
       own_{.candidates = std::move(candidates), .ready = {}, .rho = {}},
-      queue_depth_override_(average_queue_depth) {
+      queue_depth_override_(average_queue_depth),
+      quantiles_(quantiles) {
   ECDRA_REQUIRE(average_queue_depth >= 0.0,
                 "average queue depth must be non-negative");
 }
@@ -142,6 +144,21 @@ bool MappingContext::QueuedRhoBelow(const Candidate& candidate,
                                                 task_->deadline));
   }
   return *below;
+}
+
+void MappingContext::AuditRhoQuantile(validate::TrialValidator& validator,
+                                      const Candidate& candidate,
+                                      double threshold, bool below) const {
+  validator.CountChecks();
+  const double rho = candidate.exec->CdfAt(task_->deadline - now_);
+  if ((rho < threshold) == below) return;
+  std::ostringstream os;
+  os << std::setprecision(17) << "task " << task_->id << " on core "
+     << candidate.assignment.flat_core << " P"
+     << static_cast<int>(candidate.assignment.pstate) << " at deadline - now = "
+     << task_->deadline - now_ << ": the quantile table answered "
+     << (below ? "rho < " : "rho >= ") << threshold << " but rho is " << rho;
+  validator.Fail("rho-quantile", now_, os.str());
 }
 
 double MappingContext::GangOnTimeProbability(

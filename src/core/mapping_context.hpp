@@ -17,9 +17,12 @@
 //
 // The candidates and memos live in a Buffers object. The immediate-mode
 // scheduler keeps one and lends it to every context it builds, which clears
-// it and keeps its capacity, so a warm decision allocates nothing.
+// it and keeps its capacity, so a warm decision allocates nothing. The batch
+// shape's rho is one exec pmf's CDF, so its threshold answers come from a
+// per-trial RhoQuantiles table the batch scheduler lends the same way.
 #pragma once
 
+#include <cmath>
 #include <limits>
 #include <span>
 #include <vector>
@@ -28,6 +31,8 @@
 #include "core/assignment.hpp"
 #include "econ/econ_model.hpp"
 #include "robustness/core_queue_model.hpp"
+#include "util/assert.hpp"
+#include "validate/validation.hpp"
 #include "workload/task.hpp"
 #include "workload/task_type_table.hpp"
 
@@ -88,6 +93,48 @@ class MappingContext {
     std::vector<Rho> rho;
   };
 
+  /// The batch shape's answers to "rho < theta?". Every batch candidate
+  /// core is idle, so rho = exec.CdfAt(deadline - now), which is below
+  /// theta exactly when deadline - now < exec.CdfQuantile(theta). The table
+  /// keeps that quantile for one theta, one slot per exec pmf of a
+  /// TaskTypeTable ((type, node, P-state)), each computed when first
+  /// asked. The first threshold a context asks claims the table; RhoBelow
+  /// answers any other threshold with CdfAt. BatchScheduler keeps one per
+  /// trial and lends it to every context it builds.
+  class RhoQuantiles {
+   public:
+    /// One empty slot per exec pmf of `types`, which must outlive the
+    /// table.
+    explicit RhoQuantiles(const workload::TaskTypeTable& types)
+        : base_(types.ExecRow(0, 0)),
+          slots_(types.num_types() * types.num_nodes() * cluster::kNumPStates,
+                 std::numeric_limits<double>::quiet_NaN()) {}
+
+    /// True when the table answers `threshold`: the first call claims it
+    /// for that threshold.
+    [[nodiscard]] bool Serves(double threshold) noexcept {
+      if (!claimed_) {
+        claimed_ = true;
+        threshold_ = threshold;
+      }
+      return threshold == threshold_;
+    }
+
+    /// The slot of `exec`, which must be one of the table's pmfs: its
+    /// CdfQuantile at the served threshold, or NaN until computed.
+    [[nodiscard]] double& At(const pmf::Pmf& exec) {
+      const auto slot = static_cast<std::size_t>(&exec - base_);
+      ECDRA_ASSERT(slot < slots_.size(), "exec pmf is not in the table");
+      return slots_[slot];
+    }
+
+   private:
+    const pmf::Pmf* base_;
+    std::vector<double> slots_;
+    bool claimed_ = false;
+    double threshold_ = 0.0;
+  };
+
   /// Builds the full candidate list (every available core x every allowed
   /// P-state) for `task` arriving at `now`. `cores` is indexed by flat core
   /// index and must outlive the context; `availability`, when non-empty,
@@ -107,10 +154,14 @@ class MappingContext {
   /// closed forms (ECT = now + EET, rho = F_exec(deadline - now)) — and the
   /// average queue depth is supplied by the scheduler, which counts pending
   /// plus running tasks that no queue model tracks. Filters built for the
-  /// immediate stack run unchanged through this shape.
+  /// immediate stack run unchanged through this shape. `quantiles`, when
+  /// given, answers RhoBelow for the threshold it serves and must outlive
+  /// the context; every candidate's exec pmf must then be one of its
+  /// table's.
   MappingContext(const cluster::Cluster& cluster, const workload::Task& task,
                  double now, std::vector<Candidate> candidates,
-                 double average_queue_depth);
+                 double average_queue_depth,
+                 RhoQuantiles* quantiles = nullptr);
 
   [[nodiscard]] const workload::Task& task() const noexcept { return *task_; }
   [[nodiscard]] double now() const noexcept { return now_; }
@@ -147,11 +198,26 @@ class MappingContext {
   /// that cannot decide, so a core whose every candidate is decided builds
   /// no ready pmf. Decided answers equal the exact comparison; deep
   /// validation re-checks each one (check "rho-bound"). The batch shape
-  /// compares its closed form, one CdfAt, inline.
+  /// compares deadline - now with the exec pmf's quantile in the lent
+  /// RhoQuantiles table when the table serves `threshold` (deep validation
+  /// re-checks each answer against CdfAt, check "rho-quantile"), and
+  /// compares its closed form, one CdfAt, otherwise.
   [[nodiscard]] bool RhoBelow(const Candidate& candidate,
                               double threshold) const {
-    if (cores_.empty()) return OnTimeProbability(candidate) < threshold;
-    return QueuedRhoBelow(candidate, threshold);
+    if (!cores_.empty()) return QueuedRhoBelow(candidate, threshold);
+    if (quantiles_ == nullptr || !quantiles_->Serves(threshold)) {
+      return OnTimeProbability(candidate) < threshold;
+    }
+    double& quantile = quantiles_->At(*candidate.exec);
+    if (std::isnan(quantile)) {
+      quantile = candidate.exec->CdfQuantile(threshold);
+    }
+    const bool below = task_->deadline - now_ < quantile;
+    if (validate::TrialValidator* validator = validate::DeepValidator())
+        [[unlikely]] {
+      AuditRhoQuantile(*validator, candidate, threshold, below);
+    }
+    return below;
   }
 
   /// Joint on-time probability of a rigid gang (src/workload/job.hpp)
@@ -225,6 +291,9 @@ class MappingContext {
   /// NaN in the immediate shape (depth comes from the queue models); the
   /// scheduler-supplied depth in the batch shape.
   double queue_depth_override_ = std::numeric_limits<double>::quiet_NaN();
+  /// The batch shape's lent quantile table; null in the immediate shape and
+  /// when none was lent.
+  RhoQuantiles* quantiles_ = nullptr;
   double remaining_energy_estimate_ = 0.0;
   std::size_t tasks_left_ = 1;
   double fair_share_scale_ = 1.0;
@@ -233,6 +302,12 @@ class MappingContext {
   /// RhoBelow in the immediate shape.
   [[nodiscard]] bool QueuedRhoBelow(const Candidate& candidate,
                                     double threshold) const;
+
+  /// Deep validation of one table answer: `below` must equal
+  /// CdfAt(deadline - now) < threshold.
+  void AuditRhoQuantile(validate::TrialValidator& validator,
+                        const Candidate& candidate, double threshold,
+                        bool below) const;
 
   /// Index of `candidate`'s slot in Buffers::rho (immediate shape).
   [[nodiscard]] std::size_t RhoSlot(const Candidate& candidate) const {

@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <ostream>
 #include <span>
 #include <sstream>
@@ -572,6 +573,19 @@ double Pmf::CdfAt(double t) const {
     acc += imp.prob;
   }
   return std::min(acc, 1.0);
+}
+
+double Pmf::CdfQuantile(double p) const {
+  ECDRA_REQUIRE(!empty(), "CdfQuantile of empty pmf");
+  // CdfAt(t) >= 0 answers every p <= 0 (and no comparison with NaN holds):
+  // no t is below, which only -inf expresses.
+  if (!(p > 0.0)) return -std::numeric_limits<double>::infinity();
+  double acc = 0.0;
+  for (const Impulse& imp : impulses_) {
+    acc += imp.prob;
+    if (std::min(acc, 1.0) >= p) return imp.value;
+  }
+  return std::numeric_limits<double>::infinity();
 }
 
 Pmf Pmf::Shift(double dt) const {

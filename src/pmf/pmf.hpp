@@ -84,6 +84,13 @@ class Pmf {
   /// P(X <= t).
   [[nodiscard]] double CdfAt(double t) const;
 
+  /// The smallest support value whose prefix sum, folded in CdfAt's order
+  /// and clamped at 1.0 as CdfAt clamps it, reaches `p`; -inf when p <= 0
+  /// (or NaN) and +inf when no prefix sum reaches it. The clamped prefix
+  /// sums never decrease, so for every finite t, CdfAt(t) < p exactly when
+  /// t < CdfQuantile(p): one comparison answers a fixed threshold question.
+  [[nodiscard]] double CdfQuantile(double p) const;
+
   /// Adds a constant to every support value (time shift, e.g. by a start or
   /// ready time).
   [[nodiscard]] Pmf Shift(double dt) const;

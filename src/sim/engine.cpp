@@ -78,6 +78,8 @@ Engine::Engine(const cluster::Cluster& cluster,
   for (std::size_t i = 0; i < tasks_.size(); ++i) {
     ECDRA_REQUIRE(tasks_[i].id == i, "task ids must equal arrival order");
   }
+  exec_u_.resize(tasks_.size());
+  rng_.SubstreamFirstUniforms("exec-u", exec_u_);
   // Every task is a member of one job; a task with the default kSelfJob is
   // its own one-task job. Jobs partition the task ids in order.
   graph_ = workload::BuildJobGraph(tasks_);
@@ -1218,12 +1220,7 @@ class Engine::AdmissionScan final : public stream::RhoScan {
       : engine_(engine), task_(task), now_(now) {}
 
   [[nodiscard]] bool Reaches(double threshold, double scale) override {
-    // scale * rho is monotone in rho and the max only grows, so a yes from
-    // the running max is the full max's yes. rho is clamped to [0, 1]: past
-    // an exact 1.0 no core can raise the max.
-    while (!(scale * best_ >= threshold) && best_ != 1.0 && VisitNext()) {
-    }
-    const bool answer = scale * best_ >= threshold;
+    const bool answer = Scan(threshold, scale);
     if (validate::TrialValidator* validator = validate::DeepValidator()) {
       Audit(*validator, threshold, scale, answer);
     }
@@ -1231,9 +1228,81 @@ class Engine::AdmissionScan final : public stream::RhoScan {
   }
 
  private:
-  /// Raises the running max by the next available core's rho; false once
-  /// every core has been visited.
-  bool VisitNext() {
+  /// What one core showed for one question.
+  enum class Verdict {
+    /// rho was computed and best_ raised by it.
+    kVisited,
+    /// The moment bound shows scale * rho >= threshold.
+    kReaches,
+    /// The moment bound shows scale * rho < threshold.
+    kBelow,
+  };
+
+  /// The question threshold / scale on rho, widened by a relative margin on
+  /// each side: rho >= hi makes the rounded scale * rho reach the
+  /// threshold, and rho < lo keeps it below. `bounded` is false when the
+  /// ratio or the threshold is not a normal double, where relative
+  /// rounding bounds fail; such questions compute rho.
+  struct Bracket {
+    double lo = 0.0;
+    double hi = 0.0;
+    bool bounded = false;
+  };
+
+  static Bracket MakeBracket(double threshold, double scale) {
+    // The ratio, the bracket and the policy's product scale * rho each
+    // round by at most 2^-53 relative; 2^-50 covers the three.
+    constexpr double kMargin = 0x1p-50;
+    const double ratio = threshold / scale;
+    if (!std::isnormal(threshold) || !std::isnormal(ratio)) return {};
+    return Bracket{ratio * (1.0 - kMargin), ratio * (1.0 + kMargin), true};
+  }
+
+  /// scale * best_rho >= threshold. scale * rho is monotone in rho and the
+  /// max only grows, so a yes from the running max is the full max's yes.
+  /// rho is clamped to [0, 1]: past an exact 1.0 no core can raise the max.
+  /// Unvisited cores come first, idle ones before busy ones; then the busy
+  /// cores an earlier question's bound showed below a threshold above this
+  /// one's.
+  [[nodiscard]] bool Scan(double threshold, double scale) {
+    const auto settled = [&] {
+      return scale * best_ >= threshold || best_ == 1.0;
+    };
+    const Bracket bracket = MakeBracket(threshold, scale);
+    while (!settled()) {
+      const std::optional<std::size_t> flat = NextCore();
+      if (!flat) break;
+      const Verdict verdict = Check(*flat, bracket);
+      // A core that reaches stays next: its rho is not in best_, so a
+      // later question must check it again.
+      if (verdict == Verdict::kReaches) return true;
+      if (verdict == Verdict::kBelow) below_.push_back({*flat, bracket.lo});
+      ++next_;
+    }
+    for (std::size_t i = 0; i < below_.size() && !settled();) {
+      auto& [flat, ceiling] = below_[i];
+      if (bracket.bounded && ceiling <= bracket.lo) {
+        ++i;  // rho < ceiling <= lo: below this question too
+        continue;
+      }
+      switch (Check(flat, bracket)) {
+        case Verdict::kReaches:
+          return true;
+        case Verdict::kBelow:
+          ceiling = bracket.lo;
+          ++i;
+          break;
+        case Verdict::kVisited:
+          below_.erase(below_.begin() + static_cast<std::ptrdiff_t>(i));
+          break;
+      }
+    }
+    return scale * best_ >= threshold;
+  }
+
+  /// The next available core in scan order (idle cores, then busy ones),
+  /// left at next_; nullopt once every core has been passed.
+  [[nodiscard]] std::optional<std::size_t> NextCore() {
     const std::size_t cores = engine_.models_.size();
     while (idle_pass_ || next_ < cores) {
       if (next_ == cores) {
@@ -1241,13 +1310,38 @@ class Engine::AdmissionScan final : public stream::RhoScan {
         next_ = 0;
         continue;
       }
-      const std::size_t flat = next_++;
-      if (engine_.models_[flat].idle() != idle_pass_) continue;
-      if (!engine_.injector_.available(flat)) continue;
-      best_ = std::max(best_, Rho(flat));
-      return true;
+      if (engine_.models_[next_].idle() == idle_pass_ &&
+          engine_.injector_.available(next_)) {
+        return next_;
+      }
+      ++next_;
     }
-    return false;
+    return std::nullopt;
+  }
+
+  /// Decides a busy core from its completion time's mean and variance bound
+  /// (robustness::RhoBelowBound, as the rob filter does) when the bracket
+  /// allows; otherwise computes its rho into best_. Idle cores are always
+  /// computed: their ready pmf is Delta(now), so rho is one sweep.
+  [[nodiscard]] Verdict Check(std::size_t flat, const Bracket& bracket) {
+    if (bracket.bounded && !engine_.models_[flat].idle()) {
+      const robustness::Moments ready = engine_.models_[flat].ReadyMoments(now_);
+      const std::size_t node = engine_.cluster_->NodeIndexOf(flat);
+      const cluster::PStateIndex floor =
+          engine_.availability_[flat].pstate_floor;
+      const double mean =
+          ready.mean + engine_.types_->MeanRow(task_.type, node)[floor];
+      const double variance =
+          ready.variance + engine_.types_->VarianceRow(task_.type, node)[floor];
+      const std::optional<bool> below_hi = robustness::RhoBelowBound(
+          mean, variance, task_.deadline, bracket.hi);
+      if (below_hi && !*below_hi) return Verdict::kReaches;
+      const std::optional<bool> below_lo = robustness::RhoBelowBound(
+          mean, variance, task_.deadline, bracket.lo);
+      if (below_lo && *below_lo) return Verdict::kBelow;
+    }
+    best_ = std::max(best_, Rho(flat));
+    return Verdict::kVisited;
   }
 
   /// The same rho(i,j,k,pi,t,z) primitive the robustness filter computes,
@@ -1284,6 +1378,9 @@ class Engine::AdmissionScan final : public stream::RhoScan {
   double best_ = 0.0;
   bool idle_pass_ = true;
   std::size_t next_ = 0;
+  /// Busy cores passed without computing rho, each with a ceiling the bound
+  /// showed rho below.
+  std::vector<std::pair<std::size_t, double>> below_;
   std::optional<double> full_max_;
 };
 
@@ -1432,9 +1529,9 @@ double Engine::SampleActualDuration(const workload::Task& task,
   // One substream per task id: the underlying uniform draw is shared across
   // heuristic variants (common random numbers), so variants differ only
   // through their decisions, not through sampling noise. The draw is that
-  // substream's first uniform.
-  return types_->ExecPmf(task.type, node, pstate)
-      .Sample(rng_.SubstreamFirstUniform("exec-u", task.id));
+  // substream's first uniform, drawn for every task up front.
+  ECDRA_ASSERT(task.id < exec_u_.size(), "task id out of range");
+  return types_->ExecPmf(task.type, node, pstate).Sample(exec_u_[task.id]);
 }
 
 void Engine::HandleJobArrival(std::size_t job_index, double now) {

@@ -291,8 +291,11 @@ class Engine : private governor::GovernorHost {
   /// rho(i,j,k,pi,t,z) over available cores at their current P-state
   /// floors, idle cores first. It keeps its running max (from 0) across
   /// questions, answers from it before visiting a core, and stops scanning
-  /// at the first exact 1.0. Under deep validation every answer is checked
-  /// against the full max.
+  /// at the first exact 1.0. A busy core is first put to the rob filter's
+  /// mean/variance bound: one the bound shows reaching the question answers
+  /// yes and stays unvisited, and one it shows below is set aside until a
+  /// later question asks below that threshold. Under deep validation every
+  /// answer is checked against the full max.
   class AdmissionScan;
   /// Builds the AdmissionView around an AdmissionScan and runs the
   /// configured policy.
@@ -403,6 +406,9 @@ class Engine : private governor::GovernorHost {
   const core::EnergyEstimator* estimator_;
   TrialOptions options_;
   util::RngStream rng_;
+  /// Per task id, the uniform its actual execution time is sampled with:
+  /// substream "exec-u" at the id's first uniform.
+  std::vector<double> exec_u_;
 
   std::vector<CoreRuntime> runtime_;
   std::vector<robustness::CoreQueueModel> models_;

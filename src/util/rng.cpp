@@ -30,13 +30,45 @@ class OneShotMt64 {
   bool used_ = false;
 };
 
+/// UniformReal(0.0, 1.0) on an engine whose next output is `output`.
+double UnitUniform(std::uint64_t output) {
+  OneShotMt64 first(output);
+  return std::uniform_real_distribution<double>(0.0, 1.0)(first);
+}
+
 }  // namespace
 
 double RngStream::SubstreamFirstUniform(std::string_view name,
                                         std::uint64_t index) const {
   // A child stream seeds its engine with SplitMix64 of its own seed.
-  OneShotMt64 first(Mt19937_64FirstOutput(SplitMix64(ChildSeed(name, index))));
-  return std::uniform_real_distribution<double>(0.0, 1.0)(first);
+  return UnitUniform(
+      Mt19937_64FirstOutput(SplitMix64(ChildSeed(name, index))));
+}
+
+void RngStream::SubstreamFirstUniforms(std::string_view name,
+                                       std::span<double> out) const {
+  constexpr std::size_t kLanes = 8;
+  const std::size_t n = out.size();
+  std::size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    std::uint64_t x0[kLanes];
+    std::uint64_t x1[kLanes];
+    std::uint64_t xm[kLanes];
+    for (std::size_t k = 0; k < kLanes; ++k) {
+      x0[k] = SplitMix64(ChildSeed(name, i + k));
+      x1[k] = Mt19937_64SeedStep(x0[k], 1);
+      xm[k] = x1[k];
+    }
+    for (std::uint64_t step = 2; step <= 156; ++step) {
+      for (std::size_t k = 0; k < kLanes; ++k) {
+        xm[k] = Mt19937_64SeedStep(xm[k], step);
+      }
+    }
+    for (std::size_t k = 0; k < kLanes; ++k) {
+      out[i + k] = UnitUniform(Mt19937_64TwistFirst(x0[k], x1[k], xm[k]));
+    }
+  }
+  for (; i < n; ++i) out[i] = SubstreamFirstUniform(name, i);
 }
 
 double RngStream::UniformReal(double lo, double hi) {

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <random>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -32,27 +33,36 @@ namespace ecdra::util {
   return h;
 }
 
+/// std::mt19937_64's seeding step: state word i from word i - 1.
+[[nodiscard]] constexpr std::uint64_t Mt19937_64SeedStep(
+    std::uint64_t x, std::uint64_t i) noexcept {
+  return 6364136223846793005ULL * (x ^ (x >> 62)) + i;
+}
+
+/// std::mt19937_64's first output from its seeded state words 0, 1 and 156:
+/// twist word 0, then temper it.
+[[nodiscard]] constexpr std::uint64_t Mt19937_64TwistFirst(
+    std::uint64_t x0, std::uint64_t x1, std::uint64_t x156) noexcept {
+  const std::uint64_t y =
+      (x0 & ~((1ULL << 31) - 1)) | (x1 & ((1ULL << 31) - 1));
+  std::uint64_t z =
+      x156 ^ (y >> 1) ^ ((y & 1) != 0 ? 0xB5026F5AA96619E9ULL : 0);
+  z ^= (z >> 29) & 0x5555555555555555ULL;
+  z ^= (z << 17) & 0x71D67FFFEDA60000ULL;
+  z ^= (z << 37) & 0xFFF7EEE000000000ULL;
+  return z ^ (z >> 43);
+}
+
 /// The first output of std::mt19937_64 seeded with `seed`, computed without
 /// building the 312-word state. That output reads only state words 0, 1 and
 /// 156: seed them, twist word 0 and temper it. Bit-identical to
 /// `std::mt19937_64(seed)()`.
 [[nodiscard]] constexpr std::uint64_t Mt19937_64FirstOutput(
     std::uint64_t seed) noexcept {
-  constexpr std::uint64_t kInit = 6364136223846793005ULL;
-  const auto next = [](std::uint64_t x, std::uint64_t i) {
-    return kInit * (x ^ (x >> 62)) + i;
-  };
-  const std::uint64_t x0 = seed;
-  const std::uint64_t x1 = next(x0, 1);
+  const std::uint64_t x1 = Mt19937_64SeedStep(seed, 1);
   std::uint64_t xm = x1;
-  for (std::uint64_t i = 2; i <= 156; ++i) xm = next(xm, i);
-  const std::uint64_t y =
-      (x0 & ~((1ULL << 31) - 1)) | (x1 & ((1ULL << 31) - 1));
-  std::uint64_t z = xm ^ (y >> 1) ^ ((y & 1) != 0 ? 0xB5026F5AA96619E9ULL : 0);
-  z ^= (z >> 29) & 0x5555555555555555ULL;
-  z ^= (z << 17) & 0x71D67FFFEDA60000ULL;
-  z ^= (z << 37) & 0xFFF7EEE000000000ULL;
-  return z ^ (z >> 43);
+  for (std::uint64_t i = 2; i <= 156; ++i) xm = Mt19937_64SeedStep(xm, i);
+  return Mt19937_64TwistFirst(seed, x1, xm);
 }
 
 /// A seeded random stream with convenience samplers. Thin wrapper around
@@ -75,6 +85,12 @@ class RngStream {
   /// Mersenne Twister output instead of a seeded 312-word engine.
   [[nodiscard]] double SubstreamFirstUniform(std::string_view name,
                                              std::uint64_t index = 0) const;
+
+  /// Fills out[i] with SubstreamFirstUniform(name, i), bit for bit, for
+  /// every i. Each draw is a 155-step dependent multiply chain; eight
+  /// chains run side by side, so the multiplies overlap.
+  void SubstreamFirstUniforms(std::string_view name,
+                              std::span<double> out) const;
 
   [[nodiscard]] std::uint64_t base_seed() const noexcept { return base_seed_; }
 

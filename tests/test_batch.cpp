@@ -969,6 +969,205 @@ TEST_F(BatchTrialTest, ExpiredSkipsPassDeepValidation) {
   EXPECT_EQ(result.discarded, 1u);
 }
 
+// ---------------------------------------------------------------------------
+// The quantile table: the batch shape answers "rho < theta?" as
+// deadline - now < exec.CdfQuantile(theta), which must be CdfAt's verdict.
+
+/// Verdict tallies of the filters a VerdictCheck wraps.
+struct VerdictTally {
+  std::size_t kept = 0;
+  std::size_t pruned = 0;
+  std::size_t mismatched = 0;
+};
+
+/// Wraps a rho filter and checks each of its verdicts against the closed
+/// form: a candidate survives exactly when CdfAt(deadline - now) is not
+/// below `threshold(ctx)` (a threshold <= 0 keeps every candidate).
+class VerdictCheck final : public core::Filter {
+ public:
+  using Threshold = std::function<double(const core::MappingContext&)>;
+  VerdictCheck(std::unique_ptr<core::Filter> inner, Threshold threshold,
+               VerdictTally& tally)
+      : inner_(std::move(inner)),
+        threshold_(std::move(threshold)),
+        tally_(&tally) {}
+
+  void Apply(core::MappingContext& ctx) override {
+    const std::vector<core::Candidate> before = ctx.candidates();
+    inner_->Apply(ctx);
+    const double threshold = threshold_(ctx);
+    const double t = ctx.task().deadline - ctx.now();
+    std::size_t survivor = 0;
+    for (const core::Candidate& candidate : before) {
+      const bool keep =
+          threshold <= 0.0 || !(candidate.exec->CdfAt(t) < threshold);
+      const bool kept =
+          survivor < ctx.candidates().size() &&
+          ctx.candidates()[survivor].assignment == candidate.assignment;
+      if (kept) ++survivor;
+      ++(kept ? tally_->kept : tally_->pruned);
+      if (kept != keep && tally_->mismatched++ == 0) {
+        ADD_FAILURE() << inner_->name() << " at t = " << t << " on core "
+                      << candidate.assignment.flat_core << " P"
+                      << int{candidate.assignment.pstate} << ": kept " << kept
+                      << ", CdfAt says " << keep;
+      }
+    }
+    EXPECT_EQ(survivor, ctx.candidates().size());
+  }
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return inner_->name();
+  }
+
+ private:
+  std::unique_ptr<core::Filter> inner_;
+  Threshold threshold_;
+  VerdictTally* tally_;
+};
+
+/// `variant`'s chain with each rho filter behind a VerdictCheck; "en+rob+rob"
+/// has a second rob filter at 0.8.
+std::vector<std::unique_ptr<core::Filter>> CheckedChain(
+    const std::string& variant, VerdictTally& tally) {
+  std::vector<std::unique_ptr<core::Filter>> chain =
+      core::MakeFilterChain(variant);
+  if (variant == "en+rob+rob") {
+    chain.back() = std::make_unique<core::RobustnessFilter>(0.8);
+  }
+  for (std::unique_ptr<core::Filter>& filter : chain) {
+    VerdictCheck::Threshold threshold;
+    if (const auto* rob =
+            dynamic_cast<const core::RobustnessFilter*>(filter.get())) {
+      threshold = [theta = rob->threshold()](const core::MappingContext&) {
+        return theta;
+      };
+    } else if (filter->name() == "sla") {
+      threshold = [](const core::MappingContext& ctx) {
+        return ctx.econ().TierOf(ctx.task().tier).rho_floor;
+      };
+    } else {
+      continue;
+    }
+    filter = std::make_unique<VerdictCheck>(std::move(filter),
+                                            std::move(threshold), tally);
+  }
+  return chain;
+}
+
+TEST(BatchScheduler, EveryRhoFilterVerdictIsCdfAts) {
+  // Two small trials of every batch heuristic under each chain that asks
+  // rho; the last chain's second, stricter threshold is one the table does
+  // not serve, so CdfAt answers it. Wrapping the filters hides theta from
+  // the expired-task skip, so every pending task reaches them at every
+  // MapEvent.
+  const sim::ExperimentSetup setup = SmallSetup();
+  for (const std::string& heuristic : BatchHeuristicRegistry().Names()) {
+    for (const std::string variant :
+         {"rob", "en+rob", "en+rob+sla", "en+rob+rob"}) {
+      VerdictTally tally;
+      for (std::uint64_t trial = 0; trial < 2; ++trial) {
+        BatchScheduler scheduler(setup.cluster, setup.types,
+                                 MakeBatchHeuristic(heuristic),
+                                 CheckedChain(variant, tally),
+                                 setup.energy_budget, setup.window_size);
+        const util::RngStream trial_rng =
+            util::RngStream(setup.master_seed).Substream("trial", trial);
+        util::RngStream workload_rng = trial_rng.Substream("workload");
+        sim::TrialOptions options;
+        options.energy_budget = setup.energy_budget;
+        sim::Engine engine(
+            setup.cluster, setup.types,
+            workload::GenerateWorkload(setup.types, setup.workload,
+                                       workload_rng),
+            scheduler, options, trial_rng.Substream("sim"));
+        (void)engine.Run();
+      }
+      const std::string where = heuristic + " " + variant;
+      EXPECT_EQ(tally.mismatched, 0u) << where;
+      EXPECT_GT(tally.kept, 0u) << where;
+      EXPECT_GT(tally.pruned, 0u) << where;
+    }
+  }
+}
+
+TEST(BatchContext, QuantileTableAnswersAtEverySupportValueAsCdfAt) {
+  // deadline - now at every support value of every exec pmf and one ulp
+  // either side (now = 0, so the subtraction is exact), for thresholds at
+  // and around the edges; a fresh table per threshold claims it.
+  const sim::ExperimentSetup setup = SmallSetup();
+  const workload::TaskTypeTable& types = setup.types;
+  const cluster::Cluster& cluster = setup.cluster;
+  std::size_t compared = 0;
+  for (const double theta : {0.0, 1e-300, 0.05, 0.5, 1.0, 1.0 + 0x1p-52}) {
+    core::MappingContext::RhoQuantiles table(types);
+    for (std::size_t type = 0; type < types.num_types(); ++type) {
+      std::vector<double> times;
+      for (std::size_t node = 0; node < types.num_nodes(); ++node) {
+        for (cluster::PStateIndex s = 0; s < cluster::kNumPStates; ++s) {
+          for (const pmf::Impulse& imp :
+               types.ExecPmf(type, node, s).impulses()) {
+            times.push_back(imp.value);
+            times.push_back(std::nextafter(imp.value, 0.0));
+            times.push_back(std::nextafter(imp.value, INFINITY));
+          }
+        }
+      }
+      for (const double t : times) {
+        const workload::Task task{0, type, 0.0, t};
+        // One core per node: candidates on one node share their exec pmfs.
+        std::vector<core::Candidate> candidates;
+        for (std::size_t flat = 0; flat < cluster.total_cores(); ++flat) {
+          const std::size_t node = cluster.NodeIndexOf(flat);
+          if (flat > 0 && cluster.NodeIndexOf(flat - 1) == node) continue;
+          core::AppendCoreCandidates(candidates, cluster, types, type, flat,
+                                     node);
+        }
+        const core::MappingContext ctx(cluster, task, 0.0,
+                                       std::move(candidates), 1.0, &table);
+        for (const core::Candidate& candidate : ctx.candidates()) {
+          ASSERT_EQ(ctx.RhoBelow(candidate, theta),
+                    candidate.exec->CdfAt(t) < theta)
+              << "theta " << theta << ", t " << t;
+          ++compared;
+        }
+      }
+    }
+    // The table now serves theta and nothing else; another threshold still
+    // gets CdfAt's answer.
+    EXPECT_TRUE(table.Serves(theta));
+    EXPECT_FALSE(table.Serves(0.75));
+  }
+  EXPECT_GT(compared, 100000u);
+}
+
+TEST(BatchContext, DeepValidationChecksEveryQuantileAnswer) {
+  // One exec pmf at 10 (P0); at deadline - now = 12, rho = 1. A correct
+  // slot passes the "rho-quantile" check; a slot corrupted to +inf answers
+  // "below" and is reported.
+  const cluster::Cluster cluster({test::SimpleNode(1, 1)});
+  const workload::TaskTypeTable table = DeltaTable(cluster, 10.0);
+  const workload::Task task{0, 0, 0.0, 12.0};
+  core::MappingContext::RhoQuantiles quantiles(table);
+  validate::TrialValidator validator(validate::ValidationMode::kDeep);
+  {
+    validate::ValidatorScope scope(&validator);
+    std::vector<core::Candidate> candidates;
+    core::AppendCoreCandidates(candidates, cluster, table, 0, 0, 0);
+    const core::MappingContext ctx(cluster, task, 0.0, std::move(candidates),
+                                   1.0, &quantiles);
+    const core::Candidate& p0 = ctx.candidates().front();
+    EXPECT_FALSE(ctx.RhoBelow(p0, 0.5));
+    EXPECT_EQ(validator.report().checks_run, 1u);
+    EXPECT_TRUE(validator.report().ok());
+    quantiles.At(*p0.exec) = INFINITY;
+    EXPECT_TRUE(ctx.RhoBelow(p0, 0.5));
+  }
+  const validate::ValidationReport& report = validator.report();
+  ASSERT_EQ(report.by_check.size(), 1u);
+  EXPECT_EQ(report.by_check[0].check, "rho-quantile");
+  EXPECT_EQ(report.violations, 1u);
+}
+
 // Batch mode has no fault, governor, econ, gang, DVFS-latency, or
 // stochastic-power machinery: a spec setting any of them is refused with
 // one typed line naming every offending key, never silently run as if the

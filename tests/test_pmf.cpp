@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <iomanip>
 #include <limits>
 #include <numeric>
 #include <sstream>
@@ -669,6 +670,68 @@ TEST(Pmf, CdfIsMonotoneNonDecreasing) {
     prev = cdf;
   }
   EXPECT_DOUBLE_EQ(prev, 1.0);
+}
+
+TEST(Pmf, CdfQuantileIsTheFirstValueReachingTheThreshold) {
+  const Pmf pmf = Pmf::FromImpulses({{1.0, 1.0}, {2.0, 1.0}, {3.0, 2.0}});
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(pmf.CdfQuantile(0.0), -kInf);
+  EXPECT_EQ(pmf.CdfQuantile(-1.0), -kInf);
+  EXPECT_EQ(pmf.CdfQuantile(std::numeric_limits<double>::quiet_NaN()), -kInf);
+  EXPECT_EQ(pmf.CdfQuantile(1e-300), 1.0);
+  EXPECT_EQ(pmf.CdfQuantile(0.25), 1.0);
+  EXPECT_EQ(pmf.CdfQuantile(0.3), 2.0);
+  EXPECT_EQ(pmf.CdfQuantile(0.5), 2.0);
+  EXPECT_EQ(pmf.CdfQuantile(1.0), 3.0);
+  EXPECT_EQ(pmf.CdfQuantile(1.0 + 0x1p-52), kInf);
+  EXPECT_THROW((void)Pmf().CdfQuantile(0.5), std::invalid_argument);
+}
+
+TEST(Pmf, CdfAtIsBelowAThresholdExactlyBelowItsCdfQuantile) {
+  // For every finite t, CdfAt(t) < p must equal t < CdfQuantile(p), bit for
+  // bit: p at each prefix sum CdfAt can return and one ulp either side, t
+  // at each support value and one ulp either side. Two raw pmfs carry mass
+  // just above and just below 1, where CdfAt's clamp decides.
+  std::vector<Pmf> pmfs;
+  for (const double mean : {1.0, 37.5, 750.0, 4321.0}) {
+    for (const double cov : {0.1, 0.25, 0.9}) {
+      pmfs.push_back(DiscretizedGamma(mean, cov));
+    }
+  }
+  util::RngStream rng(314);
+  for (const std::size_t n : {1u, 2u, 5u, 24u, 64u}) {
+    for (int k = 0; k < 4; ++k) pmfs.push_back(RandomPmf(rng, n));
+  }
+  pmfs.push_back(Pmf::FromRawUnchecked({{1.0, 0.5}, {2.0, 0.5 + 1e-12}}));
+  pmfs.push_back(Pmf::FromRawUnchecked({{1.0, 0.5}, {2.0, 0.5 - 1e-12}}));
+
+  std::size_t compared = 0;
+  for (const Pmf& pmf : pmfs) {
+    std::vector<double> thresholds = {0.0, 1e-300, 0.5, 1.0, 1.0 + 0x1p-52};
+    std::vector<double> times;
+    double acc = 0.0;
+    for (const Impulse& imp : pmf.impulses()) {
+      acc += imp.prob;
+      for (const double p : {acc, std::min(acc, 1.0)}) {
+        thresholds.push_back(p);
+        thresholds.push_back(std::nextafter(p, 0.0));
+        thresholds.push_back(std::nextafter(p, 2.0));
+      }
+      times.push_back(imp.value);
+      times.push_back(std::nextafter(imp.value, -INFINITY));
+      times.push_back(std::nextafter(imp.value, INFINITY));
+    }
+    for (const double p : thresholds) {
+      const double quantile = pmf.CdfQuantile(p);
+      for (const double t : times) {
+        ASSERT_EQ(pmf.CdfAt(t) < p, t < quantile)
+            << std::setprecision(17) << "p = " << p << ", t = " << t
+            << ", quantile " << quantile << ", pmf " << pmf;
+        ++compared;
+      }
+    }
+  }
+  EXPECT_GT(compared, 100000u);
 }
 
 TEST(Pmf, ShiftAndScaleCompose) {

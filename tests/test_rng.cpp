@@ -155,6 +155,25 @@ TEST(RngStream, SubstreamFirstUniformIsTheSubstreamsFirstDraw) {
             RngStream(3).Substream("x").UniformReal(0.0, 1.0));
 }
 
+TEST(RngStream, SubstreamFirstUniformsAreTheOneAtATimeDraws) {
+  // Lengths around the eight-lane block (none, a tail alone, one block, a
+  // block and a tail) and a long run, under several seeds and names.
+  for (const std::uint64_t seed : {0ULL, 3ULL, 14ULL, ~0ULL}) {
+    const RngStream root(seed);
+    for (const char* name : {"exec-u", "power-u"}) {
+      for (const std::size_t n : {0u, 1u, 7u, 8u, 9u, 1000u}) {
+        std::vector<double> draws(n, -1.0);
+        root.SubstreamFirstUniforms(name, draws);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(draws[i], root.SubstreamFirstUniform(name, i))
+              << "seed " << seed << ", " << name << ", n " << n << ", i "
+              << i;
+        }
+      }
+    }
+  }
+}
+
 TEST(RngStream, InvalidArgumentsThrow) {
   RngStream rng(1);
   EXPECT_THROW((void)rng.UniformReal(2, 1), std::invalid_argument);

@@ -703,6 +703,72 @@ TEST(StreamEngine, DeepValidationChecksEveryRhoAnswerAgainstTheFullMax) {
   ExpectSameTrial(off, deep);
 }
 
+/// Asks a falling ladder of thresholds whatever each answer, so a later
+/// question asks below thresholds an earlier one answered "no" to. Admits
+/// when best_rho reaches the lowest rung.
+class LadderAdmission final : public stream::AdmissionPolicy {
+ public:
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "test-ladder";
+  }
+  [[nodiscard]] stream::AdmissionVerdict Decide(
+      const stream::AdmissionView& view) override {
+    bool reached = false;
+    for (const double rung : {0.9, 0.6, 0.3, 0.1, 0.05}) {
+      reached = view.best_rho.Reaches(rung);
+    }
+    return reached ? stream::AdmissionVerdict::kAdmit
+                   : stream::AdmissionVerdict::kDrop;
+  }
+};
+
+}  // namespace
+
+ECDRA_REGISTER_ADMISSION("test-ladder", [](const stream::AdmissionOptions&) {
+  return std::make_unique<LadderAdmission>();
+})
+
+namespace {
+
+TEST(StreamEngine, EveryAdmissionPolicyPassesDeepValidationWithTheMomentBound) {
+  // Every admission policy on loaded streaming trials under fail-fast deep
+  // validation, which checks each oracle answer against the full max while
+  // the scan decides busy cores from their mean/variance bound. A core the
+  // bound shows reaching one question is not in the running max, so the
+  // next question must check it again ("rho" asks drop_rho, then
+  // defer_rho); "test-ladder" asks below thresholds it was refused, so the
+  // cores an earlier question set aside as below must be visited again.
+  // value-density prices energy, so its question is not vacuous.
+  sim::SetupOptions loaded = SmallOptions();
+  loaded.workload.arrivals =
+      workload::ArrivalSpec::PaperBursty(30, 90, 1.0 / 4.0, 1.0 / 16.0);
+  const sim::ExperimentSetup setup = sim::BuildExperimentSetup(7, loaded);
+  for (const std::string& admission : stream::AdmissionNames()) {
+    sim::RunOptions run = StreamRun(setup, 0.5);
+    run.num_trials = 3;
+    run.stream.admission = admission;
+    run.econ_enabled = true;
+    run.econ.type_values = {1.0, 5.0, 20.0};
+    run.econ.energy_price = 1e-6;
+    const std::vector<sim::TrialResult> off =
+        sim::RunTrials(setup, "LL", "en", run);
+    run.validation = validate::ValidationMode::kDeep;
+    run.validation_fail_fast = true;
+    const std::vector<sim::TrialResult> deep =
+        sim::RunTrials(setup, "LL", "en", run);
+    ASSERT_EQ(deep.size(), off.size()) << admission;
+    std::uint64_t ruled = 0;
+    for (std::size_t i = 0; i < deep.size(); ++i) {
+      EXPECT_TRUE(deep[i].validation.ok()) << admission;
+      ExpectSameTrial(off[i], deep[i]);
+      ruled += deep[i].stream.deferred + deep[i].stream.admission_dropped;
+    }
+    if (admission != "none") {
+      EXPECT_GT(ruled, 0u) << admission;
+    }
+  }
+}
+
 TEST(StreamRunner, RunOptionsFromSpecRefusesFixedTraceWithAStreamBlock) {
   policy::ScenarioSpec spec;
   spec.stream.energy_rate = 80.0;  // mode stays kFixedTrace
